@@ -1,5 +1,5 @@
-//! Replay-path throughput: the tracked perf baseline for the batched
-//! replay kernel (`BENCH_10.json`).
+//! Replay-path throughput: the tracked perf baseline for the replay
+//! kernels (`BENCH_12.json`).
 //!
 //! Measures events/sec for every stage of the capture/replay pipeline on
 //! one real workload:
@@ -11,16 +11,14 @@
 //!   straight-line append exists for;
 //! * `replay_per_event` — the pre-batching decoder
 //!   (`CapturedTrace::replay_per_event`) into a monomorphized counting
-//!   sink;
+//!   sink. It runs on the same parse cursor as every other kernel, so
+//!   with the sink inlined it is a fused decode+count loop that never
+//!   stores the fields the sink ignores — since `BENCH_12` it beats the
+//!   chunked kernel below (~0.8× batched/per-event);
 //! * `replay_batched` — the batched front door (`CapturedTrace::replay`)
 //!   at its tuned default chunk size. `InstCounts` is a columns-only
 //!   sink, so this measures the column decode kernel with no `Retired`
-//!   struct materialization at all — the fix for the `BENCH_9`
-//!   batched-vs-per-event inversion, which turned out to be the struct
-//!   staging round-trip (80 B/event written then re-read) that the
-//!   monomorphized per-event loop never paid, not a regression from the
-//!   feed/flight hooks (those are no-ops unless a trace sink is
-//!   installed);
+//!   struct materialization at all, only the flat column staging;
 //! * `replay_per_event_dyn` / `replay_batched_dyn` — the same two kernels
 //!   through an opaque `&mut dyn Sink` boundary: one indirect call per
 //!   *event* vs one per *chunk*, the dispatch cost batching exists to
@@ -31,6 +29,9 @@
 //!   generic batched `Sink` path, the pre-fusion comparison point;
 //! * `replay_hsd` — replay through the hot-spot detector's batched
 //!   sink (the profiling-side timing sink);
+//! * `replay_diff` — lockstep differential replay of the trace against
+//!   itself (`diff_traces`): both visit streams decoded and folded in
+//!   lockstep, counted as both streams' events per second;
 //! * `disk_load` — bring a v3 `.vptrace` back from the disk tier on the
 //!   default path (memory-mapped zero-copy where supported, owned read
 //!   otherwise), CRC verified either way;
@@ -41,7 +42,7 @@
 //! Knobs (on top of the usual `VP_BENCH_MS`/`VP_BENCH_SAMPLES`):
 //!
 //! * `VP_BENCH_JSON=<path>` — write the measurements as a JSON baseline
-//!   (the file committed as `BENCH_10.json`);
+//!   (the file committed as `BENCH_12.json`);
 //! * `VP_BENCH_BASELINE=<path>` — compare against a committed baseline
 //!   and exit non-zero if the batched kernel's throughput, *normalized to
 //!   the per-event kernel measured in the same run* (so host speed
@@ -54,7 +55,8 @@
 
 use std::io::Write;
 use vacuum_packing::exec::{
-    CapturedTrace, DiskTier, Executor, InstCounts, RunConfig, Sink, TraceKey,
+    diff_traces, CapturedTrace, DiffOptions, DiskTier, Executor, IdentityMap, InstCounts,
+    RunConfig, Sink, TraceKey,
 };
 use vacuum_packing::hsd::{HotSpotDetector, HsdConfig};
 use vacuum_packing::program::Layout;
@@ -177,6 +179,12 @@ fn main() {
         trace.replay(&mut hsd);
         hsd.branches_retired()
     });
+    // Differential replay of the trace against itself: both visit
+    // streams decode and fold in lockstep, so each iteration processes
+    // every event twice and the row counts both streams' events.
+    r.bench_throughput("retire_stream/replay_diff", 2 * events, || {
+        diff_traces(&trace, &trace, &IdentityMap::new(), &DiffOptions::default()).aligned_visits
+    });
     r.bench_throughput("retire_stream/disk_load", events, || {
         tier.load(&key).expect("warm load").events()
     });
@@ -202,6 +210,7 @@ fn main() {
         "replay_sim",
         "replay_sim_sink",
         "replay_hsd",
+        "replay_diff",
         "disk_load",
         "disk_load_mmap",
         "disk_load_owned",

@@ -1,14 +1,19 @@
 //! Differential replay against the real packing pipeline: a correctly
-//! rewritten binary must diff clean against the original capture, and an
+//! rewritten binary must diff clean against the original capture, an
 //! injected rewriting fault (a corrupted launch-point target) must be
-//! detected and reported with first-divergence forensics.
+//! detected and reported with first-divergence forensics, and the
+//! streaming lockstep diff must agree exactly with a materializing
+//! reference on every hand-built workload — clean and corrupted.
 
 use std::collections::BTreeMap;
 use vp_core::{build_packages, identify_region, rewrite, CfgCache, PackConfig, PackOutput};
-use vp_exec::{diff_traces, CapturedTrace, DiffOptions, DiffVerdict, RunConfig};
-use vp_hsd::{Phase, PhaseBranch};
+use vp_exec::{
+    diff_traces, CapturedTrace, DiffOptions, DiffReport, DiffVerdict, IdentityMap, RunConfig,
+};
+use vp_hsd::{filter_hot_spots, FilterConfig, HotSpotDetector, HsdConfig, Phase, PhaseBranch};
 use vp_isa::{CodeRef, Cond, Reg, Src};
 use vp_program::{Layout, Program, ProgramBuilder, Terminator};
+use vp_workloads::rng::SplitMix64;
 
 fn hot_loop_program() -> Program {
     let mut pb = ProgramBuilder::new();
@@ -183,4 +188,312 @@ fn corrupted_launch_point_is_detected_with_forensics() {
     let rendered = format!("{rep}");
     assert!(rendered.contains("first divergence"), "{rendered}");
     assert!(rendered.contains("expected"), "{rendered}");
+}
+
+/// Profiles `p` the way the evaluation harness does: the Table 2 detector
+/// rides along the original capture, then the software filter runs.
+fn profile(p: &Program) -> (Layout, CapturedTrace, Vec<Phase>) {
+    let layout = Layout::natural(p);
+    let mut hsd = HotSpotDetector::new(HsdConfig::table2());
+    let trace = CapturedTrace::capture_with(p, &layout, &RunConfig::default(), &mut hsd)
+        .expect("profile capture");
+    let phases = filter_hot_spots(hsd.records(), &FilterConfig::default());
+    (layout, trace, phases)
+}
+
+/// The packed binary the harness measures: packages optimized and laid
+/// out for the Table 2 machine.
+fn optimized(out: &PackOutput) -> (Program, Layout) {
+    let (prog, order) = vp_opt::optimize_packages(
+        out,
+        &vp_sim::MachineConfig::table2(),
+        &vp_opt::OptConfig::default(),
+    );
+    let layout = Layout::new(&prog, &order);
+    (prog, layout)
+}
+
+/// Diffs with the lockstep engine and the materializing reference and
+/// requires identical reports, forensics included.
+fn assert_equivalent(
+    what: &str,
+    original: &CapturedTrace,
+    packed: &CapturedTrace,
+    map: &IdentityMap,
+) -> DiffReport {
+    let opts = DiffOptions::default();
+    let got = diff_traces(original, packed, map, &opts);
+    let want = reference::diff(original, packed, map, &opts);
+    assert_eq!(
+        got, want,
+        "{what}: lockstep diff disagrees with the reference"
+    );
+    got
+}
+
+/// The divergence shapes the oracle corpus exercised.
+#[derive(Debug, Default)]
+struct Shapes {
+    /// Both visits present at the first mismatch.
+    mid_stream: usize,
+    /// The packed stream ended first.
+    packed_ended: usize,
+    /// `Truncated` verdicts.
+    truncated: usize,
+    /// Mismatches before `context` visits had aligned.
+    short_context: usize,
+}
+
+impl Shapes {
+    fn note(&mut self, r: &DiffReport) {
+        self.truncated += usize::from(r.verdict == DiffVerdict::Truncated);
+        if let Some(d) = &r.divergence {
+            self.mid_stream += usize::from(d.expected.is_some() && d.actual.is_some());
+            self.packed_ended += usize::from(d.expected.is_some() && d.actual.is_none());
+            self.short_context += usize::from(d.context.len() < DiffOptions::default().context);
+        }
+    }
+}
+
+/// A copy of `out` with one random package block's provenance corrupted:
+/// its origin shifted one block on, or its exit flag flipped.
+fn corrupt(out: &PackOutput, rng: &mut SplitMix64, flip_exit: bool) -> PackOutput {
+    let mut bad = out.clone();
+    let pkg = &mut bad.packages[rng.gen_range(0..out.packages.len())];
+    let n = pkg.meta.len();
+    let meta = &mut pkg.meta[rng.gen_range(0..n)];
+    if flip_exit {
+        meta.is_exit = !meta.is_exit;
+    } else {
+        meta.origin.block.0 += 1;
+    }
+    bad
+}
+
+/// The equivalence oracle over `labels`: under the four Figure 8/10
+/// configurations, the lockstep diff returns exactly the reference's
+/// report — and the same holds for SplitMix64-seeded corruptions
+/// (shifted identities, flipped exit flags, packed captures cut short),
+/// which must drive mid-stream divergences, early stream ends, truncated
+/// verdicts and mismatches before the context ring fills.
+fn check_oracle(labels: &[&str], seed: u64) {
+    let corpus: Vec<_> = vp_workloads::suite(1)
+        .into_iter()
+        .filter(|w| labels.contains(&w.label().as_str()))
+        .collect();
+    assert_eq!(corpus.len(), labels.len(), "unknown workload label");
+    let mut rng = SplitMix64::seed_from_u64(seed);
+    let mut shapes = Shapes::default();
+    for w in corpus {
+        let (layout, original, phases) = profile(&w.program);
+        // One configuration per workload also carries the corruptions.
+        let corrupted_cfg = rng.gen_range(0..4usize);
+        for (ci, cfg) in PackConfig::evaluation_matrix().iter().enumerate() {
+            let what = format!("{} {cfg:?}", w.label());
+            let out = vp_core::pack(&w.program, &layout, &phases, cfg);
+            let (prog, playout) = optimized(&out);
+            let packed = CapturedTrace::capture(&prog, &playout, &RunConfig::default())
+                .expect("packed capture");
+            let rep = assert_equivalent(&what, &original, &packed, &out.identity_map());
+            assert_eq!(rep.verdict, DiffVerdict::Clean, "{what}: {rep}");
+            if ci != corrupted_cfg || out.packages.is_empty() {
+                continue;
+            }
+            for flip_exit in [false, true] {
+                let bad = corrupt(&out, &mut rng, flip_exit);
+                let what = format!("{what} corrupted (flip_exit {flip_exit})");
+                shapes.note(&assert_equivalent(
+                    &what,
+                    &original,
+                    &packed,
+                    &bad.identity_map(),
+                ));
+            }
+            // An early cut (inside the first few visits) and one anywhere.
+            for cut in [rng.gen_range(1..64u64), rng.gen_range(1..packed.events())] {
+                let run = RunConfig {
+                    max_insts: cut,
+                    ..RunConfig::default()
+                };
+                let short = CapturedTrace::capture(&prog, &playout, &run).expect("cut capture");
+                let what = format!("{what} cut at {cut}");
+                shapes.note(&assert_equivalent(
+                    &what,
+                    &original,
+                    &short,
+                    &out.identity_map(),
+                ));
+            }
+        }
+    }
+    assert!(
+        shapes.mid_stream > 0
+            && shapes.packed_ended > 0
+            && shapes.truncated > 0
+            && shapes.short_context > 0,
+        "the corpus must exercise every divergence shape: {shapes:?}"
+    );
+}
+
+// Every hand-built workload generator, each through its input with the
+// fewest retired instructions (Table 1), split into two shards of about
+// equal capture cost so the halves run in parallel.
+
+#[test]
+fn lockstep_diff_matches_the_reference_on_workloads_a() {
+    check_oracle(
+        &[
+            "175.vpr A",
+            "300.twolf A",
+            "099.go A",
+            "132.ijpeg B",
+            "164.gzip A",
+            "134.perl C",
+        ],
+        0x5eed_d1ff,
+    );
+}
+
+#[test]
+fn lockstep_diff_matches_the_reference_on_workloads_b() {
+    check_oracle(
+        &[
+            "mpeg2dec A",
+            "181.mcf A",
+            "197.parser A",
+            "255.vortex A",
+            "124.m88ksim A",
+            "130.li B",
+        ],
+        0x5eed_d200,
+    );
+}
+
+/// The materializing reference the lockstep diff is checked against: each
+/// retired stream is folded into its full canonical visit sequence
+/// through the struct-form [`Sink`](vp_exec::Sink) path, and the two
+/// sequences are compared element-wise afterwards.
+mod reference {
+    use vp_exec::{
+        CapturedTrace, DiffOptions, DiffReport, DiffVerdict, Divergence, IdentityMap, Retired,
+        Sink, StopReason, Visit,
+    };
+
+    struct VisitBuilder<'m> {
+        map: Option<&'m IdentityMap>,
+        visits: Vec<Visit>,
+        exit_events: u64,
+        stub_events: u64,
+        migrations: u64,
+        cur_pkg: Option<u32>,
+    }
+
+    impl Sink for VisitBuilder<'_> {
+        fn retire(&mut self, r: &Retired) {
+            let (origin, package, phase) = match self.map.and_then(|m| m.lookup(r.loc)) {
+                Some(id) if id.is_stub => {
+                    self.stub_events += 1;
+                    return;
+                }
+                Some(id) if id.is_exit => {
+                    self.exit_events += 1;
+                    return;
+                }
+                Some(id) => (id.origin, Some(id.package), Some(id.phase)),
+                None => (r.loc, None, None),
+            };
+            if package != self.cur_pkg {
+                if package.is_some() && self.cur_pkg.is_some() {
+                    self.migrations += 1;
+                }
+                self.cur_pkg = package;
+            }
+            let is_ctrl = r.ctrl.is_some();
+            let cond = u64::from(r.ctrl.is_some_and(|c| c.is_cond));
+            if is_ctrl && cond == 0 {
+                return;
+            }
+            let mem = r.mem_addr.map_or(0, |a| {
+                a.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ u64::from(r.is_store)
+            });
+            match self.visits.last_mut() {
+                Some(v) if v.origin == origin => {
+                    v.plain += u64::from(!is_ctrl);
+                    v.cond += cond;
+                    v.mem = v.mem.wrapping_add(mem);
+                }
+                _ => self.visits.push(Visit {
+                    origin,
+                    plain: u64::from(!is_ctrl),
+                    cond,
+                    mem,
+                    package,
+                    phase,
+                }),
+            }
+        }
+    }
+
+    /// Folds a whole stream; returns the builder and how the run ended.
+    fn fold<'m>(
+        trace: &CapturedTrace,
+        map: Option<&'m IdentityMap>,
+    ) -> (VisitBuilder<'m>, StopReason) {
+        let mut b = VisitBuilder {
+            map,
+            visits: Vec::new(),
+            exit_events: 0,
+            stub_events: 0,
+            migrations: 0,
+            cur_pkg: None,
+        };
+        let stop = trace.replay_per_event(&mut b).stop;
+        (b, stop)
+    }
+
+    pub fn diff(
+        original: &CapturedTrace,
+        packed: &CapturedTrace,
+        map: &IdentityMap,
+        opts: &DiffOptions,
+    ) -> DiffReport {
+        let (ob, orig_stop) = fold(original, None);
+        let (pb, packed_stop) = fold(packed, Some(map));
+
+        let matches = |a: &Visit, b: &Visit| {
+            a.origin == b.origin
+                && a.plain == b.plain
+                && a.cond == b.cond
+                && (!opts.check_mem || a.mem == b.mem)
+        };
+        let n = ob.visits.len().min(pb.visits.len());
+        let mut first_mismatch = (0..n).find(|&i| !matches(&ob.visits[i], &pb.visits[i]));
+        if first_mismatch.is_none() && ob.visits.len() != pb.visits.len() {
+            first_mismatch = Some(n);
+        }
+        let aligned = first_mismatch.unwrap_or(n) as u64;
+        let truncated = orig_stop != StopReason::Halted || packed_stop != StopReason::Halted;
+        let tail_mismatch = first_mismatch.is_none_or(|i| i + 1 >= n);
+        let verdict = match (first_mismatch, truncated) {
+            (None, false) => DiffVerdict::Clean,
+            (None, true) => DiffVerdict::Truncated,
+            (Some(_), true) if tail_mismatch => DiffVerdict::Truncated,
+            (Some(_), _) => DiffVerdict::Diverged,
+        };
+        DiffReport {
+            verdict,
+            orig_visits: ob.visits.len() as u64,
+            packed_visits: pb.visits.len() as u64,
+            aligned_visits: aligned,
+            exit_events: pb.exit_events,
+            stub_events: pb.stub_events,
+            migrations: pb.migrations,
+            divergence: first_mismatch.map(|i| Divergence {
+                index: i as u64,
+                expected: ob.visits.get(i).copied(),
+                actual: pb.visits.get(i).copied(),
+                context: ob.visits[i.saturating_sub(opts.context)..i].to_vec(),
+            }),
+        }
+    }
 }

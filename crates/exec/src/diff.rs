@@ -6,32 +6,41 @@
 //! exit blocks redirect control flow but never change what is computed.
 //! This module checks that promise per run, rather than trusting it:
 //!
-//! 1. Both retired streams are replayed from their [`CapturedTrace`]s into
-//!    canonical **visit sequences**. A visit is a maximal run of retired
-//!    events attributed to one original block; packed-side events are
-//!    mapped back to original identities through an [`IdentityMap`] built
-//!    from the rewriter's per-block provenance metadata.
+//! 1. Both retired streams are decoded from their [`CapturedTrace`]s by
+//!    one pull cursor each and folded, as they arrive, into canonical
+//!    **visits**. A visit is a maximal run of retired events attributed to
+//!    one original block; packed-side events are mapped back to original
+//!    identities through an [`IdentityMap`] built from the rewriter's
+//!    per-block provenance metadata. The mapping is resolved once per
+//!    diff into a dense per-slot table (origin, keep/exit/stub, package,
+//!    phase), so the per-event fold is one table load; the control kind
+//!    and store bit come from the static flags the cursor already loaded.
 //! 2. Events from exit blocks and launch stubs are *dropped* before
 //!    alignment — they are expected, rewriter-introduced divergences
 //!    (dummy consumers, migration glue between linked packages), not
 //!    correctness signals.
-//! 3. The two visit sequences are compared element-wise. Each visit
-//!    carries its non-control instruction count, conditional-branch count,
-//!    and an order-independent memory-address hash, so in-block
-//!    rescheduling and layout re-encoding (fall-through `Goto`s,
-//!    branch-plus-jump expansion, inverted branches) are tolerated while a
-//!    wrong launch-point target, a mis-wired package link, or a corrupted
-//!    block body changes the sequence and is flagged. Unconditional
-//!    control events never create visits: a `Goto` retires an event only
-//!    when encoded as a jump, so an *empty* block is visible or invisible
-//!    purely by where layout put its successor — such blocks are
-//!    transparent to the alignment on both sides.
+//! 3. The two visit streams are compared in lockstep, one visit at a time;
+//!    no visit sequence is ever materialized, so a diff holds O(context)
+//!    state whatever the run length. Each visit carries its non-control
+//!    instruction count, conditional-branch count, and an
+//!    order-independent memory-address hash, so in-block rescheduling and
+//!    layout re-encoding (fall-through `Goto`s, branch-plus-jump
+//!    expansion, inverted branches) are tolerated while a wrong
+//!    launch-point target, a mis-wired package link, or a corrupted block
+//!    body changes the stream and is flagged. Unconditional control events
+//!    never create visits: a `Goto` retires an event only when encoded as
+//!    a jump, so an *empty* block is visible or invisible purely by where
+//!    layout put its successor — such blocks are transparent to the
+//!    alignment on both sides.
 //!
 //! The first mismatch is reported with forensic context: the last N
-//! aligned visits, the expected and actual visit, and the packed side's
-//! package/phase attribution. [`DiffMode::from_env`] reads the `VP_DIFF`
-//! knob (`off` / `report` / `strict`); callers (the `vp-metrics` harness)
-//! decide whether a divergence is fatal.
+//! aligned visits (kept in a ring of [`DiffOptions::context`] entries),
+//! the expected and actual visit, and the packed side's package/phase
+//! attribution. Both streams are then drained, so visit totals and the
+//! packed side's drop and migration counts always cover the whole run.
+//! [`DiffMode::from_env`] reads the `VP_DIFF` knob (`off` / `report` /
+//! `strict`); callers (the `vp-metrics` harness) decide whether a
+//! divergence is fatal.
 //!
 //! The alignment assumes the optimizer preserved the rewriter's
 //! block-level structure: in-block rescheduling and relayout are fine,
@@ -39,9 +48,10 @@
 //! LICM) break the per-visit counts, and callers must skip the diff for
 //! such configurations.
 
-use crate::trace_store::CapturedTrace;
-use crate::{Retired, Sink, StopReason};
-use std::collections::BTreeMap;
+use crate::event::col;
+use crate::trace_store::{CapturedTrace, TraceCursor};
+use crate::StopReason;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use vp_isa::{CodeRef, FuncId};
 use vp_trace::{Counter, Histogram};
@@ -344,174 +354,273 @@ impl fmt::Display for DiffReport {
     }
 }
 
-/// Builds a canonical visit sequence from a retired stream.
-struct VisitBuilder<'m> {
-    map: Option<&'m IdentityMap>,
-    visits: Vec<Visit>,
+/// What a slot's events contribute to the canonical visit stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Role {
+    /// Kept: folded into visits of `SlotInfo::origin`.
+    Keep,
+    /// Exit-block glue: dropped and counted.
+    Exit,
+    /// Launch-stub glue: dropped and counted.
+    Stub,
+}
+
+/// The identity of one static slot, resolved through the identity map once
+/// per diff so the per-event path is a single dense-table load instead of
+/// an identity-map probe. What kind of instruction the slot holds comes
+/// from the parse cursor's static [`col`] flags, not from this table.
+#[derive(Debug, Clone, Copy)]
+struct SlotInfo {
+    /// Original-program block the slot's events belong to.
+    origin: CodeRef,
+    /// Owning package (packed side, package blocks only).
+    package: Option<u32>,
+    /// Phase the owning package serves, parallel to `package`.
+    phase: Option<u32>,
+    role: Role,
+}
+
+impl SlotInfo {
+    /// Resolves one slot location, mapping package locations back to
+    /// original identities through `map` (`None`: the original side,
+    /// where every location is its own identity).
+    fn of(loc: CodeRef, map: Option<&IdentityMap>) -> SlotInfo {
+        let (origin, package, phase, role) = match map.and_then(|m| m.lookup(loc)) {
+            Some(id) if id.is_stub => (id.origin, None, None, Role::Stub),
+            Some(id) if id.is_exit => (id.origin, None, None, Role::Exit),
+            Some(id) => (id.origin, Some(id.package), Some(id.phase), Role::Keep),
+            None => (loc, None, None, Role::Keep),
+        };
+        SlotInfo {
+            origin,
+            package,
+            phase,
+            role,
+        }
+    }
+}
+
+/// The incremental visit fold of one retired stream: package residency
+/// and migration accounting plus the one open visit.
+#[derive(Debug, Default)]
+struct VisitFold {
+    /// The visit being accumulated; it closes when a kept event of
+    /// another origin arrives or the stream ends.
+    open: Option<Visit>,
     /// Dropped events since the last kept event.
     dropped_run: u64,
     exit_events: u64,
     stub_events: u64,
     migrations: u64,
-    gaps: Vec<u64>,
-    residencies: Vec<u64>,
     cur_pkg: Option<u32>,
     cur_residency: u64,
 }
 
-impl<'m> VisitBuilder<'m> {
-    fn new(map: Option<&'m IdentityMap>) -> VisitBuilder<'m> {
-        VisitBuilder {
-            map,
-            visits: Vec::new(),
-            dropped_run: 0,
-            exit_events: 0,
-            stub_events: 0,
-            migrations: 0,
-            gaps: Vec::new(),
-            residencies: Vec::new(),
-            cur_pkg: None,
-            cur_residency: 0,
-        }
-    }
+impl VisitFold {
+    /// Folds one event of slot `s` (static [`col`] flags `flags`, effective
+    /// address `mem`, if any) and returns the visit it closed, if any.
+    ///
+    /// `MAPPED = false` compiles the fold for a stream resolved without an
+    /// identity map (the original side): every slot is then kept and
+    /// outside any package, so the drop and package machinery never fires
+    /// and is left out.
+    #[inline(always)]
+    fn push<const MAPPED: bool>(
+        &mut self,
+        s: &SlotInfo,
+        flags: u8,
+        mem: Option<u64>,
+    ) -> Option<Visit> {
+        if MAPPED {
+            match s.role {
+                Role::Keep => {}
+                Role::Exit => {
+                    self.exit_events += 1;
+                    self.dropped_run += 1;
+                    return None;
+                }
+                Role::Stub => {
+                    self.stub_events += 1;
+                    self.dropped_run += 1;
+                    return None;
+                }
+            }
 
-    fn finish(&mut self) {
-        if self.cur_pkg.is_some() && self.cur_residency > 0 {
-            self.residencies.push(self.cur_residency);
+            // Package residency and migration tracking (event granularity).
+            if s.package != self.cur_pkg {
+                self.end_residency();
+                if s.package.is_some() && self.cur_pkg.is_some() {
+                    // Direct package-to-package transfer: an inter-package
+                    // link, bridged only by dropped exit-block glue.
+                    self.migrations += 1;
+                    H_MIGRATION_GAP.observe(self.dropped_run);
+                }
+                self.cur_pkg = s.package;
+                if let Some(pkg) = s.package {
+                    // Flight payload: (package id, events dropped in the
+                    // gap since the last in-package event) — the
+                    // package-switch timeline.
+                    vp_trace::flight("diff.pkg_enter", u64::from(pkg), self.dropped_run);
+                }
+            }
+            if s.package.is_some() {
+                self.cur_residency += 1;
+            }
+            self.dropped_run = 0;
         }
-        self.cur_pkg = None;
-        self.cur_residency = 0;
-    }
-}
 
-impl Sink for VisitBuilder<'_> {
-    fn retire(&mut self, r: &Retired) {
-        let (origin, package, phase) = match self.map.and_then(|m| m.lookup(r.loc)) {
-            Some(id) if id.is_stub => {
-                self.stub_events += 1;
-                self.dropped_run += 1;
-                return;
-            }
-            Some(id) if id.is_exit => {
-                self.exit_events += 1;
-                self.dropped_run += 1;
-                return;
-            }
-            Some(id) => (id.origin, Some(id.package), Some(id.phase)),
-            None => (r.loc, None, None),
-        };
-
-        // Package residency and migration tracking (event granularity).
-        if package != self.cur_pkg {
-            if self.cur_pkg.is_some() && self.cur_residency > 0 {
-                self.residencies.push(self.cur_residency);
-            }
-            if package.is_some() && self.cur_pkg.is_some() {
-                // Direct package-to-package transfer: an inter-package
-                // link, bridged only by dropped exit-block glue.
-                self.migrations += 1;
-                self.gaps.push(self.dropped_run);
-            }
-            self.cur_pkg = package;
-            self.cur_residency = 0;
-            if let Some(pkg) = package {
-                // Flight payload: (package id, events dropped in the gap
-                // since the last in-package event) — the package-switch
-                // timeline.
-                vp_trace::flight("diff.pkg_enter", u64::from(pkg), self.dropped_run);
-            }
+        // An unconditional control transfer is a layout artifact, never
+        // work. A `Goto` retires an event when encoded as a jump and
+        // nothing when its target is the fall-through, so whether an
+        // *empty* block appears in the stream at all depends on where
+        // relayout put its successor. Visits are therefore built only from
+        // architectural work — plain instructions and conditional
+        // decisions. (`COND` implies `CTRL`.)
+        if flags & (col::CTRL | col::COND) == col::CTRL {
+            return None;
         }
-        if package.is_some() {
-            self.cur_residency += 1;
-        }
-        self.dropped_run = 0;
-
-        let is_ctrl = r.ctrl.is_some();
-        let cond = u64::from(r.ctrl.is_some_and(|c| c.is_cond));
-        // Unconditional control events are layout artifacts, not work: a
-        // `Goto` retires an event when encoded as a jump and nothing when
-        // its target is the fall-through, so whether an *empty* block
-        // appears in the stream at all depends on where relayout put its
-        // successor. Visits are therefore built only from architectural
-        // work — plain instructions and conditional decisions.
-        if is_ctrl && cond == 0 {
-            return;
-        }
+        let plain = u64::from(flags & col::CTRL == 0);
+        let cond = u64::from(flags & col::COND != 0);
         // Fold the memory address in order-independently: in-block
         // rescheduling reorders loads/stores without changing their
         // effective addresses.
-        let mem = r.mem_addr.map_or(0, |a| {
-            a.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ u64::from(r.is_store)
+        let mem = mem.map_or(0, |a| {
+            a.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ u64::from(flags & col::STORE != 0)
         });
-
-        match self.visits.last_mut() {
+        match &mut self.open {
             // Merge into the open visit of the same origin. Merging is on
             // origin alone (not package): a packed stream that leaves a
             // package mid-block-run and re-enters the same original block
             // must collapse exactly like the original stream does.
-            Some(v) if v.origin == origin => {
-                v.plain += u64::from(!is_ctrl);
+            Some(v) if v.origin == s.origin => {
+                v.plain += plain;
                 v.cond += cond;
                 v.mem = v.mem.wrapping_add(mem);
+                None
             }
-            _ => self.visits.push(Visit {
-                origin,
-                plain: u64::from(!is_ctrl),
+            open => open.replace(Visit {
+                origin: s.origin,
+                plain,
                 cond,
                 mem,
-                package,
-                phase,
+                package: s.package,
+                phase: s.phase,
             }),
         }
     }
 
-    fn retire_batch(&mut self, batch: &[Retired]) {
-        // The mapped side is a sequential state machine (dropped-run
-        // counters, residency tracking) — the default per-event fold is
-        // already the right shape there. Without an identity map (the
-        // original side of every diff) no event is ever dropped and the
-        // package machinery never fires, so only the visit fold remains:
-        // specialize that path.
-        if self.map.is_some() {
-            for r in batch {
-                self.retire(r);
+    /// Records the current package stay, if any, as finished.
+    fn end_residency(&mut self) {
+        if self.cur_pkg.is_some() && self.cur_residency > 0 {
+            H_RESIDENCY.observe(self.cur_residency);
+        }
+        self.cur_residency = 0;
+    }
+
+    /// Ends the stream: closes the residency and hands back the last
+    /// visit.
+    fn finish(&mut self) -> Option<Visit> {
+        self.end_residency();
+        self.cur_pkg = None;
+        self.open.take()
+    }
+}
+
+/// One trace's canonical visits, pulled one at a time: the trace's
+/// [`TraceCursor`] feeding a [`VisitFold`] through the per-slot table.
+/// `MAPPED` is whether the slots were resolved through an identity map
+/// ([`VisitFold::push`]).
+struct VisitStream<'t, const MAPPED: bool> {
+    cursor: TraceCursor<'t>,
+    slots: Vec<SlotInfo>,
+    fold: VisitFold,
+    /// Visits yielded so far.
+    visits: u64,
+    done: bool,
+}
+
+impl<'t, const MAPPED: bool> VisitStream<'t, MAPPED> {
+    fn new(trace: &'t CapturedTrace, map: Option<&IdentityMap>) -> VisitStream<'t, MAPPED> {
+        debug_assert_eq!(MAPPED, map.is_some());
+        VisitStream {
+            cursor: trace.replay_cursor(),
+            slots: trace
+                .slot_templates()
+                .map(|t| SlotInfo::of(t.loc, map))
+                .collect(),
+            fold: VisitFold::default(),
+            visits: 0,
+            done: false,
+        }
+    }
+
+    /// Consumes the rest of the stream; returns the total visit count.
+    fn drain(&mut self) -> u64 {
+        while self.next().is_some() {}
+        self.visits
+    }
+}
+
+impl<const MAPPED: bool> Iterator for VisitStream<'_, MAPPED> {
+    type Item = Visit;
+
+    fn next(&mut self) -> Option<Visit> {
+        if self.done {
+            return None;
+        }
+        for rec in self.cursor.by_ref() {
+            let mem = rec.has_mem().then_some(rec.mem);
+            let slot = &self.slots[rec.slot];
+            if let Some(v) = self.fold.push::<MAPPED>(slot, rec.slot_flags(), mem) {
+                self.visits += 1;
+                return Some(v);
             }
+        }
+        self.done = true;
+        let last = self.fold.finish();
+        self.visits += u64::from(last.is_some());
+        last
+    }
+}
+
+/// The last `cap` aligned visits: the forensic context of a divergence.
+///
+/// The buffer starts at `min(cap, 64)` and grows on demand, so a huge
+/// [`DiffOptions::context`] costs memory only in proportion to the visits
+/// actually retained.
+struct ContextRing {
+    buf: VecDeque<Visit>,
+    cap: usize,
+}
+
+impl ContextRing {
+    fn new(cap: usize) -> ContextRing {
+        ContextRing {
+            buf: VecDeque::with_capacity(cap.min(64)),
+            cap,
+        }
+    }
+
+    fn push(&mut self, v: Visit) {
+        if self.cap == 0 {
             return;
         }
-        for r in batch {
-            let is_ctrl = r.ctrl.is_some();
-            let cond = u64::from(r.ctrl.is_some_and(|c| c.is_cond));
-            if is_ctrl && cond == 0 {
-                continue;
-            }
-            let mem = r.mem_addr.map_or(0, |a| {
-                a.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ u64::from(r.is_store)
-            });
-            match self.visits.last_mut() {
-                Some(v) if v.origin == r.loc => {
-                    v.plain += u64::from(!is_ctrl);
-                    v.cond += cond;
-                    v.mem = v.mem.wrapping_add(mem);
-                }
-                _ => self.visits.push(Visit {
-                    origin: r.loc,
-                    plain: u64::from(!is_ctrl),
-                    cond,
-                    mem,
-                    package: None,
-                    phase: None,
-                }),
-            }
+        if self.buf.len() == self.cap {
+            self.buf.pop_front();
         }
+        self.buf.push_back(v);
     }
 }
 
 /// Aligns the packed run's retired stream against the original capture.
 ///
-/// Replays both traces into canonical visit sequences (mapping the packed
-/// side through `map`, dropping exit/stub events) and compares them
-/// element-wise. Counters (`diff.*`) and the residency/migration/alignment
-/// histograms are recorded as side effects.
+/// Pulls both canonical visit streams in lockstep (mapping the packed side
+/// through `map`, dropping exit/stub events) and compares them visit by
+/// visit as they arrive; only the last `opts.context` aligned visits are
+/// retained. After the first mismatch both streams are drained so the
+/// visit totals and the packed side's drop/migration accounting still
+/// cover the whole run. Counters (`diff.*`) and the
+/// residency/migration/alignment histograms are recorded as side effects.
 pub fn diff_traces(
     original: &CapturedTrace,
     packed: &CapturedTrace,
@@ -519,77 +628,65 @@ pub fn diff_traces(
     opts: &DiffOptions,
 ) -> DiffReport {
     let _s = vp_trace::span("exec.diff");
-    let mut ob = VisitBuilder::new(None);
-    let orig_stats = original.replay(&mut ob);
-    ob.finish();
-    let mut pb = VisitBuilder::new(Some(map));
-    let packed_stats = packed.replay(&mut pb);
-    pb.finish();
-
-    let n = ob.visits.len().min(pb.visits.len());
+    let mut orig = VisitStream::<false>::new(original, None);
+    let mut pack = VisitStream::<true>::new(packed, Some(map));
+    let mut ring = ContextRing::new(opts.context);
     let mut aligned = 0u64;
-    let mut first_mismatch: Option<usize> = None;
-    for i in 0..n {
-        if ob.visits[i].matches(&pb.visits[i], opts.check_mem) {
-            aligned += 1;
-        } else {
-            first_mismatch = Some(i);
-            break;
+    // The first mismatch: the two visits at index `aligned`, either of
+    // which may be `None` (that stream ended).
+    let mismatch = loop {
+        match (orig.next(), pack.next()) {
+            (None, None) => break None,
+            (Some(o), Some(p)) if o.matches(&p, opts.check_mem) => {
+                aligned += 1;
+                ring.push(o);
+            }
+            (o, p) => break Some((o, p)),
         }
-    }
-    if first_mismatch.is_none() && ob.visits.len() != pb.visits.len() {
-        first_mismatch = Some(n);
-    }
+    };
+    let orig_visits = orig.drain();
+    let packed_visits = pack.drain();
+    let fold = &pack.fold;
 
     let truncated =
-        orig_stats.stop != StopReason::Halted || packed_stats.stop != StopReason::Halted;
+        original.stats().stop != StopReason::Halted || packed.stats().stop != StopReason::Halted;
     // Truncation only excuses mismatches at the *tail* of the common
     // prefix (a partial final visit, or one stream ending early); an early
     // mismatch with a truncated run is still a real divergence.
-    let tail_mismatch = first_mismatch.is_none_or(|i| i + 1 >= n);
-    let verdict = match (first_mismatch, truncated) {
+    let tail_mismatch = aligned + 1 >= orig_visits.min(packed_visits);
+    let verdict = match (&mismatch, truncated) {
         (None, false) => DiffVerdict::Clean,
         (None, true) => DiffVerdict::Truncated,
         (Some(_), true) if tail_mismatch => DiffVerdict::Truncated,
         (Some(_), _) => DiffVerdict::Diverged,
     };
-    let divergence = first_mismatch.map(|i| Divergence {
-        index: i as u64,
-        expected: ob.visits.get(i).copied(),
-        actual: pb.visits.get(i).copied(),
-        context: ob.visits[i.saturating_sub(opts.context)..i].to_vec(),
+    let divergence = mismatch.map(|(expected, actual)| Divergence {
+        index: aligned,
+        expected,
+        actual,
+        context: ring.buf.into(),
     });
 
     DIFF_RUNS.incr();
     DIFF_ALIGNED.add(aligned);
-    DIFF_EXIT_EVENTS.add(pb.exit_events);
-    DIFF_STUB_EVENTS.add(pb.stub_events);
-    DIFF_MIGRATIONS.add(pb.migrations);
+    DIFF_EXIT_EVENTS.add(fold.exit_events);
+    DIFF_STUB_EVENTS.add(fold.stub_events);
+    DIFF_MIGRATIONS.add(fold.migrations);
     if verdict == DiffVerdict::Diverged {
         DIFF_DIVERGENCES.incr();
         // Flight payload: (first mismatched visit index, aligned prefix).
-        vp_trace::flight(
-            "diff.divergence",
-            first_mismatch.unwrap_or(0) as u64,
-            aligned,
-        );
-    }
-    for &r in &pb.residencies {
-        H_RESIDENCY.observe(r);
-    }
-    for &g in &pb.gaps {
-        H_MIGRATION_GAP.observe(g);
+        vp_trace::flight("diff.divergence", aligned, aligned);
     }
     H_ALIGN_RUN.observe(aligned);
 
     DiffReport {
         verdict,
-        orig_visits: ob.visits.len() as u64,
-        packed_visits: pb.visits.len() as u64,
+        orig_visits,
+        packed_visits,
         aligned_visits: aligned,
-        exit_events: pb.exit_events,
-        stub_events: pb.stub_events,
-        migrations: pb.migrations,
+        exit_events: fold.exit_events,
+        stub_events: fold.stub_events,
+        migrations: fold.migrations,
         divergence,
     }
 }
@@ -597,7 +694,7 @@ pub fn diff_traces(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{RunConfig, Sink};
+    use crate::RunConfig;
     use vp_isa::Reg;
     use vp_program::{Layout, ProgramBuilder};
 
@@ -741,9 +838,8 @@ mod tests {
 
     #[test]
     fn exit_and_stub_events_are_dropped_and_counted() {
-        // Replay a hand-rolled stream through the builder: one original
-        // block, then an exit block, then a stub.
-        let mut b = VisitBuilder::new(None);
+        // Fold a hand-rolled stream: one original block, then an exit
+        // block, then a stub.
         let ev = crate::event::Retired {
             loc: CodeRef::new(0, 0),
             addr: 0,
@@ -756,8 +852,14 @@ mod tests {
             ctrl: None,
             in_package: false,
         };
-        b.retire(&ev);
-        assert_eq!(b.visits.len(), 1);
+        let flags = crate::event::col::pack_flags(&ev);
+        let mut b = VisitFold::default();
+        assert_eq!(
+            b.push::<false>(&SlotInfo::of(ev.loc, None), flags, None),
+            None
+        );
+        let v = b.finish().expect("one open visit");
+        assert_eq!((v.origin, v.plain), (ev.loc, 1));
 
         let mut map = IdentityMap::new();
         map.insert_package(
@@ -779,17 +881,48 @@ mod tests {
                 },
             ],
         );
-        let mut pbuild = VisitBuilder::new(Some(&map));
-        let mut exit_ev = ev;
-        exit_ev.loc = CodeRef::new(9, 0);
-        pbuild.retire(&exit_ev);
-        let mut stub_ev = ev;
-        stub_ev.loc = CodeRef::new(9, 1);
-        pbuild.retire(&stub_ev);
-        pbuild.finish();
-        assert_eq!(pbuild.visits.len(), 0);
+        let mut pbuild = VisitFold::default();
+        pbuild.push::<true>(&SlotInfo::of(CodeRef::new(9, 0), Some(&map)), flags, None);
+        pbuild.push::<true>(&SlotInfo::of(CodeRef::new(9, 1), Some(&map)), flags, None);
+        assert_eq!(pbuild.finish(), None);
         assert_eq!(pbuild.exit_events, 1);
         assert_eq!(pbuild.stub_events, 1);
+    }
+
+    #[test]
+    fn huge_context_on_a_clean_diff_allocates_lazily() {
+        // `context` is public: an absurd value must neither abort on an
+        // upfront reservation nor change a clean verdict.
+        let a = captured(&counting_loop(false));
+        let opts = DiffOptions {
+            context: usize::MAX,
+            ..DiffOptions::default()
+        };
+        let rep = diff_traces(&a, &a, &IdentityMap::new(), &opts);
+        assert_eq!(rep.verdict, DiffVerdict::Clean, "{rep}");
+        assert_eq!(rep.aligned_visits, rep.orig_visits);
+        assert!(rep.divergence.is_none());
+    }
+
+    #[test]
+    fn context_ring_keeps_only_the_newest_visits() {
+        let visit = |block| Visit {
+            origin: CodeRef::new(0, block),
+            plain: 1,
+            cond: 0,
+            mem: 0,
+            package: None,
+            phase: None,
+        };
+        let mut ring = ContextRing::new(3);
+        for b in 0..10 {
+            ring.push(visit(b));
+        }
+        let kept: Vec<Visit> = ring.buf.into();
+        assert_eq!(kept, vec![visit(7), visit(8), visit(9)]);
+        let mut none = ContextRing::new(0);
+        none.push(visit(0));
+        assert!(none.buf.is_empty());
     }
 
     #[test]

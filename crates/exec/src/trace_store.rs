@@ -191,6 +191,10 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
+/// Branch-weight hint: calling this marks the enclosing path unlikely.
+#[cold]
+fn cold_path() {}
+
 // ---------------------------------------------------------- static table
 
 /// Per-address static information: a template event plus the observed
@@ -398,17 +402,10 @@ impl std::fmt::Debug for StreamBytes {
 #[derive(Debug)]
 pub struct CapturedTrace {
     slots: Vec<StaticSlot>,
-    /// Derived column: fetch address per slot (return-target base in the
-    /// decode parse pass). Kept out of [`StaticSlot`] so the parse pass
-    /// touches an 8-byte array entry instead of a 120-byte slot record.
-    slot_addr: Vec<u64>,
-    /// Derived column: 1 where the slot's template is a return (the one
-    /// record shape that carries an extra varint in the dynamic stream).
-    slot_is_ret: Vec<u8>,
-    /// Derived records backing the column decoder: one interleaved
-    /// [`SlotCol`] per slot, so the per-event column split loads a single
-    /// 48-byte record (one bounds check, one cache-line stream) instead of
-    /// walking five parallel arrays.
+    /// Derived records backing the parse chain and the column decoder:
+    /// one interleaved [`SlotCol`] per slot, so the per-event work loads a
+    /// single 40-byte record (one bounds check, one cache-line stream)
+    /// instead of a 120-byte [`StaticSlot`] or parallel arrays.
     slot_cols: Vec<SlotCol>,
     stream: StreamBytes,
     stats: RunStats,
@@ -419,20 +416,163 @@ pub struct CapturedTrace {
 /// the column decoder touches one record per event. Fields mirror the
 /// batch columns: `flags` is the template's static [`col`] bits (dynamic
 /// `MEM`/`TAKEN`/`ARCH_TAKEN` come from the stream record), `exec` the
-/// packed exec word, `mem` the static memory address (0 when none), `tgt`
-/// the control auxiliary address per architectural direction
-/// (`[targets[0], targets[1]]` for branches and jumps, the RAS return
-/// address in both lanes for calls, zero for returns — their target is
-/// decoded from the stream — and non-control slots).
+/// packed exec word, `tgt` the control auxiliary address per
+/// architectural direction (`[targets[0], targets[1]]` for branches and
+/// jumps, the RAS return address in both lanes for calls, the slot's own
+/// fetch address in both lanes for returns — the stream carries their
+/// target as a delta from it — and zero for non-control slots).
+/// Templates carry no memory address, so the memory column is purely
+/// dynamic.
+///
+/// [`col`]: crate::event::col
 #[derive(Debug, Clone, Copy)]
 struct SlotCol {
     exec: u64,
-    mem: u64,
     tgt: [u64; 2],
     addr: u64,
     flags: u8,
-    /// 1 where the slot is a return (carries an extra stream varint).
-    is_ret: u8,
+}
+
+/// One parsed record of the dynamic stream: which static slot retired,
+/// plus the event's dynamic half.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Record<'t> {
+    /// Index into the trace's static slot table.
+    pub(crate) slot: usize,
+    /// The slot's compact column record, already loaded by the parse
+    /// chain (see [`TraceCursor`]).
+    col: &'t SlotCol,
+    /// The record's flags byte. Its `MEM`/`ARCH_TAKEN`/`TAKEN` bits
+    /// coincide with the [`col`](crate::event::col) bits of the same names.
+    pub(crate) flags: u8,
+    /// Effective memory address; 0 unless `flags` has the memory bit.
+    pub(crate) mem: u64,
+    /// For returns, the decoded target minus the slot's fetch address
+    /// (wrapping); 0 for every other slot.
+    pub(crate) ret_delta: u64,
+}
+
+impl Record<'_> {
+    /// Whether the event carries an effective memory address.
+    #[inline(always)]
+    pub(crate) fn has_mem(&self) -> bool {
+        self.flags & FLAG_MEM != 0
+    }
+
+    /// Architectural branch direction (meaningful for control slots only).
+    #[inline(always)]
+    pub(crate) fn arch_taken(&self) -> bool {
+        self.flags & FLAG_ARCH_TAKEN != 0
+    }
+
+    /// The slot's static [`col`](crate::event::col) bits (`CTRL`, `COND`,
+    /// `STORE`, ...), without the record's dynamic ones.
+    #[inline(always)]
+    pub(crate) fn slot_flags(&self) -> u8 {
+        self.col.flags
+    }
+
+    /// The column form of the record. Values come from registers (the
+    /// record's dynamic bits) or the slot's [`SlotCol`] the parse chain
+    /// already loaded — no further slot-table traffic.
+    #[inline(always)]
+    fn col_event(&self) -> crate::ColEvent {
+        use crate::event::col;
+        // The dynamic column bits are chosen to coincide with the stream
+        // record's flag bits, so the dynamic half of the flag byte is a
+        // single mask of the record byte.
+        const _: () = assert!(
+            col::MEM == FLAG_MEM && col::ARCH_TAKEN == FLAG_ARCH_TAKEN && col::TAKEN == FLAG_TAKEN
+        );
+        const DYN_MASK: u8 = FLAG_MEM | FLAG_ARCH_TAKEN | FLAG_TAKEN;
+        let sc = self.col;
+        crate::ColEvent {
+            flags: sc.flags | (self.flags & DYN_MASK),
+            addr: sc.addr,
+            exec: sc.exec,
+            mem: self.mem,
+            target: sc.tgt[usize::from(self.arch_taken())].wrapping_add(self.ret_delta),
+        }
+    }
+}
+
+/// Pull-based decoder over a trace's dynamic stream: *the* serial parse
+/// chain. Every replay entry point — the chunked struct and column
+/// kernels, the fused per-event loop, the per-event reference decoder,
+/// the lockstep differential replay and the disk tier's slot census —
+/// is a loop over this iterator.
+///
+/// Besides stream bytes the chain reads one static fact per record —
+/// whether the slot is a return, the one record shape with a trailing
+/// target varint the next record's position depends on — from the
+/// compact [`SlotCol`] record the column split loads anyway, never from
+/// a 120-byte [`StaticSlot`]. That keeps the cross-event dependency chain
+/// (stream position, slot index, memory anchor) inside a few cache lines;
+/// everything consumers derive from a [`Record`] hangs off it as pure
+/// dataflow.
+#[derive(Debug, Clone)]
+pub(crate) struct TraceCursor<'t> {
+    stream: &'t [u8],
+    slot_cols: &'t [SlotCol],
+    pos: usize,
+    prev_idx: i64,
+    last_mem: u64,
+}
+
+impl TraceCursor<'_> {
+    /// Whether the whole stream has been consumed.
+    #[inline(always)]
+    fn at_end(&self) -> bool {
+        self.pos >= self.stream.len()
+    }
+}
+
+impl<'t> Iterator for TraceCursor<'t> {
+    type Item = Record<'t>;
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<Record<'t>> {
+        let stream = self.stream;
+        let mut pos = self.pos;
+        if pos >= stream.len() {
+            return None;
+        }
+        let flags = stream[pos];
+        pos += 1;
+        let idx = if flags & FLAG_SEQ != 0 {
+            self.prev_idx + 1
+        } else {
+            self.prev_idx + 1 + unzigzag(get_varint(stream, &mut pos))
+        };
+        self.prev_idx = idx;
+        let slot = idx as usize;
+        let mem = if flags & FLAG_MEM != 0 {
+            self.last_mem = self
+                .last_mem
+                .wrapping_add(unzigzag(get_varint(stream, &mut pos)) as u64);
+            self.last_mem
+        } else {
+            0
+        };
+        let col = &self.slot_cols[slot];
+        let ret_delta = if col.flags & crate::event::col::RET != 0 {
+            // Returns are a few percent of events. Marking the branch
+            // cold keeps the register allocator from spilling the hot
+            // chain's anchors (`prev_idx`) to make room for this path.
+            cold_path();
+            unzigzag(get_varint(stream, &mut pos)) as u64
+        } else {
+            0
+        };
+        self.pos = pos;
+        Some(Record {
+            slot,
+            col,
+            flags,
+            mem,
+            ret_delta,
+        })
+    }
 }
 
 /// Reusable per-replay scratch backing the [`ColumnBatch`] views: one
@@ -458,28 +598,9 @@ impl ColScratch {
     }
 }
 
-/// Decode position carried across chunk boundaries by the batched replay
-/// kernel: byte offset into the stream plus the two delta-coding anchors.
-#[derive(Debug)]
-struct ReplayCursor {
-    pos: usize,
-    prev_idx: i64,
-    last_mem: u64,
-}
-
-impl Default for ReplayCursor {
-    fn default() -> ReplayCursor {
-        ReplayCursor {
-            pos: 0,
-            prev_idx: -1,
-            last_mem: 0,
-        }
-    }
-}
-
 impl CapturedTrace {
-    /// Builds a trace from its encoded parts, deriving the per-slot decode
-    /// columns (`slot_addr`, `slot_is_ret`) the SoA parse pass reads
+    /// Builds a trace from its encoded parts, deriving the per-slot
+    /// [`SlotCol`] records the parse chain and the column split read
     /// instead of the full slot records. The single constructor used by
     /// both live capture ([`TraceRecorder::finish`]) and disk decode.
     pub(crate) fn assemble(
@@ -489,36 +610,31 @@ impl CapturedTrace {
         events: u64,
     ) -> CapturedTrace {
         use crate::event::col;
-        let slot_addr = slots.iter().map(|s| s.template.addr).collect();
-        let slot_is_ret = slots
-            .iter()
-            .map(|s| u8::from(s.template.ctrl.as_ref().is_some_and(|c| c.is_ret)))
-            .collect();
         // Static halves of the column encoding: the per-event decoder ORs
         // in the dynamic MEM/TAKEN/ARCH_TAKEN bits from the stream record.
         let slot_cols = slots
             .iter()
             .map(|s| SlotCol {
                 exec: col::pack_exec(&s.template),
-                mem: s.template.mem_addr.unwrap_or(0),
                 tgt: match &s.template.ctrl {
+                    // A return's lanes hold its own fetch address: the
+                    // cursor's return-target delta is 0 for every other
+                    // slot, so `tgt[dir] + ret_delta` is the target column
+                    // for all slots without a branch on the slot kind.
+                    Some(c) if c.is_ret => [s.template.addr; 2],
                     // Consumer priority is COND → RET → CALL, so a call's
                     // lanes can carry its RAS return address: a call is
                     // never read through the COND lane selection.
-                    Some(c) if c.is_ret => [0, 0],
                     Some(c) if !c.is_cond && c.is_call => [c.ret_addr; 2],
                     Some(_) => [s.targets[0].unwrap_or(0), s.targets[1].unwrap_or(0)],
                     None => [0, 0],
                 },
                 addr: s.template.addr,
                 flags: col::pack_flags(&s.template) & !(col::TAKEN | col::ARCH_TAKEN),
-                is_ret: u8::from(s.template.ctrl.as_ref().is_some_and(|c| c.is_ret)),
             })
             .collect();
         CapturedTrace {
             slots,
-            slot_addr,
-            slot_is_ret,
             slot_cols,
             stream,
             stats,
@@ -577,7 +693,7 @@ impl CapturedTrace {
     /// of the `VP_REPLAY_BATCH` environment knob. `batch` is clamped to at
     /// least 1.
     pub fn replay_batched(&self, sink: &mut impl Sink, batch: usize) -> RunStats {
-        REPLAYS.incr();
+        let mut cur = self.replay_cursor();
         if self.stream.is_empty() {
             return self.stats;
         }
@@ -586,7 +702,6 @@ impl CapturedTrace {
         // requests (`VP_REPLAY_BATCH=999999999`) degrade to a single
         // right-sized buffer instead of an absurd allocation.
         let batch = batch.clamp(1, self.stream.len());
-        let mut cur = ReplayCursor::default();
         if sink.wants_columns() {
             // Column form. When every member of the sink composition reads
             // only columns, the struct materialization is skipped entirely
@@ -598,7 +713,7 @@ impl CapturedTrace {
             } else {
                 vec![self.slots[0].template; batch]
             };
-            while cur.pos < self.stream.len() {
+            while !cur.at_end() {
                 let n = if cols_only {
                     self.decode_chunk_cols::<false>(&mut cur, &mut buf, &mut cols)
                 } else {
@@ -619,130 +734,96 @@ impl CapturedTrace {
         // place by the decoder; the filler template is never observed
         // (only `buf[..n]` decoded events reach the sink).
         let mut buf: Vec<Retired> = vec![self.slots[0].template; batch];
-        while cur.pos < self.stream.len() {
+        while !cur.at_end() {
             let n = self.decode_chunk(&mut cur, &mut buf);
             sink.retire_batch(&buf[..n]);
         }
         self.stats
     }
 
+    /// A cursor for one full replay pass, counted in
+    /// `trace_store.replays`.
+    pub(crate) fn replay_cursor(&self) -> TraceCursor<'_> {
+        REPLAYS.incr();
+        self.cursor()
+    }
+
+    /// A cursor at the start of the dynamic stream.
+    pub(crate) fn cursor(&self) -> TraceCursor<'_> {
+        TraceCursor {
+            stream: self.stream.as_slice(),
+            slot_cols: &self.slot_cols,
+            pos: 0,
+            prev_idx: -1,
+            last_mem: 0,
+        }
+    }
+
+    /// The static template event of every slot, indexed like
+    /// [`Record::slot`]. Templates carry no dynamic state (memory address,
+    /// branch directions, control target).
+    pub(crate) fn slot_templates(&self) -> impl ExactSizeIterator<Item = &Retired> {
+        self.slots.iter().map(|s| &s.template)
+    }
+
+    /// Expands one parsed record into its full 80-byte [`Retired`] event
+    /// in place: the slot's template plus the record's dynamic patches.
+    /// Nothing here feeds back into the cursor's parse chain, so the slot
+    /// load, template copy and patch stores retire behind the next
+    /// records' parsing.
+    #[inline(always)]
+    fn materialize(&self, rec: &Record<'_>, out: &mut Retired) {
+        let slot = &self.slots[rec.slot];
+        *out = slot.template;
+        if rec.has_mem() {
+            out.mem_addr = Some(rec.mem);
+        }
+        if let Some(c) = &mut out.ctrl {
+            c.arch_taken = rec.arch_taken();
+            c.taken = rec.flags & FLAG_TAKEN != 0;
+            c.target = if c.is_ret {
+                slot.template.addr.wrapping_add(rec.ret_delta)
+            } else {
+                slot.targets[usize::from(c.arch_taken)]
+                    .expect("observed direction has a recorded target")
+            };
+        }
+    }
+
     /// Decodes up to `buf.len()` events at `cur` into `buf`, advancing the
-    /// cursor past the consumed bytes. Returns the number of events
+    /// cursor past the consumed records. Returns the number of events
     /// decoded.
-    ///
-    /// The kernel is structured around the trace's SoA split: the serial
-    /// parse work reads only the byte stream and the two compact per-slot
-    /// columns ([`CapturedTrace::slot_is_ret`], [`CapturedTrace::slot_addr`]),
-    /// never a >100-byte [`StaticSlot`] record, so the cross-event
-    /// dependency chain (stream position, slot index, memory anchor) runs
-    /// out of a few cache lines. Materialization — the 80-byte template
-    /// copy plus patches — hangs off that chain as pure dataflow. On top
-    /// of this, runs of 1-byte straight-line records are detected by
-    /// scanning the stream and expanded in a dedicated tight copy loop
-    /// with no per-event parse at all (see the comment in the body).
-    fn decode_chunk(&self, cur: &mut ReplayCursor, buf: &mut [Retired]) -> usize {
-        let stream = self.stream.as_slice();
-        let slot_is_ret = self.slot_is_ret.as_slice();
-        let slot_addr = self.slot_addr.as_slice();
-        let mut pos = cur.pos;
-        let mut prev_idx = cur.prev_idx;
-        let mut last_mem = cur.last_mem;
+    fn decode_chunk(&self, cur: &mut TraceCursor<'_>, buf: &mut [Retired]) -> usize {
+        // Work on a local copy so the parse anchors stay in registers for
+        // the whole chunk.
+        let mut c = cur.clone();
         let mut n = 0;
-
-        let slots = self.slots.as_slice();
         for out in buf.iter_mut() {
-            if pos >= stream.len() {
-                break;
-            }
-            // Parse: resolve this record's deltas against the cursor
-            // anchors, reading only stream bytes and the compact per-slot
-            // columns. Crucially, the stream position for the *next*
-            // record depends on whether this slot is a return
-            // (`slot_is_ret`) — sourcing that from the 1-byte column keeps
-            // the serial decode chain inside a few cache lines instead of
-            // chaining through a >100-byte slot record per event.
-            let flags = stream[pos];
-            pos += 1;
-            let idx = if flags & FLAG_SEQ != 0 {
-                prev_idx + 1
-            } else {
-                prev_idx + 1 + unzigzag(get_varint(stream, &mut pos))
-            };
-            prev_idx = idx;
-            let s = idx as usize;
-            let mem = if flags & FLAG_MEM != 0 {
-                last_mem = last_mem.wrapping_add(unzigzag(get_varint(stream, &mut pos)) as u64);
-                last_mem
-            } else {
-                0
-            };
-            let tgt = if slot_is_ret[s] != 0 {
-                slot_addr[s].wrapping_add(unzigzag(get_varint(stream, &mut pos)) as u64)
-            } else {
-                0
-            };
-
-            // Materialize: expand the parsed fields into the 80-byte
-            // event. Nothing below feeds back into the parse chain, so
-            // the slot load, template copy, and patch stores retire
-            // behind the next iterations' parsing.
-            let slot = &slots[s];
-            *out = slot.template;
-            if flags & FLAG_MEM != 0 {
-                out.mem_addr = Some(mem);
-            }
-            if let Some(c) = &mut out.ctrl {
-                c.arch_taken = flags & FLAG_ARCH_TAKEN != 0;
-                c.taken = flags & FLAG_TAKEN != 0;
-                c.target = if c.is_ret {
-                    tgt
-                } else {
-                    slot.targets[usize::from(c.arch_taken)]
-                        .expect("observed direction has a recorded target")
-                };
-            }
+            let Some(rec) = c.next() else { break };
+            self.materialize(&rec, out);
             n += 1;
         }
-
-        cur.pos = pos;
-        cur.prev_idx = prev_idx;
-        cur.last_mem = last_mem;
+        *cur = c;
         n
     }
 
-    /// Like [`CapturedTrace::decode_chunk`], but additionally splits the
-    /// chunk into the flat [`ColumnBatch`] scratch columns. The parse chain
-    /// is identical; the extra work per event is five column stores whose
-    /// values are already in registers (dynamic stream bits) or come from
-    /// the single interleaved [`SlotCol`] record derived once in
-    /// [`CapturedTrace::assemble`] — one extra load per event, no
-    /// slot-record traffic. All five output columns are re-sliced to a
-    /// common length up front so the per-event stores compile without
-    /// bounds checks.
+    /// Like [`CapturedTrace::decode_chunk`], but splits the chunk into the
+    /// flat [`ColumnBatch`] scratch columns ([`Record::col_event`]).
+    /// All five output columns are re-sliced to a common length up front
+    /// so the per-event stores compile without bounds checks.
     ///
     /// With `EVENTS = false` (a columns-only sink composition) the struct
     /// materialization is compiled out and `buf` may be empty; the chunk
     /// size then comes from the column scratch capacity.
+    ///
+    /// [`ColumnBatch`]: crate::ColumnBatch
     fn decode_chunk_cols<const EVENTS: bool>(
         &self,
-        cur: &mut ReplayCursor,
+        cur: &mut TraceCursor<'_>,
         buf: &mut [Retired],
         cols: &mut ColScratch,
     ) -> usize {
-        use crate::event::col;
-        // The dynamic column bits are chosen to coincide with the stream
-        // record's flag bits, so the dynamic half of the flag byte is a
-        // single mask of the record byte.
-        const _: () = assert!(
-            col::MEM == FLAG_MEM && col::ARCH_TAKEN == FLAG_ARCH_TAKEN && col::TAKEN == FLAG_TAKEN
-        );
-        const DYN_MASK: u8 = FLAG_MEM | FLAG_ARCH_TAKEN | FLAG_TAKEN;
-
-        let stream = self.stream.as_slice();
-        let slot_cols = self.slot_cols.as_slice();
-        let mut pos = cur.pos;
-        let mut prev_idx = cur.prev_idx;
-        let mut last_mem = cur.last_mem;
+        let mut c = cur.clone();
         let mut n = 0;
         let max = cols.flags.len();
         let out_flags = &mut cols.flags[..max];
@@ -752,71 +833,22 @@ impl CapturedTrace {
         let out_tgt = &mut cols.target[..max];
         let buf = if EVENTS { &mut buf[..max] } else { buf };
 
-        let slots = self.slots.as_slice();
         while n < max {
-            if pos >= stream.len() {
-                break;
-            }
-            // Parse: identical serial chain to `decode_chunk`, with the
-            // slot columns sourced from the one interleaved record.
-            let flags = stream[pos];
-            pos += 1;
-            let idx = if flags & FLAG_SEQ != 0 {
-                prev_idx + 1
-            } else {
-                prev_idx + 1 + unzigzag(get_varint(stream, &mut pos))
-            };
-            prev_idx = idx;
-            let s = idx as usize;
-            let sc = &slot_cols[s];
-            let mem = if flags & FLAG_MEM != 0 {
-                last_mem = last_mem.wrapping_add(unzigzag(get_varint(stream, &mut pos)) as u64);
-                last_mem
-            } else {
-                sc.mem
-            };
-            let is_ret = sc.is_ret != 0;
-            let tgt = if is_ret {
-                sc.addr
-                    .wrapping_add(unzigzag(get_varint(stream, &mut pos)) as u64)
-            } else {
-                sc.tgt[usize::from(flags & FLAG_ARCH_TAKEN != 0)]
-            };
-
-            // Column split: everything below is pure dataflow off the
-            // parse chain.
-            out_flags[n] = sc.flags | (flags & DYN_MASK);
-            out_addr[n] = sc.addr;
-            out_exec[n] = sc.exec;
-            out_mem[n] = mem;
-            out_tgt[n] = tgt;
-
+            let Some(rec) = c.next() else { break };
+            let e = rec.col_event();
+            out_flags[n] = e.flags;
+            out_addr[n] = e.addr;
+            out_exec[n] = e.exec;
+            out_mem[n] = e.mem;
+            out_tgt[n] = e.target;
             // Materialize the struct form for column-oblivious members of
-            // a composed sink, exactly as `decode_chunk` does.
+            // a composed sink.
             if EVENTS {
-                let slot = &slots[s];
-                let out = &mut buf[n];
-                *out = slot.template;
-                if flags & FLAG_MEM != 0 {
-                    out.mem_addr = Some(mem);
-                }
-                if let Some(c) = &mut out.ctrl {
-                    c.arch_taken = flags & FLAG_ARCH_TAKEN != 0;
-                    c.taken = flags & FLAG_TAKEN != 0;
-                    c.target = if c.is_ret {
-                        tgt
-                    } else {
-                        slot.targets[usize::from(c.arch_taken)]
-                            .expect("observed direction has a recorded target")
-                    };
-                }
+                self.materialize(&rec, &mut buf[n]);
             }
             n += 1;
         }
-
-        cur.pos = pos;
-        cur.prev_idx = prev_idx;
-        cur.last_mem = last_mem;
+        *cur = c;
         n
     }
 
@@ -835,49 +867,8 @@ impl CapturedTrace {
     /// Returns the original run's [`RunStats`], like every replay entry
     /// point.
     pub fn replay_events_with<F: FnMut(crate::ColEvent)>(&self, mut f: F) -> RunStats {
-        use crate::event::col;
-        const _: () = assert!(
-            col::MEM == FLAG_MEM && col::ARCH_TAKEN == FLAG_ARCH_TAKEN && col::TAKEN == FLAG_TAKEN
-        );
-        const DYN_MASK: u8 = FLAG_MEM | FLAG_ARCH_TAKEN | FLAG_TAKEN;
-        REPLAYS.incr();
-
-        let stream = self.stream.as_slice();
-        let slot_cols = self.slot_cols.as_slice();
-        let mut pos = 0usize;
-        let mut prev_idx: i64 = -1;
-        let mut last_mem = 0u64;
-        while pos < stream.len() {
-            // Parse: identical serial chain to `decode_chunk_cols`.
-            let flags = stream[pos];
-            pos += 1;
-            let idx = if flags & FLAG_SEQ != 0 {
-                prev_idx + 1
-            } else {
-                prev_idx + 1 + unzigzag(get_varint(stream, &mut pos))
-            };
-            prev_idx = idx;
-            let s = idx as usize;
-            let sc = &slot_cols[s];
-            let mem = if flags & FLAG_MEM != 0 {
-                last_mem = last_mem.wrapping_add(unzigzag(get_varint(stream, &mut pos)) as u64);
-                last_mem
-            } else {
-                sc.mem
-            };
-            let target = if sc.is_ret != 0 {
-                sc.addr
-                    .wrapping_add(unzigzag(get_varint(stream, &mut pos)) as u64)
-            } else {
-                sc.tgt[usize::from(flags & FLAG_ARCH_TAKEN != 0)]
-            };
-            f(crate::ColEvent {
-                flags: sc.flags | (flags & DYN_MASK),
-                addr: sc.addr,
-                exec: sc.exec,
-                mem,
-                target,
-            });
+        for rec in self.replay_cursor() {
+            f(rec.col_event());
         }
         self.stats
     }
@@ -887,37 +878,13 @@ impl CapturedTrace {
     /// bit-exactness tests and as the baseline the replay-throughput bench
     /// reports against.
     pub fn replay_per_event(&self, sink: &mut impl Sink) -> RunStats {
-        REPLAYS.incr();
-        let mut pos = 0usize;
-        let mut prev_idx: i64 = -1;
-        let mut last_mem = 0u64;
-        while pos < self.stream.len() {
-            let flags = self.stream[pos];
-            pos += 1;
-            let idx = if flags & FLAG_SEQ != 0 {
-                prev_idx + 1
-            } else {
-                prev_idx + 1 + unzigzag(get_varint(&self.stream, &mut pos))
-            };
-            prev_idx = idx;
-            let slot = &self.slots[idx as usize];
-            let mut ev = slot.template;
-            if flags & FLAG_MEM != 0 {
-                last_mem =
-                    last_mem.wrapping_add(unzigzag(get_varint(&self.stream, &mut pos)) as u64);
-                ev.mem_addr = Some(last_mem);
-            }
-            if let Some(c) = &mut ev.ctrl {
-                c.arch_taken = flags & FLAG_ARCH_TAKEN != 0;
-                c.taken = flags & FLAG_TAKEN != 0;
-                c.target = if c.is_ret {
-                    ev.addr
-                        .wrapping_add(unzigzag(get_varint(&self.stream, &mut pos)) as u64)
-                } else {
-                    slot.targets[usize::from(c.arch_taken)]
-                        .expect("observed direction has a recorded target")
-                };
-            }
+        let cur = self.replay_cursor();
+        let Some(first) = self.slots.first() else {
+            return self.stats;
+        };
+        let mut ev = first.template;
+        for rec in cur {
+            self.materialize(&rec, &mut ev);
             sink.retire(&ev);
         }
         self.stats

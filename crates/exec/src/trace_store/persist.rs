@@ -51,10 +51,7 @@
 //! Writes are atomic (temp file + rename), so concurrent shard processes
 //! sharing one `VP_TRACE_DIR` never observe half-written captures.
 
-use super::{
-    get_varint, put_varint, unzigzag, CapturedTrace, StaticSlot, StreamBytes, TraceKey, FLAG_MEM,
-    FLAG_SEQ,
-};
+use super::{put_varint, CapturedTrace, StaticSlot, StreamBytes, TraceKey};
 use crate::event::{Ctrl, Retired};
 use crate::exec::{RunStats, StopReason};
 use std::fs;
@@ -189,27 +186,9 @@ fn fu_code(fu: FuClass) -> u8 {
 /// trip through other producers (or future truncation passes) may not —
 /// the hot-slot index drops the dead ones.
 fn referenced_slots(trace: &CapturedTrace) -> Vec<bool> {
-    let stream = trace.stream.as_slice();
     let mut seen = vec![false; trace.slots.len()];
-    let mut pos = 0;
-    let mut prev_idx = -1i64;
-    while pos < stream.len() {
-        let flags = stream[pos];
-        pos += 1;
-        let idx = if flags & FLAG_SEQ != 0 {
-            prev_idx + 1
-        } else {
-            prev_idx + 1 + unzigzag(get_varint(stream, &mut pos))
-        };
-        prev_idx = idx;
-        let slot = &trace.slots[idx as usize];
-        seen[idx as usize] = true;
-        if flags & FLAG_MEM != 0 {
-            get_varint(stream, &mut pos); // memory-address delta
-        }
-        if slot.template.ctrl.as_ref().is_some_and(|c| c.is_ret) {
-            get_varint(stream, &mut pos); // return-target delta
-        }
+    for rec in trace.cursor() {
+        seen[rec.slot] = true;
     }
     seen
 }
