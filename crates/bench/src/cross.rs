@@ -28,9 +28,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use vacuum_packing::core::PackConfig;
+use vacuum_packing::exec::DiffMode;
 use vacuum_packing::hsd::{MergeConfig, MergedProfile, Phase};
 use vacuum_packing::metrics::{
-    evaluate, pct, ConfigOutcome, ProfiledWorkload, ResultKey, TextTable,
+    pct, ClaimTable, ConfigOutcome, Evaluation, ProfiledWorkload, ResultKey, TextTable,
 };
 use vacuum_packing::opt::OptConfig;
 use vacuum_packing::sim::MachineConfig;
@@ -317,73 +318,65 @@ pub fn cross_cells(
             merged.insert(s.family.clone(), m.resolve());
         }
     }
-    let jobs: Vec<(String, (usize, CellSpec))> = specs
-        .into_iter()
+    let jobs: Vec<(String, usize)> = specs
+        .iter()
         .enumerate()
-        .map(|(i, s)| {
-            (
-                format!("{} {} <- {}", s.family, s.eval_input, s.profile),
-                (i, s),
-            )
-        })
+        .map(|(i, s)| (format!("{} {} <- {}", s.family, s.eval_input, s.profile), i))
         .collect();
-    let results = parallel_sweep_scoped("cross", jobs, |(i, s)| {
-        if let Some(out) = cached.get(i) {
+    let opt_cfg = OptConfig::default();
+    let table = ClaimTable::new(&opt_cfg, machine, DiffMode::from_env());
+    let results = parallel_sweep_scoped("cross", jobs, |&i| {
+        if let Some(out) = cached.get(&i) {
             // Cached cell: no profile, replay, or simulation ran.
-            let cell = CrossCell {
-                cell: *i,
-                family: s.family.clone(),
-                eval: s.eval_input.clone(),
-                profile: s.profile.clone(),
-                kind: s.kind,
-                outcome: out.clone(),
-            };
-            return (cell, "hit");
+            return (Evaluation::Outcome(Box::new(out.clone())), "hit");
         }
+        let s = &specs[i];
         let pw = by_label[&s.eval_label];
-        let outcome = match s.kind {
-            Kind::Same => evaluate(pw, &cfg, &OptConfig::default(), machine),
-            Kind::Merged => evaluate(
-                &pw.with_phases(merged[&s.family].clone(), MERGED),
-                &cfg,
-                &OptConfig::default(),
-                machine,
-            ),
+        let ev = match s.kind {
+            Kind::Same => table.evaluate(pw, &cfg),
+            Kind::Merged => {
+                table.evaluate(&pw.with_phases(merged[&s.family].clone(), MERGED), &cfg)
+            }
             Kind::Foreign => {
                 let src = by_label[&format!("{} {}", s.family, s.profile)];
-                evaluate(
-                    &pw.with_phases(src.phases.clone(), &src.label),
-                    &cfg,
-                    &OptConfig::default(),
-                    machine,
-                )
+                table.evaluate(&pw.with_phases(src.phases.clone(), &src.label), &cfg)
             }
         }
         .unwrap_or_else(|e| panic!("{e}"));
-        if let (Some(rc), Some(key)) = (&cache, keys.get(i)) {
-            rc.store(key, &outcome);
+        (ev, if cache.is_some() { "miss" } else { "-" })
+    });
+    let results = crate::settle(results, |((ev, status), t)| {
+        Ok(((table.resolve(ev)?, status), t))
+    });
+    if let Some(rc) = &cache {
+        for (i, (_, r)) in results.iter().enumerate() {
+            if let Ok(((out, "miss"), _)) = r {
+                rc.store(&keys[&i], out);
+            }
         }
-        let status = if cache.is_some() { "miss" } else { "-" };
-        let cell = CrossCell {
-            cell: *i,
+    }
+
+    let mut cells = Vec::new();
+    let mut telemetry = Vec::new();
+    for (i, ((outcome, cache_status), t)) in crate::collect_or_report("cross_cells", results)
+        .into_iter()
+        .enumerate()
+    {
+        telemetry.push(crate::sweep::telemetry_row(
+            &i.to_string(),
+            &t,
+            cache_status,
+            &outcome,
+        ));
+        let s = &specs[i];
+        cells.push(CrossCell {
+            cell: i,
             family: s.family.clone(),
             eval: s.eval_input.clone(),
             profile: s.profile.clone(),
             kind: s.kind,
             outcome,
-        };
-        (cell, status)
-    });
-
-    let mut cells = Vec::new();
-    let mut telemetry = Vec::new();
-    for ((c, cache_status), t) in crate::collect_or_report("cross_cells", results) {
-        telemetry.push(crate::sweep::telemetry_row(
-            &c.cell.to_string(),
-            &t,
-            cache_status,
-        ));
-        cells.push(c);
+        });
     }
     let rows = cells.iter().map(cross_row).collect();
     let cache_hits = cached.len();

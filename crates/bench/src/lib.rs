@@ -50,8 +50,9 @@ pub mod watch;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+use vacuum_packing::exec::DiffMode;
 use vacuum_packing::hsd::HsdConfig;
-use vacuum_packing::metrics::{profile, ProfiledWorkload, TextTable};
+use vacuum_packing::metrics::{profile, ClaimTable, ProfiledWorkload, TextTable};
 use vacuum_packing::sim::MachineConfig;
 use vacuum_packing::workloads::{suite, Workload};
 use vp_trace::{Manifest, Value};
@@ -437,7 +438,8 @@ pub fn profile_workloads(
 pub const CONFIG_LABELS: [&str; 4] = ["noInf/noLink", "noInf/link", "inf/noLink", "inf/link"];
 
 /// Evaluates every (workload, configuration) cell in parallel; the result
-/// is indexed `[workload][config]`.
+/// is indexed `[workload][config]`. Cells that build the same packed
+/// binary share one measurement through a [`ClaimTable`].
 ///
 /// # Panics
 ///
@@ -448,7 +450,6 @@ pub fn evaluate_matrix(
     configs: &[vacuum_packing::core::PackConfig],
     machine: Option<&MachineConfig>,
 ) -> Vec<Vec<vacuum_packing::metrics::ConfigOutcome>> {
-    use vacuum_packing::metrics::evaluate;
     use vacuum_packing::opt::OptConfig;
 
     let _s = vp_trace::span("bench.evaluate_matrix");
@@ -456,12 +457,32 @@ pub fn evaluate_matrix(
         .flat_map(|w| (0..configs.len()).map(move |c| (w, c)))
         .map(|(w, c)| (format!("{} [config {c}]", profiled[w].label), (w, c)))
         .collect();
+    let opt_cfg = OptConfig::default();
+    let table = ClaimTable::new(&opt_cfg, machine, DiffMode::from_env());
     let results = parallel_sweep(cells, |&(w, c)| {
-        evaluate(&profiled[w], &configs[c], &OptConfig::default(), machine)
+        table
+            .evaluate(&profiled[w], &configs[c])
             .unwrap_or_else(|e| panic!("{e}"))
     });
+    let results = settle(results, |ev| table.resolve(ev));
     let flat = collect_or_report("evaluate_matrix", results);
     flat.chunks(configs.len()).map(|c| c.to_vec()).collect()
+}
+
+/// Maps every successful job of a finished sweep through `f` — how twin
+/// cells get their outcome from a [`ClaimTable`] after the join. An `f`
+/// error fails that job under its label, like a panic inside it would.
+fn settle<T, U>(
+    labeled: Vec<(String, Result<T, String>)>,
+    mut f: impl FnMut(T) -> Result<U, String>,
+) -> Vec<(String, Result<U, String>)> {
+    labeled
+        .into_iter()
+        .map(|(label, r)| {
+            let r = r.and_then(|v| f(v).map_err(|e| format!("{label}: {e}")));
+            (label, r)
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -16,8 +16,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use vacuum_packing::core::PackConfig;
+use vacuum_packing::exec::{DiffMode, DiffVerdict};
 use vacuum_packing::metrics::{
-    evaluate, pct, ConfigOutcome, ProfiledWorkload, ResultKey, TextTable,
+    pct, ClaimTable, ConfigOutcome, Evaluation, ProfiledWorkload, ResultKey, TextTable,
 };
 use vacuum_packing::opt::OptConfig;
 use vacuum_packing::sim::MachineConfig;
@@ -243,25 +244,39 @@ pub fn sweep_cells(
         );
     }
     let sweep_t0 = std::time::Instant::now();
+    let opt_cfg = OptConfig::default();
+    let table = ClaimTable::new(&opt_cfg, machine, DiffMode::from_env());
     let results = parallel_sweep_scoped("sweep", jobs, |&j| {
-        let (w, c) = (j / n_cfg, j % n_cfg);
         if let Some(out) = cached.get(&j) {
-            // Cached cell: the formatted row is reproduced from the
-            // stored outcome; no replay, simulation, or profile ran.
-            return (cell_row(j, label_of(w), CONFIG_LABELS[c], out), "hit");
+            // Cached cell: the row is reproduced from the stored outcome;
+            // no replay, simulation, or profile ran.
+            return (Evaluation::Outcome(Box::new(out.clone())), "hit");
         }
-        let out = evaluate(&by_index[&w], &configs[c], &OptConfig::default(), machine)
+        let (w, c) = (j / n_cfg, j % n_cfg);
+        let ev = table
+            .evaluate(&by_index[&w], &configs[c])
             .unwrap_or_else(|e| panic!("{e}"));
-        if let (Some(rc), Some(key)) = (&cache, keys.get(&j)) {
-            rc.store(key, &out);
-        }
-        let status = if cache.is_some() { "miss" } else { "-" };
-        (cell_row(j, label_of(w), CONFIG_LABELS[c], &out), status)
+        (ev, if cache.is_some() { "miss" } else { "-" })
     });
+    let results = crate::settle(results, |((ev, status), t)| {
+        Ok(((table.resolve(ev)?, status), t))
+    });
+    if let Some(rc) = &cache {
+        for (j, (_, r)) in mine.iter().zip(&results) {
+            if let Ok(((out, "miss"), _)) = r {
+                rc.store(&keys[j], out);
+            }
+        }
+    }
     let mut rows = Vec::new();
     let mut telemetry = Vec::new();
-    for ((row, cache_status), t) in crate::collect_or_report("sweep_cells", results) {
-        telemetry.push(telemetry_row(&row[COL_CELL], &t, cache_status));
+    for (&j, ((out, cache_status), t)) in mine
+        .iter()
+        .zip(crate::collect_or_report("sweep_cells", results))
+    {
+        let (w, c) = (j / n_cfg, j % n_cfg);
+        let row = cell_row(j, label_of(w), CONFIG_LABELS[c], &out);
+        telemetry.push(telemetry_row(&row[COL_CELL], &t, cache_status, &out));
         rows.push(row);
     }
     if vp_trace::feed_enabled() {
@@ -294,11 +309,19 @@ pub fn sweep_cells(
     }
 }
 
+/// One [`TELEMETRY_HEADERS`] row. The `divergences` column comes from
+/// the cell's own diff verdict: a twin cell never runs the diff, so its
+/// scope's `diff.divergences` counter says nothing about it.
 pub(crate) fn telemetry_row(
     cell: &str,
     t: &crate::JobTelemetry,
     cache_status: &str,
+    out: &ConfigOutcome,
 ) -> Vec<String> {
+    let diverged = out
+        .diff
+        .as_ref()
+        .is_some_and(|d| d.verdict == DiffVerdict::Diverged);
     vec![
         cell.to_string(),
         format!("{:.1}", t.wall_ms),
@@ -306,17 +329,12 @@ pub(crate) fn telemetry_row(
             .to_string(),
         t.report.counter("trace_store.captures").to_string(),
         store_hit_ratio(&t.report).map_or_else(|| "-".to_string(), |r| format!("{:.0}", r * 100.0)),
-        t.report.counter("diff.divergences").to_string(),
+        u64::from(diverged).to_string(),
         cache_status.to_string(),
     ]
 }
 
-fn cell_row(
-    cell: usize,
-    workload: &str,
-    config: &str,
-    out: &vacuum_packing::metrics::ConfigOutcome,
-) -> Vec<String> {
+fn cell_row(cell: usize, workload: &str, config: &str, out: &ConfigOutcome) -> Vec<String> {
     vec![
         cell.to_string(),
         workload.to_string(),

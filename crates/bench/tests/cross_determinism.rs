@@ -47,11 +47,38 @@ fn strict_cross_report_is_byte_identical_across_runs() {
     let args = ["cross", "--only", "130.li"];
     let envs = [("VP_DIFF", "strict")];
     let first = stdout(&sweep(&args, &envs));
-    let second = stdout(&sweep(&args, &envs));
+    // The second run also traces, which must not change the report, and
+    // runs two workers, so a twin cell may finish before its leader.
+    let mf_path =
+        std::env::temp_dir().join(format!("vpcross-test-{}-strict.jsonl", std::process::id()));
+    let spec = format!("json:{}", mf_path.display());
+    let second = stdout(&sweep(
+        &["cross", "--jobs", "2", "--only", "130.li"],
+        &[("VP_DIFF", "strict"), ("VP_TRACE", spec.as_str())],
+    ));
     assert_eq!(
         first, second,
         "two cross runs over the same family must print the identical report"
     );
+
+    // Cells whose packed binaries are equal share one measurement, and
+    // every cell is counted once: diffed, or resolved from a twin.
+    let mf = std::fs::read_to_string(&mf_path).expect("manifest written");
+    let _ = std::fs::remove_file(&mf_path);
+    let line = mf
+        .lines()
+        .find(|l| l.contains("\"t\":\"manifest\""))
+        .expect("manifest line");
+    let m = vp_trace::parse_manifest_line(line).expect("parsable manifest");
+    let counter = |name: &str| {
+        m.get("counters")
+            .and_then(|c| c.get(name))
+            .and_then(vp_trace::Json::as_u64)
+            .unwrap_or(0)
+    };
+    let (diffed, shared) = (counter("diff.runs"), counter("metrics.evaluate.shared"));
+    assert_eq!(diffed + shared, 12, "diff.runs {diffed} + shared {shared}");
+    assert!(shared > 0, "130.li has twin cells");
 
     // The full 130.li matrix: 3 eval inputs x (3 sources + merged).
     assert!(

@@ -6,6 +6,10 @@
 //! (`sweep.jobs`, steals, utilization) lands in the manifest, not the
 //! report, which is what keeps this property cheap to hold.
 //!
+//! The filters include `130.li A`, whose four cells all build the same
+//! packed binary: one cell measures it and its three twins take that
+//! measurement after the join, whichever worker ran which cell.
+//!
 //! Each test drives the real binary via `CARGO_BIN_EXE_sweep`,
 //! restricted with `--only` filters so debug-mode runtimes stay small.
 
@@ -56,13 +60,34 @@ fn stdout(out: &Output) -> String {
     String::from_utf8(out.stdout.clone()).expect("utf-8 stdout")
 }
 
+/// A manifest counter's total, 0 when it never fired.
+fn manifest_counter(mf: &str, name: &str) -> u64 {
+    let line = mf
+        .lines()
+        .find(|l| l.contains("\"t\":\"manifest\""))
+        .expect("manifest line");
+    let m = vp_trace::parse_manifest_line(line).expect("parsable manifest");
+    m.get("counters")
+        .and_then(|c| c.get(name))
+        .and_then(vp_trace::Json::as_u64)
+        .unwrap_or(0)
+}
+
+const ONLY: [&str; 4] = ["--only", "gzip", "--only", "130.li A"];
+
+fn with_jobs(jobs: &'static str) -> Vec<&'static str> {
+    let mut args = vec!["--jobs", jobs];
+    args.extend(ONLY);
+    args
+}
+
 #[test]
 fn jobs_count_never_changes_the_strict_sweep_report() {
-    let args = ["--only", "gzip"];
+    let args = ONLY;
     let strict = [("VP_DIFF", "strict")];
     let sequential = stdout(&sweep(&args, &[("VP_DIFF", "strict"), ("VP_THREADS", "1")]));
-    let one = stdout(&sweep(&["--jobs", "1", "--only", "gzip"], &strict));
-    let eight = stdout(&sweep(&["--jobs", "8", "--only", "gzip"], &strict));
+    let one = stdout(&sweep(&with_jobs("1"), &strict));
+    let eight = stdout(&sweep(&with_jobs("8"), &strict));
     assert!(sequential.contains("Sweep report"), "{sequential}");
     assert_eq!(
         one, sequential,
@@ -99,10 +124,7 @@ fn jobs_count_never_changes_the_cross_report() {
 fn parallel_manifest_stamps_scheduler_telemetry() {
     let mf_path = tmp_file("sched");
     let spec = format!("json:{}", mf_path.display());
-    stdout(&sweep(
-        &["--jobs", "4", "--only", "gzip"],
-        &[("VP_TRACE", spec.as_str())],
-    ));
+    let report = stdout(&sweep(&with_jobs("4"), &[("VP_TRACE", spec.as_str())]));
     let mf = std::fs::read_to_string(&mf_path).expect("manifest written");
     assert!(
         mf.contains("\"sweep\":{\"jobs\":4"),
@@ -111,6 +133,13 @@ fn parallel_manifest_stamps_scheduler_telemetry() {
     for key in ["\"steals\":", "\"workers\":[", "\"utilization\":"] {
         assert!(mf.contains(key), "manifest lacks {key}: {mf}");
     }
+
+    // Every cell is counted once: diffed, or resolved from a twin.
+    assert!(report.contains("8 cells"), "{report}");
+    let diffed = manifest_counter(&mf, "diff.runs");
+    let shared = manifest_counter(&mf, "metrics.evaluate.shared");
+    assert_eq!(diffed + shared, 8, "diff.runs {diffed} + shared {shared}");
+    assert!(shared >= 3, "130.li A has three twin cells, got {shared}");
     let _ = std::fs::remove_file(&mf_path);
 }
 

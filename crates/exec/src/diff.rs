@@ -135,7 +135,7 @@ pub struct BlockIdentity {
 /// code and map to themselves. `vp-core` builds this from `PackOutput`
 /// metadata (`PackOutput::identity_map`); the type lives here so the diff
 /// engine stays free of a dependency on the packer.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IdentityMap {
     funcs: BTreeMap<FuncId, Vec<BlockIdentity>>,
 }

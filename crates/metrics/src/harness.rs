@@ -19,7 +19,8 @@
 //! variants), their cycles are timed from replay, and every packed
 //! capture is differentially replayed against the original one
 //! (`vp_exec::diff`, `VP_DIFF` knob) to prove the rewrite did the same
-//! architectural work.
+//! architectural work. A sweep evaluates its cells through a
+//! [`ClaimTable`], which measures each distinct packed binary once.
 //!
 //! Profiles are also *transferable*: [`ProfiledWorkload::dump`] exports a
 //! run's phases into the merge algebra (`vp_hsd::merge`), and
@@ -29,15 +30,15 @@
 //! sweep (`bench`'s `sweep cross`).
 
 use crate::branches::BranchCounts;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use vp_core::{pack, PackConfig, PackOutput};
 use vp_exec::{
-    diff_traces, CapturedTrace, DiffMode, DiffOptions, DiffReport, ExecError, InstCounts,
-    RunConfig, StopReason, TraceKey, TraceStore,
+    diff_traces, CapturedTrace, DiffMode, DiffOptions, DiffReport, ExecError, IdentityMap,
+    InstCounts, RunConfig, StopReason, TraceKey, TraceStore,
 };
 use vp_hsd::{filter_hot_spots, FilterConfig, HotSpotDetector, HsdConfig, Phase};
 use vp_opt::{optimize_packages, OptConfig};
-use vp_program::{Layout, Program};
+use vp_program::{Layout, LayoutOrder, Program};
 use vp_sim::{MachineConfig, TimingModel};
 
 /// A workload after its profiling run: the inputs to region formation.
@@ -169,7 +170,7 @@ pub fn profile(
 }
 
 /// Outcome of one (workload, configuration) cell.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ConfigOutcome {
     /// Fraction of dynamic instructions retired inside packages
     /// (Figure 8).
@@ -229,6 +230,11 @@ pub fn evaluate(
 /// [`evaluate`] with an explicit diff mode (instead of `VP_DIFF`) —
 /// the environment-independent form tests use.
 ///
+/// One evaluation is three steps: `prepare` (pack, optimize, identity
+/// map), `measure` (packed capture or replay, timing, differential
+/// replay) with its strict check, and `assemble`. A [`ClaimTable`] runs
+/// the same steps but measures each distinct packed binary once.
+///
 /// # Errors
 ///
 /// Propagates [`ExecError`] from the measurement run.
@@ -243,6 +249,79 @@ pub fn evaluate_with_diff(
     machine: Option<&MachineConfig>,
     diff_mode: DiffMode,
 ) -> Result<ConfigOutcome, ExecError> {
+    let prep = prepare(pw, cfg, opt_cfg, machine);
+    let measured = measure(&prep, opt_cfg, machine, diff_mode)?;
+    measured.assert_strict(&prep.label, diff_mode);
+    Ok(assemble(&prep, measured))
+}
+
+/// The measurement-independent half of one evaluation: the packed,
+/// optimized binary plus every [`ConfigOutcome`] field that does not come
+/// from running it.
+#[derive(Debug)]
+struct Prepared {
+    label: String,
+    /// The profile's original capture, the diff's reference side.
+    original: Arc<CapturedTrace>,
+    program: Program,
+    order: LayoutOrder,
+    identity: IdentityMap,
+    fingerprint: u64,
+    /// The static fields; [`assemble`] fills in the measured ones.
+    outcome: ConfigOutcome,
+    /// Cycles of the original binary, when timed.
+    base_cycles: Option<u64>,
+}
+
+impl Prepared {
+    /// Whether running `self` measures exactly what running `other` does:
+    /// the same original capture and an equal packed program, layout
+    /// order and identity map. The fingerprint only short-cuts the
+    /// comparison; it never decides equality on its own.
+    fn twin_of(&self, other: &Prepared) -> bool {
+        Arc::ptr_eq(&self.original, &other.original)
+            && self.fingerprint == other.fingerprint
+            && self.order == other.order
+            && self.identity == other.identity
+            && self.program == other.program
+    }
+}
+
+/// What running one packed binary measured — everything its twins share.
+#[derive(Debug, Clone)]
+struct Measured {
+    coverage: f64,
+    opt_cycles: Option<u64>,
+    diff: Option<DiffReport>,
+}
+
+impl Measured {
+    /// The `VP_DIFF=strict` verdict on this measurement for the cell
+    /// labeled `label`.
+    fn check_strict(&self, label: &str, mode: DiffMode) -> Result<(), String> {
+        match &self.diff {
+            Some(report) if mode == DiffMode::Strict && !report.is_clean() => Err(format!(
+                "{label}: packed run diverged from the original (VP_DIFF=strict)\n{report}"
+            )),
+            _ => Ok(()),
+        }
+    }
+
+    fn assert_strict(&self, label: &str, mode: DiffMode) {
+        if let Err(e) = self.check_strict(label, mode) {
+            panic!("{e}");
+        }
+    }
+}
+
+/// Packs and (when timed) optimizes `pw` under `cfg`, resolving the
+/// baseline cycles the speedup divides.
+fn prepare(
+    pw: &ProfiledWorkload,
+    cfg: &PackConfig,
+    opt_cfg: &OptConfig,
+    machine: Option<&MachineConfig>,
+) -> Prepared {
     let out: PackOutput = {
         let _s = vp_trace::span("metrics.evaluate.pack");
         pack(&pw.program, &pw.layout, &pw.phases, cfg)
@@ -253,54 +332,10 @@ pub fn evaluate_with_diff(
         out.packages.len() as u64,
         out.launch_points as u64,
     );
-    let run_cfg = RunConfig::default();
-
     let opt = machine.map(|m| {
         let _s = vp_trace::span("metrics.evaluate.optimize");
         optimize_packages(&out, m, opt_cfg)
     });
-    let (packed_prog, packed_layout): (&Program, Layout) = match &opt {
-        Some((p, order)) => (p, Layout::new(p, order)),
-        None => (&out.program, Layout::natural(&out.program)),
-    };
-
-    let key = TraceKey::packed(
-        &pw.label,
-        packed_prog,
-        &packed_layout,
-        &run_cfg,
-        out.fingerprint(),
-    );
-    let mut counts = InstCounts::new();
-    let (packed_trace, stats) = {
-        let _s = vp_trace::span("metrics.evaluate.measure");
-        TraceStore::global().capture_or_replay_shared(
-            key,
-            packed_prog,
-            &packed_layout,
-            &run_cfg,
-            &mut counts,
-        )?
-    };
-    debug_assert_eq!(
-        stats.stop,
-        StopReason::Halted,
-        "{}: packed binary must halt",
-        pw.label
-    );
-
-    // Packed cycles come from replaying the capture — the same
-    // measurement path as baseline cycles.
-    let opt_cycles = machine.map(|m| {
-        let _s = vp_trace::span("metrics.evaluate.opt_timing");
-        let mut timing = TimingModel::new(*m);
-        timing.replay_trace(&packed_trace);
-        timing.emit_trace();
-        timing.cycles()
-    });
-
-    let diff = diff_packed_run(pw, &out, &packed_trace, opt_cfg, diff_mode);
-
     let base_cycles = match (pw.base_cycles, machine) {
         (Some(base), _) => Some(base),
         (None, Some(m)) => {
@@ -313,22 +348,102 @@ pub fn evaluate_with_diff(
         }
         (None, None) => None,
     };
-    let speedup = match (base_cycles, opt_cycles) {
-        (Some(base), Some(opt)) => Some(base as f64 / opt.max(1) as f64),
-        _ => None,
-    };
-    Ok(ConfigOutcome {
-        coverage: counts.package_coverage(),
+    let outcome = ConfigOutcome {
         expansion: out.expansion(),
         selected_fraction: out.selected_fraction(),
         replication: out.replication_factor(),
         packages: out.packages.len(),
         phases: pw.phases.len(),
         launch_points: out.launch_points,
+        ..ConfigOutcome::default()
+    };
+    let identity = out.identity_map();
+    let fingerprint = out.fingerprint();
+    let (program, order) = opt.unwrap_or_else(|| {
+        let order = LayoutOrder::natural(&out.program);
+        (out.program, order)
+    });
+    Prepared {
+        label: pw.label.clone(),
+        original: Arc::clone(&pw.trace),
+        program,
+        order,
+        identity,
+        fingerprint,
+        outcome,
+        base_cycles,
+    }
+}
+
+/// Runs the prepared packed binary: capture or replay through
+/// [`TraceStore::global`], packed timing from that capture, and the
+/// differential replay against the original. The strict verdict is
+/// [`Measured::check_strict`], taken separately so a [`ClaimTable`]
+/// can publish a diverged measurement to its twins before failing.
+fn measure(
+    prep: &Prepared,
+    opt_cfg: &OptConfig,
+    machine: Option<&MachineConfig>,
+    diff_mode: DiffMode,
+) -> Result<Measured, ExecError> {
+    let run_cfg = RunConfig::default();
+    let layout = Layout::new(&prep.program, &prep.order);
+    let key = TraceKey::packed(
+        &prep.label,
+        &prep.program,
+        &layout,
+        &run_cfg,
+        prep.fingerprint,
+    );
+    let mut counts = InstCounts::new();
+    let (packed_trace, stats) = {
+        let _s = vp_trace::span("metrics.evaluate.measure");
+        TraceStore::global().capture_or_replay_shared(
+            key,
+            &prep.program,
+            &layout,
+            &run_cfg,
+            &mut counts,
+        )?
+    };
+    debug_assert_eq!(
+        stats.stop,
+        StopReason::Halted,
+        "{}: packed binary must halt",
+        prep.label
+    );
+
+    // Packed cycles come from replaying the capture — the same
+    // measurement path as baseline cycles.
+    let opt_cycles = machine.map(|m| {
+        let _s = vp_trace::span("metrics.evaluate.opt_timing");
+        let mut timing = TimingModel::new(*m);
+        timing.replay_trace(&packed_trace);
+        timing.emit_trace();
+        timing.cycles()
+    });
+
+    let diff = diff_packed_run(prep, &packed_trace, opt_cfg, diff_mode);
+    Ok(Measured {
+        coverage: counts.package_coverage(),
         opt_cycles,
-        speedup,
         diff,
     })
+}
+
+/// The cell's [`ConfigOutcome`]: `prep`'s static fields plus `measured`.
+fn assemble(prep: &Prepared, measured: Measured) -> ConfigOutcome {
+    let speedup = match (prep.base_cycles, measured.opt_cycles) {
+        (Some(base), Some(opt)) => Some(base as f64 / opt.max(1) as f64),
+        _ => None,
+    };
+    ConfigOutcome {
+        coverage: measured.coverage,
+        opt_cycles: measured.opt_cycles,
+        speedup,
+        diff: measured.diff,
+        ..prep.outcome.clone()
+    }
 }
 
 /// Diffs the packed capture against the profile's original capture.
@@ -338,8 +453,7 @@ pub fn evaluate_with_diff(
 /// block-moving optimizations (cold sinking, LICM) are enabled, because
 /// they break the block-level parallelism the alignment relies on.
 fn diff_packed_run(
-    pw: &ProfiledWorkload,
-    out: &PackOutput,
+    prep: &Prepared,
     packed_trace: &CapturedTrace,
     opt_cfg: &OptConfig,
     mode: DiffMode,
@@ -351,18 +465,140 @@ fn diff_packed_run(
         return Some(DiffReport::skipped());
     }
     let _s = vp_trace::span("metrics.evaluate.diff");
-    let report = diff_traces(
-        &pw.trace,
+    Some(diff_traces(
+        &prep.original,
         packed_trace,
-        &out.identity_map(),
+        &prep.identity,
         &DiffOptions::default(),
-    );
-    assert!(
-        mode != DiffMode::Strict || report.is_clean(),
-        "{}: packed run diverged from the original (VP_DIFF=strict)\n{report}",
-        pw.label
-    );
-    Some(report)
+    ))
+}
+
+/// Cells resolved from a twin's measurement instead of running their own.
+static EVAL_SHARED: vp_trace::Counter = vp_trace::Counter::new("metrics.evaluate.shared");
+
+/// Measures each distinct packed binary of one sweep once.
+///
+/// In a sweep over the `{inference} × {linking}` matrix many cells build
+/// the same packed binary: inference often changes no package, and
+/// linking often adds no link. Such *twin* cells would replay the same
+/// capture through the same timing model and differential replay. A
+/// table scoped to one sweep call lets the first cell to claim a packed
+/// binary measure it; every later claim of an equal binary
+/// (same original capture, equal program, layout order and identity
+/// map) returns [`Evaluation::Twin`] at once, and
+/// [`ClaimTable::resolve`] fills its outcome in from the table after the
+/// parallel join. No worker ever waits on another cell, so a twin
+/// scheduled ahead of its leader cannot stall a worker.
+///
+/// Every cell goes through the same `prepare`/`measure`/`assemble` steps
+/// as [`evaluate_with_diff`], so a resolved twin's [`ConfigOutcome`]
+/// equals what evaluating it on its own would return.
+pub struct ClaimTable<'a> {
+    opt_cfg: &'a OptConfig,
+    machine: Option<&'a MachineConfig>,
+    diff_mode: DiffMode,
+    claims: Mutex<Vec<Claim>>,
+}
+
+struct Claim {
+    prepared: Arc<Prepared>,
+    /// `None` until the leader's measurement finishes, and for good if it
+    /// failed.
+    measured: Option<Measured>,
+}
+
+/// One cell's result from [`ClaimTable::evaluate`].
+#[derive(Debug)]
+pub enum Evaluation {
+    /// The cell measured its packed binary (or was answered otherwise,
+    /// e.g. from a result cache).
+    Outcome(Box<ConfigOutcome>),
+    /// Another cell claimed an equal packed binary; resolve after the
+    /// join with [`ClaimTable::resolve`].
+    Twin(Twin),
+}
+
+/// A cell's prepared half, waiting for its twin's measurement.
+#[derive(Debug)]
+pub struct Twin {
+    prepared: Arc<Prepared>,
+    leader: usize,
+}
+
+impl<'a> ClaimTable<'a> {
+    /// An empty table for cells evaluated with `opt_cfg`, `machine` and
+    /// `diff_mode` — the settings every cell of one sweep shares.
+    pub fn new(
+        opt_cfg: &'a OptConfig,
+        machine: Option<&'a MachineConfig>,
+        diff_mode: DiffMode,
+    ) -> ClaimTable<'a> {
+        ClaimTable {
+            opt_cfg,
+            machine,
+            diff_mode,
+            claims: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Evaluates one cell: prepares it, then measures and assembles it if
+    /// its packed binary is unclaimed, or returns it as a [`Twin`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`ExecError`] from the measurement run.
+    ///
+    /// # Panics
+    ///
+    /// Panics under [`DiffMode::Strict`] when the packed run diverges —
+    /// after publishing the report, so the cell's twins fail too.
+    pub fn evaluate(
+        &self,
+        pw: &ProfiledWorkload,
+        cfg: &PackConfig,
+    ) -> Result<Evaluation, ExecError> {
+        let prep = Arc::new(prepare(pw, cfg, self.opt_cfg, self.machine));
+        let slot = {
+            let mut claims = self.claims.lock().expect("claim table");
+            if let Some(leader) = claims.iter().position(|c| c.prepared.twin_of(&prep)) {
+                EVAL_SHARED.incr();
+                return Ok(Evaluation::Twin(Twin {
+                    prepared: prep,
+                    leader,
+                }));
+            }
+            claims.push(Claim {
+                prepared: Arc::clone(&prep),
+                measured: None,
+            });
+            claims.len() - 1
+        };
+        let measured = measure(&prep, self.opt_cfg, self.machine, self.diff_mode)?;
+        self.claims.lock().expect("claim table")[slot].measured = Some(measured.clone());
+        measured.assert_strict(&prep.label, self.diff_mode);
+        Ok(Evaluation::Outcome(Box::new(assemble(&prep, measured))))
+    }
+
+    /// The outcome of an evaluated cell; a twin takes its leader's
+    /// measurement. Call after every cell of the table has finished.
+    ///
+    /// # Errors
+    ///
+    /// A twin fails when its leader's measurement failed, or, under
+    /// [`DiffMode::Strict`], when the shared report is not clean.
+    pub fn resolve(&self, evaluation: Evaluation) -> Result<ConfigOutcome, String> {
+        let twin = match evaluation {
+            Evaluation::Outcome(outcome) => return Ok(*outcome),
+            Evaluation::Twin(twin) => twin,
+        };
+        let label = &twin.prepared.label;
+        let measured = self.claims.lock().expect("claim table")[twin.leader]
+            .measured
+            .clone()
+            .ok_or_else(|| format!("{label}: the cell measuring its packed binary failed"))?;
+        measured.check_strict(label, self.diff_mode)?;
+        Ok(assemble(&twin.prepared, measured))
+    }
 }
 
 #[cfg(test)]
@@ -600,6 +836,113 @@ mod tests {
             out_merged.coverage,
             out_foreign.coverage
         );
+    }
+
+    /// Evaluates every cell of the Figure 8/10 matrix through one claim
+    /// table, one cell after another, resolving twins after the last.
+    fn claim_matrix(
+        pw: &ProfiledWorkload,
+        machine: Option<&MachineConfig>,
+        mode: DiffMode,
+    ) -> Vec<Result<ConfigOutcome, String>> {
+        let opt = OptConfig::default();
+        let table = ClaimTable::new(&opt, machine, mode);
+        let evaluations: Vec<Option<Evaluation>> = PackConfig::evaluation_matrix()
+            .iter()
+            .map(|cfg| {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    table.evaluate(pw, cfg).unwrap()
+                }))
+                .ok()
+            })
+            .collect();
+        evaluations
+            .into_iter()
+            .map(|ev| ev.map_or_else(|| Err("panicked".to_string()), |ev| table.resolve(ev)))
+            .collect()
+    }
+
+    #[test]
+    fn claim_table_outcomes_equal_per_cell_evaluation() {
+        use vp_workloads::li;
+        let machine = MachineConfig::table2();
+        let cases = [
+            ("300.twolf A", twolf::build(1), 2),
+            ("130.li A", li::build(li::Input::A, 1), 1),
+        ];
+        for (label, program, distinct) in cases {
+            let pw = profile(label, program, &HsdConfig::table2(), Some(&machine)).unwrap();
+            let (claimed, report) =
+                vp_trace::scoped(|| claim_matrix(&pw, Some(&machine), DiffMode::Strict));
+            assert_eq!(report.counter("diff.runs"), distinct, "{label}");
+            assert_eq!(
+                report.counter("metrics.evaluate.shared"),
+                4 - distinct,
+                "{label}: every cell is diffed or shared, once"
+            );
+            for (cfg, claimed) in PackConfig::evaluation_matrix().iter().zip(claimed) {
+                let alone = evaluate_with_diff(
+                    &pw,
+                    cfg,
+                    &OptConfig::default(),
+                    Some(&machine),
+                    DiffMode::Strict,
+                )
+                .unwrap();
+                assert_eq!(claimed.unwrap(), alone, "{label} {cfg:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn diverged_measurement_reaches_every_twin() {
+        use vp_exec::DiffVerdict;
+        use vp_workloads::li;
+        // Input A's binary diffed against input B's capture: the packed
+        // run does A's work, so the leader's diff diverges, and all four
+        // cells of 130.li A build the same packed binary.
+        let a = profile(
+            "130.li A",
+            li::build(li::Input::A, 1),
+            &HsdConfig::table2(),
+            None,
+        )
+        .unwrap();
+        let b = profile(
+            "130.li B",
+            li::build(li::Input::B, 1),
+            &HsdConfig::table2(),
+            None,
+        )
+        .unwrap();
+        let pw = ProfiledWorkload {
+            trace: Arc::clone(&b.trace),
+            ..a
+        };
+
+        let (reported, report) = vp_trace::scoped(|| claim_matrix(&pw, None, DiffMode::Report));
+        assert_eq!(report.counter("diff.runs"), 1);
+        assert_eq!(report.counter("metrics.evaluate.shared"), 3);
+        for out in reported {
+            let diff = out.unwrap().diff.unwrap();
+            assert_eq!(
+                diff.verdict,
+                DiffVerdict::Diverged,
+                "a twin must not render clean"
+            );
+        }
+
+        // Strict: the leader panics after publishing its report, and each
+        // twin fails its own strict check on that report.
+        let errors: Vec<String> = claim_matrix(&pw, None, DiffMode::Strict)
+            .into_iter()
+            .map(Result::unwrap_err)
+            .collect();
+        assert_eq!(errors[0], "panicked");
+        for err in &errors[1..] {
+            assert!(err.starts_with("130.li A: packed run diverged"), "{err}");
+            assert!(err.contains("VP_DIFF=strict"), "{err}");
+        }
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! * [`profile`] / [`evaluate`] — the Figure 8 / Figure 10 / Table 3 cell
 //!   driver: profile a workload once with the Hot Spot Detector, then
 //!   evaluate any number of `{inference} × {linking}` configurations;
+//! * [`ClaimTable`] — the same evaluation for a whole matrix, measuring
+//!   each distinct packed binary once;
 //! * [`BranchCounts`] — ground-truth per-branch dynamic counts;
 //! * [`categorize()`] — the Figure 9 branch taxonomy (Unique/Multi ×
 //!   bias/swing);
@@ -81,7 +83,10 @@ pub mod timeline;
 
 pub use branches::BranchCounts;
 pub use categorize::{categorize, BranchCategory, Categorization, CATEGORIES};
-pub use harness::{evaluate, evaluate_with_diff, profile, ConfigOutcome, ProfiledWorkload};
+pub use harness::{
+    evaluate, evaluate_with_diff, profile, ClaimTable, ConfigOutcome, Evaluation, ProfiledWorkload,
+    Twin,
+};
 pub use render::{bar, pct, TextTable};
 pub use result_cache::{ResultCache, ResultKey, DEFAULT_RESULT_MB, PIPELINE_VERSION};
 pub use timeline::{phase_timeline, PhaseMark, ResidencyInterval, ResidencySink};

@@ -16,7 +16,7 @@ pub enum FuncKind {
 }
 
 /// A function: blocks indexed by [`BlockId`], one entry block.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Function {
     /// Dense id within the owning [`crate::Program`]; assigned by
     /// [`crate::Program::push_func`].

@@ -16,7 +16,7 @@ use vp_isa::{BlockId, CodeRef, FuncId, INST_BYTES};
 pub const CODE_BASE: u64 = 0x0001_0000;
 
 /// The order in which functions and blocks are emitted.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LayoutOrder {
     /// Function emission order; must contain every function exactly once.
     pub funcs: Vec<FuncId>,

@@ -71,7 +71,7 @@ impl DataSegment {
 /// The same type represents both the original binary and the rewritten
 /// binary that carries extracted packages; package functions are
 /// distinguished by [`FuncKind`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Program {
     /// All functions; `FuncId` indexes into this vector.
     pub funcs: Vec<Function>,

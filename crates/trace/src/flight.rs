@@ -137,7 +137,7 @@ fn record(kind: &'static str, a: u64, b: u64) {
         r.buf.push_back((seq, kind, a, b));
         r.recorded += 1;
     }
-    crate::scope_flight(seq, kind, a, b);
+    crate::scope_flight(cap, seq, kind, a, b);
 }
 
 /// The recorder's current contents, oldest event first.

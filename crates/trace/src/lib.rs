@@ -36,7 +36,7 @@ pub use manifest::{parse_manifest_line, Manifest};
 pub use sink::{JsonlSink, MemorySink, SummarySink, TraceSink};
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -215,7 +215,9 @@ struct ScopeState {
     hists: BTreeMap<&'static str, HistAccum>,
     spans: Vec<(String, u64)>,
     events: Vec<(String, Vec<(String, Value)>)>,
-    flights: Vec<FlightEvent>,
+    /// The newest flight events, at most the recorder's capacity.
+    flights: VecDeque<(u64, &'static str, u64, u64)>,
+    flights_dropped: u64,
 }
 
 thread_local! {
@@ -735,16 +737,17 @@ fn event_slow(name: &str, fields: &[(&str, Value)]) {
 
 /// Mirrors a flight-recorder event into this thread's open scopes, so
 /// tests can assert on flight activity via [`TraceReport::flights`]
-/// without racing other threads on the global ring.
-pub(crate) fn scope_flight(seq: u64, kind: &'static str, a: u64, b: u64) {
+/// without racing other threads on the global ring. Like the ring, each
+/// scope keeps only the newest `capacity` events and counts the rest as
+/// dropped.
+pub(crate) fn scope_flight(capacity: usize, seq: u64, kind: &'static str, a: u64, b: u64) {
     SCOPES.with(|s| {
         for scope in s.borrow_mut().iter_mut() {
-            scope.flights.push(FlightEvent {
-                seq,
-                kind: kind.to_string(),
-                a,
-                b,
-            });
+            if scope.flights.len() >= capacity {
+                scope.flights.pop_front();
+                scope.flights_dropped += 1;
+            }
+            scope.flights.push_back((seq, kind, a, b));
         }
     });
 }
@@ -760,8 +763,11 @@ pub struct TraceReport {
     pub spans: Vec<(String, u64)>,
     /// Events in emission order.
     pub events: Vec<(String, Vec<(String, Value)>)>,
-    /// Flight-recorder events emitted inside the scope, in order.
+    /// Flight-recorder events emitted inside the scope, in order: the
+    /// newest ones, at most the recorder's capacity (`VP_FLIGHT_EVENTS`).
     pub flights: Vec<FlightEvent>,
+    /// Flight events of the scope pushed out by newer ones.
+    pub flights_dropped: u64,
 }
 
 impl TraceReport {
@@ -840,7 +846,17 @@ pub fn scoped<T>(f: impl FnOnce() -> T) -> (T, TraceReport) {
             .collect(),
         spans: state.spans,
         events: state.events,
-        flights: state.flights,
+        flights: state
+            .flights
+            .into_iter()
+            .map(|(seq, kind, a, b)| FlightEvent {
+                seq,
+                kind: kind.to_string(),
+                a,
+                b,
+            })
+            .collect(),
+        flights_dropped: state.flights_dropped,
     };
     (out, report)
 }
