@@ -1,5 +1,5 @@
 //! Replay-path throughput: the tracked perf baseline for the replay
-//! kernels (`BENCH_12.json`).
+//! kernels (`BENCH_14.json`).
 //!
 //! Measures events/sec for every stage of the capture/replay pipeline on
 //! one real workload:
@@ -9,26 +9,15 @@
 //! * `capture_fast` — the same recording on a sequential-heavy workload
 //!   (gzip's long deflate loops), the shape the recorder's no-hash-probe
 //!   straight-line append exists for;
-//! * `replay_per_event` — the pre-batching decoder
-//!   (`CapturedTrace::replay_per_event`) into a monomorphized counting
-//!   sink. It runs on the same parse cursor as every other kernel, so
-//!   with the sink inlined it is a fused decode+count loop that never
-//!   stores the fields the sink ignores — since `BENCH_12` it beats the
-//!   chunked kernel below (~0.8× batched/per-event);
-//! * `replay_batched` — the batched front door (`CapturedTrace::replay`)
-//!   at its tuned default chunk size. `InstCounts` is a columns-only
-//!   sink, so this measures the column decode kernel with no `Retired`
-//!   struct materialization at all, only the flat column staging;
-//! * `replay_per_event_dyn` / `replay_batched_dyn` — the same two kernels
-//!   through an opaque `&mut dyn Sink` boundary: one indirect call per
-//!   *event* vs one per *chunk*, the dispatch cost batching exists to
-//!   amortize;
-//! * `replay_sim` — the fused decode+sim loop
-//!   (`TimingModel::replay_trace`), the heaviest real consumer;
-//! * `replay_sim_sink` — the same timing model driven through the
-//!   generic batched `Sink` path, the pre-fusion comparison point;
-//! * `replay_hsd` — replay through the hot-spot detector's batched
-//!   sink (the profiling-side timing sink);
+//! * `replay_batched` — the one replay entry point
+//!   (`CapturedTrace::replay`) into the `InstCounts` counting sink: the
+//!   decode loop with an inlined consumer. The key is kept from the
+//!   chunked kernel this row measured until `BENCH_12`, so the history
+//!   trend and dashboard series stay continuous;
+//! * `replay_sim` — replay into the timing model with its pipeline state
+//!   hoisted (`TimingModel::replay_trace`), the heaviest real consumer;
+//! * `replay_hsd` — replay into the hot-spot detector (the profiling-side
+//!   consumer);
 //! * `replay_diff` — lockstep differential replay of the trace against
 //!   itself (`diff_traces`): both visit streams decoded and folded in
 //!   lockstep, counted as both streams' events per second;
@@ -42,47 +31,41 @@
 //! Knobs (on top of the usual `VP_BENCH_MS`/`VP_BENCH_SAMPLES`):
 //!
 //! * `VP_BENCH_JSON=<path>` — write the measurements as a JSON baseline
-//!   (the file committed as `BENCH_12.json`);
+//!   (the file committed as `BENCH_14.json`);
 //! * `VP_BENCH_BASELINE=<path>` — compare against a committed baseline
-//!   and exit non-zero if the batched kernel's throughput, *normalized to
-//!   the per-event kernel measured in the same run* (so host speed
-//!   cancels), regressed more than 25%;
+//!   and exit non-zero if replay throughput, *normalized to re-execution
+//!   measured in the same run* (`replay_speedup_vs_execute`, so host speed
+//!   cancels), regressed more than 25%, or if replay no longer beats
+//!   re-execution at all;
 //! * `VP_HISTORY_DIR=<dir>` — ingest this run into the run-history
 //!   warehouse, and when it already holds enough runs
-//!   (`bench::history::GATE_MIN_SAMPLES`), gate each ratio against the
+//!   (`bench::history::GATE_MIN_SAMPLES`), gate the ratio against the
 //!   median±3·MAD tolerance band of the last K warehoused runs instead
 //!   of the single committed baseline.
 
+use bench::history::{RunRecord, REPLAY_SPEEDUP};
 use std::io::Write;
 use vacuum_packing::exec::{
     diff_traces, CapturedTrace, DiffOptions, DiskTier, Executor, IdentityMap, InstCounts,
-    RunConfig, Sink, TraceKey,
+    RunConfig, TraceKey,
 };
 use vacuum_packing::hsd::{HotSpotDetector, HsdConfig};
 use vacuum_packing::program::Layout;
 use vacuum_packing::sim::{MachineConfig, TimingModel};
 
-/// Maximum tolerated drop of the normalized batched-replay throughput
-/// before the baseline check fails (CI gate).
+/// Maximum tolerated drop of the normalized replay throughput before the
+/// baseline check fails (CI gate).
 const MAX_REGRESSION: f64 = 0.25;
+
+/// Hard floor of `replay_speedup_vs_execute`: replay must beat
+/// re-execution, whatever the baseline or band allows.
+const HARD_FLOOR: f64 = 1.0;
 
 fn events_per_sec(results: &[bench::micro::BenchResult], name: &str) -> Option<f64> {
     results
         .iter()
         .find(|r| r.name == name)
         .and_then(|r| r.elems.map(|e| e as f64 * 1e9 / r.ns_per_iter))
-}
-
-/// Pulls one `"key": number` field back out of the baseline JSON (the
-/// writer below; no JSON dependency in the offline build).
-fn json_number(text: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let at = text.find(&pat)? + pat.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 fn main() {
@@ -142,36 +125,14 @@ fn main() {
             .unwrap()
             .events()
     });
-    r.bench_throughput("retire_stream/replay_per_event", events, || {
-        let mut counts = InstCounts::new();
-        trace.replay_per_event(&mut counts);
-        counts.total
-    });
     r.bench_throughput("retire_stream/replay_batched", events, || {
         let mut counts = InstCounts::new();
         trace.replay(&mut counts);
         counts.total
     });
-    r.bench_throughput("retire_stream/replay_per_event_dyn", events, || {
-        let mut counts = InstCounts::new();
-        let mut sink: &mut dyn Sink = &mut counts;
-        trace.replay_per_event(&mut sink);
-        counts.total
-    });
-    r.bench_throughput("retire_stream/replay_batched_dyn", events, || {
-        let mut counts = InstCounts::new();
-        let mut sink: &mut dyn Sink = &mut counts;
-        trace.replay(&mut sink);
-        counts.total
-    });
     r.bench_throughput("retire_stream/replay_sim", events, || {
         let mut tm = TimingModel::new(machine);
         tm.replay_trace(&trace);
-        tm.cycles()
-    });
-    r.bench_throughput("retire_stream/replay_sim_sink", events, || {
-        let mut tm = TimingModel::new(machine);
-        trace.replay(&mut tm);
         tm.cycles()
     });
     r.bench_throughput("retire_stream/replay_hsd", events, || {
@@ -203,12 +164,8 @@ fn main() {
         "execute",
         "capture",
         "capture_fast",
-        "replay_per_event",
         "replay_batched",
-        "replay_per_event_dyn",
-        "replay_batched_dyn",
         "replay_sim",
-        "replay_sim_sink",
         "replay_hsd",
         "replay_diff",
         "disk_load",
@@ -224,29 +181,6 @@ fn main() {
             )
         })
         .collect();
-    let get = |name: &str| {
-        eps.iter()
-            .find(|(n, _)| *n == name)
-            .and_then(|(_, v)| *v)
-            .unwrap_or(0.0)
-    };
-    let speedup = if get("replay_per_event") > 0.0 {
-        get("replay_batched") / get("replay_per_event")
-    } else {
-        0.0
-    };
-    let speedup_dyn = if get("replay_per_event_dyn") > 0.0 {
-        get("replay_batched_dyn") / get("replay_per_event_dyn")
-    } else {
-        0.0
-    };
-    if get("replay_batched") > 0.0 {
-        println!(
-            "batched/per-event: {speedup:.2}x monomorphized, {speedup_dyn:.2}x across an \
-             opaque sink boundary"
-        );
-    }
-
     // ------------------------------------------------- JSON baseline out
     // The body is built unconditionally: VP_BENCH_JSON writes it to a
     // file, VP_HISTORY_DIR ingests it into the run-history warehouse.
@@ -264,13 +198,7 @@ fn main() {
             let comma = if i + 1 == eps.len() { "" } else { "," };
             body.push_str(&format!("    \"{name}\": {:.0}{comma}\n", v.unwrap_or(0.0)));
         }
-        body.push_str("  },\n");
-        body.push_str(&format!(
-            "  \"batched_speedup_vs_per_event\": {speedup:.4},\n"
-        ));
-        body.push_str(&format!(
-            "  \"batched_speedup_vs_per_event_dyn\": {speedup_dyn:.4}\n"
-        ));
+        body.push_str("  }\n");
         body.push_str("}\n");
         body
     };
@@ -294,53 +222,58 @@ fn main() {
         .unwrap_or_default();
 
     // --------------------------------------------- baseline check (CI)
-    // Absolute events/sec depends on the host; both gates compare the
-    // batched/per-event ratio, which is measured inside a single run on
-    // both sides and so cancels machine speed. With enough warehoused
-    // history the floor is the median − max(3·MAD, 10%) band of the last
-    // K runs; otherwise the committed baseline's single value − 25%.
-    let mut failed = false;
-    let baseline_text = std::env::var("VP_BENCH_BASELINE").ok().map(|path| {
+    // Absolute events/sec depends on the host; the gate compares the
+    // replay/execute ratio, which is measured inside a single run on both
+    // sides and so cancels machine speed (derived by
+    // `RunRecord::from_bench_json`, like for every committed baseline).
+    // With enough warehoused history the floor is the median −
+    // max(3·MAD, 10%) band of the last K runs; otherwise the committed
+    // baseline's single value − 25%. Either way it is at least
+    // `HARD_FLOOR`.
+    let ratio_of = |text: &str| {
+        RunRecord::from_bench_json(text, "replay", 0)
+            .ok()
+            .and_then(|rec| rec.metrics.get(REPLAY_SPEEDUP).copied())
+    };
+    let current = ratio_of(&body).unwrap_or(0.0);
+    println!("replay/execute: {current:.2}x");
+    let spec = format!("metric:{REPLAY_SPEEDUP}");
+    let baseline = std::env::var("VP_BENCH_BASELINE").ok().map(|path| {
         let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("VP_BENCH_BASELINE={path}: {e}"));
-        (path, text)
+        (path, ratio_of(&text))
     });
-    for (label, current, field) in [
-        ("batched/per-event", speedup, "batched_speedup_vs_per_event"),
-        (
-            "batched/per-event (dyn)",
-            speedup_dyn,
-            "batched_speedup_vs_per_event_dyn",
-        ),
-    ] {
-        let spec = format!("metric:{field}");
-        if let Some(band) = bench::history::gate_band(&hist_records, &spec) {
-            use bench::history::{GATE_K, GATE_MIN_REL};
-            let floor = band.floor(GATE_K, GATE_MIN_REL);
-            let verdict = if current < floor { "FAIL" } else { "ok" };
-            println!(
-                "history gate {label}: current {current:.2}x vs median {:.2}x of last {} \
-                 runs (floor {floor:.2}x) ... {verdict}",
-                band.median, band.n
-            );
-            failed |= current < floor;
-            continue;
-        }
-        let Some((path, text)) = &baseline_text else {
-            continue;
-        };
-        let Some(base) = json_number(text, field) else {
-            println!("baseline {path} lacks {field}; skipping that check");
-            continue;
-        };
-        let floor = base * (1.0 - MAX_REGRESSION);
-        let verdict = if current < floor { "FAIL" } else { "ok" };
+    let floor = if let Some(band) = bench::history::gate_band(&hist_records, &spec) {
+        use bench::history::{GATE_K, GATE_MIN_REL};
+        let floor = band.floor(GATE_K, GATE_MIN_REL);
         println!(
-            "baseline check {label}: current {current:.2}x vs committed {base:.2}x \
-             (floor {floor:.2}x) ... {verdict}"
+            "history gate replay/execute: median {:.2}x of last {} runs (floor {floor:.2}x)",
+            band.median, band.n
         );
-        failed |= current < floor;
-    }
+        Some(floor)
+    } else {
+        match &baseline {
+            Some((path, None)) => {
+                println!("baseline {path} lacks {REPLAY_SPEEDUP}; hard floor only");
+                Some(HARD_FLOOR)
+            }
+            Some((_, Some(base))) => {
+                let floor = base * (1.0 - MAX_REGRESSION);
+                println!("baseline check replay/execute: committed {base:.2}x (floor {floor:.2}x)");
+                Some(floor)
+            }
+            None => None,
+        }
+    };
+    let failed = floor.is_some_and(|floor| {
+        let floor = floor.max(HARD_FLOOR);
+        let ok = current >= floor;
+        println!(
+            "replay/execute gate: current {current:.2}x vs floor {floor:.2}x ... {}",
+            if ok { "ok" } else { "FAIL" }
+        );
+        !ok
+    });
 
     // ------------------------------------------- warehouse ingest (last)
     if let Some(w) = &warehouse {
@@ -348,7 +281,7 @@ fn main() {
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_secs())
             .unwrap_or(0);
-        match bench::history::RunRecord::from_bench_json(&body, "replay", ts)
+        match RunRecord::from_bench_json(&body, "replay", ts)
             .map_err(std::io::Error::other)
             .and_then(|rec| w.ingest(&rec))
         {
@@ -360,10 +293,7 @@ fn main() {
     let _ = std::fs::remove_dir_all(&dir);
     r.finish("bench:replay");
     if failed {
-        eprintln!(
-            "replay throughput regressed beyond {:.0}% of the baseline",
-            MAX_REGRESSION * 100.0
-        );
+        eprintln!("replay/execute throughput ratio fell below its gate floor");
         std::process::exit(1);
     }
 }

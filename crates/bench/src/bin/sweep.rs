@@ -176,8 +176,8 @@ fn warehouse_records(w: &bench::history::Warehouse) -> Vec<bench::history::RunRe
 ///   (< 3 samples) passes with a note, leaving the committed-baseline
 ///   gate in charge. `--lower X` additionally imposes an absolute hard
 ///   floor that applies even when history is thin — for invariants like
-///   "batching must beat per-event dispatch" that no tolerance band
-///   should ever erode.
+///   "replay must beat re-execution" that no tolerance band should ever
+///   erode.
 fn history_main(args: &[String]) -> ! {
     use bench::history;
     let mut args: Vec<String> = args.to_vec();

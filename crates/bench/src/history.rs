@@ -18,7 +18,7 @@
 //! ```
 //!
 //! Each ingested run becomes one [`RunRecord`] line (`vp-history/1`): a
-//! compact extraction of a `vp-manifest/1`/`/2` JSONL line or a
+//! compact extraction of a `vp-manifest/2` JSONL line or a
 //! `vp-bench/1` baseline file, keyed by **binary × config × workload**
 //! (hashed to a FNV-1a fingerprint) **× timestamp**. Segments rotate on
 //! a size budget (`VP_HISTORY_MB`, default 64): when the store exceeds
@@ -64,6 +64,11 @@ pub const GATE_MIN_SAMPLES: usize = 3;
 
 /// How many trailing samples feed a gate band by default.
 pub const GATE_LAST_K: usize = 8;
+
+/// Replay-vs-re-execution throughput ratio of a `vp-bench/1` replay
+/// baseline (`eps.replay_batched / eps.execute`), derived by
+/// [`RunRecord::from_bench_json`].
+pub const REPLAY_SPEEDUP: &str = "replay_speedup_vs_execute";
 
 /// The warehouse root selected by `VP_HISTORY_DIR`, if any.
 ///
@@ -125,7 +130,7 @@ pub struct RunRecord {
     /// Workload selection: joined `--only` filters, a `workload` field,
     /// or `suite`.
     pub workload: String,
-    /// Run wall time (absent on legacy `vp-manifest/1` lines).
+    /// Run wall time (absent on `vp-bench/1` baselines).
     pub duration_ms: Option<f64>,
     /// Counter totals.
     pub counters: BTreeMap<String, u64>,
@@ -161,11 +166,7 @@ impl RunRecord {
         format!("{:016x}", fnv1a64(self.key().as_bytes()))
     }
 
-    /// Extracts a run record from one `vp-manifest/1`/`/2` JSONL line.
-    ///
-    /// Legacy `/1` lines (no `duration_ms`/`span_tree`/`flight`) produce
-    /// the same record modulo the absent fields — the migration contract
-    /// pinned by `tests/history_store.rs`.
+    /// Extracts a run record from one `vp-manifest/2` JSONL line.
     ///
     /// # Errors
     ///
@@ -308,14 +309,21 @@ impl RunRecord {
                 }
             }
         }
-        for key in [
-            "events",
-            "trace_v3_bytes",
-            "batched_speedup_vs_per_event",
-            "batched_speedup_vs_per_event_dyn",
-        ] {
+        for key in ["events", "trace_v3_bytes"] {
             if let Some(v) = j.get(key).and_then(Json::as_f64) {
                 rec.metrics.insert(key.to_string(), v);
+            }
+        }
+        // Derived rather than stored, so every committed baseline carries
+        // it: both throughputs come from one process, so host speed
+        // cancels.
+        if let (Some(&replay), Some(&execute)) = (
+            rec.metrics.get("eps.replay_batched"),
+            rec.metrics.get("eps.execute"),
+        ) {
+            if execute > 0.0 {
+                rec.metrics
+                    .insert(REPLAY_SPEEDUP.to_string(), replay / execute);
             }
         }
         Ok(rec)
@@ -430,7 +438,7 @@ impl RunRecord {
     /// * `span:NAME` (aggregated wall ms)
     /// * `hist:NAME:count|mean|p50`
     /// * `metric:NAME` (scalar run metrics, e.g.
-    ///   `metric:batched_speedup_vs_per_event`)
+    ///   `metric:replay_speedup_vs_execute`)
     pub fn metric(&self, spec: &str) -> Option<f64> {
         if spec == "duration_ms" {
             return self.duration_ms;
@@ -931,8 +939,7 @@ pub fn render_trend(records: &[RunRecord]) -> String {
             vacuum_packing::metrics::TextTable::new(vec![
                 "run",
                 "replay_batched Mev/s",
-                "batched/per-event",
-                "dyn",
+                "replay/execute",
                 "Δ%",
             ])
         } else {
@@ -957,11 +964,7 @@ pub fn render_trend(records: &[RunRecord]) -> String {
                     rec.label.clone(),
                     format!("{:.2}", primary[i] / 1e6),
                     rec.metrics
-                        .get("batched_speedup_vs_per_event")
-                        .map(|v| format!("{v:.2}x"))
-                        .unwrap_or_else(|| "-".to_string()),
-                    rec.metrics
-                        .get("batched_speedup_vs_per_event_dyn")
+                        .get(REPLAY_SPEEDUP)
                         .map(|v| format!("{v:.2}x"))
                         .unwrap_or_else(|| "-".to_string()),
                     delta,
@@ -1072,17 +1075,32 @@ mod tests {
 
     #[test]
     fn bench_json_extraction() {
-        let text = r#"{"schema":"vp-bench/1","bench":"replay_throughput","workload":"300.twolf","scale":1,"events":1000,"trace_v3_bytes":500,"events_per_sec":{"replay_batched":2000000,"replay_per_event":1600000},"batched_speedup_vs_per_event":1.25,"batched_speedup_vs_per_event_dyn":1.5}"#;
+        let text = r#"{"schema":"vp-bench/1","bench":"replay_throughput","workload":"300.twolf","scale":1,"events":1000,"trace_v3_bytes":500,"events_per_sec":{"execute":1000000,"replay_batched":2000000}}"#;
         let rec = RunRecord::from_bench_json(text, "BENCH_9", 9).unwrap();
         assert_eq!(rec.bin, "bench:replay_throughput");
         assert_eq!(rec.label, "BENCH_9");
         assert_eq!(rec.workload, "300.twolf");
         assert_eq!(rec.metric("metric:eps.replay_batched"), Some(2_000_000.0));
-        assert_eq!(
-            rec.metric("metric:batched_speedup_vs_per_event"),
-            Some(1.25)
-        );
+        assert_eq!(rec.metric("metric:replay_speedup_vs_execute"), Some(2.0));
         assert!(RunRecord::from_bench_json("{}", "x", 0).is_err());
+    }
+
+    #[test]
+    fn committed_baselines_carry_the_replay_speedup() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let recs = bench_baseline_records(&root);
+        assert!(recs.len() >= 6, "committed BENCH_*.json baselines");
+        for rec in &recs {
+            let ratio = rec
+                .metric("metric:replay_speedup_vs_execute")
+                .unwrap_or_else(|| panic!("{}: no derived ratio", rec.label));
+            assert!(ratio > 1.0, "{}: replay must beat re-execution", rec.label);
+        }
+        let of = |label: &str| {
+            let rec = recs.iter().find(|r| r.label == label).unwrap();
+            (rec.metrics[REPLAY_SPEEDUP] * 100.0).round() / 100.0
+        };
+        assert_eq!((of("BENCH_5"), of("BENCH_12")), (2.12, 2.05));
     }
 
     #[test]
@@ -1129,8 +1147,7 @@ mod tests {
         let mut recs: Vec<RunRecord> = (0..4)
             .map(|i| {
                 let mut r = rec_with_metric(i, "eps.replay_batched", 2e6);
-                r.metrics
-                    .insert("batched_speedup_vs_per_event".into(), 1.25);
+                r.metrics.insert(REPLAY_SPEEDUP.into(), 2.0);
                 r.bin = "bench:replay_throughput".into();
                 r.label = format!("BENCH_{i}");
                 r
@@ -1153,7 +1170,8 @@ mod tests {
         assert!(out.contains("bench:replay_throughput"), "{out}");
         assert!(out.contains("BENCH_3"), "{out}");
         assert!(out.contains("sweep · suite"), "{out}");
-        assert!(out.contains("batched/per-event"), "{out}");
+        assert!(out.contains("replay/execute"), "{out}");
+        assert!(out.contains("2.00x"), "{out}");
         assert!(render_trend(&[]).contains("no runs"));
     }
 }

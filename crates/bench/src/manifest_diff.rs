@@ -1,7 +1,7 @@
 //! Regression attribution between two `vp-manifest` runs.
 //!
 //! `manifest-diff OLD NEW` loads one manifest line from each file
-//! (`vp-manifest/2`, or legacy `/1`), aligns their stamped span,
+//! (`vp-manifest/2`), aligns their stamped span,
 //! counter, and histogram aggregates by name, and reports what moved —
 //! so a slowdown shows up attributed to the stage that regressed rather
 //! than as one opaque wall-time number. The worst span regression gates
@@ -75,7 +75,7 @@ pub struct HistDelta {
 pub struct ManifestDiff {
     /// `bin` fields of the two manifests.
     pub bins: (String, String),
-    /// `duration_ms` of each side, when stamped (v2 manifests).
+    /// `duration_ms` of each side, when stamped.
     pub duration_ms: (Option<f64>, Option<f64>),
     /// Every span present on either side, sorted by name.
     pub spans: Vec<SpanDelta>,
@@ -507,16 +507,5 @@ mod tests {
         let new = manifest(&[("tiny", 0.9)], &[]);
         let d = diff_manifests(&old, &new);
         assert!(d.gate_failures(&tiny, 25.0).is_empty());
-    }
-
-    #[test]
-    fn legacy_v1_manifests_diff_without_duration() {
-        let legacy = vp_trace::parse_manifest_line(
-            r#"{"t":"manifest","schema":"vp-manifest/1","bin":"sweep","spans":{"pack":{"count":1,"ms":5.0}}}"#,
-        )
-        .unwrap();
-        let d = diff_manifests(&legacy, &legacy);
-        assert_eq!(d.duration_ms, (None, None));
-        assert_eq!(d.worst_span_regression_pct(), 0.0);
     }
 }

@@ -1,7 +1,7 @@
-//! Run-history warehouse contracts: legacy `vp-manifest/1` lines must
-//! ingest to the same record as their `/2` counterpart (modulo the
-//! fields `/2` added), and segment rotation under a tiny byte budget
-//! must drop the oldest history while keeping the index consistent.
+//! Run-history warehouse contracts: a `vp-manifest/2` line ingests to its
+//! record core (and the unwritten `/1` schema is refused), and segment
+//! rotation under a tiny byte budget must drop the oldest history while
+//! keeping the index consistent.
 
 use bench::history::{RunRecord, Warehouse};
 use std::path::PathBuf;
@@ -18,59 +18,45 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// The shared core both schema versions carry.
+/// The record core of a manifest line.
 const CORE: &str = r#""bin":"sweep","mode":"table3","scale":2,"shard":"0/2",
     "only":["gzip","vortex"],"cells_done":8,
     "counters":{"trace_store.hits":41,"diff.divergences":0},
     "spans":{"bench.sweep_cells":{"ms":120.5,"count":1}},
     "histograms":{"pack.sizes":{"count":4,"sum":100,"p50":25}}"#;
 
-fn legacy_line() -> String {
-    format!(r#"{{"t":"manifest","schema":"vp-manifest/1",{CORE}}}"#).replace('\n', "")
-}
-
-fn v2_line() -> String {
+fn line(schema: &str) -> String {
     format!(
-        r#"{{"t":"manifest","schema":"vp-manifest/2",{CORE},"duration_ms":345.6,"seq":17,
+        r#"{{"t":"manifest","schema":"{schema}",{CORE},"duration_ms":345.6,"seq":17,
         "flight":{{"capacity":256,"recorded":3,"dropped":0}}}}"#
     )
     .replace('\n', "")
 }
 
 #[test]
-fn legacy_and_v2_manifests_ingest_to_the_same_record_core() {
-    let old = RunRecord::from_manifest_line(&legacy_line(), 100).expect("legacy parses");
-    let new = RunRecord::from_manifest_line(&v2_line(), 100).expect("v2 parses");
+fn v2_manifest_ingests_to_its_record_core() {
+    let rec = RunRecord::from_manifest_line(&line("vp-manifest/2"), 100).expect("v2 parses");
+    assert_eq!(rec.bin, "sweep");
+    assert_eq!(rec.workload, "gzip+vortex");
+    assert_eq!(rec.counters["trace_store.hits"], 41);
+    assert_eq!(rec.metrics["cells_done"], 8.0);
+    assert_eq!(rec.duration_ms, Some(345.6));
+    assert!(
+        RunRecord::from_manifest_line(&line("vp-manifest/1"), 100).is_err(),
+        "nothing writes /1 any more"
+    );
 
-    // Everything both schemas carry must land identically.
-    assert_eq!(old.bin, new.bin);
-    assert_eq!(old.config, new.config);
-    assert_eq!(old.workload, "gzip+vortex");
-    assert_eq!(old.workload, new.workload);
-    assert_eq!(old.counters, new.counters);
-    assert_eq!(old.spans, new.spans);
-    assert_eq!(old.hists, new.hists);
-    assert_eq!(old.key(), new.key(), "same key → same fingerprint bucket");
-    assert_eq!(old.fingerprint(), new.fingerprint());
-    assert_eq!(old.metrics["cells_done"], 8.0);
-    assert_eq!(new.metrics["cells_done"], 8.0);
-
-    // The /2-only fields are the whole difference.
-    assert_eq!(old.duration_ms, None, "legacy lines have no duration");
-    assert_eq!(new.duration_ms, Some(345.6));
-
-    // Round-trip through the warehouse keeps the parity.
+    // Round-trip through the warehouse keeps the record.
     let dir = tmp_dir("parity");
     let w = Warehouse::open(&dir).expect("open warehouse");
-    w.ingest_manifest_line(&legacy_line()).expect("ingest /1");
-    w.ingest_manifest_line(&v2_line()).expect("ingest /2");
+    w.ingest_manifest_line(&line("vp-manifest/2"))
+        .expect("ingest /2");
     let records = w.records().expect("read back");
-    assert_eq!(records.len(), 2);
-    assert_eq!(records[0].counters, records[1].counters);
-    assert_eq!(records[0].spans, records[1].spans);
-    assert_eq!(records[0].fingerprint(), records[1].fingerprint());
-    let index = w.index().expect("index");
-    assert_eq!(index.len(), 2, "one index entry per ingested run");
+    assert_eq!(records.len(), 1);
+    assert_eq!(records[0].counters, rec.counters);
+    assert_eq!(records[0].spans, rec.spans);
+    assert_eq!(records[0].fingerprint(), rec.fingerprint());
+    assert_eq!(w.index().expect("index").len(), 1, "one index entry");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -151,7 +137,7 @@ fn gate_hard_floor_works_without_any_history() {
         cmd.args([
             "history",
             "gate",
-            "metric:batched_speedup_vs_per_event",
+            "metric:replay_speedup_vs_execute",
             "--value",
             value,
             "--lower",

@@ -371,12 +371,12 @@ fn lockstep_diff_matches_the_reference_on_workloads_b() {
 
 /// The materializing reference the lockstep diff is checked against: each
 /// retired stream is folded into its full canonical visit sequence
-/// through the struct-form [`Sink`](vp_exec::Sink) path, and the two
-/// sequences are compared element-wise afterwards.
+/// through the [`Sink`](vp_exec::Sink) path, and the two sequences are
+/// compared element-wise afterwards.
 mod reference {
     use vp_exec::{
-        CapturedTrace, DiffOptions, DiffReport, DiffVerdict, Divergence, IdentityMap, Retired,
-        Sink, StopReason, Visit,
+        col, CapturedTrace, ColEvent, DiffOptions, DiffReport, DiffVerdict, Divergence,
+        IdentityMap, Sink, StopReason, Visit,
     };
 
     struct VisitBuilder<'m> {
@@ -389,8 +389,8 @@ mod reference {
     }
 
     impl Sink for VisitBuilder<'_> {
-        fn retire(&mut self, r: &Retired) {
-            let (origin, package, phase) = match self.map.and_then(|m| m.lookup(r.loc)) {
+        fn retire(&mut self, e: ColEvent) {
+            let (origin, package, phase) = match self.map.and_then(|m| m.lookup(e.loc)) {
                 Some(id) if id.is_stub => {
                     self.stub_events += 1;
                     return;
@@ -400,7 +400,7 @@ mod reference {
                     return;
                 }
                 Some(id) => (id.origin, Some(id.package), Some(id.phase)),
-                None => (r.loc, None, None),
+                None => (e.loc, None, None),
             };
             if package != self.cur_pkg {
                 if package.is_some() && self.cur_pkg.is_some() {
@@ -408,14 +408,16 @@ mod reference {
                 }
                 self.cur_pkg = package;
             }
-            let is_ctrl = r.ctrl.is_some();
-            let cond = u64::from(r.ctrl.is_some_and(|c| c.is_cond));
+            let is_ctrl = e.flags & col::CTRL != 0;
+            let cond = u64::from(e.flags & col::COND != 0);
             if is_ctrl && cond == 0 {
                 return;
             }
-            let mem = r.mem_addr.map_or(0, |a| {
-                a.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ u64::from(r.is_store)
-            });
+            let mem = if e.flags & col::MEM != 0 {
+                e.mem.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ u64::from(e.flags & col::STORE != 0)
+            } else {
+                0
+            };
             match self.visits.last_mut() {
                 Some(v) if v.origin == origin => {
                     v.plain += u64::from(!is_ctrl);
@@ -447,7 +449,7 @@ mod reference {
             migrations: 0,
             cur_pkg: None,
         };
-        let stop = trace.replay_per_event(&mut b).stop;
+        let stop = trace.replay(&mut b).stop;
         (b, stop)
     }
 

@@ -55,15 +55,15 @@ pub struct Retired {
     pub in_package: bool,
 }
 
-/// Per-event flag bits and field packing for the [`ColumnBatch`] views.
+/// Per-event flag bits and field packing of the [`ColEvent`] form.
 ///
-/// The batched replay kernel can split each decoded chunk into compact
-/// per-column arrays so hot sinks (the timing model, the hot-spot
-/// detector) read a handful of flat `u8`/`u64` columns instead of chasing
+/// Sinks read a handful of flat `u8`/`u64` fields instead of chasing
 /// `Option`s through 80-byte [`Retired`] records. This module defines the
-/// column encoding; [`ColumnBatch`] carries the views.
+/// encoding; [`event`] is the one place a [`Retired`] record is packed
+/// into it, for live execution and for the static half of every replayed
+/// event alike.
 pub mod col {
-    use super::{FuClass, Retired, NUM_REGS};
+    use super::{ColEvent, FuClass, Retired, NUM_REGS};
 
     /// `Retired::is_store` (meaningful only with [`MEM`]).
     pub const STORE: u8 = 1 << 0;
@@ -103,8 +103,8 @@ pub mod col {
     /// Mask for the latency field once shifted down by [`LATENCY_SHIFT`].
     pub const LATENCY_MASK: u64 = (1 << 29) - 1;
     /// Bit offset of the `Retired::in_package` flag — the static bit the
-    /// 8-bit flag column has no room for, carried in the exec word's top
-    /// bit so columns-only sinks can count package residency.
+    /// 8-bit flag byte has no room for, carried in the exec word's top
+    /// bit.
     pub const IN_PACKAGE_SHIFT: u32 = 63;
     /// Mask for one register field (8 bits).
     pub const REG_MASK: u64 = 0xff;
@@ -120,9 +120,30 @@ pub mod col {
         }
     }
 
+    /// Packs one retired instruction into its [`ColEvent`] form.
+    #[inline]
+    pub fn event(r: &Retired) -> ColEvent {
+        ColEvent {
+            flags: pack_flags(r),
+            addr: r.addr,
+            exec: pack_exec(r),
+            mem: r.mem_addr.unwrap_or(0),
+            target: match &r.ctrl {
+                Some(c) if c.is_ret => c.target,
+                // Consumer priority is COND → RET → CALL, so a call's
+                // target field carries the address the RAS pushes.
+                Some(c) if !c.is_cond && c.is_call => c.ret_addr,
+                Some(c) => c.target,
+                None => 0,
+            },
+            loc: r.loc,
+        }
+    }
+
     /// Packs the issue-relevant fields of one event — three sources,
     /// destination, functional unit, latency, package residency — into a
     /// single word.
+    #[inline]
     pub fn pack_exec(r: &Retired) -> u64 {
         let use_of = |i: usize| r.uses[i].map_or(USE_NONE, |u| u.index()) as u64;
         let def = r.def.map_or(DEF_NONE, |d| d.index()) as u64;
@@ -135,12 +156,12 @@ pub mod col {
             | use_of(2) << USE2_SHIFT
             | def << DEF_SHIFT
             | (fu_index(r.fu) as u64) << FU_SHIFT
-            | u64::from(r.latency) << LATENCY_SHIFT
+            | (u64::from(r.latency) & LATENCY_MASK) << LATENCY_SHIFT
             | u64::from(r.in_package) << IN_PACKAGE_SHIFT
     }
 
-    /// Derives the flag byte for one event (the view a column decoder
-    /// produces; also the reference the equivalence tests pin against).
+    /// Derives the flag byte for one event.
+    #[inline]
     pub fn pack_flags(r: &Retired) -> u8 {
         let mut f = 0;
         if r.mem_addr.is_some() {
@@ -171,56 +192,9 @@ pub mod col {
     }
 }
 
-/// Column views over one decoded replay chunk.
-///
-/// Produced by the batched replay kernel when the sink opts in through
-/// [`Sink::wants_columns`]. All column slices have the same length; `events`
-/// holds the equivalent [`Retired`] records so column-oblivious sinks (and
-/// tuple members that did not opt in) can fall back to the struct path.
-///
-/// Column semantics per event `i`:
-/// * `flags[i]` — [`col`] bits;
-/// * `addr[i]` — fetch address;
-/// * `exec[i]` — packed sources/destination/FU/latency ([`col::pack_exec`]);
-/// * `mem[i]` — effective memory address, 0 unless [`col::MEM`];
-/// * `target[i]` — for returns the decoded return target, for calls the
-///   return address pushed on the RAS, for other control transfers the
-///   architectural target; 0 for non-control events. The three cases are
-///   disjoint under the consumer priority `COND` → `RET` → `CALL`.
-#[derive(Debug, Clone, Copy)]
-pub struct ColumnBatch<'a> {
-    /// The decoded events, for struct-path fallback consumers.
-    pub events: &'a [Retired],
-    /// Per-event [`col`] flag bytes.
-    pub flags: &'a [u8],
-    /// Per-event fetch addresses.
-    pub addr: &'a [u64],
-    /// Per-event packed exec words.
-    pub exec: &'a [u64],
-    /// Per-event effective memory addresses.
-    pub mem: &'a [u64],
-    /// Per-event control-transfer auxiliary addresses.
-    pub target: &'a [u64],
-}
-
-impl ColumnBatch<'_> {
-    /// Number of events in the chunk.
-    pub fn len(&self) -> usize {
-        self.flags.len()
-    }
-
-    /// Whether the chunk is empty.
-    pub fn is_empty(&self) -> bool {
-        self.flags.is_empty()
-    }
-}
-
-/// One decoded event in column form, passed by value (five registers) to
-/// the closure of [`CapturedTrace::replay_events_with`]. Field semantics
-/// match the [`ColumnBatch`] columns of the same names.
-///
-/// [`CapturedTrace::replay_events_with`]: crate::CapturedTrace::replay_events_with
-#[derive(Debug, Clone, Copy)]
+/// One retired instruction in column form ([`col::event`]), passed by
+/// value to [`Sink::retire`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ColEvent {
     /// [`col`] flag bits.
     pub flags: u8,
@@ -230,65 +204,39 @@ pub struct ColEvent {
     pub exec: u64,
     /// Effective memory address, 0 unless [`col::MEM`].
     pub mem: u64,
-    /// Control-transfer auxiliary address (see [`ColumnBatch::target`]).
+    /// Control-transfer auxiliary address: for returns the return
+    /// target, for calls the return address pushed on the RAS, for other
+    /// control transfers the architectural target; 0 for non-control
+    /// events. The three cases are disjoint under the consumer priority
+    /// `COND` → `RET` → `CALL`.
     pub target: u64,
+    /// Block the instruction belongs to.
+    pub loc: CodeRef,
 }
 
-/// Consumer of the retired stream.
+/// Consumer of the retired stream: live execution ([`Executor::run`]) and
+/// trace replay ([`CapturedTrace::replay`]) both call [`Sink::retire`]
+/// once per retired instruction, in retirement order.
 ///
 /// Sinks compose with tuples: `(&mut hsd, &mut counts)` style composition is
 /// provided through the tuple implementation.
+///
+/// [`Executor::run`]: crate::Executor::run
+/// [`CapturedTrace::replay`]: crate::CapturedTrace::replay
 pub trait Sink {
     /// Observes one retired instruction.
-    fn retire(&mut self, r: &Retired);
+    fn retire(&mut self, e: ColEvent);
+}
 
-    /// Observes a chunk of consecutive retired instructions.
-    ///
-    /// The batched replay kernel ([`CapturedTrace::replay`]) decodes into a
-    /// reusable chunk buffer and hands whole chunks to the sink through this
-    /// method. The default forwards event by event, so existing sinks keep
-    /// working unchanged; hot consumers override it with a tight loop that
-    /// hoists per-call setup out of the per-event path. Overrides must be
-    /// observationally identical to the default: same events, same order.
-    ///
-    /// [`CapturedTrace::replay`]: crate::CapturedTrace::replay
-    fn retire_batch(&mut self, batch: &[Retired]) {
-        for r in batch {
-            self.retire(r);
-        }
-    }
+/// Adapts a closure to a [`Sink`], for consumers that keep hoisted state
+/// in locals across a whole replay.
+#[derive(Debug, Clone, Copy)]
+pub struct FnSink<F>(pub F);
 
-    /// Whether this sink prefers the column-split chunk form.
-    ///
-    /// When any sink in the composition returns `true`, the batched replay
-    /// kernel additionally splits each decoded chunk into [`ColumnBatch`]
-    /// views and dispatches through [`Sink::retire_columns`] instead of
-    /// [`Sink::retire_batch`]. The default is `false`.
-    fn wants_columns(&self) -> bool {
-        false
-    }
-
-    /// Observes a chunk in column-split form.
-    ///
-    /// Only called when [`Sink::wants_columns`] returned `true` somewhere in
-    /// the sink composition. The default falls back to the struct path over
-    /// `b.events`, so sinks that never opted in behave identically inside a
-    /// tuple with one that did. Overrides must be observationally identical
-    /// to the default.
-    fn retire_columns(&mut self, b: &ColumnBatch<'_>) {
-        self.retire_batch(b.events);
-    }
-
-    /// Whether this sink (and, for tuples, every member) reads only the
-    /// column views, never [`ColumnBatch::events`].
-    ///
-    /// When the whole composition returns `true`, the replay kernel skips
-    /// materializing the `Retired` struct form entirely and hands over a
-    /// [`ColumnBatch`] whose `events` slice is empty. Only return `true`
-    /// from a sink whose [`Sink::retire_columns`] override ignores
-    /// `events`; the default is `false`.
-    fn columns_only(&self) -> bool {
-        false
+impl<F: FnMut(ColEvent)> Sink for FnSink<F> {
+    #[inline]
+    fn retire(&mut self, e: ColEvent) {
+        (self.0)(e);
     }
 }
 
@@ -297,91 +245,27 @@ pub trait Sink {
 pub struct NullSink;
 
 impl Sink for NullSink {
-    fn retire(&mut self, _r: &Retired) {}
-
-    fn retire_batch(&mut self, _batch: &[Retired]) {}
-
-    fn retire_columns(&mut self, _b: &ColumnBatch<'_>) {}
-
-    fn columns_only(&self) -> bool {
-        true
-    }
+    fn retire(&mut self, _e: ColEvent) {}
 }
 
 impl<S: Sink + ?Sized> Sink for &mut S {
-    fn retire(&mut self, r: &Retired) {
-        (**self).retire(r);
-    }
-
-    fn retire_batch(&mut self, batch: &[Retired]) {
-        (**self).retire_batch(batch);
-    }
-
-    fn wants_columns(&self) -> bool {
-        (**self).wants_columns()
-    }
-
-    fn retire_columns(&mut self, b: &ColumnBatch<'_>) {
-        (**self).retire_columns(b);
-    }
-
-    fn columns_only(&self) -> bool {
-        (**self).columns_only()
+    fn retire(&mut self, e: ColEvent) {
+        (**self).retire(e);
     }
 }
 
 impl<A: Sink, B: Sink> Sink for (A, B) {
-    fn retire(&mut self, r: &Retired) {
-        self.0.retire(r);
-        self.1.retire(r);
-    }
-
-    fn retire_batch(&mut self, batch: &[Retired]) {
-        self.0.retire_batch(batch);
-        self.1.retire_batch(batch);
-    }
-
-    fn wants_columns(&self) -> bool {
-        self.0.wants_columns() || self.1.wants_columns()
-    }
-
-    fn retire_columns(&mut self, b: &ColumnBatch<'_>) {
-        // Each member picks its own form: opted-in members get the
-        // columns, the rest fall through their default to `b.events`.
-        self.0.retire_columns(b);
-        self.1.retire_columns(b);
-    }
-
-    fn columns_only(&self) -> bool {
-        self.0.columns_only() && self.1.columns_only()
+    fn retire(&mut self, e: ColEvent) {
+        self.0.retire(e);
+        self.1.retire(e);
     }
 }
 
 impl<A: Sink, B: Sink, C: Sink> Sink for (A, B, C) {
-    fn retire(&mut self, r: &Retired) {
-        self.0.retire(r);
-        self.1.retire(r);
-        self.2.retire(r);
-    }
-
-    fn retire_batch(&mut self, batch: &[Retired]) {
-        self.0.retire_batch(batch);
-        self.1.retire_batch(batch);
-        self.2.retire_batch(batch);
-    }
-
-    fn wants_columns(&self) -> bool {
-        self.0.wants_columns() || self.1.wants_columns() || self.2.wants_columns()
-    }
-
-    fn retire_columns(&mut self, b: &ColumnBatch<'_>) {
-        self.0.retire_columns(b);
-        self.1.retire_columns(b);
-        self.2.retire_columns(b);
-    }
-
-    fn columns_only(&self) -> bool {
-        self.0.columns_only() && self.1.columns_only() && self.2.columns_only()
+    fn retire(&mut self, e: ColEvent) {
+        self.0.retire(e);
+        self.1.retire(e);
+        self.2.retire(e);
     }
 }
 
@@ -419,69 +303,16 @@ impl InstCounts {
 }
 
 impl Sink for InstCounts {
-    fn retire(&mut self, r: &Retired) {
-        self.total += 1;
-        if r.in_package {
-            self.in_package += 1;
-        }
-        if r.mem_addr.is_some() {
-            self.mem_ops += 1;
-        }
-        if let Some(c) = &r.ctrl {
-            if c.is_cond {
-                self.cond_branches += 1;
-            }
-            if c.taken {
-                self.taken_transfers += 1;
-            }
-        }
-    }
-
-    fn retire_batch(&mut self, batch: &[Retired]) {
-        // Branch-free accumulation into locals; the per-field conversions
-        // vectorize where the per-event `if` ladder does not.
-        let (mut in_package, mut cond, mut taken, mut mem) = (0u64, 0u64, 0u64, 0u64);
-        for r in batch {
-            in_package += u64::from(r.in_package);
-            mem += u64::from(r.mem_addr.is_some());
-            if let Some(c) = &r.ctrl {
-                cond += u64::from(c.is_cond);
-                taken += u64::from(c.taken);
-            }
-        }
-        self.total += batch.len() as u64;
-        self.in_package += in_package;
-        self.mem_ops += mem;
-        self.cond_branches += cond;
-        self.taken_transfers += taken;
-    }
-
-    fn wants_columns(&self) -> bool {
-        true
-    }
-
-    fn retire_columns(&mut self, b: &ColumnBatch<'_>) {
+    #[inline]
+    fn retire(&mut self, e: ColEvent) {
         // Everything this sink counts lives in the flag byte plus the
-        // exec word's in-package bit, so the whole chunk reduces without
-        // touching (or materializing) the 80-byte struct form. `COND` and
-        // `TAKEN` imply `CTRL` in the column encoding, matching the
-        // struct path's ladder through `ctrl`.
-        let (mut in_package, mut cond, mut taken, mut mem) = (0u64, 0u64, 0u64, 0u64);
-        for (&f, &e) in b.flags.iter().zip(b.exec) {
-            in_package += e >> col::IN_PACKAGE_SHIFT;
-            mem += u64::from(f & col::MEM != 0);
-            cond += u64::from(f & col::COND != 0);
-            taken += u64::from(f & col::TAKEN != 0);
-        }
-        self.total += b.len() as u64;
-        self.in_package += in_package;
-        self.mem_ops += mem;
-        self.cond_branches += cond;
-        self.taken_transfers += taken;
-    }
-
-    fn columns_only(&self) -> bool {
-        true
+        // exec word's in-package bit. `COND` and `TAKEN` imply `CTRL` in
+        // the column encoding.
+        self.total += 1;
+        self.in_package += e.exec >> col::IN_PACKAGE_SHIFT;
+        self.mem_ops += u64::from(e.flags & col::MEM != 0);
+        self.cond_branches += u64::from(e.flags & col::COND != 0);
+        self.taken_transfers += u64::from(e.flags & col::TAKEN != 0);
     }
 }
 
@@ -504,11 +335,26 @@ mod tests {
         }
     }
 
+    fn branch(taken: bool) -> Retired {
+        let mut br = dummy(false);
+        br.ctrl = Some(Ctrl {
+            block: CodeRef::new(0, 0),
+            is_cond: true,
+            is_call: false,
+            is_ret: false,
+            taken,
+            arch_taken: taken,
+            target: 0x3000,
+            ret_addr: 0,
+        });
+        br
+    }
+
     #[test]
     fn counts_accumulate() {
         let mut c = InstCounts::new();
-        c.retire(&dummy(false));
-        c.retire(&dummy(true));
+        c.retire(col::event(&dummy(false)));
+        c.retire(col::event(&dummy(true)));
         assert_eq!(c.total, 2);
         assert_eq!(c.in_package, 1);
         assert!((c.package_coverage() - 0.5).abs() < 1e-12);
@@ -522,9 +368,18 @@ mod tests {
     #[test]
     fn tuple_sink_fans_out() {
         let mut pair = (InstCounts::new(), InstCounts::new());
-        pair.retire(&dummy(false));
+        pair.retire(col::event(&dummy(false)));
         assert_eq!(pair.0.total, 1);
         assert_eq!(pair.1.total, 1);
+    }
+
+    #[test]
+    fn fn_sink_sees_every_event() {
+        let mut seen = Vec::new();
+        let mut sink = FnSink(|e: ColEvent| seen.push(e.addr));
+        sink.retire(col::event(&dummy(false)));
+        sink.retire(col::event(&branch(true)));
+        assert_eq!(seen, [0x1000, 0x1000]);
     }
 
     #[test]
@@ -543,43 +398,45 @@ mod tests {
 
     #[test]
     fn column_counts_match_struct_counts() {
-        // A batch exercising every counted property: plain, in-package,
-        // load, and both directions of a conditional branch.
-        let mut batch = vec![dummy(false), dummy(true)];
+        // Every counted property: plain, in-package, load, and both
+        // directions of a conditional branch.
         let mut load = dummy(true);
         load.mem_addr = Some(0x2000);
-        batch.push(load);
-        for taken in [false, true] {
-            let mut br = dummy(false);
-            br.ctrl = Some(Ctrl {
-                block: CodeRef::new(0, 0),
-                is_cond: true,
-                is_call: false,
-                is_ret: false,
-                taken,
-                arch_taken: taken,
-                target: 0x3000,
-                ret_addr: 0,
-            });
-            batch.push(br);
+        let events = [dummy(false), dummy(true), load, branch(false), branch(true)];
+        let mut c = InstCounts::new();
+        for r in &events {
+            c.retire(col::event(r));
         }
+        let expect = InstCounts {
+            total: 5,
+            in_package: 2,
+            cond_branches: 2,
+            taken_transfers: 1,
+            mem_ops: 1,
+        };
+        assert_eq!(c, expect);
+    }
 
-        let mut via_struct = InstCounts::new();
-        via_struct.retire_batch(&batch);
-
-        let flags: Vec<u8> = batch.iter().map(col::pack_flags).collect();
-        let exec: Vec<u64> = batch.iter().map(col::pack_exec).collect();
-        let zeros = vec![0u64; batch.len()];
-        let mut via_cols = InstCounts::new();
-        via_cols.retire_columns(&ColumnBatch {
-            events: &[],
-            flags: &flags,
-            addr: &zeros,
-            exec: &exec,
-            mem: &zeros,
-            target: &zeros,
+    #[test]
+    fn event_target_follows_consumer_priority() {
+        let mut call = dummy(false);
+        call.ctrl = Some(Ctrl {
+            block: call.loc,
+            is_cond: false,
+            arch_taken: true,
+            taken: true,
+            is_call: true,
+            is_ret: false,
+            target: 0x4000,
+            ret_addr: 0x1004,
         });
-        assert_eq!(via_cols, via_struct, "column path must count identically");
-        assert!(via_cols.columns_only(), "InstCounts never reads the events");
+        assert_eq!(col::event(&call).target, 0x1004, "calls carry the RAS push");
+        let mut ret = call;
+        if let Some(c) = &mut ret.ctrl {
+            (c.is_call, c.is_ret, c.target, c.ret_addr) = (false, true, 0x2008, 0);
+        }
+        assert_eq!(col::event(&ret).target, 0x2008);
+        assert_eq!(col::event(&branch(true)).target, 0x3000);
+        assert_eq!(col::event(&dummy(false)).target, 0);
     }
 }

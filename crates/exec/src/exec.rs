@@ -1,9 +1,9 @@
 //! The architectural interpreter.
 
-use crate::event::{Ctrl, Retired, Sink};
+use crate::event::{col, Ctrl, Retired, Sink};
 use crate::memory::Memory;
 use vp_isa::reg::NUM_REGS;
-use vp_isa::{AluOp, CodeRef, FaluOp, FuClass, Inst, Reg, Src, INST_BYTES};
+use vp_isa::{AluOp, BlockId, CodeRef, FaluOp, FuClass, Inst, Reg, Src, INST_BYTES};
 use vp_program::builder::STACK_BASE;
 use vp_program::{Layout, Program, TermEncoding, Terminator};
 use vp_trace::Counter;
@@ -138,37 +138,35 @@ impl<'p> Executor<'p> {
         }
     }
 
-    /// Runs from the program entry until halt or a limit.
+    /// Runs from the program entry until halt or a limit, feeding every
+    /// retired instruction to `sink` in its [`col::event`] form.
     ///
     /// # Errors
     ///
     /// Returns [`ExecError`] on a return with an empty call stack or on
     /// call-depth overflow.
     pub fn run(&mut self, sink: &mut impl Sink, cfg: &RunConfig) -> Result<RunStats, ExecError> {
-        let entry = self.program.func(self.program.entry).entry;
-        self.run_from(
-            CodeRef {
-                func: self.program.entry,
-                block: entry,
-            },
-            sink,
-            cfg,
-        )
+        self.run_with(cfg, |r| sink.retire(col::event(r)))
     }
 
-    /// Runs from an arbitrary code location until halt or a limit.
+    /// Runs from the program entry until halt or a limit, handing every
+    /// retired instruction to `on_retire` in the interpreter's [`Retired`]
+    /// form — the form the trace recorder encodes and reference models
+    /// check the column form against. Consumers use [`Executor::run`].
     ///
     /// # Errors
     ///
     /// Returns [`ExecError`] on a return with an empty call stack or on
     /// call-depth overflow.
-    pub fn run_from(
+    pub fn run_with<F: FnMut(&Retired)>(
         &mut self,
-        start: CodeRef,
-        sink: &mut impl Sink,
         cfg: &RunConfig,
+        mut on_retire: F,
     ) -> Result<RunStats, ExecError> {
-        let mut cur = start;
+        let mut cur = CodeRef {
+            func: self.program.entry,
+            block: self.program.func(self.program.entry).entry,
+        };
         let mut stats = RunStats {
             retired: 0,
             cond_branches: 0,
@@ -176,7 +174,7 @@ impl<'p> Executor<'p> {
             stop: StopReason::InstLimit,
         };
 
-        'outer: while stats.retired < cfg.max_insts {
+        while stats.retired < cfg.max_insts {
             let func = self.program.func(cur.func);
             let block = func.block(cur.block);
             let in_package = self.in_package[cur.func.0 as usize];
@@ -201,62 +199,31 @@ impl<'p> Executor<'p> {
                 if in_package {
                     stats.in_package += 1;
                 }
-                sink.retire(&ev);
+                on_retire(&ev);
             }
 
-            // Terminator.
+            // Terminator: a fall-through `Goto` retires nothing; every
+            // other terminator retires one control instruction, and the
+            // branch-plus-jump encoding's fall-through path one more jump.
             let enc = self.layout.encoding(cur);
             let term_addr = base + block.insts.len() as u64 * INST_BYTES;
-            let emit_ctrl = |this: &Self,
-                             sink: &mut dyn Sink,
-                             stats: &mut RunStats,
-                             addr: u64,
-                             ctrl: Ctrl,
-                             uses: [Option<Reg>; 3]| {
-                stats.retired += 1;
-                if in_package {
-                    stats.in_package += 1;
-                }
-                if ctrl.is_cond {
-                    stats.cond_branches += 1;
-                }
-                let _ = this;
-                sink.retire(&Retired {
-                    loc: cur,
-                    addr,
-                    fu: FuClass::Branch,
-                    latency: 1,
-                    def: None,
-                    uses,
-                    mem_addr: None,
-                    is_store: false,
-                    ctrl: Some(ctrl),
-                    in_package,
-                });
+            let jump = |target: u64| Ctrl {
+                block: cur,
+                is_cond: false,
+                arch_taken: true,
+                taken: true,
+                is_call: false,
+                is_ret: false,
+                target,
+                ret_addr: 0,
             };
-
-            let next: CodeRef = match &block.term {
+            let (next, ctrl, uses) = match &block.term {
                 Terminator::Goto(t) => {
-                    if enc == TermEncoding::Jump {
-                        emit_ctrl(
-                            self,
-                            sink,
-                            &mut stats,
-                            term_addr,
-                            Ctrl {
-                                block: cur,
-                                is_cond: false,
-                                arch_taken: true,
-                                taken: true,
-                                is_call: false,
-                                is_ret: false,
-                                target: self.layout.addr_of(*t),
-                                ret_addr: 0,
-                            },
-                            [None; 3],
-                        );
+                    if enc != TermEncoding::Jump {
+                        cur = *t;
+                        continue;
                     }
-                    *t
+                    (Some(*t), jump(self.layout.addr_of(*t)), [None; 3])
                 }
                 Terminator::Br {
                     cond,
@@ -274,163 +241,111 @@ impl<'p> Executor<'p> {
                         TermEncoding::BrInverted => !arch,
                         _ => unreachable!("conditional branch with non-branch encoding"),
                     };
-                    let uses = [Some(*rs1), rs2.reg(), None];
-                    emit_ctrl(
-                        self,
-                        sink,
-                        &mut stats,
-                        term_addr,
-                        Ctrl {
-                            block: cur,
-                            is_cond: true,
-                            arch_taken: arch,
-                            taken: encoded_taken,
-                            is_call: false,
-                            is_ret: false,
-                            target: self.layout.addr_of(next),
-                            ret_addr: 0,
-                        },
-                        uses,
-                    );
-                    // Branch-plus-jump encoding: the fall-through path
-                    // executes an extra jump.
-                    if enc == TermEncoding::BrJump && !arch {
-                        emit_ctrl(
-                            self,
-                            sink,
-                            &mut stats,
-                            term_addr + INST_BYTES,
-                            Ctrl {
-                                block: cur,
-                                is_cond: false,
-                                arch_taken: true,
-                                taken: true,
-                                is_call: false,
-                                is_ret: false,
-                                target: self.layout.addr_of(next),
-                                ret_addr: 0,
-                            },
-                            [None; 3],
-                        );
-                    }
-                    next
+                    let ctrl = Ctrl {
+                        is_cond: true,
+                        arch_taken: arch,
+                        taken: encoded_taken,
+                        ..jump(self.layout.addr_of(next))
+                    };
+                    (Some(next), ctrl, [Some(*rs1), rs2.reg(), None])
                 }
                 Terminator::Call { callee, ret_to } => {
-                    if self.stack.len() >= cfg.max_depth {
-                        return Err(ExecError::CallDepthExceeded(cur));
-                    }
-                    self.stack.push(CodeRef {
-                        func: cur.func,
-                        block: *ret_to,
-                    });
-                    let target = self.program.func(*callee);
                     let next = CodeRef {
                         func: *callee,
-                        block: target.entry,
+                        block: self.program.func(*callee).entry,
                     };
-                    emit_ctrl(
-                        self,
-                        sink,
-                        &mut stats,
-                        term_addr,
-                        Ctrl {
-                            block: cur,
-                            is_cond: false,
-                            arch_taken: true,
-                            taken: true,
-                            is_call: true,
-                            is_ret: false,
-                            target: self.layout.addr_of(next),
-                            ret_addr: self.layout.addr_of(CodeRef {
-                                func: cur.func,
-                                block: *ret_to,
-                            }),
-                        },
-                        [None; 3],
-                    );
-                    next
+                    (Some(next), self.call(cur, next, *ret_to, cfg)?, [None; 3])
                 }
-                Terminator::CallThrough { target, ret_to } => {
-                    if self.stack.len() >= cfg.max_depth {
-                        return Err(ExecError::CallDepthExceeded(cur));
-                    }
-                    self.stack.push(CodeRef {
-                        func: cur.func,
-                        block: *ret_to,
-                    });
-                    emit_ctrl(
-                        self,
-                        sink,
-                        &mut stats,
-                        term_addr,
-                        Ctrl {
-                            block: cur,
-                            is_cond: false,
-                            arch_taken: true,
-                            taken: true,
-                            is_call: true,
-                            is_ret: false,
-                            target: self.layout.addr_of(*target),
-                            ret_addr: self.layout.addr_of(CodeRef {
-                                func: cur.func,
-                                block: *ret_to,
-                            }),
-                        },
-                        [None; 3],
-                    );
-                    *target
-                }
+                Terminator::CallThrough { target, ret_to } => (
+                    Some(*target),
+                    self.call(cur, *target, *ret_to, cfg)?,
+                    [None; 3],
+                ),
                 Terminator::Ret => {
                     let Some(next) = self.stack.pop() else {
                         return Err(ExecError::ReturnWithoutCall(cur));
                     };
-                    emit_ctrl(
-                        self,
-                        sink,
-                        &mut stats,
-                        term_addr,
-                        Ctrl {
-                            block: cur,
-                            is_cond: false,
-                            arch_taken: true,
-                            taken: true,
-                            is_call: false,
-                            is_ret: true,
-                            target: self.layout.addr_of(next),
-                            ret_addr: 0,
-                        },
-                        [None; 3],
-                    );
-                    next
+                    let ctrl = Ctrl {
+                        is_ret: true,
+                        ..jump(self.layout.addr_of(next))
+                    };
+                    (Some(next), ctrl, [None; 3])
                 }
                 Terminator::Halt => {
-                    emit_ctrl(
-                        self,
-                        sink,
-                        &mut stats,
-                        term_addr,
-                        Ctrl {
-                            block: cur,
-                            is_cond: false,
-                            arch_taken: false,
-                            taken: false,
-                            is_call: false,
-                            is_ret: false,
-                            target: 0,
-                            ret_addr: 0,
-                        },
-                        [None; 3],
-                    );
-                    stats.stop = StopReason::Halted;
-                    break 'outer;
+                    let ctrl = Ctrl {
+                        arch_taken: false,
+                        taken: false,
+                        ..jump(0)
+                    };
+                    (None, ctrl, [None; 3])
                 }
             };
-            cur = next;
+            let mut emit = |addr: u64, ctrl: Ctrl, uses: [Option<Reg>; 3]| {
+                stats.retired += 1;
+                if in_package {
+                    stats.in_package += 1;
+                }
+                if ctrl.is_cond {
+                    stats.cond_branches += 1;
+                }
+                on_retire(&Retired {
+                    loc: cur,
+                    addr,
+                    fu: FuClass::Branch,
+                    latency: 1,
+                    def: None,
+                    uses,
+                    mem_addr: None,
+                    is_store: false,
+                    ctrl: Some(ctrl),
+                    in_package,
+                });
+            };
+            emit(term_addr, ctrl, uses);
+            if enc == TermEncoding::BrJump && ctrl.is_cond && !ctrl.arch_taken {
+                emit(term_addr + INST_BYTES, jump(ctrl.target), [None; 3]);
+            }
+            match next {
+                Some(next) => cur = next,
+                None => {
+                    stats.stop = StopReason::Halted;
+                    break;
+                }
+            }
         }
         RETIRED.add(stats.retired);
         COND_BRANCHES.add(stats.cond_branches);
         IN_PACKAGE.add(stats.in_package);
         Ok(stats)
+    }
+
+    /// Pushes the return point of a call from `cur` and returns the
+    /// call's control record.
+    fn call(
+        &mut self,
+        cur: CodeRef,
+        next: CodeRef,
+        ret_to: BlockId,
+        cfg: &RunConfig,
+    ) -> Result<Ctrl, ExecError> {
+        if self.stack.len() >= cfg.max_depth {
+            return Err(ExecError::CallDepthExceeded(cur));
+        }
+        let ret = CodeRef {
+            func: cur.func,
+            block: ret_to,
+        };
+        self.stack.push(ret);
+        Ok(Ctrl {
+            block: cur,
+            is_cond: false,
+            arch_taken: true,
+            taken: true,
+            is_call: true,
+            is_ret: false,
+            target: self.layout.addr_of(next),
+            ret_addr: self.layout.addr_of(ret),
+        })
     }
 
     fn step(&mut self, inst: &Inst, ev: &mut Retired) {

@@ -46,8 +46,9 @@
 //!    and records the stream into a compact delta-coded encoding, typically
 //!    one to two bytes per retired instruction.
 //! 2. **Replay** many times: [`CapturedTrace::replay`] reconstructs every
-//!    [`Retired`] event bit-for-bit and pushes it through any [`Sink`] — no
-//!    register file, no memory image, no interpretation.
+//!    event bit-for-bit — the same [`ColEvent`] values live execution hands
+//!    a [`Sink`] — with no register file, no memory image, no
+//!    interpretation.
 //! 3. **Cache** across consumers: [`TraceStore`] memoizes captures by
 //!    [`TraceKey`] `(workload, program/layout fingerprint, RunConfig)`
 //!    under a byte budget (`VP_TRACE_CACHE_MB`, default 512) with LRU
@@ -107,12 +108,11 @@ pub use diff::{
     diff_traces, BlockIdentity, DiffMode, DiffOptions, DiffReport, DiffVerdict, Divergence,
     IdentityMap, Visit,
 };
-pub use event::{col, ColEvent, ColumnBatch, Ctrl, InstCounts, NullSink, Retired, Sink};
+pub use event::{col, ColEvent, Ctrl, FnSink, InstCounts, NullSink, Retired, Sink};
 pub use exec::{ExecError, Executor, RunConfig, RunStats, StopReason};
 pub use fx::{FxHashMap, FxHasher};
 pub use memory::Memory;
 pub use trace_store::{
     crc32, CapturedTrace, DiskTier, StoreSnapshot, TraceKey, TraceRecorder, TraceStore,
-    DEFAULT_CACHE_MB, DEFAULT_DISK_MB, DEFAULT_REPLAY_BATCH, DEFAULT_REPLAY_BATCH_COLS,
-    FORMAT_VERSION as TRACE_FORMAT_VERSION,
+    DEFAULT_CACHE_MB, DEFAULT_DISK_MB, FORMAT_VERSION as TRACE_FORMAT_VERSION,
 };

@@ -89,11 +89,12 @@
 //! # Ok::<(), vp_exec::ExecError>(())
 //! ```
 
-use crate::event::{Retired, Sink};
+use crate::event::{col, Retired, Sink};
 use crate::exec::{ExecError, Executor, RunConfig, RunStats};
 use crate::fx::FxHashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use vp_isa::CodeRef;
 use vp_program::{Layout, Program};
 use vp_trace::Counter;
 
@@ -114,44 +115,6 @@ static BYTES: Counter = Counter::new("trace_store.bytes");
 
 /// Default cache budget when `VP_TRACE_CACHE_MB` is unset.
 pub const DEFAULT_CACHE_MB: usize = 512;
-
-/// Default chunk size (in events) of the batched replay kernel when
-/// `VP_REPLAY_BATCH` is unset.
-///
-/// Sized so the chunk buffer (`batch × size_of::<Retired>()`, 80 bytes per
-/// event) stays L1-resident: at 512 events the buffer is 40 KB and the
-/// whole working set fits comfortably, where the previous 4096-event
-/// default streamed a 320 KB buffer through the cache every chunk and
-/// lost to the per-event decoder on monomorphized sinks (the BENCH_6
-/// 0.77× inversion). Measured on the twolf replay workload, 512 beats
-/// 64/128/256 as well.
-pub const DEFAULT_REPLAY_BATCH: usize = 512;
-
-/// Default chunk size for column-form sinks ([`Sink::wants_columns`]).
-/// The column scratch is five parallel output streams plus the sink's own
-/// tables (timing-model caches, scoreboard), so its working set leaves
-/// less L1 headroom than the single struct buffer; 256 beats 96–2048 on
-/// the fused-sim replay bench while the struct path still prefers 512.
-pub const DEFAULT_REPLAY_BATCH_COLS: usize = 256;
-
-/// Chunk size for [`CapturedTrace::replay`], from `VP_REPLAY_BATCH`;
-/// unset falls back to the per-form default.
-fn replay_batch_from_env(cols: bool) -> usize {
-    parse_replay_batch(std::env::var("VP_REPLAY_BATCH").ok().as_deref(), cols)
-}
-
-/// Parses a `VP_REPLAY_BATCH` value; unset, unparsable, or zero values
-/// fall back to [`DEFAULT_REPLAY_BATCH`] ([`DEFAULT_REPLAY_BATCH_COLS`]
-/// for column-form sink compositions).
-fn parse_replay_batch(v: Option<&str>, cols: bool) -> usize {
-    v.and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(if cols {
-            DEFAULT_REPLAY_BATCH_COLS
-        } else {
-            DEFAULT_REPLAY_BATCH
-        })
-}
 
 // ---------------------------------------------------------------- varints
 
@@ -210,11 +173,11 @@ const FLAG_MEM: u8 = 1 << 1;
 const FLAG_ARCH_TAKEN: u8 = 1 << 2;
 const FLAG_TAKEN: u8 = 1 << 3;
 
-/// A [`Sink`] that records the retired stream it observes.
+/// Records the retired stream of one [`Executor`] run.
 ///
-/// Attach it (alone or tupled with live consumers) to an
-/// [`Executor`] run, then call [`TraceRecorder::finish`] with the run's
-/// stats to obtain the immutable [`CapturedTrace`].
+/// Feed it every event of an [`Executor::run_with`] run through
+/// [`TraceRecorder::record`], then call [`TraceRecorder::finish`] with the
+/// run's stats to obtain the immutable [`CapturedTrace`].
 #[derive(Debug, Default)]
 pub struct TraceRecorder {
     slots: Vec<StaticSlot>,
@@ -273,10 +236,12 @@ impl TraceRecorder {
             }
         }
     }
-}
 
-impl Sink for TraceRecorder {
-    fn retire(&mut self, r: &Retired) {
+    /// Appends one retired instruction to the recording. Forced inline:
+    /// this is the capture hot loop, reached from the executor's
+    /// instruction loop and its terminator emission.
+    #[inline(always)]
+    pub fn record(&mut self, r: &Retired) {
         // Fast path: straight-line execution of already-seen code. Slots
         // are numbered in first-seen order, so whenever execution falls
         // through, the next event's address equals the next slot's — one
@@ -407,14 +372,20 @@ pub struct CapturedTrace {
     /// single 40-byte record (one bounds check, one cache-line stream)
     /// instead of a 120-byte [`StaticSlot`] or parallel arrays.
     slot_cols: Vec<SlotCol>,
+    /// Block of each slot, parallel to `slot_cols`: read only by sinks
+    /// that look at [`ColEvent::loc`], so it stays out of the 40-byte
+    /// records the parse chain streams through.
+    ///
+    /// [`ColEvent::loc`]: crate::ColEvent::loc
+    slot_locs: Vec<CodeRef>,
     stream: StreamBytes,
     stats: RunStats,
     events: u64,
 }
 
-/// Per-slot static halves of the [`ColumnBatch`] encoding, interleaved so
-/// the column decoder touches one record per event. Fields mirror the
-/// batch columns: `flags` is the template's static [`col`] bits (dynamic
+/// Per-slot static halves of the [`ColEvent`] encoding, interleaved so
+/// the decoder touches one record per event. Fields mirror the
+/// [`ColEvent`] fields: `flags` is the template's static [`col`] bits (dynamic
 /// `MEM`/`TAKEN`/`ARCH_TAKEN` come from the stream record), `exec` the
 /// packed exec word, `tgt` the control auxiliary address per
 /// architectural direction (`[targets[0], targets[1]]` for branches and
@@ -425,6 +396,7 @@ pub struct CapturedTrace {
 /// dynamic.
 ///
 /// [`col`]: crate::event::col
+/// [`ColEvent`]: crate::ColEvent
 #[derive(Debug, Clone, Copy)]
 struct SlotCol {
     exec: u64,
@@ -442,6 +414,9 @@ pub(crate) struct Record<'t> {
     /// The slot's compact column record, already loaded by the parse
     /// chain (see [`TraceCursor`]).
     col: &'t SlotCol,
+    /// The trace's per-slot blocks, indexed by `slot` only when a sink
+    /// reads the event's `loc`.
+    locs: &'t [CodeRef],
     /// The record's flags byte. Its `MEM`/`ARCH_TAKEN`/`TAKEN` bits
     /// coincide with the [`col`](crate::event::col) bits of the same names.
     pub(crate) flags: u8,
@@ -476,8 +451,7 @@ impl Record<'_> {
     /// record's dynamic bits) or the slot's [`SlotCol`] the parse chain
     /// already loaded — no further slot-table traffic.
     #[inline(always)]
-    fn col_event(&self) -> crate::ColEvent {
-        use crate::event::col;
+    pub(crate) fn col_event(&self) -> crate::ColEvent {
         // The dynamic column bits are chosen to coincide with the stream
         // record's flag bits, so the dynamic half of the flag byte is a
         // single mask of the record byte.
@@ -492,15 +466,14 @@ impl Record<'_> {
             exec: sc.exec,
             mem: self.mem,
             target: sc.tgt[usize::from(self.arch_taken())].wrapping_add(self.ret_delta),
+            loc: self.locs[self.slot],
         }
     }
 }
 
 /// Pull-based decoder over a trace's dynamic stream: *the* serial parse
-/// chain. Every replay entry point — the chunked struct and column
-/// kernels, the fused per-event loop, the per-event reference decoder,
-/// the lockstep differential replay and the disk tier's slot census —
-/// is a loop over this iterator.
+/// chain. [`CapturedTrace::replay`], the lockstep differential replay and
+/// the disk tier's slot census are each a loop over this iterator.
 ///
 /// Besides stream bytes the chain reads one static fact per record —
 /// whether the slot is a return, the one record shape with a trailing
@@ -514,17 +487,10 @@ impl Record<'_> {
 pub(crate) struct TraceCursor<'t> {
     stream: &'t [u8],
     slot_cols: &'t [SlotCol],
+    slot_locs: &'t [CodeRef],
     pos: usize,
     prev_idx: i64,
     last_mem: u64,
-}
-
-impl TraceCursor<'_> {
-    /// Whether the whole stream has been consumed.
-    #[inline(always)]
-    fn at_end(&self) -> bool {
-        self.pos >= self.stream.len()
-    }
 }
 
 impl<'t> Iterator for TraceCursor<'t> {
@@ -568,6 +534,7 @@ impl<'t> Iterator for TraceCursor<'t> {
         Some(Record {
             slot,
             col,
+            locs: self.slot_locs,
             flags,
             mem,
             ret_delta,
@@ -575,67 +542,53 @@ impl<'t> Iterator for TraceCursor<'t> {
     }
 }
 
-/// Reusable per-replay scratch backing the [`ColumnBatch`] views: one
-/// allocation per replay, rewritten in place by the column decoder.
-#[derive(Debug, Default)]
-struct ColScratch {
-    flags: Vec<u8>,
-    addr: Vec<u64>,
-    exec: Vec<u64>,
-    mem: Vec<u64>,
-    target: Vec<u64>,
-}
-
-impl ColScratch {
-    fn with_capacity(n: usize) -> ColScratch {
-        ColScratch {
-            flags: vec![0; n],
-            addr: vec![0; n],
-            exec: vec![0; n],
-            mem: vec![0; n],
-            target: vec![0; n],
-        }
-    }
-}
-
 impl CapturedTrace {
     /// Builds a trace from its encoded parts, deriving the per-slot
-    /// [`SlotCol`] records the parse chain and the column split read
-    /// instead of the full slot records. The single constructor used by
-    /// both live capture ([`TraceRecorder::finish`]) and disk decode.
+    /// [`SlotCol`] records the parse chain reads instead of the full slot
+    /// records from [`col::event`] of each template — the same encoding
+    /// live execution uses. The single constructor used by both live
+    /// capture ([`TraceRecorder::finish`]) and disk decode.
+    ///
+    /// [`col::event`]: crate::event::col::event
     pub(crate) fn assemble(
         slots: Vec<StaticSlot>,
         stream: StreamBytes,
         stats: RunStats,
         events: u64,
     ) -> CapturedTrace {
-        use crate::event::col;
         // Static halves of the column encoding: the per-event decoder ORs
         // in the dynamic MEM/TAKEN/ARCH_TAKEN bits from the stream record.
         let slot_cols = slots
             .iter()
-            .map(|s| SlotCol {
-                exec: col::pack_exec(&s.template),
-                tgt: match &s.template.ctrl {
-                    // A return's lanes hold its own fetch address: the
-                    // cursor's return-target delta is 0 for every other
-                    // slot, so `tgt[dir] + ret_delta` is the target column
-                    // for all slots without a branch on the slot kind.
-                    Some(c) if c.is_ret => [s.template.addr; 2],
-                    // Consumer priority is COND → RET → CALL, so a call's
-                    // lanes can carry its RAS return address: a call is
-                    // never read through the COND lane selection.
-                    Some(c) if !c.is_cond && c.is_call => [c.ret_addr; 2],
-                    Some(_) => [s.targets[0].unwrap_or(0), s.targets[1].unwrap_or(0)],
-                    None => [0, 0],
-                },
-                addr: s.template.addr,
-                flags: col::pack_flags(&s.template) & !(col::TAKEN | col::ARCH_TAKEN),
+            .map(|s| {
+                let e = col::event(&s.template);
+                SlotCol {
+                    exec: e.exec,
+                    tgt: match &s.template.ctrl {
+                        // A return's lanes hold its own fetch address: the
+                        // cursor's return-target delta is 0 for every
+                        // other slot, so `tgt[dir] + ret_delta` is the
+                        // target for all slots without a branch on the
+                        // slot kind.
+                        Some(c) if c.is_ret => [e.addr; 2],
+                        // A call's static target field is its RAS return
+                        // address.
+                        Some(c) if !c.is_cond && c.is_call => [e.target; 2],
+                        Some(_) => s.targets.map(|t| t.unwrap_or(0)),
+                        None => [0, 0],
+                    },
+                    addr: e.addr,
+                    // Templates carry no memory address; the dynamic
+                    // MEM/TAKEN/ARCH_TAKEN bits come from the stream record.
+                    flags: e.flags & !(col::TAKEN | col::ARCH_TAKEN),
+                }
             })
             .collect();
+        let slot_locs = slots.iter().map(|s| s.template.loc).collect();
         CapturedTrace {
             slots,
             slot_cols,
+            slot_locs,
             stream,
             stats,
             events,
@@ -670,73 +623,28 @@ impl CapturedTrace {
         sink: &mut impl Sink,
     ) -> Result<CapturedTrace, ExecError> {
         let mut rec = TraceRecorder::new();
-        let stats = Executor::new(program, layout).run(&mut (&mut rec, sink), cfg)?;
+        let stats = Executor::new(program, layout).run_with(cfg, |r| {
+            rec.record(r);
+            sink.retire(col::event(r));
+        })?;
         Ok(rec.finish(stats))
     }
 
-    /// Replays the recorded stream into `sink`, reconstructing every
-    /// [`Retired`] event bit-for-bit, and returns the original run's
+    /// Replays the recorded stream into `sink`, one [`Sink::retire`] per
+    /// recorded event — the same [`ColEvent`] values, in the same order,
+    /// the live run produced — and returns the original run's
     /// [`RunStats`].
     ///
-    /// This is the batched front door: events are decoded into a reusable
-    /// chunk buffer (`VP_REPLAY_BATCH` events per chunk, default
-    /// [`DEFAULT_REPLAY_BATCH`]) and dispatched through
-    /// [`Sink::retire_batch`], so per-event sink dispatch is amortized
-    /// across the chunk. Event content and order are identical to
-    /// [`CapturedTrace::replay_per_event`] at every chunk size.
+    /// The decode and a monomorphized sink fuse into one loop: the
+    /// decoder's serial chain (stream position, slot index, memory
+    /// anchor) and a typical consumer's state chains are independent per
+    /// event, so the host overlaps them, and the event values flow
+    /// through registers.
+    ///
+    /// [`ColEvent`]: crate::ColEvent
     pub fn replay(&self, sink: &mut impl Sink) -> RunStats {
-        let batch = replay_batch_from_env(sink.wants_columns());
-        self.replay_batched(sink, batch)
-    }
-
-    /// Like [`CapturedTrace::replay`], with an explicit chunk size instead
-    /// of the `VP_REPLAY_BATCH` environment knob. `batch` is clamped to at
-    /// least 1.
-    pub fn replay_batched(&self, sink: &mut impl Sink, batch: usize) -> RunStats {
-        let mut cur = self.replay_cursor();
-        if self.stream.is_empty() {
-            return self.stats;
-        }
-        // Every event consumes at least one stream byte, so `stream.len()`
-        // bounds the events a replay can ever produce: oversized chunk
-        // requests (`VP_REPLAY_BATCH=999999999`) degrade to a single
-        // right-sized buffer instead of an absurd allocation.
-        let batch = batch.clamp(1, self.stream.len());
-        if sink.wants_columns() {
-            // Column form. When every member of the sink composition reads
-            // only columns, the struct materialization is skipped entirely
-            // and the `events` view stays empty.
-            let cols_only = sink.columns_only();
-            let mut cols = ColScratch::with_capacity(batch);
-            let mut buf: Vec<Retired> = if cols_only {
-                Vec::new()
-            } else {
-                vec![self.slots[0].template; batch]
-            };
-            while !cur.at_end() {
-                let n = if cols_only {
-                    self.decode_chunk_cols::<false>(&mut cur, &mut buf, &mut cols)
-                } else {
-                    self.decode_chunk_cols::<true>(&mut cur, &mut buf, &mut cols)
-                };
-                sink.retire_columns(&crate::ColumnBatch {
-                    events: if cols_only { &[] } else { &buf[..n] },
-                    flags: &cols.flags[..n],
-                    addr: &cols.addr[..n],
-                    exec: &cols.exec[..n],
-                    mem: &cols.mem[..n],
-                    target: &cols.target[..n],
-                });
-            }
-            return self.stats;
-        }
-        // The chunk buffer is allocated once per replay and written in
-        // place by the decoder; the filler template is never observed
-        // (only `buf[..n]` decoded events reach the sink).
-        let mut buf: Vec<Retired> = vec![self.slots[0].template; batch];
-        while !cur.at_end() {
-            let n = self.decode_chunk(&mut cur, &mut buf);
-            sink.retire_batch(&buf[..n]);
+        for rec in self.replay_cursor() {
+            sink.retire(rec.col_event());
         }
         self.stats
     }
@@ -753,6 +661,7 @@ impl CapturedTrace {
         TraceCursor {
             stream: self.stream.as_slice(),
             slot_cols: &self.slot_cols,
+            slot_locs: &self.slot_locs,
             pos: 0,
             prev_idx: -1,
             last_mem: 0,
@@ -764,130 +673,6 @@ impl CapturedTrace {
     /// branch directions, control target).
     pub(crate) fn slot_templates(&self) -> impl ExactSizeIterator<Item = &Retired> {
         self.slots.iter().map(|s| &s.template)
-    }
-
-    /// Expands one parsed record into its full 80-byte [`Retired`] event
-    /// in place: the slot's template plus the record's dynamic patches.
-    /// Nothing here feeds back into the cursor's parse chain, so the slot
-    /// load, template copy and patch stores retire behind the next
-    /// records' parsing.
-    #[inline(always)]
-    fn materialize(&self, rec: &Record<'_>, out: &mut Retired) {
-        let slot = &self.slots[rec.slot];
-        *out = slot.template;
-        if rec.has_mem() {
-            out.mem_addr = Some(rec.mem);
-        }
-        if let Some(c) = &mut out.ctrl {
-            c.arch_taken = rec.arch_taken();
-            c.taken = rec.flags & FLAG_TAKEN != 0;
-            c.target = if c.is_ret {
-                slot.template.addr.wrapping_add(rec.ret_delta)
-            } else {
-                slot.targets[usize::from(c.arch_taken)]
-                    .expect("observed direction has a recorded target")
-            };
-        }
-    }
-
-    /// Decodes up to `buf.len()` events at `cur` into `buf`, advancing the
-    /// cursor past the consumed records. Returns the number of events
-    /// decoded.
-    fn decode_chunk(&self, cur: &mut TraceCursor<'_>, buf: &mut [Retired]) -> usize {
-        // Work on a local copy so the parse anchors stay in registers for
-        // the whole chunk.
-        let mut c = cur.clone();
-        let mut n = 0;
-        for out in buf.iter_mut() {
-            let Some(rec) = c.next() else { break };
-            self.materialize(&rec, out);
-            n += 1;
-        }
-        *cur = c;
-        n
-    }
-
-    /// Like [`CapturedTrace::decode_chunk`], but splits the chunk into the
-    /// flat [`ColumnBatch`] scratch columns ([`Record::col_event`]).
-    /// All five output columns are re-sliced to a common length up front
-    /// so the per-event stores compile without bounds checks.
-    ///
-    /// With `EVENTS = false` (a columns-only sink composition) the struct
-    /// materialization is compiled out and `buf` may be empty; the chunk
-    /// size then comes from the column scratch capacity.
-    ///
-    /// [`ColumnBatch`]: crate::ColumnBatch
-    fn decode_chunk_cols<const EVENTS: bool>(
-        &self,
-        cur: &mut TraceCursor<'_>,
-        buf: &mut [Retired],
-        cols: &mut ColScratch,
-    ) -> usize {
-        let mut c = cur.clone();
-        let mut n = 0;
-        let max = cols.flags.len();
-        let out_flags = &mut cols.flags[..max];
-        let out_addr = &mut cols.addr[..max];
-        let out_exec = &mut cols.exec[..max];
-        let out_mem = &mut cols.mem[..max];
-        let out_tgt = &mut cols.target[..max];
-        let buf = if EVENTS { &mut buf[..max] } else { buf };
-
-        while n < max {
-            let Some(rec) = c.next() else { break };
-            let e = rec.col_event();
-            out_flags[n] = e.flags;
-            out_addr[n] = e.addr;
-            out_exec[n] = e.exec;
-            out_mem[n] = e.mem;
-            out_tgt[n] = e.target;
-            // Materialize the struct form for column-oblivious members of
-            // a composed sink.
-            if EVENTS {
-                self.materialize(&rec, &mut buf[n]);
-            }
-            n += 1;
-        }
-        *cur = c;
-        n
-    }
-
-    /// Replays the stream as per-event [`ColEvent`](crate::ColEvent) records through `f`,
-    /// fusing decode with the consumer in a single loop.
-    ///
-    /// The decoder's serial chain (stream position, slot index, memory
-    /// anchor) and a typical consumer's state chains are independent per
-    /// event, so inlining the consumer into the decode loop lets the host
-    /// overlap them — where the chunked [`CapturedTrace::replay`] pays the
-    /// decode and consume chains additively across alternating loops —
-    /// and the column values flow through registers with no scratch-column
-    /// round trip. Event values and order are identical to the column
-    /// views [`Sink::retire_columns`] receives (pinned by tests).
-    ///
-    /// Returns the original run's [`RunStats`], like every replay entry
-    /// point.
-    pub fn replay_events_with<F: FnMut(crate::ColEvent)>(&self, mut f: F) -> RunStats {
-        for rec in self.replay_cursor() {
-            f(rec.col_event());
-        }
-        self.stats
-    }
-
-    /// Replays one event at a time through [`Sink::retire`] — the
-    /// pre-batching decoder, kept as the reference implementation for
-    /// bit-exactness tests and as the baseline the replay-throughput bench
-    /// reports against.
-    pub fn replay_per_event(&self, sink: &mut impl Sink) -> RunStats {
-        let cur = self.replay_cursor();
-        let Some(first) = self.slots.first() else {
-            return self.stats;
-        };
-        let mut ev = first.template;
-        for rec in cur {
-            self.materialize(&rec, &mut ev);
-            sink.retire(&ev);
-        }
-        self.stats
     }
 
     /// The recorded run's summary statistics.
@@ -1489,10 +1274,10 @@ mod tests {
 
     /// Collects every replayed event verbatim.
     #[derive(Default)]
-    struct Collect(Vec<Retired>);
+    struct Collect(Vec<crate::ColEvent>);
     impl Sink for Collect {
-        fn retire(&mut self, r: &Retired) {
-            self.0.push(*r);
+        fn retire(&mut self, e: crate::ColEvent) {
+            self.0.push(e);
         }
     }
 
@@ -1512,42 +1297,6 @@ mod tests {
         for (a, b) in live.0.iter().zip(&replayed.0) {
             assert_eq!(a, b);
         }
-    }
-
-    #[test]
-    fn batched_replay_matches_per_event_at_every_chunking() {
-        let (p, layout) = sample_program();
-        let cfg = RunConfig::default();
-        let trace = CapturedTrace::capture(&p, &layout, &cfg).unwrap();
-
-        let mut reference = Collect::default();
-        let ref_stats = trace.replay_per_event(&mut reference);
-
-        // Degenerate (1), a non-divisor that straddles chunk boundaries,
-        // a power of two, and larger-than-the-trace.
-        for batch in [1, 7, 64, usize::MAX / 2] {
-            let mut got = Collect::default();
-            let stats = trace.replay_batched(&mut got, batch);
-            assert_eq!(stats, ref_stats, "batch={batch}: stats diverged");
-            assert_eq!(got.0, reference.0, "batch={batch}: events diverged");
-        }
-        // `batch = 0` is clamped, not a panic or an empty replay.
-        let mut got = Collect::default();
-        trace.replay_batched(&mut got, 0);
-        assert_eq!(got.0, reference.0);
-    }
-
-    #[test]
-    fn replay_batch_env_parsing() {
-        assert_eq!(parse_replay_batch(None, false), DEFAULT_REPLAY_BATCH);
-        assert_eq!(parse_replay_batch(None, true), DEFAULT_REPLAY_BATCH_COLS);
-        assert_eq!(parse_replay_batch(Some("1"), false), 1);
-        assert_eq!(parse_replay_batch(Some(" 512 "), true), 512);
-        assert_eq!(parse_replay_batch(Some("0"), false), DEFAULT_REPLAY_BATCH);
-        assert_eq!(
-            parse_replay_batch(Some("junk"), true),
-            DEFAULT_REPLAY_BATCH_COLS
-        );
     }
 
     #[test]

@@ -39,8 +39,7 @@
 //! loader rebuilds the side table at its logical size with inert
 //! placeholders in the unreferenced positions, so the stream (which
 //! encodes slot references as deltas over *original* indices) replays
-//! byte-identically. v2 files (dense side table, no remap) remain
-//! readable; v1 files are refused.
+//! byte-identically. Files of any other version are refused.
 //!
 //! # Budget
 //!
@@ -79,12 +78,8 @@ static DISK_EVICTIONS: Counter = Counter::new("trace_store.disk_evictions");
 ///
 /// History: v1 had no header string table or key echo; v2 prepends both;
 /// v3 replaces the dense side-table section with the hot-slot index
-/// (referenced slots only, plus a remap table). v2 files are still
-/// *readable* — see `decode` — but new files are always written v3.
+/// (referenced slots only, plus a remap table). Only v3 is read.
 pub const FORMAT_VERSION: u32 = 3;
-
-/// Oldest format version `decode` still accepts.
-pub const MIN_READ_VERSION: u32 = 2;
 
 /// Default disk budget when `VP_TRACE_DISK_MB` is unset.
 pub const DEFAULT_DISK_MB: u64 = 2048;
@@ -193,7 +188,7 @@ fn referenced_slots(trace: &CapturedTrace) -> Vec<bool> {
     seen
 }
 
-/// Serializes one side-table record (shared by the v2 and v3 layouts).
+/// Serializes one side-table record.
 fn put_slot(payload: &mut Vec<u8>, slot: &StaticSlot) {
     let t = &slot.template;
     debug_assert!(t.mem_addr.is_none(), "templates carry no dynamic state");
@@ -246,13 +241,6 @@ fn put_slot(payload: &mut Vec<u8>, slot: &StaticSlot) {
 /// Serializes a capture (and its owning key) into the versioned,
 /// CRC-protected byte image (always [`FORMAT_VERSION`]).
 pub(super) fn encode(key: &TraceKey, trace: &CapturedTrace) -> Vec<u8> {
-    encode_versioned(key, trace, FORMAT_VERSION)
-}
-
-/// [`encode`] with an explicit format version (2 or 3); v2 emission exists
-/// so the backward-compatibility path stays testable.
-pub(super) fn encode_versioned(key: &TraceKey, trace: &CapturedTrace, version: u32) -> Vec<u8> {
-    assert!((MIN_READ_VERSION..=FORMAT_VERSION).contains(&version));
     let mut payload = Vec::with_capacity(trace.stream.len() + 64 * trace.slots.len() + 64);
 
     // Header string table: every string the header references, stored
@@ -281,35 +269,24 @@ pub(super) fn encode_versioned(key: &TraceKey, trace: &CapturedTrace, version: u
     });
     put_varint(&mut payload, trace.events);
 
-    // Static side-table section: v3 hot-slot index (logical size, written
-    // count, sparse remap, referenced records only); v2 dense table.
-    match version {
-        2 => {
-            put_varint(&mut payload, trace.slots.len() as u64);
-            for slot in &trace.slots {
-                put_slot(&mut payload, slot);
-            }
+    // Static side-table section, the hot-slot index: logical size,
+    // written count, sparse remap, referenced records only.
+    let seen = referenced_slots(trace);
+    let written: Vec<usize> = (0..trace.slots.len()).filter(|&i| seen[i]).collect();
+    put_varint(&mut payload, trace.slots.len() as u64);
+    put_varint(&mut payload, written.len() as u64);
+    if written.len() < trace.slots.len() {
+        // Sparse remap: original indices of the written slots, delta-coded
+        // (strictly ascending, so every delta after the first is >= 1).
+        let mut prev = 0u64;
+        for (k, &idx) in written.iter().enumerate() {
+            let idx = idx as u64;
+            put_varint(&mut payload, if k == 0 { idx } else { idx - prev });
+            prev = idx;
         }
-        _ => {
-            let seen = referenced_slots(trace);
-            let written: Vec<usize> = (0..trace.slots.len()).filter(|&i| seen[i]).collect();
-            put_varint(&mut payload, trace.slots.len() as u64);
-            put_varint(&mut payload, written.len() as u64);
-            if written.len() < trace.slots.len() {
-                // Sparse remap: original indices of the written slots,
-                // delta-coded (strictly ascending, so every delta after
-                // the first is >= 1).
-                let mut prev = 0u64;
-                for (k, &idx) in written.iter().enumerate() {
-                    let idx = idx as u64;
-                    put_varint(&mut payload, if k == 0 { idx } else { idx - prev });
-                    prev = idx;
-                }
-            }
-            for &idx in &written {
-                put_slot(&mut payload, &trace.slots[idx]);
-            }
-        }
+    }
+    for &idx in &written {
+        put_slot(&mut payload, &trace.slots[idx]);
     }
 
     // Dynamic stream section.
@@ -318,7 +295,7 @@ pub(super) fn encode_versioned(key: &TraceKey, trace: &CapturedTrace, version: u
 
     let mut out = Vec::with_capacity(payload.len() + 12);
     out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&crc32(&payload).to_le_bytes());
     out.extend_from_slice(&payload);
     out
@@ -400,7 +377,7 @@ fn placeholder_slot() -> StaticSlot {
     }
 }
 
-/// Deserializes one side-table record (shared by the v2 and v3 layouts).
+/// Deserializes one side-table record.
 fn read_slot(rd: &mut Rd) -> Option<StaticSlot> {
     let flags = rd.u8()?;
     let addr = rd.varint()?;
@@ -470,15 +447,15 @@ struct Parsed {
     stream_len: usize,
 }
 
-/// Parses and validates a byte image produced by [`encode`] (v3) or an
-/// older v2 writer. Returns `None` on any mismatch — wrong magic,
-/// unsupported version, CRC failure, or malformed payload.
+/// Parses and validates a byte image produced by [`encode`]. Returns
+/// `None` on any mismatch — wrong magic, unsupported version, CRC
+/// failure, or malformed payload.
 fn parse(bytes: &[u8]) -> Option<Parsed> {
     if bytes.len() < 12 || &bytes[0..4] != MAGIC {
         return None;
     }
     let version = u32::from_le_bytes(bytes[4..8].try_into().ok()?);
-    if !(MIN_READ_VERSION..=FORMAT_VERSION).contains(&version) {
+    if version != FORMAT_VERSION {
         return None;
     }
     let stored_crc = u32::from_le_bytes(bytes[8..12].try_into().ok()?);
@@ -531,51 +508,41 @@ fn parse(bytes: &[u8]) -> Option<Parsed> {
     if n_slots > payload.len() {
         return None;
     }
-    let slots = if version == 2 {
-        // v2: dense side table, one record per slot.
-        let mut slots = Vec::with_capacity(n_slots);
-        for _ in 0..n_slots {
-            slots.push(read_slot(&mut rd)?);
-        }
-        slots
-    } else {
-        // v3 hot-slot index: only referenced records are present; rebuild
-        // the table at its logical size with placeholders elsewhere.
-        let n_written = usize::try_from(rd.varint()?).ok()?;
-        if n_written > n_slots {
-            return None;
-        }
-        let indices: Vec<usize> = if n_written < n_slots {
-            let mut indices = Vec::with_capacity(n_written);
-            let mut prev = 0u64;
-            for k in 0..n_written {
-                let delta = rd.varint()?;
-                let idx = if k == 0 {
-                    delta
-                } else {
-                    // Strictly ascending: a zero delta (duplicate index)
-                    // is malformed.
-                    if delta == 0 {
-                        return None;
-                    }
-                    prev.checked_add(delta)?
-                };
-                if idx >= n_slots as u64 {
+    // Hot-slot index: only referenced records are present; rebuild the
+    // table at its logical size with placeholders elsewhere.
+    let n_written = usize::try_from(rd.varint()?).ok()?;
+    if n_written > n_slots {
+        return None;
+    }
+    let indices: Vec<usize> = if n_written < n_slots {
+        let mut indices = Vec::with_capacity(n_written);
+        let mut prev = 0u64;
+        for k in 0..n_written {
+            let delta = rd.varint()?;
+            let idx = if k == 0 {
+                delta
+            } else {
+                // Strictly ascending: a zero delta (duplicate index) is
+                // malformed.
+                if delta == 0 {
                     return None;
                 }
-                prev = idx;
-                indices.push(idx as usize);
+                prev.checked_add(delta)?
+            };
+            if idx >= n_slots as u64 {
+                return None;
             }
-            indices
-        } else {
-            (0..n_written).collect()
-        };
-        let mut slots = vec![placeholder_slot(); n_slots];
-        for idx in indices {
-            slots[idx] = read_slot(&mut rd)?;
+            prev = idx;
+            indices.push(idx as usize);
         }
-        slots
+        indices
+    } else {
+        (0..n_written).collect()
     };
+    let mut slots = vec![placeholder_slot(); n_slots];
+    for idx in indices {
+        slots[idx] = read_slot(&mut rd)?;
+    }
 
     let stream_len = usize::try_from(rd.varint()?).ok()?;
     let stream_start = 12 + rd.pos;
@@ -897,7 +864,7 @@ mod tests {
     use super::super::{TraceKey, TraceStore};
     use super::*;
     use crate::event::InstCounts;
-    use crate::event::Sink;
+    use crate::event::{ColEvent, FnSink};
     use crate::exec::RunConfig;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -1011,66 +978,17 @@ mod tests {
         assert_eq!(trace.stats(), reloaded.stats());
         assert_eq!(trace.events(), reloaded.events());
 
-        struct Collect(Vec<Retired>);
-        impl Sink for Collect {
-            fn retire(&mut self, r: &Retired) {
-                self.0.push(*r);
-            }
-        }
-        let mut a = Collect(Vec::new());
-        let mut b = Collect(Vec::new());
-        trace.replay(&mut a);
-        reloaded.replay(&mut b);
-        assert_eq!(a.0, b.0, "replayed streams must be identical");
-    }
-
-    fn events_of(trace: &CapturedTrace) -> Vec<Retired> {
-        struct Collect(Vec<Retired>);
-        impl Sink for Collect {
-            fn retire(&mut self, r: &Retired) {
-                self.0.push(*r);
-            }
-        }
-        let mut c = Collect(Vec::new());
-        trace.replay(&mut c);
-        c.0
-    }
-
-    #[test]
-    fn v2_files_remain_readable() {
-        let (p, layout) = sample_program();
-        let cfg = RunConfig::default();
-        let key = TraceKey::new("legacy", &p, &layout, &cfg);
-        let trace = CapturedTrace::capture(&p, &layout, &cfg).unwrap();
-
-        let v2 = encode_versioned(&key, &trace, 2);
-        assert_eq!(u32::from_le_bytes(v2[4..8].try_into().unwrap()), 2);
-        let (echoed, reloaded) = decode(&v2).expect("v2 image still decodes");
-        assert_eq!(echoed, key);
-        assert_eq!(trace.stats(), reloaded.stats());
-        assert_eq!(events_of(&trace), events_of(&reloaded));
-    }
-
-    #[test]
-    fn v2_to_v3_roundtrip_is_bit_exact() {
-        let (p, layout) = sample_program();
-        let cfg = RunConfig::default();
-        let key = TraceKey::new("upgrade", &p, &layout, &cfg);
-        let trace = CapturedTrace::capture(&p, &layout, &cfg).unwrap();
-
-        // Read a v2 file, re-persist (always v3), read that back: the
-        // upgrade path a warmed pre-v3 cache directory takes.
-        let (_, from_v2) = decode(&encode_versioned(&key, &trace, 2)).unwrap();
-        let v3 = encode(&key, &from_v2);
         assert_eq!(
-            u32::from_le_bytes(v3[4..8].try_into().unwrap()),
-            FORMAT_VERSION
+            events_of(&trace),
+            events_of(&reloaded),
+            "replayed streams must be identical"
         );
-        let (echoed, from_v3) = decode(&v3).expect("v3 image decodes");
-        assert_eq!(echoed, key);
-        assert_eq!(trace.stats(), from_v3.stats());
-        assert_eq!(trace.events(), from_v3.events());
-        assert_eq!(events_of(&trace), events_of(&from_v3));
+    }
+
+    fn events_of(trace: &CapturedTrace) -> Vec<ColEvent> {
+        let mut events = Vec::new();
+        trace.replay(&mut FnSink(|e| events.push(e)));
+        events
     }
 
     #[test]
@@ -1080,6 +998,7 @@ mod tests {
         let key = TraceKey::new("hotslots", &p, &layout, &cfg);
         let mut trace = CapturedTrace::capture(&p, &layout, &cfg).unwrap();
         let reference = events_of(&trace);
+        let clean = encode(&key, &trace);
 
         // Dead side-table weight: slots the stream never references (as a
         // truncation pass or a foreign producer would leave behind).
@@ -1088,13 +1007,14 @@ mod tests {
             trace.slots.push(dead.clone());
         }
 
-        let v2 = encode_versioned(&key, &trace, 2);
+        let mut dead_record = Vec::new();
+        put_slot(&mut dead_record, &dead);
+        let dense = clean.len() + 64 * dead_record.len();
         let v3 = encode(&key, &trace);
         assert!(
-            v3.len() < v2.len(),
-            "hot-slot index must shrink the image: v3={} v2={}",
+            v3.len() < dense,
+            "hot-slot index must shrink the image: v3={} dense={dense}",
             v3.len(),
-            v2.len()
         );
 
         let (_, reloaded) = decode(&v3).expect("sparse v3 decodes");
@@ -1147,8 +1067,9 @@ mod tests {
             bad[pos] ^= 0x40;
             assert!(decode(&bad).is_none(), "bit flip at {pos}");
         }
-        // Unsupported versions: the future and the pre-echo past.
-        for v in [FORMAT_VERSION + 1, MIN_READ_VERSION - 1] {
+        // Unsupported versions: the future, the dense-table v2 and the
+        // pre-echo past.
+        for v in [FORMAT_VERSION + 1, FORMAT_VERSION - 1, FORMAT_VERSION - 2] {
             let mut wrong = good.clone();
             wrong[4..8].copy_from_slice(&v.to_le_bytes());
             assert!(decode(&wrong).is_none(), "version {v} refused");

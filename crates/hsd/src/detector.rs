@@ -21,7 +21,7 @@
 //! exists precisely to tolerate these artifacts.
 
 use crate::signature::DetectionHistory;
-use vp_exec::{col, ColumnBatch, Retired, Sink};
+use vp_exec::{col, ColEvent, Sink};
 use vp_trace::Counter;
 
 /// Hot spots snapshotted into records.
@@ -390,40 +390,12 @@ impl HotSpotDetector {
 }
 
 impl Sink for HotSpotDetector {
-    fn retire(&mut self, r: &Retired) {
-        if let Some(c) = &r.ctrl {
-            if c.is_cond {
-                self.observe(r.addr, c.arch_taken);
-            }
-        }
-    }
-
-    fn retire_batch(&mut self, batch: &[Retired]) {
+    #[inline]
+    fn retire(&mut self, e: ColEvent) {
         // The detector only looks at conditional branches (~1 in 5 events
-        // on the SPEC-like workloads); filtering the chunk here keeps the
-        // skip path a straight-line scan with `observe` inlined once.
-        for r in batch {
-            if let Some(c) = &r.ctrl {
-                if c.is_cond {
-                    self.observe(r.addr, c.arch_taken);
-                }
-            }
-        }
-    }
-
-    fn wants_columns(&self) -> bool {
-        true
-    }
-
-    fn retire_columns(&mut self, b: &ColumnBatch<'_>) {
-        // Pre-filtered column pass: the skip path for the ~4-in-5
-        // non-branch events is a single byte test over the flat flag
-        // column — no `Option<Ctrl>` chase through 120-byte records.
-        for i in 0..b.len() {
-            let f = b.flags[i];
-            if f & col::COND != 0 {
-                self.observe(b.addr[i], f & col::ARCH_TAKEN != 0);
-            }
+        // on the SPEC-like workloads): the skip path is one flag-byte test.
+        if e.flags & col::COND != 0 {
+            self.observe(e.addr, e.flags & col::ARCH_TAKEN != 0);
         }
     }
 }

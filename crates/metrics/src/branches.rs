@@ -1,6 +1,6 @@
 //! Per-branch dynamic profiling sink (ground truth for Figure 9).
 
-use vp_exec::{FxHashMap, Retired, Sink};
+use vp_exec::{col, ColEvent, FxHashMap, Sink};
 
 /// Exact per-static-branch dynamic counts, keyed by branch address — the
 /// oracle the hardware profiler approximates.
@@ -42,47 +42,37 @@ impl BranchCounts {
     }
 }
 
-impl Sink for BranchCounts {
-    fn retire(&mut self, r: &Retired) {
-        if let Some(c) = &r.ctrl {
-            if c.is_cond {
-                let e = self.map.entry(r.addr).or_insert((0, 0));
-                e.0 += 1;
-                if c.arch_taken {
-                    e.1 += 1;
-                }
-                self.total += 1;
-            }
-        }
+impl BranchCounts {
+    /// Counts one execution of the conditional branch at `addr`. Kept out
+    /// of line so the inlined [`Sink::retire`] filter stays small in the
+    /// loops it is inlined into.
+    #[inline(never)]
+    fn count(&mut self, addr: u64, taken: bool) {
+        let c = self.map.entry(addr).or_insert((0, 0));
+        c.0 += 1;
+        c.1 += u64::from(taken);
+        self.total += 1;
     }
+}
 
-    fn retire_batch(&mut self, batch: &[Retired]) {
-        // Accumulate the total in a register across the chunk; the map
-        // update (the expensive part) only runs for conditional branches.
-        let mut total = 0u64;
-        for r in batch {
-            if let Some(c) = &r.ctrl {
-                if c.is_cond {
-                    let e = self.map.entry(r.addr).or_insert((0, 0));
-                    e.0 += 1;
-                    e.1 += u64::from(c.arch_taken);
-                    total += 1;
-                }
-            }
+impl Sink for BranchCounts {
+    #[inline]
+    fn retire(&mut self, e: ColEvent) {
+        if e.flags & col::COND != 0 {
+            self.count(e.addr, e.flags & col::ARCH_TAKEN != 0);
         }
-        self.total += total;
     }
 }
 
 /// Test-only event constructors shared by this crate's unit tests.
 #[cfg(test)]
 pub mod tests_support {
-    use vp_exec::{Ctrl, Retired};
+    use vp_exec::{col, ColEvent, Ctrl, Retired};
     use vp_isa::{CodeRef, FuClass};
 
     /// A retired conditional branch at `addr`.
-    pub fn branch_event(addr: u64, taken: bool) -> Retired {
-        Retired {
+    pub fn branch_event(addr: u64, taken: bool) -> ColEvent {
+        col::event(&Retired {
             loc: CodeRef::new(0, 0),
             addr,
             fu: FuClass::Branch,
@@ -102,14 +92,14 @@ pub mod tests_support {
                 ret_addr: 0,
             }),
             in_package: false,
-        }
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vp_exec::Ctrl;
+    use vp_exec::{Ctrl, Retired};
     use vp_isa::{CodeRef, FuClass};
 
     fn branch_event(addr: u64, taken: bool) -> Retired {
@@ -139,9 +129,9 @@ mod tests {
     #[test]
     fn counts_per_branch() {
         let mut bc = BranchCounts::new();
-        bc.retire(&branch_event(0x10, true));
-        bc.retire(&branch_event(0x10, false));
-        bc.retire(&branch_event(0x20, true));
+        bc.retire(col::event(&branch_event(0x10, true)));
+        bc.retire(col::event(&branch_event(0x10, false)));
+        bc.retire(col::event(&branch_event(0x20, true)));
         assert_eq!(bc.exec(0x10), 2);
         assert_eq!(bc.taken(0x10), 1);
         assert_eq!(bc.total(), 3);
@@ -153,7 +143,7 @@ mod tests {
         let mut bc = BranchCounts::new();
         let mut ev = branch_event(0x10, true);
         ev.ctrl = None;
-        bc.retire(&ev);
+        bc.retire(col::event(&ev));
         assert_eq!(bc.total(), 0);
     }
 }

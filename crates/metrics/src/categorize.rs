@@ -176,7 +176,7 @@ mod tests {
         let mut bc = BranchCounts::new();
         for &(addr, execs) in entries {
             for i in 0..execs {
-                bc.retire(&crate::branches::tests_support::branch_event(
+                bc.retire(crate::branches::tests_support::branch_event(
                     addr,
                     i % 2 == 0,
                 ));

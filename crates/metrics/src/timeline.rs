@@ -9,7 +9,7 @@
 //! the retired-branch axis. Both views come from replaying captures, so
 //! rendering a timeline never re-executes a workload.
 
-use vp_exec::{CapturedTrace, IdentityMap, Retired, Sink};
+use vp_exec::{CapturedTrace, ColEvent, IdentityMap, Sink};
 use vp_hsd::{assign_phases, FilterConfig, HotSpotDetector, HsdConfig};
 
 /// One maximal run of consecutive retired events with the same package
@@ -90,8 +90,8 @@ impl ResidencySink {
 }
 
 impl Sink for ResidencySink {
-    fn retire(&mut self, r: &Retired) {
-        let package = self.map.lookup(r.loc).map(|id| id.package);
+    fn retire(&mut self, e: ColEvent) {
+        let package = self.map.lookup(e.loc).map(|id| id.package);
         if package != self.cur {
             if self.events > self.cur_start {
                 self.intervals.push(ResidencyInterval {
@@ -144,20 +144,16 @@ pub fn phase_timeline(
 mod tests {
     use super::*;
     use vp_exec::BlockIdentity;
-    use vp_isa::{CodeRef, FuClass, FuncId};
+    use vp_isa::{CodeRef, FuncId};
 
-    fn retired(loc: CodeRef) -> Retired {
-        Retired {
-            loc,
+    fn retired(loc: CodeRef) -> ColEvent {
+        ColEvent {
+            flags: 0,
             addr: 0,
-            fu: FuClass::IntAlu,
-            latency: 1,
-            def: None,
-            uses: [None; 3],
-            mem_addr: None,
-            is_store: false,
-            ctrl: None,
-            in_package: false,
+            exec: 0,
+            mem: 0,
+            target: 0,
+            loc,
         }
     }
 
@@ -189,7 +185,7 @@ mod tests {
         // function 9 is original code.
         let mut sink = ResidencySink::new(map_with(&[(0, 0), (1, 1)]));
         for loc in [a, a, a, out, out, b, b, a] {
-            sink.retire(&retired(loc));
+            sink.retire(retired(loc));
         }
         let intervals = sink.finish();
         assert_eq!(

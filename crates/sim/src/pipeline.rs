@@ -23,9 +23,8 @@
 use crate::cache::Cache;
 use crate::config::MachineConfig;
 use crate::predictor::{Btb, Gshare, Ras};
-use vp_exec::{col, CapturedTrace, ColumnBatch, Retired, Sink};
+use vp_exec::{col, CapturedTrace, ColEvent, FnSink, Sink};
 use vp_isa::reg::NUM_REGS;
-use vp_isa::FuClass;
 
 // Issue-bandwidth bookkeeping. Issue is in-order: every candidate issue
 // cycle is clamped to at least `last_issue` (it participates in the
@@ -40,15 +39,6 @@ use vp_isa::FuClass;
 const LANE_ISSUED: u32 = 0;
 /// Byte lane base of the per-FU-class counts (class `k` is lane `1 + k`).
 const LANE_FU: u32 = 8;
-
-fn fu_index(c: FuClass) -> usize {
-    match c {
-        FuClass::IntAlu => 0,
-        FuClass::Fp => 1,
-        FuClass::Mem => 2,
-        FuClass::Branch => 3,
-    }
-}
 
 /// Aggregate timing statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -216,15 +206,6 @@ impl TimingModel {
         );
     }
 
-    fn units(&self, c: FuClass) -> u32 {
-        match c {
-            FuClass::IntAlu => self.cfg.int_alu_units,
-            FuClass::Fp => self.cfg.fp_units,
-            FuClass::Mem => self.cfg.mem_units,
-            FuClass::Branch => self.cfg.branch_units,
-        }
-    }
-
     /// Extra latency of a data access through L1D → L2 → memory.
     fn daccess(&mut self, addr: u64) -> u32 {
         self.stats.dcache_accesses += 1;
@@ -261,224 +242,46 @@ impl TimingModel {
 }
 
 impl Sink for TimingModel {
-    fn retire(&mut self, r: &Retired) {
+    /// Retires one event through [`TimingModel::fused_step`]. Loads and
+    /// stores the hoisted pipeline state around the one step; a whole
+    /// trace replays through [`TimingModel::replay_trace`], which hoists
+    /// it once.
+    fn retire(&mut self, e: ColEvent) {
+        let k = self.fused_consts();
+        let mut st = self.fused_enter();
+        self.fused_step(&k, &mut st, e);
+        self.fused_exit(&st);
         self.stats.retired += 1;
-        self.retire_one(r);
-    }
-
-    fn retire_batch(&mut self, batch: &[Retired]) {
-        // One retired-count update per chunk; `retire_one` stays inlined in
-        // this loop, so the pipeline state it threads (fetch group,
-        // register scoreboard, issue-ring cursor, predictor tables) is kept
-        // hot across consecutive events instead of being re-dispatched per
-        // event through the sink boundary.
-        self.stats.retired += batch.len() as u64;
-        for r in batch {
-            self.retire_one(r);
-        }
-    }
-
-    fn wants_columns(&self) -> bool {
-        true
-    }
-
-    fn retire_columns(&mut self, b: &ColumnBatch<'_>) {
-        self.retire_columns_fused(b);
     }
 }
 
 impl TimingModel {
-    /// Retires one instruction through the model, excluding the
-    /// `stats.retired` bump (done by the [`Sink`] wrappers so the batched
-    /// path can hoist it out of the loop).
-    #[inline]
-    fn retire_one(&mut self, r: &Retired) {
-        // --- fetch ---
-        if self.fetch_left == 0 {
-            self.fetch_cycle += 1;
-            self.fetch_left = self.cfg.issue_width;
-        }
-        let line = r.addr / self.cfg.line_bytes as u64;
-        if line != self.last_line {
-            let extra = self.iaccess(r.addr);
-            self.fetch_cycle += extra as u64;
-            self.last_line = line;
-        }
-        self.fetch_left -= 1;
-
-        // --- issue ---
-        let mut t = self.fetch_cycle + self.cfg.front_depth as u64;
-        t = t.max(self.last_issue);
-        for u in r.uses.iter().flatten() {
-            t = t.max(self.reg_ready[u.index()]);
-        }
-        let fu = fu_index(r.fu);
-        let fu_lane = LANE_FU + 8 * fu as u32;
-        let issue_width = u64::from(self.cfg.issue_width);
-        let unit_cap = u64::from(self.units(r.fu));
-        // `t >= last_issue` (it is in the max chain above), so the only
-        // cycle with prior issue usage is `last_issue` itself; any later
-        // cycle starts with fresh bandwidth.
-        let mut counts = if t == self.last_issue {
-            self.issue_counts
-        } else {
-            0
-        };
-        while counts >> LANE_ISSUED & 0xff >= issue_width || counts >> fu_lane & 0xff >= unit_cap {
-            t += 1;
-            counts = 0;
-        }
-        self.issue_counts = counts + ((1 << LANE_ISSUED) | (1 << fu_lane));
-        self.last_issue = t;
-
-        // --- execute / writeback ---
-        let mut latency = r.latency;
-        if let Some(addr) = r.mem_addr {
-            let extra = self.daccess(addr);
-            if !r.is_store {
-                latency += extra;
-            }
-            // Stores retire through the store buffer without stalling
-            // dependents.
-        }
-        if let Some(d) = r.def {
-            self.reg_ready[d.index()] = t + latency as u64;
-        }
-
-        // --- control ---
-        if let Some(c) = &r.ctrl {
-            let mut mispredict = false;
-            if c.is_cond {
-                self.stats.cond_branches += 1;
-                let pred = self.gshare.predict(r.addr);
-                if pred != c.taken {
-                    mispredict = true;
-                } else if c.taken && self.btb.lookup(r.addr) != Some(c.target) {
-                    // Correct direction but no target available in time.
-                    mispredict = true;
-                }
-                self.gshare.update(r.addr, c.taken);
-                if c.taken {
-                    self.btb.update(r.addr, c.target);
-                }
-            } else if c.is_ret {
-                self.stats.returns += 1;
-                if self.ras.pop() != Some(c.target) {
-                    mispredict = true;
-                }
-            } else if c.is_call {
-                self.ras.push(c.ret_addr);
-            }
-            // Direct jumps and calls redirect fetch without penalty (their
-            // targets are available at decode).
-
-            if mispredict {
-                self.stats.mispredicts += 1;
-                if self.cfg.wrong_path_fetch {
-                    // Pollute the I-cache down the wrong path until
-                    // resolution: one sequential line per fetch cycle.
-                    let wrong = if c.taken { r.addr + 4 } else { c.target };
-                    for i in 0..self.cfg.branch_resolution as u64 {
-                        self.iaccess(wrong + i * self.cfg.line_bytes as u64);
-                    }
-                    // Those touches are speculative fetches, not demand
-                    // misses of committed code.
-                    self.stats.icache_misses = self
-                        .stats
-                        .icache_misses
-                        .saturating_sub(self.cfg.branch_resolution as u64);
-                    self.stats.icache_accesses = self
-                        .stats
-                        .icache_accesses
-                        .saturating_sub(self.cfg.branch_resolution as u64);
-                }
-                self.fetch_cycle = t + self.cfg.branch_resolution as u64;
-                self.fetch_left = self.cfg.issue_width;
-                self.last_line = u64::MAX;
-            } else if c.taken {
-                self.stats.taken_redirects += 1;
-                // A taken transfer ends the fetch group.
-                self.fetch_left = 0;
-            }
-        }
-    }
-
-    /// The fused column kernel behind [`Sink::retire_columns`].
+    /// Replays `trace` through the model, with the per-event pipeline
+    /// state hoisted into locals for the whole replay.
     ///
-    /// Observationally identical to running [`TimingModel::retire_one`]
-    /// over the chunk (the equivalence is pinned by tests across every
-    /// suite workload), restructured for throughput the same way the
-    /// replay decoder was:
-    ///
-    /// * the per-event fetch/issue state (fetch cycle and group budget,
-    ///   current I-line, last issue cycle) lives in locals for the chunk
-    ///   and is written back once;
-    /// * the register scoreboard is a local array with two sentinel slots,
-    ///   so absent sources read an always-zero entry and absent
-    ///   destinations write a scratch entry — no `Option` tests in the
-    ///   issue math;
-    /// * events are read from the flat [`ColumnBatch`] columns (one byte
-    ///   of flags plus four words) instead of the 120-byte `Retired`
-    ///   record with its `Option<Ctrl>` indirection;
-    /// * the I-line index uses a shift when the line size is a power of
-    ///   two, and the gshare predict/update pair is fused into one
-    ///   branch-free table walk ([`Gshare::predict_update`]).
-    fn retire_columns_fused(&mut self, b: &ColumnBatch<'_>) {
-        let n = b.len();
-        self.stats.retired += n as u64;
-        let k = self.fused_consts();
-        let mut st = self.fused_enter();
-
-        // Re-slicing every column to the common batch length proves the
-        // per-event loads in range, so the loop body compiles with no
-        // bounds checks on any of the five columns.
-        let col_flags = &b.flags[..n];
-        let col_addr = &b.addr[..n];
-        let col_exec = &b.exec[..n];
-        let col_mem = &b.mem[..n];
-        let col_tgt = &b.target[..n];
-        for i in 0..n {
-            self.fused_step(
-                &k,
-                &mut st,
-                col_flags[i],
-                col_addr[i],
-                col_exec[i],
-                col_mem[i],
-                col_tgt[i],
-            );
-        }
-        self.fused_exit(&st);
-    }
-
-    /// Replays `trace` through the model by fusing the stream decode with
-    /// the timing step in a single loop ([`CapturedTrace::replay_events_with`]).
-    ///
-    /// This is the fastest replay path for a bare timing model — the
-    /// decode's serial dependency chain (stream cursor, slot index, memory
-    /// anchor) and the model's (fetch cycle, issue cursor, scoreboard)
-    /// are independent per event, so fusing them into one loop lets the
-    /// host overlap the two chains instead of paying them additively
-    /// across alternating decode/sim chunk loops; the column values also
-    /// flow through registers rather than a scratch-column round trip.
-    /// Observationally identical to [`CapturedTrace::replay`] into the
-    /// model (pinned by tests); use the generic [`Sink`] path when the
-    /// model is composed with other sinks.
+    /// [`CapturedTrace::replay`] fuses the stream decode with
+    /// [`TimingModel::fused_step`] into one loop: the decode's serial
+    /// dependency chain (stream cursor, slot index, memory anchor) and the
+    /// model's (fetch cycle, issue cursor, scoreboard) are independent per
+    /// event, so the host overlaps the two chains. Observationally
+    /// identical to replaying into the model as a [`Sink`] (pinned by
+    /// tests); use the [`Sink`] path when the model is composed with other
+    /// sinks.
     pub fn replay_trace(&mut self, trace: &CapturedTrace) -> vp_exec::RunStats {
         let k = self.fused_consts();
         let mut st = self.fused_enter();
         let mut retired = 0u64;
-        let stats = trace.replay_events_with(|e| {
+        let stats = trace.replay(&mut FnSink(|e| {
             retired += 1;
-            self.fused_step(&k, &mut st, e.flags, e.addr, e.exec, e.mem, e.target);
-        });
+            self.fused_step(&k, &mut st, e);
+        }));
         self.stats.retired += retired;
         self.fused_exit(&st);
         stats
     }
 
-    /// Hoists the config-derived constants the fused kernels read per
-    /// event.
+    /// Hoists the config-derived constants [`TimingModel::fused_step`]
+    /// reads per event.
     fn fused_consts(&self) -> FusedConsts {
         let line_bytes = self.cfg.line_bytes as u64;
         FusedConsts {
@@ -501,7 +304,7 @@ impl TimingModel {
     }
 
     /// Copies the model's per-event pipeline state into the hoisted form
-    /// the fused kernels thread through registers.
+    /// [`TimingModel::fused_step`] threads through registers.
     fn fused_enter(&self) -> FusedState {
         // Local scoreboard with the two sentinel slots the exec-word
         // encoding points absent operands at: `col::USE_NONE` stays zero
@@ -535,21 +338,31 @@ impl TimingModel {
         self.stats.taken_redirects += st.taken_redirects;
     }
 
-    /// One event through the fused pipeline model: the exact operation
-    /// sequence of [`TimingModel::retire_one`], reading the column
-    /// encoding and threading the hoisted state.
+    /// One event through the pipeline model, excluding the
+    /// `stats.retired` bump (hoisted by the callers).
+    ///
+    /// Reads the [`ColEvent`] encoding and threads the hoisted state:
+    ///
+    /// * the per-event fetch/issue state (fetch cycle and group budget,
+    ///   current I-line, last issue cycle) lives in [`FusedState`];
+    /// * the register scoreboard carries two sentinel slots, so absent
+    ///   sources read an always-zero entry and absent destinations write
+    ///   a scratch entry — no `Option` tests in the issue math;
+    /// * the I-line index uses a shift when the line size is a power of
+    ///   two, and the gshare predict/update pair is fused into one
+    ///   branch-free table walk ([`Gshare::predict_update`]).
+    ///
+    /// The test-only struct-path reference `retire_one` pins it.
     #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    fn fused_step(
-        &mut self,
-        k: &FusedConsts,
-        st: &mut FusedState,
-        flags: u8,
-        addr: u64,
-        exec: u64,
-        mem: u64,
-        target: u64,
-    ) {
+    fn fused_step(&mut self, k: &FusedConsts, st: &mut FusedState, e: ColEvent) {
+        let ColEvent {
+            flags,
+            addr,
+            exec,
+            mem,
+            target,
+            ..
+        } = e;
         // --- fetch ---
         if st.fetch_left == 0 {
             st.fetch_cycle += 1;
@@ -624,8 +437,8 @@ impl TimingModel {
                     mispredict = true;
                 }
             } else if flags & col::CALL != 0 {
-                // For calls the target column carries the RAS return
-                // address (see the `ColumnBatch` docs).
+                // For calls the target field carries the RAS return
+                // address (see [`ColEvent::target`]).
                 self.ras.push(target);
             }
 
@@ -656,7 +469,7 @@ impl TimingModel {
     }
 }
 
-/// Config-derived constants hoisted once per fused replay or chunk.
+/// Config-derived constants hoisted once per replay.
 #[derive(Clone, Copy)]
 struct FusedConsts {
     issue_width: u32,
@@ -670,7 +483,7 @@ struct FusedConsts {
 }
 
 /// The per-event pipeline state of [`TimingModel`], hoisted into a stack
-/// value for the duration of a fused replay or chunk so the step kernel
+/// value for the duration of a replay so the step kernel
 /// threads it through registers; [`TimingModel::fused_exit`] writes it
 /// back. The hot branch counters accumulate here and flush to the stats
 /// block once per replay.
@@ -689,7 +502,8 @@ struct FusedState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vp_isa::{CodeRef, Reg};
+    use vp_exec::Retired;
+    use vp_isa::{CodeRef, FuClass, Reg};
 
     fn inst(
         addr: u64,
@@ -716,13 +530,13 @@ mod tests {
     fn independent_alu_ops_bounded_by_unit_count() {
         let mut tm = TimingModel::new(MachineConfig::table2());
         for i in 0..1000u64 {
-            tm.retire(&inst(
+            tm.retire(col::event(&inst(
                 0x1000 + 4 * (i % 16),
                 FuClass::IntAlu,
                 Some(Reg::int(20)),
                 [None; 3],
                 1,
-            ));
+            )));
         }
         // 5 integer ALUs: ~200 cycles, plus the cold-start I-cache miss
         // (L1I + L2 both miss once) and pipeline fill.
@@ -735,13 +549,13 @@ mod tests {
         let mut tm = TimingModel::new(MachineConfig::table2());
         let r = Reg::int(20);
         for i in 0..1000u64 {
-            tm.retire(&inst(
+            tm.retire(col::event(&inst(
                 0x1000 + 4 * (i % 16),
                 FuClass::IntAlu,
                 Some(r),
                 [Some(r), None, None],
                 1,
-            ));
+            )));
         }
         let c = tm.cycles();
         assert!(
@@ -758,19 +572,19 @@ mod tests {
         // Warm the hit model's cache.
         let mut warm = inst(0x1000, FuClass::Mem, Some(Reg::int(20)), [None; 3], 2);
         warm.mem_addr = Some(0x9000);
-        hit.retire(&warm);
+        hit.retire(col::event(&warm));
         for tm in [&mut hit, &mut miss] {
             let mut ld = inst(0x1010, FuClass::Mem, Some(Reg::int(21)), [None; 3], 2);
             ld.mem_addr = Some(0x9000);
-            tm.retire(&ld);
+            tm.retire(col::event(&ld));
             // Dependent consumer.
-            tm.retire(&inst(
+            tm.retire(col::event(&inst(
                 0x1014,
                 FuClass::IntAlu,
                 Some(Reg::int(22)),
                 [Some(Reg::int(21)), None, None],
                 1,
-            ));
+            )));
         }
         assert!(
             miss.cycles() > hit.cycles(),
@@ -798,14 +612,14 @@ mod tests {
                     target: if taken { 0x2000 } else { 0x1004 },
                     ret_addr: 0,
                 });
-                tm.retire(&br);
-                tm.retire(&inst(
+                tm.retire(col::event(&br));
+                tm.retire(col::event(&inst(
                     if taken { 0x2000 } else { 0x1004 },
                     FuClass::IntAlu,
                     None,
                     [None; 3],
                     1,
-                ));
+                )));
             }
             tm
         };
@@ -837,21 +651,21 @@ mod tests {
         let mut tiny_loop = TimingModel::new(cfg);
         let mut huge_stride = TimingModel::new(cfg);
         for i in 0..2000u64 {
-            tiny_loop.retire(&inst(
+            tiny_loop.retire(col::event(&inst(
                 0x1000 + 4 * (i % 8),
                 FuClass::IntAlu,
                 None,
                 [None; 3],
                 1,
-            ));
+            )));
             // Stride exceeding L1I capacity: every line misses.
-            huge_stride.retire(&inst(
+            huge_stride.retire(col::event(&inst(
                 0x1000 + 4096 * i,
                 FuClass::IntAlu,
                 None,
                 [None; 3],
                 1,
-            ));
+            )));
         }
         assert!(huge_stride.stats().icache_misses > 1900);
         assert!(huge_stride.cycles() > tiny_loop.cycles() * 5);
@@ -861,7 +675,13 @@ mod tests {
     fn stats_count_retirements() {
         let mut tm = TimingModel::new(MachineConfig::table2());
         for i in 0..10 {
-            tm.retire(&inst(0x1000 + 4 * i, FuClass::IntAlu, None, [None; 3], 1));
+            tm.retire(col::event(&inst(
+                0x1000 + 4 * i,
+                FuClass::IntAlu,
+                None,
+                [None; 3],
+                1,
+            )));
         }
         assert_eq!(tm.stats().retired, 10);
         assert!(tm.ipc() > 0.0);
@@ -910,5 +730,192 @@ mod ras_tests {
             "RAS should predict returns: {} mispredicts",
             tm.stats().mispredicts
         );
+    }
+}
+
+/// The struct-path reference model: the pipeline written directly over
+/// the interpreter's [`Retired`] form, with none of the column encoding
+/// or state hoisting of [`TimingModel::fused_step`]. Test-only; it pins
+/// the one production kernel.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use vp_exec::{Executor, Retired, RunConfig};
+    use vp_hsd::{HotSpotDetector, HsdConfig};
+    use vp_isa::FuClass;
+    use vp_program::Layout;
+    use vp_workloads::suite;
+
+    impl TimingModel {
+        fn units(&self, c: FuClass) -> u32 {
+            match c {
+                FuClass::IntAlu => self.cfg.int_alu_units,
+                FuClass::Fp => self.cfg.fp_units,
+                FuClass::Mem => self.cfg.mem_units,
+                FuClass::Branch => self.cfg.branch_units,
+            }
+        }
+
+        /// Retires one instruction through the model.
+        fn retire_one(&mut self, r: &Retired) {
+            self.stats.retired += 1;
+            // --- fetch ---
+            if self.fetch_left == 0 {
+                self.fetch_cycle += 1;
+                self.fetch_left = self.cfg.issue_width;
+            }
+            let line = r.addr / self.cfg.line_bytes as u64;
+            if line != self.last_line {
+                let extra = self.iaccess(r.addr);
+                self.fetch_cycle += extra as u64;
+                self.last_line = line;
+            }
+            self.fetch_left -= 1;
+
+            // --- issue ---
+            let mut t = self.fetch_cycle + self.cfg.front_depth as u64;
+            t = t.max(self.last_issue);
+            for u in r.uses.iter().flatten() {
+                t = t.max(self.reg_ready[u.index()]);
+            }
+            let fu = col::fu_index(r.fu);
+            let fu_lane = LANE_FU + 8 * fu as u32;
+            let issue_width = u64::from(self.cfg.issue_width);
+            let unit_cap = u64::from(self.units(r.fu));
+            // `t >= last_issue` (it is in the max chain above), so the only
+            // cycle with prior issue usage is `last_issue` itself; any later
+            // cycle starts with fresh bandwidth.
+            let mut counts = if t == self.last_issue {
+                self.issue_counts
+            } else {
+                0
+            };
+            while counts >> LANE_ISSUED & 0xff >= issue_width
+                || counts >> fu_lane & 0xff >= unit_cap
+            {
+                t += 1;
+                counts = 0;
+            }
+            self.issue_counts = counts + ((1 << LANE_ISSUED) | (1 << fu_lane));
+            self.last_issue = t;
+
+            // --- execute / writeback ---
+            let mut latency = r.latency;
+            if let Some(addr) = r.mem_addr {
+                let extra = self.daccess(addr);
+                if !r.is_store {
+                    latency += extra;
+                }
+                // Stores retire through the store buffer without stalling
+                // dependents.
+            }
+            if let Some(d) = r.def {
+                self.reg_ready[d.index()] = t + latency as u64;
+            }
+
+            // --- control ---
+            if let Some(c) = &r.ctrl {
+                let mut mispredict = false;
+                if c.is_cond {
+                    self.stats.cond_branches += 1;
+                    let pred = self.gshare.predict(r.addr);
+                    if pred != c.taken {
+                        mispredict = true;
+                    } else if c.taken && self.btb.lookup(r.addr) != Some(c.target) {
+                        // Correct direction but no target available in time.
+                        mispredict = true;
+                    }
+                    self.gshare.update(r.addr, c.taken);
+                    if c.taken {
+                        self.btb.update(r.addr, c.target);
+                    }
+                } else if c.is_ret {
+                    self.stats.returns += 1;
+                    if self.ras.pop() != Some(c.target) {
+                        mispredict = true;
+                    }
+                } else if c.is_call {
+                    self.ras.push(c.ret_addr);
+                }
+                // Direct jumps and calls redirect fetch without penalty (their
+                // targets are available at decode).
+
+                if mispredict {
+                    self.stats.mispredicts += 1;
+                    if self.cfg.wrong_path_fetch {
+                        // Pollute the I-cache down the wrong path until
+                        // resolution: one sequential line per fetch cycle.
+                        let wrong = if c.taken { r.addr + 4 } else { c.target };
+                        for i in 0..self.cfg.branch_resolution as u64 {
+                            self.iaccess(wrong + i * self.cfg.line_bytes as u64);
+                        }
+                        // Those touches are speculative fetches, not demand
+                        // misses of committed code.
+                        self.stats.icache_misses = self
+                            .stats
+                            .icache_misses
+                            .saturating_sub(self.cfg.branch_resolution as u64);
+                        self.stats.icache_accesses = self
+                            .stats
+                            .icache_accesses
+                            .saturating_sub(self.cfg.branch_resolution as u64);
+                    }
+                    self.fetch_cycle = t + self.cfg.branch_resolution as u64;
+                    self.fetch_left = self.cfg.issue_width;
+                    self.last_line = u64::MAX;
+                } else if c.taken {
+                    self.stats.taken_redirects += 1;
+                    // A taken transfer ends the fetch group.
+                    self.fetch_left = 0;
+                }
+            }
+        }
+    }
+
+    /// The fused kernel — replayed from a capture and driven live as a
+    /// [`Sink`] — against the struct-path reference fed by live
+    /// execution: bit-identical [`TimingStats`] and cycles on every
+    /// workload of the Table 1 suite. The hot-spot detector's column
+    /// `retire` is held to the same standard against `observe` on the
+    /// struct form.
+    #[test]
+    fn all_sim_replay_paths_are_bit_identical_across_the_suite() {
+        let machine = MachineConfig::table2();
+        let workloads = suite(1);
+        assert!(workloads.len() >= 12, "Table 1 suite");
+        for w in &workloads {
+            let layout = Layout::natural(&w.program);
+            let cfg = RunConfig::default();
+            let label = w.label();
+
+            let mut reference = TimingModel::new(machine);
+            let mut hsd_reference = HotSpotDetector::new(HsdConfig::default());
+            Executor::new(&w.program, &layout)
+                .run_with(&cfg, |r| {
+                    reference.retire_one(r);
+                    if let Some(c) = r.ctrl.filter(|c| c.is_cond) {
+                        hsd_reference.observe(r.addr, c.arch_taken);
+                    }
+                })
+                .expect("reference run");
+
+            let mut live = TimingModel::new(machine);
+            let trace =
+                CapturedTrace::capture_with(&w.program, &layout, &cfg, &mut live).expect("capture");
+            let mut fused = TimingModel::new(machine);
+            fused.replay_trace(&trace);
+            let mut hsd = HotSpotDetector::new(HsdConfig::default());
+            trace.replay(&mut hsd);
+
+            for (path, model) in [("live sink", &live), ("replay_trace", &fused)] {
+                assert_eq!(reference.stats(), model.stats(), "{label}: {path} stats");
+                assert_eq!(reference.cycles(), model.cycles(), "{label}: {path} cycles");
+            }
+            assert_eq!(
+                hsd_reference.records(),
+                hsd.records(),
+                "{label}: HSD column path diverged from struct path"
+            );
+        }
     }
 }

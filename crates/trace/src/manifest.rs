@@ -167,17 +167,14 @@ impl Manifest {
     }
 }
 
-/// Parses one JSONL line as a `vp-manifest/2` (or legacy `/1`) manifest
-/// object.
+/// Parses one JSONL line as a `vp-manifest/2` manifest object.
 ///
 /// This is the read side of [`Manifest::render`]: shard-merge tooling uses
 /// it to join the per-shard manifests of a sharded sweep back into one
 /// report, and `manifest-diff` uses it to load both sides of a
-/// comparison. Manifests written before the `/2` bump (no `duration_ms`,
-/// `seq`, `span_tree`, or `flight` fields) still parse — readers treat
-/// those fields as optional. Non-manifest lines (other `t` values,
-/// unknown schemas) and malformed JSON are rejected with a descriptive
-/// message.
+/// comparison. Non-manifest lines (other `t` values), any other schema
+/// (including the pre-`/2` `vp-manifest/1`, which nothing writes any
+/// more) and malformed JSON are rejected with a descriptive message.
 ///
 /// ```
 /// let mut m = vp_trace::Manifest::new("sweep");
@@ -197,7 +194,7 @@ pub fn parse_manifest_line(line: &str) -> Result<Json, String> {
         None => return Err("not a manifest line (missing \"t\")".to_string()),
     }
     match j.get("schema").and_then(Json::as_str) {
-        Some("vp-manifest/1" | "vp-manifest/2") => Ok(j),
+        Some("vp-manifest/2") => Ok(j),
         Some(other) => Err(format!("unsupported manifest schema {other:?}")),
         None => Err("manifest line missing \"schema\"".to_string()),
     }
@@ -248,15 +245,10 @@ mod tests {
     }
 
     #[test]
-    fn parse_manifest_line_accepts_legacy_v1() {
-        // A pre-bump manifest: no duration_ms/seq/span_tree/flight fields.
-        let legacy = r#"{"t":"manifest","schema":"vp-manifest/1","bin":"sweep","shard":"0/2","tables":[{"name":"cells","headers":["workload"],"rows":[["gzip"]]}]}"#;
-        let j = parse_manifest_line(legacy).unwrap();
-        assert_eq!(j.get("bin").and_then(Json::as_str), Some("sweep"));
-        assert!(j.get("duration_ms").is_none());
-        assert!(j.get("flight").is_none());
-        let tables = j.get("tables").and_then(Json::as_arr).unwrap();
-        assert_eq!(tables[0].get("name").and_then(Json::as_str), Some("cells"));
+    fn parse_manifest_line_refuses_legacy_v1() {
+        let legacy = r#"{"t":"manifest","schema":"vp-manifest/1","bin":"sweep","shard":"0/2"}"#;
+        let err = parse_manifest_line(legacy).unwrap_err();
+        assert!(err.contains("unsupported manifest schema"), "{err}");
     }
 
     #[test]

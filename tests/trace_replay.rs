@@ -364,68 +364,60 @@ fn large_store_serves_second_sweep_from_cache() {
     assert_eq!(report.counter("trace_store.evictions"), 0);
 }
 
-/// For three real workloads, the batched replay kernel must deliver the
-/// *byte-identical* event sequence of the per-event decoder at every
-/// chunking — the degenerate `VP_REPLAY_BATCH=1` shape, a non-divisor
-/// chunk size that straddles chunk boundaries on every workload, and the
-/// default — and through both batched and per-event sink plumbing.
+/// Live execution is the decode reference: for every workload of the
+/// Table 1 suite, a live [`Executor`] run and `capture` + `replay` hand a
+/// sink the same `ColEvent` sequence — every field, `loc` included — and
+/// the same `RunStats`. The two streams are compared in lockstep (live
+/// events cross a bounded channel in chunks), so memory stays O(chunk)
+/// and a mismatch reports the first diverging event.
 #[test]
-fn batched_replay_is_bit_exact_on_real_workloads() {
-    use vacuum_packing::exec::Retired;
+fn replay_hands_sinks_the_live_event_stream_across_the_suite() {
+    use std::sync::mpsc::sync_channel;
+    use vacuum_packing::exec::{ColEvent, FnSink};
 
-    /// Records every event verbatim, via whichever sink path the kernel
-    /// picks (the default `retire_batch` forwards to `retire`).
-    #[derive(Default)]
-    struct Collect(Vec<Retired>);
-    impl Sink for Collect {
-        fn retire(&mut self, r: &Retired) {
-            self.0.push(*r);
-        }
-    }
-    /// Same, but through an explicit batch override: catches kernels that
-    /// hand the sink a chunk slice inconsistent with the event-wise path.
-    #[derive(Default)]
-    struct CollectBatched(Vec<Retired>);
-    impl Sink for CollectBatched {
-        fn retire(&mut self, r: &Retired) {
-            self.0.push(*r);
-        }
-        fn retire_batch(&mut self, batch: &[Retired]) {
-            self.0.extend_from_slice(batch);
-        }
-    }
-
+    const CHUNK: usize = 4096;
     let cfg = RunConfig::default();
-    for (name, program) in three_workloads() {
-        let layout = Layout::natural(&program);
-        let capture = CapturedTrace::capture(&program, &layout, &cfg)
-            .unwrap_or_else(|e| panic!("{name}: capture failed: {e}"));
+    let workloads = suite(1);
+    assert!(workloads.len() >= 12, "Table 1 suite");
+    for w in &workloads {
+        let label = w.label();
+        let (program, layout) = (&w.program, &Layout::natural(&w.program));
+        let capture = CapturedTrace::capture(program, layout, &cfg)
+            .unwrap_or_else(|e| panic!("{label}: capture failed: {e}"));
+        std::thread::scope(|s| {
+            let (tx, rx) = sync_channel::<Vec<ColEvent>>(4);
+            let live = s.spawn(move || {
+                // Send errors mean the replay side already failed; the
+                // live run then just finishes unobserved.
+                let mut buf = Vec::with_capacity(CHUNK);
+                let stats = Executor::new(program, layout).run(
+                    &mut FnSink(|e| {
+                        buf.push(e);
+                        if buf.len() == CHUNK {
+                            let _ = tx.send(std::mem::replace(&mut buf, Vec::with_capacity(CHUNK)));
+                        }
+                    }),
+                    &cfg,
+                );
+                let _ = tx.send(buf);
+                stats
+            });
 
-        let mut reference = Collect::default();
-        let ref_stats = capture.replay_per_event(&mut reference);
-
-        for batch in [1usize, 1009, 4096] {
-            let mut got = CollectBatched::default();
-            let stats = capture.replay_batched(&mut got, batch);
-            assert_eq!(stats, ref_stats, "{name} batch={batch}: stats diverged");
-            assert_eq!(
-                got.0.len(),
-                reference.0.len(),
-                "{name} batch={batch}: event count diverged"
-            );
-            assert!(
-                got.0 == reference.0,
-                "{name} batch={batch}: event sequence diverged"
-            );
-        }
-
-        // The default entry point (env-tuned chunk size) through the
-        // per-event forwarding default.
-        let mut via_default = Collect::default();
-        capture.replay(&mut via_default);
-        assert!(
-            via_default.0 == reference.0,
-            "{name}: default replay diverged"
-        );
+            let mut pending = Vec::new().into_iter();
+            let mut n = 0u64;
+            let replay_stats = capture.replay(&mut FnSink(|e: ColEvent| {
+                let want = pending.next().or_else(|| {
+                    pending = rx.recv().ok()?.into_iter();
+                    pending.next()
+                });
+                assert_eq!(Some(e), want, "{label}: replayed event {n} diverged");
+                n += 1;
+            }));
+            let unreplayed = pending.len() + rx.iter().map(|c| c.len()).sum::<usize>();
+            assert_eq!(unreplayed, 0, "{label}: live run retired more events");
+            let live_stats = live.join().expect("live thread").expect("live run");
+            assert_eq!(live_stats, replay_stats, "{label}: RunStats diverged");
+            assert_eq!(n, live_stats.retired, "{label}: event count");
+        });
     }
 }
