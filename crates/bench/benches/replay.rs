@@ -1,5 +1,5 @@
 //! Replay-path throughput: the tracked perf baseline for the replay
-//! kernels (`BENCH_14.json`).
+//! kernels (`BENCH_15.json`).
 //!
 //! Measures events/sec for every stage of the capture/replay pipeline on
 //! one real workload:
@@ -15,12 +15,18 @@
 //!   chunked kernel this row measured until `BENCH_12`, so the history
 //!   trend and dashboard series stay continuous;
 //! * `replay_sim` — replay into the timing model with its pipeline state
-//!   hoisted (`TimingModel::replay_trace`), the heaviest real consumer;
+//!   hoisted (`TimingModel::replay_trace`, one `TimingRun`), the heaviest
+//!   real consumer;
 //! * `replay_hsd` — replay into the hot-spot detector (the profiling-side
 //!   consumer);
-//! * `replay_diff` — lockstep differential replay of the trace against
-//!   itself (`diff_traces`): both visit streams decoded and folded in
-//!   lockstep, counted as both streams' events per second;
+//! * `replay_diff` — differential replay of the trace against itself
+//!   (`diff_traces`): the packed side pushed into a `Differ`, the original
+//!   side pulled a chunk of visits at a time, counted as both streams'
+//!   events per second;
+//! * `replay_measure` — one packed-side measurement as the harness runs
+//!   it: a single replay into the coverage counts, a `TimingRun` and a
+//!   `Differ` against the trace itself, counted as both streams' events
+//!   per second;
 //! * `disk_load` — bring a v3 `.vptrace` back from the disk tier on the
 //!   default path (memory-mapped zero-copy where supported, owned read
 //!   otherwise), CRC verified either way;
@@ -31,7 +37,7 @@
 //! Knobs (on top of the usual `VP_BENCH_MS`/`VP_BENCH_SAMPLES`):
 //!
 //! * `VP_BENCH_JSON=<path>` — write the measurements as a JSON baseline
-//!   (the file committed as `BENCH_14.json`);
+//!   (the file committed as `BENCH_15.json`);
 //! * `VP_BENCH_BASELINE=<path>` — compare against a committed baseline
 //!   and exit non-zero if replay throughput, *normalized to re-execution
 //!   measured in the same run* (`replay_speedup_vs_execute`, so host speed
@@ -46,7 +52,7 @@
 use bench::history::{RunRecord, REPLAY_SPEEDUP};
 use std::io::Write;
 use vacuum_packing::exec::{
-    diff_traces, CapturedTrace, DiffOptions, DiskTier, Executor, IdentityMap, InstCounts,
+    diff_traces, CapturedTrace, DiffOptions, Differ, DiskTier, Executor, IdentityMap, InstCounts,
     RunConfig, TraceKey,
 };
 use vacuum_packing::hsd::{HotSpotDetector, HsdConfig};
@@ -146,6 +152,14 @@ fn main() {
     r.bench_throughput("retire_stream/replay_diff", 2 * events, || {
         diff_traces(&trace, &trace, &IdentityMap::new(), &DiffOptions::default()).aligned_visits
     });
+    // The harness's measurement of a packed binary: one replay feeding
+    // coverage counts, the timing model and the differ together.
+    r.bench_throughput("retire_stream/replay_measure", 2 * events, || {
+        let (mut counts, mut tm) = (InstCounts::new(), TimingModel::new(machine));
+        let mut differ = Differ::new(&trace, &IdentityMap::new(), &DiffOptions::default());
+        let stats = trace.replay(&mut (&mut counts, tm.run(), &mut differ));
+        differ.finish(stats.stop).aligned_visits + tm.cycles() + counts.total
+    });
     r.bench_throughput("retire_stream/disk_load", events, || {
         tier.load(&key).expect("warm load").events()
     });
@@ -168,6 +182,7 @@ fn main() {
         "replay_sim",
         "replay_hsd",
         "replay_diff",
+        "replay_measure",
         "disk_load",
         "disk_load_mmap",
         "disk_load_owned",

@@ -33,7 +33,7 @@ fn main() {
     r.bench_throughput("simulate/functional+timing", insts, || {
         let mut timing = TimingModel::new(MachineConfig::table2());
         Executor::new(&p, &layout)
-            .run(&mut timing, &RunConfig::default())
+            .run(&mut timing.run(), &RunConfig::default())
             .unwrap();
         timing.cycles()
     });

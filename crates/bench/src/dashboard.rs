@@ -66,13 +66,9 @@ pub fn collect_timeline(w: &Workload, cfg: &PackConfig) -> Result<WorkloadTimeli
         out.fingerprint(),
     );
     let mut sink = ResidencySink::new(out.identity_map());
-    TraceStore::global().capture_or_replay_shared(
-        key,
-        &out.program,
-        &packed_layout,
-        &run_cfg,
-        &mut sink,
-    )?;
+    TraceStore::global()
+        .obtain(key, &out.program, &packed_layout, &run_cfg)?
+        .replay(&mut sink);
     let events_total = sink.events();
     let intervals = sink.finish();
     Ok(WorkloadTimeline {

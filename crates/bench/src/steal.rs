@@ -341,8 +341,9 @@ mod tests {
                 barrier.wait();
                 let mut counts = InstCounts::new();
                 let stats = store
-                    .capture_or_replay(key.clone(), &workload.program, &layout, &cfg, &mut counts)
-                    .expect("workload runs");
+                    .obtain(key.clone(), &workload.program, &layout, &cfg)
+                    .expect("workload runs")
+                    .replay(&mut counts);
                 (stats.retired, counts.total, counts.cond_branches)
             })
         });
@@ -362,9 +363,8 @@ mod tests {
             .map(|(_, report)| report.counter("trace_store.replays"))
             .sum();
         assert_eq!(
-            replays,
-            (WORKERS - 1) as u64,
-            "every non-leader serves its sink from the shared capture"
+            replays, WORKERS as u64,
+            "every worker, the leader included, replays the one shared capture"
         );
         let (first, _) = &outs[0];
         assert!(first.0 > 0, "the workload retired instructions");

@@ -2,13 +2,16 @@
 //! rewritten binary must diff clean against the original capture, an
 //! injected rewriting fault (a corrupted launch-point target) must be
 //! detected and reported with first-divergence forensics, and the
-//! streaming lockstep diff must agree exactly with a materializing
-//! reference on every hand-built workload — clean and corrupted.
+//! streaming [`Differ`] — fed live by the packed capture or by a replay —
+//! must agree exactly with a materializing reference on every hand-built
+//! workload, clean and corrupted, including divergences at its chunk
+//! edges.
 
 use std::collections::BTreeMap;
 use vp_core::{build_packages, identify_region, rewrite, CfgCache, PackConfig, PackOutput};
 use vp_exec::{
-    diff_traces, CapturedTrace, DiffOptions, DiffReport, DiffVerdict, IdentityMap, RunConfig,
+    diff_traces, CapturedTrace, DiffOptions, DiffReport, DiffVerdict, Differ, IdentityMap,
+    RunConfig,
 };
 use vp_hsd::{filter_hot_spots, FilterConfig, HotSpotDetector, HsdConfig, Phase, PhaseBranch};
 use vp_isa::{CodeRef, Cond, Reg, Src};
@@ -213,21 +216,18 @@ fn optimized(out: &PackOutput) -> (Program, Layout) {
     (prog, layout)
 }
 
-/// Diffs with the lockstep engine and the materializing reference and
-/// requires identical reports, forensics included.
+/// Diffs with the replay-driven differ and the materializing reference
+/// and requires identical reports, forensics included.
 fn assert_equivalent(
     what: &str,
     original: &CapturedTrace,
     packed: &CapturedTrace,
     map: &IdentityMap,
+    opts: &DiffOptions,
 ) -> DiffReport {
-    let opts = DiffOptions::default();
-    let got = diff_traces(original, packed, map, &opts);
-    let want = reference::diff(original, packed, map, &opts);
-    assert_eq!(
-        got, want,
-        "{what}: lockstep diff disagrees with the reference"
-    );
+    let got = diff_traces(original, packed, map, opts);
+    let want = reference::diff(original, packed, map, opts);
+    assert_eq!(got, want, "{what}: the differ disagrees with the reference");
     got
 }
 
@@ -271,8 +271,10 @@ fn corrupt(out: &PackOutput, rng: &mut SplitMix64, flip_exit: bool) -> PackOutpu
 }
 
 /// The equivalence oracle over `labels`: under the four Figure 8/10
-/// configurations, the lockstep diff returns exactly the reference's
-/// report — and the same holds for SplitMix64-seeded corruptions
+/// configurations, the differ — fed live while the packed binary is
+/// captured, and fed by a replay of that capture — returns exactly the
+/// reference's report, and the replay-fed differ does the same for
+/// SplitMix64-seeded corruptions
 /// (shifted identities, flipped exit flags, packed captures cut short),
 /// which must drive mid-stream divergences, early stream ends, truncated
 /// verdicts and mismatches before the context ring fills.
@@ -292,9 +294,14 @@ fn check_oracle(labels: &[&str], seed: u64) {
             let what = format!("{} {cfg:?}", w.label());
             let out = vp_core::pack(&w.program, &layout, &phases, cfg);
             let (prog, playout) = optimized(&out);
-            let packed = CapturedTrace::capture(&prog, &playout, &RunConfig::default())
-                .expect("packed capture");
-            let rep = assert_equivalent(&what, &original, &packed, &out.identity_map());
+            let opts = DiffOptions::default();
+            let mut differ = Differ::new(&original, &out.identity_map(), &opts);
+            let packed =
+                CapturedTrace::capture_with(&prog, &playout, &RunConfig::default(), &mut differ)
+                    .expect("packed capture");
+            let live = differ.finish(packed.stats().stop);
+            let rep = assert_equivalent(&what, &original, &packed, &out.identity_map(), &opts);
+            assert_eq!(live, rep, "{what}: the live-fed differ disagrees");
             assert_eq!(rep.verdict, DiffVerdict::Clean, "{what}: {rep}");
             if ci != corrupted_cfg || out.packages.is_empty() {
                 continue;
@@ -307,6 +314,7 @@ fn check_oracle(labels: &[&str], seed: u64) {
                     &original,
                     &packed,
                     &bad.identity_map(),
+                    &opts,
                 ));
             }
             // An early cut (inside the first few visits) and one anywhere.
@@ -322,6 +330,7 @@ fn check_oracle(labels: &[&str], seed: u64) {
                     &original,
                     &short,
                     &out.identity_map(),
+                    &opts,
                 ));
             }
         }
@@ -369,7 +378,87 @@ fn lockstep_diff_matches_the_reference_on_workloads_b() {
     );
 }
 
-/// The materializing reference the lockstep diff is checked against: each
+/// A straight-line chain of `len` blocks, laid out in order so every
+/// `Goto` falls through and retires nothing: block `b` is exactly visit
+/// `b`. Each block adds one to a register; `corrupt` rewrites one block's
+/// body — an extra `nop` (`by_load = false`: its instruction count
+/// differs) or a load in place of the add (`by_load = true`: only its
+/// memory hash differs).
+fn chain(len: usize, corrupt: Option<(usize, bool)>) -> Program {
+    let mut pb = ProgramBuilder::new();
+    let data = pb.data(vec![7]);
+    pb.func("main", |f| {
+        let (acc, base) = (Reg::int(20), Reg::int(21));
+        f.li(base, data as i64);
+        for b in 0..len {
+            match corrupt {
+                Some((c, true)) if c == b => f.load(acc, base, 0),
+                Some((c, false)) if c == b => {
+                    f.addi(acc, acc, 1);
+                    f.nop();
+                }
+                _ => f.addi(acc, acc, 1),
+            }
+            let next = f.new_block();
+            f.goto(next);
+            f.switch_to(next);
+        }
+        f.halt();
+    });
+    pb.build()
+}
+
+/// Divergences at the differ's chunk edges (K = [`Differ::CHUNK`]): the
+/// first mismatch lands at visit K−1 (the last of a chunk), K, K+1 and
+/// past the third chunk, each with the default context and with one
+/// longer than a chunk, so the context ring crosses chunk boundaries.
+/// SplitMix64 picks each corruption's kind. The packed run either does
+/// different work in that one visit (a `Diverged` verdict) or is cut
+/// right before it (the packed stream ends there); every report must
+/// equal the reference's, at exactly that index.
+#[test]
+fn chunk_edge_divergences_match_the_reference() {
+    const K: usize = Differ::CHUNK;
+    let clean = chain(4 * K, None);
+    let original = capture(&clean);
+    let starts = reference::visit_starts(&original);
+    let mut rng = SplitMix64::seed_from_u64(0x5eed_c4a2);
+    let long = DiffOptions {
+        context: K + 37,
+        ..DiffOptions::default()
+    };
+    for index in [K - 1, K, K + 1, 3 * K + 1] {
+        let by_load = rng.gen_range(0..2u64) == 1;
+        let corrupted = capture(&chain(4 * K, Some((index, by_load))));
+        let cut = RunConfig {
+            max_insts: starts[index],
+            ..RunConfig::default()
+        };
+        let short =
+            CapturedTrace::capture(&clean, &Layout::natural(&clean), &cut).expect("cut capture");
+        for (packed, ends) in [(&corrupted, false), (&short, true)] {
+            for opts in [DiffOptions::default(), long] {
+                let what = format!(
+                    "visit {index} (load {by_load}, cut {ends}), context {}",
+                    opts.context
+                );
+                let rep = assert_equivalent(&what, &original, packed, &IdentityMap::new(), &opts);
+                let d = rep.divergence.as_ref().expect("diverges");
+                assert_eq!(d.index, index as u64, "{what}: {rep}");
+                assert_eq!(d.actual.is_none(), ends, "{what}: {rep}");
+                let want = if ends {
+                    DiffVerdict::Truncated
+                } else {
+                    DiffVerdict::Diverged
+                };
+                assert_eq!(rep.verdict, want, "{what}");
+                assert_eq!(d.context.len(), opts.context.min(index), "{what}");
+            }
+        }
+    }
+}
+
+/// The materializing reference the differ is checked against: each
 /// retired stream is folded into its full canonical visit sequence
 /// through the [`Sink`](vp_exec::Sink) path, and the two sequences are
 /// compared element-wise afterwards.
@@ -386,10 +475,14 @@ mod reference {
         stub_events: u64,
         migrations: u64,
         cur_pkg: Option<u32>,
+        /// Events retired so far, and the index of each visit's first.
+        events: u64,
+        starts: Vec<u64>,
     }
 
     impl Sink for VisitBuilder<'_> {
         fn retire(&mut self, e: ColEvent) {
+            self.events += 1;
             let (origin, package, phase) = match self.map.and_then(|m| m.lookup(e.loc)) {
                 Some(id) if id.is_stub => {
                     self.stub_events += 1;
@@ -424,16 +517,26 @@ mod reference {
                     v.cond += cond;
                     v.mem = v.mem.wrapping_add(mem);
                 }
-                _ => self.visits.push(Visit {
-                    origin,
-                    plain: u64::from(!is_ctrl),
-                    cond,
-                    mem,
-                    package,
-                    phase,
-                }),
+                _ => {
+                    self.starts.push(self.events - 1);
+                    self.visits.push(Visit {
+                        origin,
+                        plain: u64::from(!is_ctrl),
+                        cond,
+                        mem,
+                        package,
+                        phase,
+                    })
+                }
             }
         }
+    }
+
+    /// The event index at which each visit of `trace` (folded without
+    /// an identity map) begins.
+    pub fn visit_starts(trace: &CapturedTrace) -> Vec<u64> {
+        let (b, _) = fold(trace, None);
+        b.starts
     }
 
     /// Folds a whole stream; returns the builder and how the run ended.
@@ -448,6 +551,8 @@ mod reference {
             stub_events: 0,
             migrations: 0,
             cur_pkg: None,
+            events: 0,
+            starts: Vec::new(),
         };
         let stop = trace.replay(&mut b).stop;
         (b, stop)

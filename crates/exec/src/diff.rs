@@ -6,23 +6,23 @@
 //! exit blocks redirect control flow but never change what is computed.
 //! This module checks that promise per run, rather than trusting it:
 //!
-//! 1. Both retired streams are decoded from their [`CapturedTrace`]s by
-//!    one pull cursor each and folded, as they arrive, into canonical
+//! 1. Both retired streams are folded, as they arrive, into canonical
 //!    **visits**. A visit is a maximal run of retired events attributed to
-//!    one original block; packed-side events are mapped back to original
-//!    identities through an [`IdentityMap`] built from the rewriter's
-//!    per-block provenance metadata. The mapping is resolved once per
-//!    diff into a dense per-slot table (origin, keep/exit/stub, package,
-//!    phase), so the per-event fold is one table load; the control kind
-//!    and store bit come from the static flags the cursor already loaded.
+//!    one original block. The packed stream is *pushed* into a [`Differ`],
+//!    a [`Sink`] that can ride any replay (or live run) of the
+//!    packed binary next to its other consumers; its events are mapped
+//!    back to original identities through an [`IdentityMap`] built from
+//!    the rewriter's per-block provenance metadata, resolved once per diff
+//!    into a dense per-function block table. The original stream is
+//!    *pulled* from its capture's own cursor, a chunk of visits at a time.
 //! 2. Events from exit blocks and launch stubs are *dropped* before
 //!    alignment — they are expected, rewriter-introduced divergences
 //!    (dummy consumers, migration glue between linked packages), not
 //!    correctness signals.
-//! 3. The two visit streams are compared in lockstep, one visit at a time;
-//!    no visit sequence is ever materialized, so a diff holds O(context)
-//!    state whatever the run length. Each visit carries its non-control
-//!    instruction count, conditional-branch count, and an
+//! 3. The two visit streams are compared chunk against chunk as the packed
+//!    side fills; no visit sequence is ever materialized, so a diff holds
+//!    O(context + chunk) state whatever the run length. Each visit carries
+//!    its non-control instruction count, conditional-branch count, and an
 //!    order-independent memory-address hash, so in-block rescheduling and
 //!    layout re-encoding (fall-through `Goto`s, branch-plus-jump
 //!    expansion, inverted branches) are tolerated while a wrong
@@ -48,7 +48,7 @@
 //! LICM) break the per-visit counts, and callers must skip the diff for
 //! such configurations.
 
-use crate::event::col;
+use crate::event::{col, ColEvent, Sink};
 use crate::trace_store::{CapturedTrace, TraceCursor};
 use crate::StopReason;
 use std::collections::{BTreeMap, VecDeque};
@@ -183,15 +183,6 @@ pub struct Visit {
     pub package: Option<u32>,
     /// Phase attribution, parallel to `package`.
     pub phase: Option<u32>,
-}
-
-impl Visit {
-    fn matches(&self, other: &Visit, check_mem: bool) -> bool {
-        self.origin == other.origin
-            && self.plain == other.plain
-            && self.cond == other.cond
-            && (!check_mem || self.mem == other.mem)
-    }
 }
 
 impl fmt::Display for Visit {
@@ -354,10 +345,164 @@ impl fmt::Display for DiffReport {
     }
 }
 
-/// What a slot's events contribute to the canonical visit stream.
+/// Origin of "no visit open" (no block has this identity).
+const NO_ORIGIN: u64 = u64::MAX;
+/// Attribution of events outside any package.
+const NO_ATTR: u64 = u64::MAX;
+/// Package of events outside any package (the high half of [`NO_ATTR`]).
+const NO_PKG: u32 = u32::MAX;
+
+/// A block identity as one comparable word.
+#[inline(always)]
+fn origin_key(c: CodeRef) -> u64 {
+    u64::from(c.func.0) << 32 | u64::from(c.block.0)
+}
+
+/// A visit without its attribution, in the form the kernel compares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Cv {
+    origin: u64,
+    plain: u64,
+    cond: u64,
+    mem: u64,
+}
+
+impl Cv {
+    /// The state of a stream with no visit open.
+    const NONE: Cv = Cv {
+        origin: NO_ORIGIN,
+        plain: 0,
+        cond: 0,
+        mem: 0,
+    };
+
+    /// Whether both visits did the same work; `mem_mask` is all ones
+    /// when memory hashes are compared, zero otherwise.
+    #[inline(always)]
+    fn same_work(&self, other: &Cv, mem_mask: u64) -> bool {
+        self.origin == other.origin
+            && self.plain == other.plain
+            && self.cond == other.cond
+            && (self.mem ^ other.mem) & mem_mask == 0
+    }
+
+    /// The forensic form, with the packed side's `attr`ibution
+    /// (`package << 32 | phase`, or [`NO_ATTR`]).
+    fn visit(self, attr: u64) -> Visit {
+        let (package, phase) = if attr == NO_ATTR {
+            (None, None)
+        } else {
+            (Some((attr >> 32) as u32), Some(attr as u32))
+        };
+        Visit {
+            origin: CodeRef::new((self.origin >> 32) as u32, self.origin as u32),
+            plain: self.plain,
+            cond: self.cond,
+            mem: self.mem,
+            package,
+            phase,
+        }
+    }
+}
+
+/// Folds one kept event (column `flags`, effective address `mem`) of
+/// block `origin` into the stream's `open` visit. Returns the previous
+/// open visit when the event opened a new one — [`Cv::NONE`] at the
+/// start of the stream.
+#[inline(always)]
+fn fold(open: &mut Cv, origin: u64, flags: u8, mem: u64) -> Option<Cv> {
+    // An unconditional control transfer is a layout artifact, never work.
+    // A `Goto` retires an event when encoded as a jump and nothing when
+    // its target is the fall-through, so whether an *empty* block appears
+    // in the stream at all depends on where relayout put its successor.
+    // Visits are therefore built only from architectural work — plain
+    // instructions and conditional decisions. (`COND` implies `CTRL`.)
+    if flags & (col::CTRL | col::COND) == col::CTRL {
+        return None;
+    }
+    let plain = u64::from(flags & col::CTRL == 0);
+    let cond = u64::from(flags & col::COND != 0);
+    // Fold the memory address in order-independently: in-block
+    // rescheduling reorders loads/stores without changing their
+    // effective addresses.
+    let mem = if flags & col::MEM != 0 {
+        mem.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ u64::from(flags & col::STORE)
+    } else {
+        0
+    };
+    // Merging is on origin alone (not package): a packed stream that
+    // leaves a package mid-block-run and re-enters the same original
+    // block must collapse exactly like the original stream does.
+    if open.origin == origin {
+        open.plain += plain;
+        open.cond += cond;
+        open.mem = open.mem.wrapping_add(mem);
+        None
+    } else {
+        Some(std::mem::replace(
+            open,
+            Cv {
+                origin,
+                plain,
+                cond,
+                mem,
+            },
+        ))
+    }
+}
+
+/// The original capture's canonical visits, pulled a chunk at a time
+/// from its own [`TraceCursor`]. Every location is its own identity.
+struct OrigVisits<'t> {
+    cursor: TraceCursor<'t>,
+    open: Cv,
+    /// Visits pulled so far.
+    visits: u64,
+    done: bool,
+}
+
+impl OrigVisits<'_> {
+    /// Fills `out` with the next visits; returns how many it wrote (fewer
+    /// than `out.len()` only at the end of the stream). The cursor and
+    /// the open visit stay in locals for the whole fill.
+    fn fill(&mut self, out: &mut [Cv]) -> usize {
+        if self.done || out.is_empty() {
+            return 0;
+        }
+        let mut cursor = self.cursor.clone();
+        let mut open = self.open;
+        let mut n = 0;
+        loop {
+            let Some(rec) = cursor.next() else {
+                self.done = true;
+                if open.origin != NO_ORIGIN {
+                    out[n] = std::mem::replace(&mut open, Cv::NONE);
+                    n += 1;
+                }
+                break;
+            };
+            let e = rec.col_event();
+            if let Some(closed) = fold(&mut open, origin_key(e.loc), e.flags, e.mem) {
+                if closed.origin != NO_ORIGIN {
+                    out[n] = closed;
+                    n += 1;
+                    if n == out.len() {
+                        break;
+                    }
+                }
+            }
+        }
+        self.cursor = cursor;
+        self.open = open;
+        self.visits += n as u64;
+        n
+    }
+}
+
+/// What a packed block's events contribute to the canonical visit stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Role {
-    /// Kept: folded into visits of `SlotInfo::origin`.
+    /// Kept: folded into visits of `PackedBlock::origin`.
     Keep,
     /// Exit-block glue: dropped and counted.
     Exit,
@@ -365,231 +510,43 @@ enum Role {
     Stub,
 }
 
-/// The identity of one static slot, resolved through the identity map once
-/// per diff so the per-event path is a single dense-table load instead of
-/// an identity-map probe. What kind of instruction the slot holds comes
-/// from the parse cursor's static [`col`] flags, not from this table.
+/// One packed block resolved through the identity map.
 #[derive(Debug, Clone, Copy)]
-struct SlotInfo {
-    /// Original-program block the slot's events belong to.
-    origin: CodeRef,
-    /// Owning package (packed side, package blocks only).
-    package: Option<u32>,
-    /// Phase the owning package serves, parallel to `package`.
-    phase: Option<u32>,
+struct PackedBlock {
+    origin: u64,
+    /// `package << 32 | phase`, or [`NO_ATTR`] outside packages.
+    attr: u64,
     role: Role,
 }
 
-impl SlotInfo {
-    /// Resolves one slot location, mapping package locations back to
-    /// original identities through `map` (`None`: the original side,
-    /// where every location is its own identity).
-    fn of(loc: CodeRef, map: Option<&IdentityMap>) -> SlotInfo {
-        let (origin, package, phase, role) = match map.and_then(|m| m.lookup(loc)) {
-            Some(id) if id.is_stub => (id.origin, None, None, Role::Stub),
-            Some(id) if id.is_exit => (id.origin, None, None, Role::Exit),
-            Some(id) => (id.origin, Some(id.package), Some(id.phase), Role::Keep),
-            None => (loc, None, None, Role::Keep),
+impl PackedBlock {
+    fn of(id: &BlockIdentity) -> PackedBlock {
+        let (attr, role) = if id.is_stub {
+            (NO_ATTR, Role::Stub)
+        } else if id.is_exit {
+            (NO_ATTR, Role::Exit)
+        } else {
+            (
+                u64::from(id.package) << 32 | u64::from(id.phase),
+                Role::Keep,
+            )
         };
-        SlotInfo {
-            origin,
-            package,
-            phase,
+        PackedBlock {
+            origin: origin_key(id.origin),
+            attr,
             role,
         }
     }
 }
 
-/// The incremental visit fold of one retired stream: package residency
-/// and migration accounting plus the one open visit.
-#[derive(Debug, Default)]
-struct VisitFold {
-    /// The visit being accumulated; it closes when a kept event of
-    /// another origin arrives or the stream ends.
-    open: Option<Visit>,
-    /// Dropped events since the last kept event.
-    dropped_run: u64,
-    exit_events: u64,
-    stub_events: u64,
-    migrations: u64,
-    cur_pkg: Option<u32>,
-    cur_residency: u64,
-}
-
-impl VisitFold {
-    /// Folds one event of slot `s` (static [`col`] flags `flags`, effective
-    /// address `mem`, if any) and returns the visit it closed, if any.
-    ///
-    /// `MAPPED = false` compiles the fold for a stream resolved without an
-    /// identity map (the original side): every slot is then kept and
-    /// outside any package, so the drop and package machinery never fires
-    /// and is left out.
-    #[inline(always)]
-    fn push<const MAPPED: bool>(
-        &mut self,
-        s: &SlotInfo,
-        flags: u8,
-        mem: Option<u64>,
-    ) -> Option<Visit> {
-        if MAPPED {
-            match s.role {
-                Role::Keep => {}
-                Role::Exit => {
-                    self.exit_events += 1;
-                    self.dropped_run += 1;
-                    return None;
-                }
-                Role::Stub => {
-                    self.stub_events += 1;
-                    self.dropped_run += 1;
-                    return None;
-                }
-            }
-
-            // Package residency and migration tracking (event granularity).
-            if s.package != self.cur_pkg {
-                self.end_residency();
-                if s.package.is_some() && self.cur_pkg.is_some() {
-                    // Direct package-to-package transfer: an inter-package
-                    // link, bridged only by dropped exit-block glue.
-                    self.migrations += 1;
-                    H_MIGRATION_GAP.observe(self.dropped_run);
-                }
-                self.cur_pkg = s.package;
-                if let Some(pkg) = s.package {
-                    // Flight payload: (package id, events dropped in the
-                    // gap since the last in-package event) — the
-                    // package-switch timeline.
-                    vp_trace::flight("diff.pkg_enter", u64::from(pkg), self.dropped_run);
-                }
-            }
-            if s.package.is_some() {
-                self.cur_residency += 1;
-            }
-            self.dropped_run = 0;
-        }
-
-        // An unconditional control transfer is a layout artifact, never
-        // work. A `Goto` retires an event when encoded as a jump and
-        // nothing when its target is the fall-through, so whether an
-        // *empty* block appears in the stream at all depends on where
-        // relayout put its successor. Visits are therefore built only from
-        // architectural work — plain instructions and conditional
-        // decisions. (`COND` implies `CTRL`.)
-        if flags & (col::CTRL | col::COND) == col::CTRL {
-            return None;
-        }
-        let plain = u64::from(flags & col::CTRL == 0);
-        let cond = u64::from(flags & col::COND != 0);
-        // Fold the memory address in order-independently: in-block
-        // rescheduling reorders loads/stores without changing their
-        // effective addresses.
-        let mem = mem.map_or(0, |a| {
-            a.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ u64::from(flags & col::STORE != 0)
-        });
-        match &mut self.open {
-            // Merge into the open visit of the same origin. Merging is on
-            // origin alone (not package): a packed stream that leaves a
-            // package mid-block-run and re-enters the same original block
-            // must collapse exactly like the original stream does.
-            Some(v) if v.origin == s.origin => {
-                v.plain += plain;
-                v.cond += cond;
-                v.mem = v.mem.wrapping_add(mem);
-                None
-            }
-            open => open.replace(Visit {
-                origin: s.origin,
-                plain,
-                cond,
-                mem,
-                package: s.package,
-                phase: s.phase,
-            }),
-        }
-    }
-
-    /// Records the current package stay, if any, as finished.
-    fn end_residency(&mut self) {
-        if self.cur_pkg.is_some() && self.cur_residency > 0 {
-            H_RESIDENCY.observe(self.cur_residency);
-        }
-        self.cur_residency = 0;
-    }
-
-    /// Ends the stream: closes the residency and hands back the last
-    /// visit.
-    fn finish(&mut self) -> Option<Visit> {
-        self.end_residency();
-        self.cur_pkg = None;
-        self.open.take()
-    }
-}
-
-/// One trace's canonical visits, pulled one at a time: the trace's
-/// [`TraceCursor`] feeding a [`VisitFold`] through the per-slot table.
-/// `MAPPED` is whether the slots were resolved through an identity map
-/// ([`VisitFold::push`]).
-struct VisitStream<'t, const MAPPED: bool> {
-    cursor: TraceCursor<'t>,
-    slots: Vec<SlotInfo>,
-    fold: VisitFold,
-    /// Visits yielded so far.
-    visits: u64,
-    done: bool,
-}
-
-impl<'t, const MAPPED: bool> VisitStream<'t, MAPPED> {
-    fn new(trace: &'t CapturedTrace, map: Option<&IdentityMap>) -> VisitStream<'t, MAPPED> {
-        debug_assert_eq!(MAPPED, map.is_some());
-        VisitStream {
-            cursor: trace.replay_cursor(),
-            slots: trace
-                .slot_templates()
-                .map(|t| SlotInfo::of(t.loc, map))
-                .collect(),
-            fold: VisitFold::default(),
-            visits: 0,
-            done: false,
-        }
-    }
-
-    /// Consumes the rest of the stream; returns the total visit count.
-    fn drain(&mut self) -> u64 {
-        while self.next().is_some() {}
-        self.visits
-    }
-}
-
-impl<const MAPPED: bool> Iterator for VisitStream<'_, MAPPED> {
-    type Item = Visit;
-
-    fn next(&mut self) -> Option<Visit> {
-        if self.done {
-            return None;
-        }
-        for rec in self.cursor.by_ref() {
-            let mem = rec.has_mem().then_some(rec.mem);
-            let slot = &self.slots[rec.slot];
-            if let Some(v) = self.fold.push::<MAPPED>(slot, rec.slot_flags(), mem) {
-                self.visits += 1;
-                return Some(v);
-            }
-        }
-        self.done = true;
-        let last = self.fold.finish();
-        self.visits += u64::from(last.is_some());
-        last
-    }
-}
-
-/// The last `cap` aligned visits: the forensic context of a divergence.
+/// The last `cap` aligned original visits: the forensic context of a
+/// divergence. It is fed a chunk at a time.
 ///
 /// The buffer starts at `min(cap, 64)` and grows on demand, so a huge
 /// [`DiffOptions::context`] costs memory only in proportion to the visits
 /// actually retained.
 struct ContextRing {
-    buf: VecDeque<Visit>,
+    buf: VecDeque<Cv>,
     cap: usize,
 }
 
@@ -601,26 +558,293 @@ impl ContextRing {
         }
     }
 
-    fn push(&mut self, v: Visit) {
-        if self.cap == 0 {
-            return;
-        }
-        if self.buf.len() == self.cap {
-            self.buf.pop_front();
-        }
-        self.buf.push_back(v);
+    /// Appends `aligned` (oldest first), keeping only the newest `cap`.
+    fn extend(&mut self, aligned: &[Cv]) {
+        let keep = &aligned[aligned.len().saturating_sub(self.cap)..];
+        let over = (self.buf.len() + keep.len()).saturating_sub(self.cap);
+        self.buf.drain(..over.min(self.buf.len()));
+        self.buf.extend(keep);
     }
 }
 
-/// Aligns the packed run's retired stream against the original capture.
+/// The streaming differential replay: a [`Sink`] over the *packed*
+/// binary's retired stream that aligns it against the original capture.
 ///
-/// Pulls both canonical visit streams in lockstep (mapping the packed side
-/// through `map`, dropping exit/stub events) and compares them visit by
-/// visit as they arrive; only the last `opts.context` aligned visits are
-/// retained. After the first mismatch both streams are drained so the
-/// visit totals and the packed side's drop/migration accounting still
-/// cover the whole run. Counters (`diff.*`) and the
-/// residency/migration/alignment histograms are recorded as side effects.
+/// Packed events are resolved by [`ColEvent::loc`] through a dense
+/// per-function block table built once from the [`IdentityMap`] (other
+/// functions map to themselves), so the differ works the same fed live
+/// by [`CapturedTrace::capture_with`] or by a replay, and rides along any
+/// other consumer of the packed stream. Exit and stub events are dropped
+/// and counted; the rest fold into visits, which the differ buffers
+/// [`Differ::CHUNK`] at a time. Each full chunk pulls as many visits from
+/// the original capture's own cursor and compares the two slices;
+/// aligned original visits feed the forensic context ring. After the first
+/// mismatch the packed side only counts. [`Differ::finish`] compares the
+/// last partial chunk, drains the original and returns the report, so
+/// visit totals and drop/migration counts always cover the whole run.
+/// Heap use is O(context + chunk), whatever the run length.
+pub struct Differ<'t> {
+    original: &'t CapturedTrace,
+    orig: OrigVisits<'t>,
+    /// Per function id: `(start, len)` of its blocks in `blocks`; `len`
+    /// 0 for functions outside the identity map.
+    ranges: Vec<(u32, u32)>,
+    blocks: Vec<PackedBlock>,
+    mem_mask: u64,
+    // The packed fold.
+    open: Cv,
+    open_attr: u64,
+    cur_pkg: u32,
+    cur_residency: u64,
+    /// Dropped events since the last kept event.
+    dropped_run: u64,
+    exit_events: u64,
+    stub_events: u64,
+    migrations: u64,
+    // The chunked comparison.
+    pbuf: Box<[Cv]>,
+    pattr: Box<[u64]>,
+    plen: usize,
+    obuf: Box<[Cv]>,
+    packed_visits: u64,
+    aligned: u64,
+    ring: ContextRing,
+    /// The two visits at index `aligned` once they mismatched; either
+    /// may be `None` (that stream ended).
+    mismatch: Option<(Option<Visit>, Option<Visit>)>,
+}
+
+impl<'t> Differ<'t> {
+    /// Visits per comparison chunk: the packed side buffers this many
+    /// closed visits, then pulls as many from the original and compares
+    /// the two slices.
+    pub const CHUNK: usize = 256;
+
+    /// A differ checking a packed run against `original`, mapping packed
+    /// locations back through `map`.
+    pub fn new(original: &'t CapturedTrace, map: &IdentityMap, opts: &DiffOptions) -> Differ<'t> {
+        let nfuncs = map.funcs.keys().last().map_or(0, |f| f.0 as usize + 1);
+        let mut ranges = vec![(0, 0); nfuncs];
+        let mut blocks = Vec::new();
+        for (f, ids) in &map.funcs {
+            ranges[f.0 as usize] = (blocks.len() as u32, ids.len() as u32);
+            blocks.extend(ids.iter().map(PackedBlock::of));
+        }
+        Differ {
+            original,
+            orig: OrigVisits {
+                cursor: original.replay_cursor(),
+                open: Cv::NONE,
+                visits: 0,
+                done: false,
+            },
+            ranges,
+            blocks,
+            mem_mask: if opts.check_mem { u64::MAX } else { 0 },
+            open: Cv::NONE,
+            open_attr: NO_ATTR,
+            cur_pkg: NO_PKG,
+            cur_residency: 0,
+            dropped_run: 0,
+            exit_events: 0,
+            stub_events: 0,
+            migrations: 0,
+            pbuf: vec![Cv::NONE; Self::CHUNK].into(),
+            pattr: vec![NO_ATTR; Self::CHUNK].into(),
+            plen: 0,
+            obuf: vec![Cv::NONE; Self::CHUNK].into(),
+            packed_visits: 0,
+            aligned: 0,
+            ring: ContextRing::new(opts.context),
+            mismatch: None,
+        }
+    }
+
+    /// The identity of one packed location.
+    #[inline(always)]
+    fn resolve(&self, loc: CodeRef) -> PackedBlock {
+        if let Some(&(start, len)) = self.ranges.get(loc.func.0 as usize) {
+            if loc.block.0 < len {
+                return self.blocks[(start + loc.block.0) as usize];
+            }
+        }
+        PackedBlock {
+            origin: origin_key(loc),
+            attr: NO_ATTR,
+            role: Role::Keep,
+        }
+    }
+
+    /// Counts one dropped exit or stub event.
+    #[cold]
+    fn drop_event(&mut self, role: Role) {
+        if role == Role::Exit {
+            self.exit_events += 1;
+        } else {
+            self.stub_events += 1;
+        }
+        self.dropped_run += 1;
+    }
+
+    /// Package residency and migration tracking, at event granularity:
+    /// a kept event entered package `pkg` (or left packages, [`NO_PKG`]).
+    #[cold]
+    fn switch_package(&mut self, pkg: u32) {
+        self.end_residency();
+        if pkg != NO_PKG && self.cur_pkg != NO_PKG {
+            // Direct package-to-package transfer: an inter-package link,
+            // bridged only by dropped exit-block glue.
+            self.migrations += 1;
+            H_MIGRATION_GAP.observe(self.dropped_run);
+        }
+        self.cur_pkg = pkg;
+        if pkg != NO_PKG {
+            // Flight payload: (package id, events dropped in the gap since
+            // the last in-package event) — the package-switch timeline.
+            vp_trace::flight("diff.pkg_enter", u64::from(pkg), self.dropped_run);
+        }
+    }
+
+    /// Records the current package stay, if any, as finished.
+    fn end_residency(&mut self) {
+        if self.cur_pkg != NO_PKG && self.cur_residency > 0 {
+            H_RESIDENCY.observe(self.cur_residency);
+        }
+        self.cur_residency = 0;
+    }
+
+    /// Buffers one closed packed visit, comparing a full chunk.
+    #[inline(always)]
+    fn push_visit(&mut self, v: Cv, attr: u64) {
+        self.pbuf[self.plen] = v;
+        self.pattr[self.plen] = attr;
+        self.plen += 1;
+        if self.plen == Self::CHUNK {
+            self.compare_chunk();
+        }
+    }
+
+    /// Compares the buffered packed visits against as many original
+    /// visits, slice against slice, and empties the buffer.
+    #[inline(never)]
+    fn compare_chunk(&mut self) {
+        let n = std::mem::take(&mut self.plen);
+        self.packed_visits += n as u64;
+        if self.mismatch.is_some() {
+            return;
+        }
+        let got = self.orig.fill(&mut self.obuf[..n]);
+        let orig = &self.obuf[..got];
+        let packed = &self.pbuf[..n];
+        let first = orig
+            .iter()
+            .zip(packed)
+            .position(|(o, p)| !o.same_work(p, self.mem_mask))
+            .or((got < n).then_some(got));
+        let Some(i) = first else {
+            self.ring.extend(orig);
+            self.aligned += n as u64;
+            return;
+        };
+        self.ring.extend(&orig[..i]);
+        self.aligned += i as u64;
+        self.mismatch = Some((
+            orig.get(i).map(|o| o.visit(NO_ATTR)),
+            Some(packed[i].visit(self.pattr[i])),
+        ));
+    }
+
+    /// Ends the packed stream, whose run stopped for `packed_stop`:
+    /// compares the last chunk, drains the original, records the `diff.*`
+    /// counters and histograms, and returns the report.
+    pub fn finish(mut self, packed_stop: StopReason) -> DiffReport {
+        let last = std::mem::replace(&mut self.open, Cv::NONE);
+        if last.origin != NO_ORIGIN {
+            self.push_visit(last, self.open_attr);
+        }
+        self.end_residency();
+        self.compare_chunk();
+        if self.mismatch.is_none() && self.orig.fill(&mut self.obuf[..1]) == 1 {
+            // The packed stream ended first.
+            self.mismatch = Some((Some(self.obuf[0].visit(NO_ATTR)), None));
+        }
+        while self.orig.fill(&mut self.obuf) > 0 {}
+
+        let (aligned, orig_visits, packed_visits) =
+            (self.aligned, self.orig.visits, self.packed_visits);
+        let truncated =
+            self.original.stats().stop != StopReason::Halted || packed_stop != StopReason::Halted;
+        // Truncation only excuses mismatches at the *tail* of the common
+        // prefix (a partial final visit, or one stream ending early); an
+        // early mismatch with a truncated run is still a real divergence.
+        let tail_mismatch = aligned + 1 >= orig_visits.min(packed_visits);
+        let verdict = match (&self.mismatch, truncated) {
+            (None, false) => DiffVerdict::Clean,
+            (None, true) => DiffVerdict::Truncated,
+            (Some(_), true) if tail_mismatch => DiffVerdict::Truncated,
+            (Some(_), _) => DiffVerdict::Diverged,
+        };
+        let ring = self.ring.buf;
+        let divergence = self.mismatch.map(|(expected, actual)| Divergence {
+            index: aligned,
+            expected,
+            actual,
+            context: ring.into_iter().map(|v| v.visit(NO_ATTR)).collect(),
+        });
+
+        DIFF_RUNS.incr();
+        DIFF_ALIGNED.add(aligned);
+        DIFF_EXIT_EVENTS.add(self.exit_events);
+        DIFF_STUB_EVENTS.add(self.stub_events);
+        DIFF_MIGRATIONS.add(self.migrations);
+        if verdict == DiffVerdict::Diverged {
+            DIFF_DIVERGENCES.incr();
+            // Flight payload: (first mismatched visit index, aligned prefix).
+            vp_trace::flight("diff.divergence", aligned, aligned);
+        }
+        H_ALIGN_RUN.observe(aligned);
+
+        DiffReport {
+            verdict,
+            orig_visits,
+            packed_visits,
+            aligned_visits: aligned,
+            exit_events: self.exit_events,
+            stub_events: self.stub_events,
+            migrations: self.migrations,
+            divergence,
+        }
+    }
+}
+
+impl Sink for Differ<'_> {
+    #[inline]
+    fn retire(&mut self, e: ColEvent) {
+        let b = self.resolve(e.loc);
+        if b.role != Role::Keep {
+            self.drop_event(b.role);
+            return;
+        }
+        let pkg = (b.attr >> 32) as u32;
+        if pkg != self.cur_pkg {
+            self.switch_package(pkg);
+        }
+        self.cur_residency += u64::from(pkg != NO_PKG);
+        self.dropped_run = 0;
+        if let Some(closed) = fold(&mut self.open, b.origin, e.flags, e.mem) {
+            let attr = std::mem::replace(&mut self.open_attr, b.attr);
+            if closed.origin != NO_ORIGIN {
+                self.push_visit(closed, attr);
+            }
+        }
+    }
+}
+
+/// Aligns the packed run's retired stream against the original capture:
+/// one replay of `packed` into a [`Differ`].
+///
+/// Counters (`diff.*`) and the residency/migration/alignment histograms
+/// are recorded as side effects.
 pub fn diff_traces(
     original: &CapturedTrace,
     packed: &CapturedTrace,
@@ -628,67 +852,9 @@ pub fn diff_traces(
     opts: &DiffOptions,
 ) -> DiffReport {
     let _s = vp_trace::span("exec.diff");
-    let mut orig = VisitStream::<false>::new(original, None);
-    let mut pack = VisitStream::<true>::new(packed, Some(map));
-    let mut ring = ContextRing::new(opts.context);
-    let mut aligned = 0u64;
-    // The first mismatch: the two visits at index `aligned`, either of
-    // which may be `None` (that stream ended).
-    let mismatch = loop {
-        match (orig.next(), pack.next()) {
-            (None, None) => break None,
-            (Some(o), Some(p)) if o.matches(&p, opts.check_mem) => {
-                aligned += 1;
-                ring.push(o);
-            }
-            (o, p) => break Some((o, p)),
-        }
-    };
-    let orig_visits = orig.drain();
-    let packed_visits = pack.drain();
-    let fold = &pack.fold;
-
-    let truncated =
-        original.stats().stop != StopReason::Halted || packed.stats().stop != StopReason::Halted;
-    // Truncation only excuses mismatches at the *tail* of the common
-    // prefix (a partial final visit, or one stream ending early); an early
-    // mismatch with a truncated run is still a real divergence.
-    let tail_mismatch = aligned + 1 >= orig_visits.min(packed_visits);
-    let verdict = match (&mismatch, truncated) {
-        (None, false) => DiffVerdict::Clean,
-        (None, true) => DiffVerdict::Truncated,
-        (Some(_), true) if tail_mismatch => DiffVerdict::Truncated,
-        (Some(_), _) => DiffVerdict::Diverged,
-    };
-    let divergence = mismatch.map(|(expected, actual)| Divergence {
-        index: aligned,
-        expected,
-        actual,
-        context: ring.buf.into(),
-    });
-
-    DIFF_RUNS.incr();
-    DIFF_ALIGNED.add(aligned);
-    DIFF_EXIT_EVENTS.add(fold.exit_events);
-    DIFF_STUB_EVENTS.add(fold.stub_events);
-    DIFF_MIGRATIONS.add(fold.migrations);
-    if verdict == DiffVerdict::Diverged {
-        DIFF_DIVERGENCES.incr();
-        // Flight payload: (first mismatched visit index, aligned prefix).
-        vp_trace::flight("diff.divergence", aligned, aligned);
-    }
-    H_ALIGN_RUN.observe(aligned);
-
-    DiffReport {
-        verdict,
-        orig_visits,
-        packed_visits,
-        aligned_visits: aligned,
-        exit_events: fold.exit_events,
-        stub_events: fold.stub_events,
-        migrations: fold.migrations,
-        divergence,
-    }
+    let mut differ = Differ::new(original, map, opts);
+    let stop = packed.replay(&mut differ).stop;
+    differ.finish(stop)
 }
 
 #[cfg(test)]
@@ -838,8 +1004,8 @@ mod tests {
 
     #[test]
     fn exit_and_stub_events_are_dropped_and_counted() {
-        // Fold a hand-rolled stream: one original block, then an exit
-        // block, then a stub.
+        // Push a hand-rolled packed stream: an exit-block event, a stub
+        // event, then one kept event of the original's only block.
         let ev = crate::event::Retired {
             loc: CodeRef::new(0, 0),
             addr: 0,
@@ -852,41 +1018,28 @@ mod tests {
             ctrl: None,
             in_package: false,
         };
-        let flags = crate::event::col::pack_flags(&ev);
-        let mut b = VisitFold::default();
-        assert_eq!(
-            b.push::<false>(&SlotInfo::of(ev.loc, None), flags, None),
-            None
-        );
-        let v = b.finish().expect("one open visit");
-        assert_eq!((v.origin, v.plain), (ev.loc, 1));
-
+        let identity = |is_exit, is_stub| BlockIdentity {
+            origin: CodeRef::new(0, 0),
+            package: 0,
+            phase: 0,
+            is_exit,
+            is_stub,
+        };
         let mut map = IdentityMap::new();
         map.insert_package(
             FuncId(9),
-            vec![
-                BlockIdentity {
-                    origin: CodeRef::new(0, 0),
-                    package: 0,
-                    phase: 0,
-                    is_exit: true,
-                    is_stub: false,
-                },
-                BlockIdentity {
-                    origin: CodeRef::new(0, 0),
-                    package: 0,
-                    phase: 0,
-                    is_exit: false,
-                    is_stub: true,
-                },
-            ],
+            vec![identity(true, false), identity(false, true)],
         );
-        let mut pbuild = VisitFold::default();
-        pbuild.push::<true>(&SlotInfo::of(CodeRef::new(9, 0), Some(&map)), flags, None);
-        pbuild.push::<true>(&SlotInfo::of(CodeRef::new(9, 1), Some(&map)), flags, None);
-        assert_eq!(pbuild.finish(), None);
-        assert_eq!(pbuild.exit_events, 1);
-        assert_eq!(pbuild.stub_events, 1);
+        let original = captured(&counting_loop(false));
+        let mut differ = Differ::new(&original, &map, &DiffOptions::default());
+        for loc in [CodeRef::new(9, 0), CodeRef::new(9, 1), ev.loc] {
+            differ.retire(col::event(&crate::event::Retired { loc, ..ev }));
+        }
+        let rep = differ.finish(StopReason::Halted);
+        assert_eq!((rep.exit_events, rep.stub_events), (1, 1));
+        assert_eq!(rep.packed_visits, 1, "only the kept event makes a visit");
+        let d = rep.divergence.expect("a one-event run diverges");
+        assert_eq!(d.actual.map(|v| (v.origin, v.plain)), Some((ev.loc, 1)));
     }
 
     #[test]
@@ -906,22 +1059,27 @@ mod tests {
 
     #[test]
     fn context_ring_keeps_only_the_newest_visits() {
-        let visit = |block| Visit {
-            origin: CodeRef::new(0, block),
+        let visit = |block| Cv {
+            origin: origin_key(CodeRef::new(0, block)),
             plain: 1,
             cond: 0,
             mem: 0,
-            package: None,
-            phase: None,
         };
+        let visits: Vec<Cv> = (0..10).map(visit).collect();
         let mut ring = ContextRing::new(3);
-        for b in 0..10 {
-            ring.push(visit(b));
-        }
-        let kept: Vec<Visit> = ring.buf.into();
-        assert_eq!(kept, vec![visit(7), visit(8), visit(9)]);
+        ring.extend(&visits[..2]);
+        ring.extend(&visits[2..3]);
+        ring.extend(&visits[3..]);
+        let kept: Vec<Cv> = ring.buf.into();
+        assert_eq!(kept, [visit(7), visit(8), visit(9)]);
+        // Chunks shorter than the ring keep older chunks' tails.
+        let mut ring = ContextRing::new(4);
+        ring.extend(&visits[..3]);
+        ring.extend(&visits[3..5]);
+        let kept: Vec<Cv> = ring.buf.into();
+        assert_eq!(kept, [visit(1), visit(2), visit(3), visit(4)]);
         let mut none = ContextRing::new(0);
-        none.push(visit(0));
+        none.extend(&visits);
         assert!(none.buf.is_empty());
     }
 

@@ -219,7 +219,8 @@ pub struct ColEvent {
 /// once per retired instruction, in retirement order.
 ///
 /// Sinks compose with tuples: `(&mut hsd, &mut counts)` style composition is
-/// provided through the tuple implementation.
+/// provided through the tuple implementation, and an `Option` of a sink is
+/// a sink that may be absent.
 ///
 /// [`Executor::run`]: crate::Executor::run
 /// [`CapturedTrace::replay`]: crate::CapturedTrace::replay
@@ -248,13 +249,29 @@ impl Sink for NullSink {
     fn retire(&mut self, _e: ColEvent) {}
 }
 
+// The adapters below are forced inline. Left to the inliner, a tuple
+// carrying a `TimingRun` stayed out of line in the fused profile and
+// measurement replays: every event paid a call, and the timing run's
+// hoisted state lived in memory instead of registers.
 impl<S: Sink + ?Sized> Sink for &mut S {
+    #[inline(always)]
     fn retire(&mut self, e: ColEvent) {
         (**self).retire(e);
     }
 }
 
+/// An optional consumer: `None` ignores the stream.
+impl<S: Sink> Sink for Option<S> {
+    #[inline(always)]
+    fn retire(&mut self, e: ColEvent) {
+        if let Some(s) = self {
+            s.retire(e);
+        }
+    }
+}
+
 impl<A: Sink, B: Sink> Sink for (A, B) {
+    #[inline(always)]
     fn retire(&mut self, e: ColEvent) {
         self.0.retire(e);
         self.1.retire(e);
@@ -262,6 +279,7 @@ impl<A: Sink, B: Sink> Sink for (A, B) {
 }
 
 impl<A: Sink, B: Sink, C: Sink> Sink for (A, B, C) {
+    #[inline(always)]
     fn retire(&mut self, e: ColEvent) {
         self.0.retire(e);
         self.1.retire(e);
@@ -371,6 +389,16 @@ mod tests {
         pair.retire(col::event(&dummy(false)));
         assert_eq!(pair.0.total, 1);
         assert_eq!(pair.1.total, 1);
+    }
+
+    #[test]
+    fn option_sink_feeds_only_when_present() {
+        let mut some = Some(InstCounts::new());
+        let mut none: Option<InstCounts> = None;
+        some.retire(col::event(&dummy(false)));
+        none.retire(col::event(&dummy(false)));
+        assert_eq!(some.map(|c| c.total), Some(1));
+        assert!(none.is_none());
     }
 
     #[test]

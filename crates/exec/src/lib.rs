@@ -55,7 +55,7 @@
 //!    eviction, so sweeps that revisit a workload replay instead of
 //!    re-executing — and degrade gracefully to re-execution when the
 //!    budget is exceeded. Concurrent requests for the same key are
-//!    single-flighted: one thread interprets, the rest replay.
+//!    single-flighted: one thread interprets, the rest share its capture.
 //! 4. **Persist** across processes: with `VP_TRACE_DIR` set, captures are
 //!    serialized to disk ([`DiskTier`], versioned header + CRC, budget
 //!    `VP_TRACE_DISK_MB` with mtime-LRU eviction), so a warmed cache
@@ -92,8 +92,10 @@
 //! [`IdentityMap`], rewriter-introduced events (exit blocks, launch stubs,
 //! migration glue) are dropped as expected divergences, and everything
 //! else must align visit-for-visit or the run is flagged with
-//! first-divergence forensics. See [`diff_traces`] and the `VP_DIFF` knob
-//! ([`DiffMode::from_env`]).
+//! first-divergence forensics. The [`Differ`] is a [`Sink`] over the packed
+//! stream, so it rides the same replay as the packed run's other
+//! consumers; [`diff_traces`] is that replay on its own. See the `VP_DIFF`
+//! knob ([`DiffMode::from_env`]).
 
 #![warn(missing_docs)]
 
@@ -105,7 +107,7 @@ pub mod memory;
 pub mod trace_store;
 
 pub use diff::{
-    diff_traces, BlockIdentity, DiffMode, DiffOptions, DiffReport, DiffVerdict, Divergence,
+    diff_traces, BlockIdentity, DiffMode, DiffOptions, DiffReport, DiffVerdict, Differ, Divergence,
     IdentityMap, Visit,
 };
 pub use event::{col, ColEvent, Ctrl, FnSink, InstCounts, NullSink, Retired, Sink};

@@ -36,16 +36,17 @@
 //!
 //! [`TraceStore`] is a bounded, thread-safe map from [`TraceKey`]
 //! (workload label + structural fingerprint + [`RunConfig`] limits) to
-//! shared captures. [`TraceStore::capture_or_replay`] is the one-call
-//! front door used by the experiment harness: a hit replays, a miss
+//! shared captures. [`TraceStore::obtain`] is the one front door used by
+//! the experiment harness: a hit hands back the cached capture, a miss
 //! executes once while recording — and concurrent misses on the same key
 //! are single-flighted, so exactly one thread interprets while the rest
-//! wait and replay. The byte budget comes from `VP_TRACE_CACHE_MB`
-//! (default 512); least-recently-used captures are evicted when it is
-//! exceeded, so oversubscribed sweeps degrade to re-execution instead of
-//! exhausting memory. `VP_TRACE_CACHE_MB=0` disables the memory tier
-//! cleanly: with no disk tier either, runs execute directly and pay no
-//! recording cost at all.
+//! wait and share its capture. The caller then replays the capture once
+//! into all of its consumers. The byte budget comes from
+//! `VP_TRACE_CACHE_MB` (default 512); least-recently-used captures are
+//! evicted when it is exceeded, so oversubscribed sweeps degrade to
+//! re-execution instead of exhausting memory. `VP_TRACE_CACHE_MB=0`
+//! disables the memory tier: every request then records afresh unless
+//! the disk tier holds the key.
 //!
 //! # Persistence
 //!
@@ -419,32 +420,19 @@ pub(crate) struct Record<'t> {
     locs: &'t [CodeRef],
     /// The record's flags byte. Its `MEM`/`ARCH_TAKEN`/`TAKEN` bits
     /// coincide with the [`col`](crate::event::col) bits of the same names.
-    pub(crate) flags: u8,
+    flags: u8,
     /// Effective memory address; 0 unless `flags` has the memory bit.
-    pub(crate) mem: u64,
+    mem: u64,
     /// For returns, the decoded target minus the slot's fetch address
     /// (wrapping); 0 for every other slot.
-    pub(crate) ret_delta: u64,
+    ret_delta: u64,
 }
 
 impl Record<'_> {
-    /// Whether the event carries an effective memory address.
-    #[inline(always)]
-    pub(crate) fn has_mem(&self) -> bool {
-        self.flags & FLAG_MEM != 0
-    }
-
     /// Architectural branch direction (meaningful for control slots only).
     #[inline(always)]
-    pub(crate) fn arch_taken(&self) -> bool {
+    fn arch_taken(&self) -> bool {
         self.flags & FLAG_ARCH_TAKEN != 0
-    }
-
-    /// The slot's static [`col`](crate::event::col) bits (`CTRL`, `COND`,
-    /// `STORE`, ...), without the record's dynamic ones.
-    #[inline(always)]
-    pub(crate) fn slot_flags(&self) -> u8 {
-        self.col.flags
     }
 
     /// The column form of the record. Values come from registers (the
@@ -472,8 +460,9 @@ impl Record<'_> {
 }
 
 /// Pull-based decoder over a trace's dynamic stream: *the* serial parse
-/// chain. [`CapturedTrace::replay`], the lockstep differential replay and
-/// the disk tier's slot census are each a loop over this iterator.
+/// chain. [`CapturedTrace::replay`], the differential replay's pull of
+/// the original stream and the disk tier's slot census are each a loop
+/// over this iterator.
 ///
 /// Besides stream bytes the chain reads one static fact per record —
 /// whether the slot is a return, the one record shape with a trailing
@@ -666,13 +655,6 @@ impl CapturedTrace {
             prev_idx: -1,
             last_mem: 0,
         }
-    }
-
-    /// The static template event of every slot, indexed like
-    /// [`Record::slot`]. Templates carry no dynamic state (memory address,
-    /// branch directions, control target).
-    pub(crate) fn slot_templates(&self) -> impl ExactSizeIterator<Item = &Retired> {
-        self.slots.iter().map(|s| &s.template)
     }
 
     /// The recorded run's summary statistics.
@@ -939,13 +921,6 @@ impl TraceStore {
         self.disk.as_ref()
     }
 
-    /// Whether caching is fully disabled (`VP_TRACE_CACHE_MB=0` and no
-    /// disk tier): [`TraceStore::capture_or_replay`] then executes
-    /// directly, without paying any recording cost.
-    pub fn caching_disabled(&self) -> bool {
-        self.cap_bytes == 0 && self.disk.is_none()
-    }
-
     /// The process-wide store used by the experiment harness, sized from
     /// `VP_TRACE_CACHE_MB` (default 512) at first use, with the disk tier
     /// attached when `VP_TRACE_DIR` is set (budget `VP_TRACE_DISK_MB`,
@@ -1051,60 +1026,30 @@ impl TraceStore {
         self.publish_occupancy(&inner);
     }
 
-    /// Replays `key`'s capture into `sink` if cached (memory or disk);
-    /// otherwise executes `program` once with the recorder (and `sink`)
-    /// attached and caches the result in both tiers. Returns the run's
-    /// stats either way.
+    /// The capture for `key`: from cache (memory or disk) if present,
+    /// otherwise executed once — recording only, no consumer attached —
+    /// and cached in both tiers. Callers replay the returned trace into
+    /// all of their consumers in one pass.
     ///
     /// Concurrent calls for the same key are deduplicated: exactly one
-    /// thread executes (the *leader*), the rest block and then replay the
+    /// thread executes (the *leader*), the rest block and then share the
     /// leader's capture, so an N-way sweep over one workload pays one
     /// interpretation, not N.
-    ///
-    /// When caching is fully disabled ([`TraceStore::caching_disabled`]),
-    /// the program executes directly with no recorder attached — the
-    /// recording cost is only paid when the capture can be kept.
     ///
     /// # Errors
     ///
     /// Propagates [`ExecError`] from a capture run; failed runs are never
     /// cached.
-    pub fn capture_or_replay(
+    pub fn obtain(
         &self,
         key: TraceKey,
         program: &Program,
         layout: &Layout,
         cfg: &RunConfig,
-        sink: &mut impl Sink,
-    ) -> Result<RunStats, ExecError> {
-        if self.caching_disabled() {
-            return Executor::new(program, layout).run(sink, cfg);
-        }
-        self.capture_or_replay_shared(key, program, layout, cfg, sink)
-            .map(|(_, stats)| stats)
-    }
-
-    /// Like [`TraceStore::capture_or_replay`], but also hands back the
-    /// shared capture so the caller can replay it into further consumers
-    /// (this is how `vp_metrics::profile` derives baseline timing without
-    /// re-executing). Because the caller keeps the trace, this records
-    /// even when caching is disabled.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ExecError`] from a capture run.
-    pub fn capture_or_replay_shared(
-        &self,
-        key: TraceKey,
-        program: &Program,
-        layout: &Layout,
-        cfg: &RunConfig,
-        sink: &mut impl Sink,
-    ) -> Result<(Arc<CapturedTrace>, RunStats), ExecError> {
+    ) -> Result<Arc<CapturedTrace>, ExecError> {
         loop {
             if let Some(trace) = self.fetch(&key) {
-                let stats = trace.replay(sink);
-                return Ok((trace, stats));
+                return Ok(trace);
             }
 
             let flight = {
@@ -1120,17 +1065,14 @@ impl TraceStore {
 
             match flight {
                 // Another thread is already capturing this key: wait for
-                // its outcome and replay.
+                // its outcome.
                 Some(flight) => match flight.wait() {
-                    FlightOutcome::Done(trace) => {
-                        let stats = trace.replay(sink);
-                        return Ok((trace, stats));
-                    }
+                    FlightOutcome::Done(trace) => return Ok(trace),
                     FlightOutcome::Failed(e) => return Err(e),
                     FlightOutcome::Cancelled => continue,
                 },
-                // We are the leader: execute once while recording, feeding
-                // `sink` live, then publish for the waiters.
+                // We are the leader: execute once while recording, then
+                // publish for the waiters.
                 None => {
                     let flight = Arc::clone(
                         self.flights
@@ -1148,17 +1090,15 @@ impl TraceStore {
                     // Re-check under flight ownership: a racing leader may
                     // have completed between our fetch miss and takeover.
                     if let Some(trace) = self.get(&key) {
-                        let stats = trace.replay(sink);
                         guard.finish(FlightOutcome::Done(Arc::clone(&trace)));
-                        return Ok((trace, stats));
+                        return Ok(trace);
                     }
-                    match CapturedTrace::capture_with(program, layout, cfg, sink) {
+                    match CapturedTrace::capture(program, layout, cfg) {
                         Ok(trace) => {
                             let trace = Arc::new(trace);
-                            let stats = trace.stats();
                             self.insert(key.clone(), Arc::clone(&trace));
                             guard.finish(FlightOutcome::Done(Arc::clone(&trace)));
-                            return Ok((trace, stats));
+                            return Ok(trace);
                         }
                         Err(e) => {
                             guard.finish(FlightOutcome::Failed(e.clone()));
@@ -1348,17 +1288,14 @@ mod tests {
         let store = TraceStore::with_capacity_mb(4);
         let key = TraceKey::new("sample", &p, &layout, &cfg);
 
-        let mut first = InstCounts::new();
-        store
-            .capture_or_replay(key.clone(), &p, &layout, &cfg, &mut first)
-            .unwrap();
+        let first = store.obtain(key.clone(), &p, &layout, &cfg).unwrap();
         assert_eq!(store.len(), 1);
+        let second = store.obtain(key, &p, &layout, &cfg).unwrap();
+        assert!(Arc::ptr_eq(&first, &second), "a hit shares the capture");
 
-        let mut second = InstCounts::new();
-        store
-            .capture_or_replay(key, &p, &layout, &cfg, &mut second)
-            .unwrap();
-        assert_eq!(first, second);
+        let (mut a, mut b) = (InstCounts::new(), InstCounts::new());
+        assert_eq!(first.replay(&mut a), second.replay(&mut b));
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -1383,15 +1320,8 @@ mod tests {
         let (p, layout) = sample_program();
         let cfg = RunConfig::default();
         let store = TraceStore::new(16);
-        let mut sink = crate::event::NullSink;
         store
-            .capture_or_replay(
-                TraceKey::new("big", &p, &layout, &cfg),
-                &p,
-                &layout,
-                &cfg,
-                &mut sink,
-            )
+            .obtain(TraceKey::new("big", &p, &layout, &cfg), &p, &layout, &cfg)
             .unwrap();
         assert!(store.is_empty());
     }
@@ -1411,11 +1341,10 @@ mod tests {
     }
 
     #[test]
-    fn zero_budget_disables_caching_without_recording() {
+    fn zero_budget_records_every_request_and_caches_nothing() {
         let (p, layout) = sample_program();
         let cfg = RunConfig::default();
         let store = TraceStore::with_capacity_mb(0);
-        assert!(store.caching_disabled());
 
         let mut direct = InstCounts::new();
         let direct_stats = Executor::new(&p, &layout).run(&mut direct, &cfg).unwrap();
@@ -1425,16 +1354,16 @@ mod tests {
                 let key = TraceKey::new("w", &p, &layout, &cfg);
                 let mut counts = InstCounts::new();
                 let stats = store
-                    .capture_or_replay(key, &p, &layout, &cfg, &mut counts)
-                    .unwrap();
+                    .obtain(key, &p, &layout, &cfg)
+                    .unwrap()
+                    .replay(&mut counts);
                 assert_eq!(stats, direct_stats);
                 assert_eq!(counts, direct);
             }
         });
-        // The old behaviour captured (paying the recording cost) and then
-        // failed to cache; now the run executes with no recorder at all.
-        assert_eq!(report.counter("trace_store.captures"), 0);
-        assert_eq!(report.counter("trace_store.replays"), 0);
+        // Nothing fits a zero budget, so each request records afresh.
+        assert_eq!(report.counter("trace_store.captures"), 2);
+        assert_eq!(report.counter("trace_store.hits"), 0);
         assert_eq!(report.counter("trace_store.evictions"), 0);
         assert!(store.is_empty());
     }
@@ -1447,20 +1376,15 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let store = TraceStore::with_capacity_mb(0)
             .with_disk(Some(DiskTier::new(&dir, 64 * 1024 * 1024).unwrap()));
-        assert!(!store.caching_disabled());
 
         let ((), report) = vp_trace::scoped(|| {
             for _ in 0..2 {
                 let key = TraceKey::new("w", &p, &layout, &cfg);
-                let mut counts = InstCounts::new();
-                store
-                    .capture_or_replay(key, &p, &layout, &cfg, &mut counts)
-                    .unwrap();
+                store.obtain(key, &p, &layout, &cfg).unwrap();
             }
         });
         assert_eq!(report.counter("trace_store.captures"), 1);
         assert_eq!(report.counter("trace_store.disk_hits"), 1);
-        assert_eq!(report.counter("trace_store.replays"), 1);
         assert!(store.is_empty(), "memory tier stays empty at budget 0");
         let _ = std::fs::remove_dir_all(&dir);
     }

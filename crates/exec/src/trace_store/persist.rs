@@ -1178,8 +1178,9 @@ mod tests {
             .with_disk(Some(DiskTier::new(&dir, 64 * 1024 * 1024).unwrap()));
         let mut first = InstCounts::new();
         store
-            .capture_or_replay(key.clone(), &p, &layout, &cfg, &mut first)
-            .unwrap();
+            .obtain(key.clone(), &p, &layout, &cfg)
+            .unwrap()
+            .replay(&mut first);
 
         // Simulate a process restart: fresh memory tier, same directory.
         let fresh = TraceStore::with_capacity_mb(4)
@@ -1187,8 +1188,9 @@ mod tests {
         let ((), report) = vp_trace::scoped(|| {
             let mut second = InstCounts::new();
             fresh
-                .capture_or_replay(key.clone(), &p, &layout, &cfg, &mut second)
-                .unwrap();
+                .obtain(key.clone(), &p, &layout, &cfg)
+                .unwrap()
+                .replay(&mut second);
             assert_eq!(first, second);
         });
         assert_eq!(report.counter("trace_store.captures"), 0);

@@ -33,8 +33,8 @@ use crate::branches::BranchCounts;
 use std::sync::{Arc, Mutex};
 use vp_core::{pack, PackConfig, PackOutput};
 use vp_exec::{
-    diff_traces, CapturedTrace, DiffMode, DiffOptions, DiffReport, ExecError, IdentityMap,
-    InstCounts, RunConfig, StopReason, TraceKey, TraceStore,
+    CapturedTrace, DiffMode, DiffOptions, DiffReport, Differ, ExecError, IdentityMap, InstCounts,
+    RunConfig, StopReason, TraceKey, TraceStore,
 };
 use vp_hsd::{filter_hot_spots, FilterConfig, HotSpotDetector, HsdConfig, Phase};
 use vp_opt::{optimize_packages, OptConfig};
@@ -109,7 +109,9 @@ impl ProfiledWorkload {
 /// The retired stream comes from [`TraceStore::global`]: the first
 /// profile of a `(workload, RunConfig)` key executes the program once
 /// while recording; later profiles (e.g. detector-configuration sweeps)
-/// replay the capture. Baseline cycles are always produced by replay.
+/// reuse the capture. Either way the capture is replayed once, into the
+/// detector, the branch-count oracle and (when timed) the timing model
+/// together.
 ///
 /// # Errors
 ///
@@ -127,23 +129,22 @@ pub fn profile(
     let store = TraceStore::global();
     let key = TraceKey::new(label, &program, &layout, &run_cfg);
 
+    let mut timing = machine.map(|m| TimingModel::new(*m));
     let (trace, stats) = {
         let _s = vp_trace::span("metrics.profile.run");
-        let mut sink = (&mut hsd, &mut counts);
-        store.capture_or_replay_shared(key, &program, &layout, &run_cfg, &mut sink)?
+        let trace = store.obtain(key, &program, &layout, &run_cfg)?;
+        let stats =
+            trace.replay(&mut (&mut hsd, &mut counts, timing.as_mut().map(TimingModel::run)));
+        (trace, stats)
     };
     debug_assert_eq!(
         stats.stop,
         StopReason::Halted,
         "{label}: workload must halt"
     );
-
-    let base_cycles = machine.map(|m| {
-        let _s = vp_trace::span("metrics.profile.base_timing");
-        let mut timing = TimingModel::new(*m);
-        timing.replay_trace(&trace);
-        timing.emit_trace();
-        timing.cycles()
+    let base_cycles = timing.map(|t| {
+        t.emit_trace();
+        t.cycles()
     });
 
     let raw_detections = hsd.records().len();
@@ -204,11 +205,11 @@ pub struct ConfigOutcome {
 /// Nothing executes live more than once per key: the packed binary's
 /// retired stream goes through [`TraceStore::global`] under a
 /// [`TraceKey::packed`] key (workload × packed-program structure ×
-/// package-set fingerprint), packed cycles are produced by replaying that
-/// capture through the [`TimingModel`] — the same measurement path
-/// baseline cycles use — and baseline cycles come from
-/// [`ProfiledWorkload::base_cycles`] or a replay of the profile's shared
-/// capture.
+/// package-set fingerprint), and one replay of that capture feeds the
+/// coverage counts, the [`TimingModel`] — the same measurement path
+/// baseline cycles use — and the differential replay together. Baseline
+/// cycles come from [`ProfiledWorkload::base_cycles`] or a replay of the
+/// profile's shared capture.
 ///
 /// # Errors
 ///
@@ -231,9 +232,10 @@ pub fn evaluate(
 /// the environment-independent form tests use.
 ///
 /// One evaluation is three steps: `prepare` (pack, optimize, identity
-/// map), `measure` (packed capture or replay, timing, differential
-/// replay) with its strict check, and `assemble`. A [`ClaimTable`] runs
-/// the same steps but measures each distinct packed binary once.
+/// map), `measure` (one replay of the packed capture into coverage,
+/// timing and differential replay) with its strict check, and
+/// `assemble`. A [`ClaimTable`] runs the same steps but measures each
+/// distinct packed binary once.
 ///
 /// # Errors
 ///
@@ -375,11 +377,12 @@ fn prepare(
     }
 }
 
-/// Runs the prepared packed binary: capture or replay through
-/// [`TraceStore::global`], packed timing from that capture, and the
-/// differential replay against the original. The strict verdict is
-/// [`Measured::check_strict`], taken separately so a [`ClaimTable`]
-/// can publish a diverged measurement to its twins before failing.
+/// Runs the prepared packed binary: its capture from
+/// [`TraceStore::global`], replayed once into the coverage counts, the
+/// timing model and the [`Differ`] against the original. The strict
+/// verdict is [`Measured::check_strict`], taken separately so a
+/// [`ClaimTable`] can publish a diverged measurement to its twins before
+/// failing.
 fn measure(
     prep: &Prepared,
     opt_cfg: &OptConfig,
@@ -396,15 +399,21 @@ fn measure(
         prep.fingerprint,
     );
     let mut counts = InstCounts::new();
-    let (packed_trace, stats) = {
+    let mut timing = machine.map(|m| TimingModel::new(*m));
+    // The diff rides the packed replay unless it is off, or skipped:
+    // block-moving optimizations (cold sinking, LICM) break the
+    // block-level parallelism the alignment relies on.
+    let skip_diff = opt_cfg.sink_cold || opt_cfg.licm;
+    let mut differ = (diff_mode != DiffMode::Off && !skip_diff)
+        .then(|| Differ::new(&prep.original, &prep.identity, &DiffOptions::default()));
+    let stats = {
         let _s = vp_trace::span("metrics.evaluate.measure");
-        TraceStore::global().capture_or_replay_shared(
-            key,
-            &prep.program,
-            &layout,
-            &run_cfg,
+        let packed = TraceStore::global().obtain(key, &prep.program, &layout, &run_cfg)?;
+        packed.replay(&mut (
             &mut counts,
-        )?
+            timing.as_mut().map(TimingModel::run),
+            differ.as_mut(),
+        ))
     };
     debug_assert_eq!(
         stats.stop,
@@ -412,18 +421,15 @@ fn measure(
         "{}: packed binary must halt",
         prep.label
     );
-
-    // Packed cycles come from replaying the capture — the same
-    // measurement path as baseline cycles.
-    let opt_cycles = machine.map(|m| {
-        let _s = vp_trace::span("metrics.evaluate.opt_timing");
-        let mut timing = TimingModel::new(*m);
-        timing.replay_trace(&packed_trace);
-        timing.emit_trace();
-        timing.cycles()
+    let diff = match differ {
+        Some(differ) => Some(differ.finish(stats.stop)),
+        None => (diff_mode != DiffMode::Off).then(DiffReport::skipped),
+    };
+    // Packed cycles come from the same kind of replay as baseline cycles.
+    let opt_cycles = timing.map(|t| {
+        t.emit_trace();
+        t.cycles()
     });
-
-    let diff = diff_packed_run(prep, &packed_trace, opt_cfg, diff_mode);
     Ok(Measured {
         coverage: counts.package_coverage(),
         opt_cycles,
@@ -444,33 +450,6 @@ fn assemble(prep: &Prepared, measured: Measured) -> ConfigOutcome {
         diff: measured.diff,
         ..prep.outcome.clone()
     }
-}
-
-/// Diffs the packed capture against the profile's original capture.
-///
-/// Returns `None` for [`DiffMode::Off`]; returns a
-/// [`DiffVerdict::Skipped`](vp_exec::DiffVerdict::Skipped) report when
-/// block-moving optimizations (cold sinking, LICM) are enabled, because
-/// they break the block-level parallelism the alignment relies on.
-fn diff_packed_run(
-    prep: &Prepared,
-    packed_trace: &CapturedTrace,
-    opt_cfg: &OptConfig,
-    mode: DiffMode,
-) -> Option<DiffReport> {
-    if mode == DiffMode::Off {
-        return None;
-    }
-    if opt_cfg.sink_cold || opt_cfg.licm {
-        return Some(DiffReport::skipped());
-    }
-    let _s = vp_trace::span("metrics.evaluate.diff");
-    Some(diff_traces(
-        &prep.original,
-        packed_trace,
-        &prep.identity,
-        &DiffOptions::default(),
-    ))
 }
 
 /// Cells resolved from a twin's measurement instead of running their own.

@@ -3,10 +3,11 @@
 //! Cycle-level timing substrate: the paper's Table 2 EPIC machine as a
 //! trace-driven model.
 //!
-//! Attach a [`TimingModel`] to a `vp-exec` execution as a sink and read
-//! cycle counts afterwards — the speedup experiment of the paper's
-//! Figure 10 simulates the original and the vacuum-packed binary this way
-//! and compares cycles.
+//! Feed a run of a [`TimingModel`] ([`TimingModel::run`], a `vp-exec`
+//! sink) a replayed or live retired stream and read cycle counts
+//! afterwards — the speedup experiment of the paper's Figure 10 simulates
+//! the original and the vacuum-packed binary this way and compares
+//! cycles.
 //!
 //! ```
 //! use vp_program::{ProgramBuilder, Layout};
@@ -27,7 +28,7 @@
 //! let p = pb.build();
 //! let layout = Layout::natural(&p);
 //! let mut timing = TimingModel::new(MachineConfig::table2());
-//! Executor::new(&p, &layout).run(&mut timing, &RunConfig::default())?;
+//! Executor::new(&p, &layout).run(&mut timing.run(), &RunConfig::default())?;
 //! assert!(timing.cycles() > 0);
 //! assert!(timing.ipc() > 0.5); // tight loop, well predicted
 //! # Ok::<(), vp_exec::ExecError>(())
@@ -42,5 +43,5 @@ pub mod predictor;
 
 pub use cache::Cache;
 pub use config::MachineConfig;
-pub use pipeline::{TimingModel, TimingStats};
+pub use pipeline::{TimingModel, TimingRun, TimingStats};
 pub use predictor::{Btb, Gshare, Ras};

@@ -23,7 +23,7 @@
 use crate::cache::Cache;
 use crate::config::MachineConfig;
 use crate::predictor::{Btb, Gshare, Ras};
-use vp_exec::{col, CapturedTrace, ColEvent, FnSink, Sink};
+use vp_exec::{col, CapturedTrace, ColEvent, Sink};
 use vp_isa::reg::NUM_REGS;
 
 // Issue-bandwidth bookkeeping. Issue is in-order: every candidate issue
@@ -117,8 +117,8 @@ static SIM_DCACHE_MISSES: Counter = Counter::new("sim.dcache.misses");
 static SIM_L2_ACCESSES: Counter = Counter::new("sim.l2.accesses");
 static SIM_L2_MISSES: Counter = Counter::new("sim.l2.misses");
 
-/// The timing model. Attach to an execution as a [`Sink`], then read
-/// [`TimingModel::cycles`].
+/// The timing model. Feed a run of it ([`TimingModel::run`]) the retired
+/// stream, then read [`TimingModel::cycles`].
 #[derive(Debug)]
 pub struct TimingModel {
     cfg: MachineConfig,
@@ -241,43 +241,31 @@ impl TimingModel {
     }
 }
 
-impl Sink for TimingModel {
-    /// Retires one event through [`TimingModel::fused_step`]. Loads and
-    /// stores the hoisted pipeline state around the one step; a whole
-    /// trace replays through [`TimingModel::replay_trace`], which hoists
-    /// it once.
-    fn retire(&mut self, e: ColEvent) {
-        let k = self.fused_consts();
-        let mut st = self.fused_enter();
-        self.fused_step(&k, &mut st, e);
-        self.fused_exit(&st);
-        self.stats.retired += 1;
-    }
-}
-
 impl TimingModel {
-    /// Replays `trace` through the model, with the per-event pipeline
-    /// state hoisted into locals for the whole replay.
+    /// Opens a run of the model: a [`Sink`] guard that holds the per-event
+    /// pipeline state hoisted out of the model for as long as it lives and
+    /// writes it back when dropped. Feed it a replay
+    /// ([`CapturedTrace::replay`]), alone or composed with other sinks, or
+    /// a live execution; read [`TimingModel::cycles`] and
+    /// [`TimingModel::stats`] once the guard is gone.
     ///
-    /// [`CapturedTrace::replay`] fuses the stream decode with
-    /// [`TimingModel::fused_step`] into one loop: the decode's serial
-    /// dependency chain (stream cursor, slot index, memory anchor) and the
-    /// model's (fetch cycle, issue cursor, scoreboard) are independent per
-    /// event, so the host overlaps the two chains. Observationally
-    /// identical to replaying into the model as a [`Sink`] (pinned by
-    /// tests); use the [`Sink`] path when the model is composed with other
-    /// sinks.
+    /// The replay loop fuses the stream decode with the model's step
+    /// kernel: the decode's serial dependency chain
+    /// (stream cursor, slot index, memory anchor) and the model's (fetch
+    /// cycle, issue cursor, scoreboard) are independent per event, so the
+    /// host overlaps the two chains.
+    pub fn run(&mut self) -> TimingRun<'_> {
+        TimingRun {
+            k: self.fused_consts(),
+            st: self.fused_enter(),
+            retired: 0,
+            model: self,
+        }
+    }
+
+    /// Replays `trace` through the model: `trace.replay(&mut self.run())`.
     pub fn replay_trace(&mut self, trace: &CapturedTrace) -> vp_exec::RunStats {
-        let k = self.fused_consts();
-        let mut st = self.fused_enter();
-        let mut retired = 0u64;
-        let stats = trace.replay(&mut FnSink(|e| {
-            retired += 1;
-            self.fused_step(&k, &mut st, e);
-        }));
-        self.stats.retired += retired;
-        self.fused_exit(&st);
-        stats
+        trace.replay(&mut self.run())
     }
 
     /// Hoists the config-derived constants [`TimingModel::fused_step`]
@@ -469,8 +457,33 @@ impl TimingModel {
     }
 }
 
-/// Config-derived constants hoisted once per replay.
-#[derive(Clone, Copy)]
+/// One run of a [`TimingModel`] ([`TimingModel::run`]): the model's
+/// per-event state hoisted into the guard, written back on drop.
+#[derive(Debug)]
+pub struct TimingRun<'m> {
+    model: &'m mut TimingModel,
+    k: FusedConsts,
+    st: FusedState,
+    retired: u64,
+}
+
+impl Sink for TimingRun<'_> {
+    #[inline(always)]
+    fn retire(&mut self, e: ColEvent) {
+        self.retired += 1;
+        self.model.fused_step(&self.k, &mut self.st, e);
+    }
+}
+
+impl Drop for TimingRun<'_> {
+    fn drop(&mut self) {
+        self.model.stats.retired += self.retired;
+        self.model.fused_exit(&self.st);
+    }
+}
+
+/// Config-derived constants hoisted once per run.
+#[derive(Debug, Clone, Copy)]
 struct FusedConsts {
     issue_width: u32,
     issue_cap: u64,
@@ -482,11 +495,12 @@ struct FusedConsts {
     wrong_path_fetch: bool,
 }
 
-/// The per-event pipeline state of [`TimingModel`], hoisted into a stack
-/// value for the duration of a replay so the step kernel
-/// threads it through registers; [`TimingModel::fused_exit`] writes it
-/// back. The hot branch counters accumulate here and flush to the stats
-/// block once per replay.
+/// The per-event pipeline state of [`TimingModel`], hoisted into a
+/// [`TimingRun`] for the duration of a run so the step kernel threads it
+/// through registers; [`TimingModel::fused_exit`] writes it back. The hot
+/// branch counters accumulate here and flush to the stats block once per
+/// run.
+#[derive(Debug)]
 struct FusedState {
     fetch_cycle: u64,
     fetch_left: u32,
@@ -530,7 +544,7 @@ mod tests {
     fn independent_alu_ops_bounded_by_unit_count() {
         let mut tm = TimingModel::new(MachineConfig::table2());
         for i in 0..1000u64 {
-            tm.retire(col::event(&inst(
+            tm.run().retire(col::event(&inst(
                 0x1000 + 4 * (i % 16),
                 FuClass::IntAlu,
                 Some(Reg::int(20)),
@@ -549,7 +563,7 @@ mod tests {
         let mut tm = TimingModel::new(MachineConfig::table2());
         let r = Reg::int(20);
         for i in 0..1000u64 {
-            tm.retire(col::event(&inst(
+            tm.run().retire(col::event(&inst(
                 0x1000 + 4 * (i % 16),
                 FuClass::IntAlu,
                 Some(r),
@@ -572,13 +586,13 @@ mod tests {
         // Warm the hit model's cache.
         let mut warm = inst(0x1000, FuClass::Mem, Some(Reg::int(20)), [None; 3], 2);
         warm.mem_addr = Some(0x9000);
-        hit.retire(col::event(&warm));
+        hit.run().retire(col::event(&warm));
         for tm in [&mut hit, &mut miss] {
             let mut ld = inst(0x1010, FuClass::Mem, Some(Reg::int(21)), [None; 3], 2);
             ld.mem_addr = Some(0x9000);
-            tm.retire(col::event(&ld));
+            tm.run().retire(col::event(&ld));
             // Dependent consumer.
-            tm.retire(col::event(&inst(
+            tm.run().retire(col::event(&inst(
                 0x1014,
                 FuClass::IntAlu,
                 Some(Reg::int(22)),
@@ -612,8 +626,8 @@ mod tests {
                     target: if taken { 0x2000 } else { 0x1004 },
                     ret_addr: 0,
                 });
-                tm.retire(col::event(&br));
-                tm.retire(col::event(&inst(
+                tm.run().retire(col::event(&br));
+                tm.run().retire(col::event(&inst(
                     if taken { 0x2000 } else { 0x1004 },
                     FuClass::IntAlu,
                     None,
@@ -651,7 +665,7 @@ mod tests {
         let mut tiny_loop = TimingModel::new(cfg);
         let mut huge_stride = TimingModel::new(cfg);
         for i in 0..2000u64 {
-            tiny_loop.retire(col::event(&inst(
+            tiny_loop.run().retire(col::event(&inst(
                 0x1000 + 4 * (i % 8),
                 FuClass::IntAlu,
                 None,
@@ -659,7 +673,7 @@ mod tests {
                 1,
             )));
             // Stride exceeding L1I capacity: every line misses.
-            huge_stride.retire(col::event(&inst(
+            huge_stride.run().retire(col::event(&inst(
                 0x1000 + 4096 * i,
                 FuClass::IntAlu,
                 None,
@@ -675,7 +689,7 @@ mod tests {
     fn stats_count_retirements() {
         let mut tm = TimingModel::new(MachineConfig::table2());
         for i in 0..10 {
-            tm.retire(col::event(&inst(
+            tm.run().retire(col::event(&inst(
                 0x1000 + 4 * i,
                 FuClass::IntAlu,
                 None,
@@ -722,7 +736,7 @@ mod ras_tests {
         let layout = Layout::natural(&p);
         let mut tm = TimingModel::new(MachineConfig::table2());
         Executor::new(&p, &layout)
-            .run(&mut tm, &RunConfig::default())
+            .run(&mut tm.run(), &RunConfig::default())
             .unwrap();
         // 2000 returns; after warmup virtually all predicted.
         assert!(
@@ -872,8 +886,8 @@ mod reference {
         }
     }
 
-    /// The fused kernel — replayed from a capture and driven live as a
-    /// [`Sink`] — against the struct-path reference fed by live
+    /// The fused kernel — replayed from a capture and driven live through
+    /// a [`TimingRun`] — against the struct-path reference fed by live
     /// execution: bit-identical [`TimingStats`] and cycles on every
     /// workload of the Table 1 suite. The hot-spot detector's column
     /// `retire` is held to the same standard against `observe` on the
@@ -900,14 +914,16 @@ mod reference {
                 .expect("reference run");
 
             let mut live = TimingModel::new(machine);
-            let trace =
-                CapturedTrace::capture_with(&w.program, &layout, &cfg, &mut live).expect("capture");
+            Executor::new(&w.program, &layout)
+                .run(&mut live.run(), &cfg)
+                .expect("live run");
+            let trace = CapturedTrace::capture(&w.program, &layout, &cfg).expect("capture");
             let mut fused = TimingModel::new(machine);
             fused.replay_trace(&trace);
             let mut hsd = HotSpotDetector::new(HsdConfig::default());
             trace.replay(&mut hsd);
 
-            for (path, model) in [("live sink", &live), ("replay_trace", &fused)] {
+            for (path, model) in [("live run", &live), ("replay_trace", &fused)] {
                 assert_eq!(reference.stats(), model.stats(), "{label}: {path} stats");
                 assert_eq!(reference.cycles(), model.cycles(), "{label}: {path} cycles");
             }

@@ -45,7 +45,7 @@ fn replay_is_bit_equal_to_live_execution() {
         let mut live_timing = TimingModel::new(machine);
         let live_stats = Executor::new(&program, &layout)
             .run(
-                &mut (&mut live_hsd, &mut live_counts, &mut live_timing),
+                &mut (&mut live_hsd, &mut live_counts, live_timing.run()),
                 &cfg,
             )
             .unwrap_or_else(|e| panic!("{name}: live run failed: {e}"));
@@ -57,7 +57,7 @@ fn replay_is_bit_equal_to_live_execution() {
         let mut replay_counts = InstCounts::new();
         let mut replay_timing = TimingModel::new(machine);
         let replay_stats =
-            capture.replay(&mut (&mut replay_hsd, &mut replay_counts, &mut replay_timing));
+            capture.replay(&mut (&mut replay_hsd, &mut replay_counts, replay_timing.run()));
 
         assert_eq!(live_stats, replay_stats, "{name}: RunStats diverged");
         assert_eq!(live_counts, replay_counts, "{name}: InstCounts diverged");
@@ -132,8 +132,9 @@ fn one_megabyte_store_evicts_without_changing_results() {
 
                 let mut cached = InstCounts::new();
                 let stats = store
-                    .capture_or_replay(key, program, &layout, &cfg, &mut cached)
-                    .expect("run succeeds");
+                    .obtain(key, program, &layout, &cfg)
+                    .expect("run succeeds")
+                    .replay(&mut cached);
 
                 let mut direct = InstCounts::new();
                 let direct_stats = Executor::new(program, &layout)
@@ -183,12 +184,12 @@ fn disk_round_trip_replays_bit_exact_on_three_workloads() {
         let mut orig_hsd = HotSpotDetector::new(HsdConfig::table2());
         let mut orig_counts = InstCounts::new();
         let mut orig_timing = TimingModel::new(machine);
-        let orig_stats = original.replay(&mut (&mut orig_hsd, &mut orig_counts, &mut orig_timing));
+        let orig_stats = original.replay(&mut (&mut orig_hsd, &mut orig_counts, orig_timing.run()));
 
         let mut load_hsd = HotSpotDetector::new(HsdConfig::table2());
         let mut load_counts = InstCounts::new();
         let mut load_timing = TimingModel::new(machine);
-        let load_stats = loaded.replay(&mut (&mut load_hsd, &mut load_counts, &mut load_timing));
+        let load_stats = loaded.replay(&mut (&mut load_hsd, &mut load_counts, load_timing.run()));
 
         assert_eq!(orig_stats, load_stats, "{name}: RunStats diverged");
         assert_eq!(orig_counts, load_counts, "{name}: InstCounts diverged");
@@ -253,8 +254,9 @@ fn corrupted_disk_captures_fall_back_to_reexecution() {
             let key = TraceKey::new("corrupt", &program, &layout, &cfg);
             let mut counts = InstCounts::new();
             let stats = store
-                .capture_or_replay(key, &program, &layout, &cfg, &mut counts)
-                .expect("run succeeds");
+                .obtain(key, &program, &layout, &cfg)
+                .expect("run succeeds")
+                .replay(&mut counts);
             assert_eq!(stats, direct_stats, "{mode}: stats diverged");
             assert_eq!(counts, direct, "{mode}: counts diverged");
         });
@@ -276,8 +278,9 @@ fn corrupted_disk_captures_fall_back_to_reexecution() {
             let key = TraceKey::new("corrupt", &program, &layout, &cfg);
             let mut counts = InstCounts::new();
             store
-                .capture_or_replay(key, &program, &layout, &cfg, &mut counts)
-                .expect("run succeeds");
+                .obtain(key, &program, &layout, &cfg)
+                .expect("run succeeds")
+                .replay(&mut counts);
         });
         assert_eq!(report.counter("trace_store.disk_hits"), 1, "{mode}");
         assert_eq!(report.counter("trace_store.captures"), 0, "{mode}");
@@ -285,9 +288,9 @@ fn corrupted_disk_captures_fall_back_to_reexecution() {
     }
 }
 
-/// N threads racing `capture_or_replay` on the same key must produce
-/// exactly one live execution — the rest wait on the in-flight capture and
-/// replay it — and every thread still observes bit-identical results.
+/// N threads racing `obtain` on the same key must produce exactly one
+/// live execution — the rest wait on the in-flight capture and share it —
+/// and every thread's replay still observes bit-identical results.
 #[test]
 fn concurrent_capture_or_replay_runs_one_live_execution() {
     use std::sync::Barrier;
@@ -312,8 +315,9 @@ fn concurrent_capture_or_replay_runs_one_live_execution() {
                         let key = TraceKey::new("concurrent", &program, &layout, &cfg);
                         let mut counts = InstCounts::new();
                         let stats = store
-                            .capture_or_replay(key, &program, &layout, &cfg, &mut counts)
-                            .expect("run succeeds");
+                            .obtain(key, &program, &layout, &cfg)
+                            .expect("run succeeds")
+                            .replay(&mut counts);
                         (stats, counts)
                     })
                 })
@@ -333,8 +337,8 @@ fn concurrent_capture_or_replay_runs_one_live_execution() {
     assert_eq!(sum("trace_store.captures"), 1, "exactly one live execution");
     assert_eq!(
         sum("trace_store.replays"),
-        (N - 1) as u64,
-        "every other thread replays the single capture"
+        N as u64,
+        "every thread, the leader included, replays the single capture"
     );
 }
 
@@ -354,13 +358,14 @@ fn large_store_serves_second_sweep_from_cache() {
             let key = TraceKey::new(label, program, &layout, &cfg);
             let mut counts = InstCounts::new();
             store
-                .capture_or_replay(key, program, &layout, &cfg, &mut counts)
-                .expect("run succeeds");
+                .obtain(key, program, &layout, &cfg)
+                .expect("run succeeds")
+                .replay(&mut counts);
         }
     });
     assert_eq!(report.counter("trace_store.captures"), 3);
     assert_eq!(report.counter("trace_store.hits"), 3);
-    assert_eq!(report.counter("trace_store.replays"), 3);
+    assert_eq!(report.counter("trace_store.replays"), 6);
     assert_eq!(report.counter("trace_store.evictions"), 0);
 }
 
