@@ -104,8 +104,6 @@ fn main() {
                 OptConfig {
                     relayout: false,
                     reschedule: false,
-                    sink_cold: false,
-                    licm: false,
                 },
             ),
             (
@@ -113,8 +111,6 @@ fn main() {
                 OptConfig {
                     relayout: false,
                     reschedule: true,
-                    sink_cold: false,
-                    licm: false,
                 },
             ),
             (
@@ -122,12 +118,9 @@ fn main() {
                 OptConfig {
                     relayout: true,
                     reschedule: false,
-                    sink_cold: false,
-                    licm: false,
                 },
             ),
             ("both (paper)", OptConfig::default()),
-            ("all+sink+licm", OptConfig::full()),
         ] {
             let out = evaluate(&pw, &PackConfig::default(), &ocfg, Some(&machine)).unwrap();
             t4.row(vec![

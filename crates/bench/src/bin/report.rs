@@ -297,8 +297,9 @@ fn main() {
     println!("rescheduling, with linking adding on the shared-root benchmarks, and");
     println!("memory-bound workloads (mcf, vortex) near 1.0 — the same pattern the");
     println!("paper reports. The pass ablation (`bin/ablation`, section 4) shows");
-    println!("rescheduling carries most of the gain, matching the paper's \"basic");
-    println!("rescheduling\" framing.");
+    println!("rescheduling carries essentially all of the gain: relayout alone stays");
+    println!("within 1% of 1.0 on vpr, twolf and perl A (slightly below it on vpr),");
+    println!("matching the paper's \"basic rescheduling\" framing.");
     println!();
     // ------------------------------------ Cross-input generalization
     println!("## Cross-input generalization — train on A, evaluate on B");
@@ -608,7 +609,7 @@ fn main() {
     }
 
     // Work-stealing scheduler totals, when any stage above fanned out
-    // (`--jobs`/`VP_SWEEP_JOBS`); the same object lands in the manifest
+    // (`--jobs`/`VP_THREADS`); the same object lands in the manifest
     // as `sweep`.
     if let Some(sched) = bench::sched_manifest_value() {
         let num = |key: &str| sched.get(key).and_then(|v| v.as_f64()).unwrap_or(0.0);

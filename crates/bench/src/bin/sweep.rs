@@ -7,11 +7,10 @@
 //! sweep merge FILE.jsonl...                        # join shard manifests
 //! sweep cross [--timing] [--jobs N] [--only FAMILY]... [--eval INPUT]... [--from SOURCE]...
 //! sweep history [ingest|list|series|gate] ...      # query the run-history warehouse
-//! sweep watch FEED [--follow]                      # attach to a live sweep's feed
 //! ```
 //!
 //! In-process parallelism comes from the work-stealing scheduler:
-//! `--jobs N` (default `VP_SWEEP_JOBS`, then `VP_THREADS`/cores) sets the
+//! `--jobs N` (default `VP_THREADS`, then the core count) sets the
 //! worker count, and all workers share one `TraceStore`. `--jobs`
 //! composes with sharding — each shard process runs its own N workers.
 //!
@@ -375,44 +374,6 @@ fn history_main(args: &[String]) -> ! {
     }
 }
 
-/// `sweep watch FEED [--follow] [--interval-ms N]`: render a live view
-/// of a sweep's `VP_LIVE_FEED` file; `--follow` re-reads until the
-/// `sweep.done` event lands.
-fn watch_main(args: &[String]) -> ! {
-    let mut args: Vec<String> = args.to_vec();
-    let interval_ms: u64 = take_flag(&mut args, "--interval-ms")
-        .map(|s| {
-            s.parse()
-                .unwrap_or_else(|_| fail("--interval-ms needs a positive integer"))
-        })
-        .unwrap_or(500)
-        .max(50);
-    let follow = if let Some(at) = args.iter().position(|a| a == "--follow") {
-        args.remove(at);
-        true
-    } else {
-        false
-    };
-    let [feed] = args.as_slice() else {
-        fail("usage: sweep watch FEED [--follow] [--interval-ms N]");
-    };
-    loop {
-        let text = std::fs::read_to_string(feed)
-            .unwrap_or_else(|e| fail(&format!("watch: cannot read {feed}: {e}")));
-        let st = bench::watch::fold_feed(&text);
-        if follow && !st.finished {
-            // Home + clear so the view repaints in place.
-            print!("\x1b[H\x1b[2J{}", bench::watch::render_watch(&st));
-            use std::io::Write as _;
-            let _ = std::io::stdout().flush();
-            std::thread::sleep(std::time::Duration::from_millis(interval_ms));
-            continue;
-        }
-        print!("{}", bench::watch::render_watch(&st));
-        std::process::exit(0);
-    }
-}
-
 fn main() {
     let args = bench::cli_args();
     if args.first().map(String::as_str) == Some("merge") {
@@ -423,9 +384,6 @@ fn main() {
     }
     if args.first().map(String::as_str) == Some("history") {
         history_main(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("watch") {
-        watch_main(&args[1..]);
     }
 
     let mut timing = false;
@@ -442,7 +400,7 @@ fn main() {
             other => fail(&format!(
                 "unknown argument {other:?} (usage: sweep [--timing] [--jobs N] \
                  [--only SUBSTR]... | sweep merge FILE... | sweep cross [--timing] \
-                 [--jobs N] [--only FAMILY]... | sweep history ... | sweep watch FEED)"
+                 [--jobs N] [--only FAMILY]... | sweep history ...)"
             )),
         }
     }

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! vpack <workload> [--no-inference] [--no-linking] [--max-blocks N]
-//!                  [--opt none|paper|full] [--timing] [--dump] [--list]
+//!                  [--opt none|paper] [--timing] [--dump] [--list]
 //! ```
 //!
 //! Examples:
@@ -24,7 +24,7 @@ use vacuum_packing::program::pretty;
 fn usage() -> ! {
     eprintln!(
         "usage: vpack <workload> [--no-inference] [--no-linking] [--max-blocks N]\n\
-         \x20                    [--opt none|paper|full] [--timing] [--dump] [--list]"
+         \x20                    [--opt none|paper] [--timing] [--dump] [--list]"
     );
     std::process::exit(2);
 }
@@ -59,12 +59,9 @@ fn main() {
                     opt = OptConfig {
                         relayout: false,
                         reschedule: false,
-                        sink_cold: false,
-                        licm: false,
                     }
                 }
                 Some("paper") => opt = OptConfig::default(),
-                Some("full") => opt = OptConfig::full(),
                 _ => usage(),
             },
             "--timing" => timing = true,

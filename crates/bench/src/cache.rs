@@ -34,7 +34,7 @@ pub(crate) fn active_cache() -> Option<ResultCache> {
 }
 
 /// The trace fingerprint a workload's profile run would use: the
-/// structural [`TraceKey`] over the natural layout under the default
+/// content [`TraceKey`] over the natural layout under the default
 /// run limits — exactly what [`vacuum_packing::metrics::profile`]
 /// captures or replays.
 pub(crate) fn workload_trace_fp(wl: &Workload) -> u64 {
@@ -126,12 +126,15 @@ mod tests {
             Some(&MachineConfig::table2()),
         );
         assert_ne!(base, no_inf);
-        let full_opt = cell_config_fp(
+        let resched_only = cell_config_fp(
             &PackConfig::default(),
-            &OptConfig::full(),
+            &OptConfig {
+                relayout: false,
+                reschedule: true,
+            },
             Some(&MachineConfig::table2()),
         );
-        assert_ne!(base, full_opt);
+        assert_ne!(base, resched_only);
         let untimed = cell_config_fp(&PackConfig::default(), &OptConfig::default(), None);
         assert_ne!(base, untimed);
         let wider = MachineConfig {

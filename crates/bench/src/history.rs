@@ -28,7 +28,7 @@
 //!
 //! Everything here is observability-only: ingestion failures warn on
 //! stderr and never fail the run, and nothing the warehouse does alters
-//! report bytes (pinned by `tests/live_feed.rs`).
+//! report bytes (pinned by `tests/history_report.rs`).
 //!
 //! ## Tolerance bands
 //!

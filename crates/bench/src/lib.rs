@@ -11,9 +11,6 @@
 //! * `VP_SCALE` — workload scale multiplier (default 1);
 //! * `VP_THREADS` — sweep parallelism (default: available cores, capped at
 //!   the suite size);
-//! * `VP_SWEEP_JOBS` — worker count of the in-process work-stealing sweep
-//!   scheduler (see [`steal`]); overridden by a binary's `--jobs N` flag,
-//!   defaults to `VP_THREADS`;
 //! * `VP_TRACE` — `summary`, `json`, or `json:<path>` (see `vp-trace`);
 //!   every binary also accepts `--json` as a shorthand for `VP_TRACE=json`;
 //! * `VP_TRACE_CACHE_MB` — byte budget of the retired-trace capture cache
@@ -46,7 +43,6 @@ pub mod manifest_diff;
 pub mod micro;
 pub mod steal;
 pub mod sweep;
-pub mod watch;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -65,7 +61,9 @@ pub fn scale() -> u32 {
         .unwrap_or(1)
 }
 
-/// Sweep parallelism from `VP_THREADS` (default: available cores).
+/// Sweep parallelism from `VP_THREADS` (default: available cores); also
+/// the worker count of the work-stealing sweep scheduler (see [`steal`])
+/// unless a binary's `--jobs N` flag overrides it.
 pub fn threads() -> usize {
     std::env::var("VP_THREADS")
         .ok()
@@ -84,19 +82,13 @@ pub fn set_jobs(n: usize) {
 
 /// Worker count of the in-process work-stealing sweep scheduler.
 ///
-/// Precedence: the `--jobs N` CLI flag (via [`set_jobs`]), then the
-/// `VP_SWEEP_JOBS` environment knob, then [`threads`] (i.e. `VP_THREADS`
-/// or the machine's core count).
+/// Precedence: the `--jobs N` CLI flag (via [`set_jobs`]), then
+/// [`threads`] (i.e. `VP_THREADS` or the machine's core count).
 pub fn jobs() -> usize {
-    let cli = JOBS_OVERRIDE.load(Ordering::Relaxed);
-    if cli > 0 {
-        return cli;
+    match JOBS_OVERRIDE.load(Ordering::Relaxed) {
+        0 => threads(),
+        cli => cli,
     }
-    std::env::var("VP_SWEEP_JOBS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n: &usize| n > 0)
-        .unwrap_or_else(threads)
 }
 
 /// Scheduler telemetry accumulated across every [`parallel_sweep`] of this
@@ -322,16 +314,6 @@ where
         .collect();
     parallel_sweep(jobs, |(label, j)| {
         eprintln!("{what}: {label} ...");
-        let worker = steal::current_worker().unwrap_or(0) as u64;
-        if vp_trace::feed_enabled() {
-            vp_trace::feed(
-                "cell.start",
-                &[
-                    ("cell", Value::from(label.as_str())),
-                    ("worker", Value::from(worker)),
-                ],
-            );
-        }
         let start = std::time::Instant::now();
         let (out, report) = vp_trace::scoped(|| {
             let _cell = vp_trace::span_in(&ctx, "bench.cell");
@@ -344,33 +326,6 @@ where
         eprintln!(
             "{what}: {label} done in {wall_ms:.1} ms (store hits {ratio}) [{finished}/{total}]"
         );
-        if vp_trace::feed_enabled() {
-            // Per-interval store telemetry: this cell's own hit/capture
-            // deltas from its isolated scope, plus one consistent
-            // occupancy snapshot of the shared store.
-            let hits = report.counter("trace_store.hits") + report.counter("trace_store.disk_hits");
-            let store = vacuum_packing::exec::TraceStore::global().snapshot();
-            vp_trace::feed(
-                "cell.done",
-                &[
-                    ("cell", Value::from(label.as_str())),
-                    ("worker", Value::from(worker)),
-                    ("wall_ms", Value::from((wall_ms * 1e3).round() / 1e3)),
-                    ("hits", Value::from(hits)),
-                    (
-                        "captures",
-                        Value::from(report.counter("trace_store.captures")),
-                    ),
-                    ("done", Value::from(finished as u64)),
-                    ("total", Value::from(total as u64)),
-                    ("store_entries", Value::from(store.entries as u64)),
-                    (
-                        "store_resident_bytes",
-                        Value::from(store.resident_bytes as u64),
-                    ),
-                ],
-            );
-        }
         (out, JobTelemetry { wall_ms, report })
     })
 }

@@ -77,22 +77,6 @@ impl SchedStats {
     }
 }
 
-std::thread_local! {
-    /// The scheduler worker id of the current thread, while inside a
-    /// `run_stealing` task body.
-    static WORKER_ID: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
-}
-
-/// The work-stealing worker id of the calling thread, when it is one.
-///
-/// `Some(w)` only on a scheduler worker thread, inside a task body —
-/// which is where per-cell telemetry (the sweep's live-feed `cell.*`
-/// events) wants to attribute work to a worker. `None` everywhere else,
-/// including the dispatching thread.
-pub fn current_worker() -> Option<usize> {
-    WORKER_ID.with(std::cell::Cell::get)
-}
-
 /// Injector refill batch size: large enough that workers go back to the
 /// shared deque rarely, small enough that a batch left on a slow worker's
 /// deque is worth stealing.
@@ -194,7 +178,6 @@ pub(crate) fn run_stealing<T: Send>(
             let busy_ns = &busy_ns;
             let exec = &exec;
             s.spawn(move || {
-                WORKER_ID.with(|id| id.set(Some(w)));
                 let mut was_stolen = false;
                 loop {
                     match queues.next(w, &mut was_stolen) {

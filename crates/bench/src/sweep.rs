@@ -234,16 +234,6 @@ pub fn sweep_cells(
             (format!("{} [{}]", label_of(w), CONFIG_LABELS[c]), j)
         })
         .collect();
-    if vp_trace::feed_enabled() {
-        vp_trace::feed(
-            "sweep.start",
-            &[
-                ("total", vp_trace::Value::from(jobs.len() as u64)),
-                ("jobs", vp_trace::Value::from(crate::jobs() as u64)),
-            ],
-        );
-    }
-    let sweep_t0 = std::time::Instant::now();
     let opt_cfg = OptConfig::default();
     let table = ClaimTable::new(&opt_cfg, machine, DiffMode::from_env());
     let results = parallel_sweep_scoped("sweep", jobs, |&j| {
@@ -278,21 +268,6 @@ pub fn sweep_cells(
         let row = cell_row(j, label_of(w), CONFIG_LABELS[c], &out);
         telemetry.push(telemetry_row(&row[COL_CELL], &t, cache_status, &out));
         rows.push(row);
-    }
-    if vp_trace::feed_enabled() {
-        let wall_ms = sweep_t0.elapsed().as_secs_f64() * 1e3;
-        vp_trace::feed(
-            "sweep.done",
-            &[
-                ("done", vp_trace::Value::from(rows.len() as u64)),
-                ("total", vp_trace::Value::from(rows.len() as u64)),
-                (
-                    "wall_ms",
-                    vp_trace::Value::from((wall_ms * 1e3).round() / 1e3),
-                ),
-                ("cache_hits", vp_trace::Value::from(cached.len() as u64)),
-            ],
-        );
     }
     let cache_hits = cached.len();
     let cache_misses = if cache.is_some() {

@@ -38,7 +38,6 @@ fn sweep(args: &[&str], envs: &[(&str, &str)]) -> Output {
         "VP_DIFF",
         "VP_PROFILE_FROM",
         "VP_MERGE_WEIGHT",
-        "VP_SWEEP_JOBS",
         "VP_THREADS",
     ] {
         cmd.env_remove(var);
@@ -99,11 +98,8 @@ fn jobs_count_never_changes_the_strict_sweep_report() {
     );
 
     // The env-knob spelling of the same worker count is equivalent.
-    let via_env = stdout(&sweep(
-        &args,
-        &[("VP_DIFF", "strict"), ("VP_SWEEP_JOBS", "8")],
-    ));
-    assert_eq!(via_env, sequential, "VP_SWEEP_JOBS=8 equals --jobs 8");
+    let via_env = stdout(&sweep(&args, &[("VP_DIFF", "strict"), ("VP_THREADS", "8")]));
+    assert_eq!(via_env, sequential, "VP_THREADS=8 equals --jobs 8");
 }
 
 #[test]

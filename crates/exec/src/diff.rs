@@ -44,9 +44,9 @@
 //!
 //! The alignment assumes the optimizer preserved the rewriter's
 //! block-level structure: in-block rescheduling and relayout are fine,
-//! but passes that move instructions *between* blocks (cold sinking,
-//! LICM) break the per-visit counts, and callers must skip the diff for
-//! such configurations.
+//! while a pass that moved instructions *between* blocks would break the
+//! per-visit counts and show up as a divergence. `vp-opt` has no such
+//! pass, so every packed run is diffable.
 
 use crate::event::{col, ColEvent, Sink};
 use crate::trace_store::{CapturedTrace, TraceCursor};
@@ -266,9 +266,6 @@ pub enum DiffVerdict {
     /// An unexplained divergence: the packed binary did different
     /// architectural work.
     Diverged,
-    /// The diff was not applicable (e.g. block-moving optimizations were
-    /// enabled) and was skipped.
-    Skipped,
 }
 
 impl fmt::Display for DiffVerdict {
@@ -277,7 +274,6 @@ impl fmt::Display for DiffVerdict {
             DiffVerdict::Clean => "clean",
             DiffVerdict::Truncated => "truncated",
             DiffVerdict::Diverged => "diverged",
-            DiffVerdict::Skipped => "skipped",
         })
     }
 }
@@ -304,20 +300,6 @@ pub struct DiffReport {
 }
 
 impl DiffReport {
-    /// A report for a configuration where the diff does not apply.
-    pub fn skipped() -> DiffReport {
-        DiffReport {
-            verdict: DiffVerdict::Skipped,
-            orig_visits: 0,
-            packed_visits: 0,
-            aligned_visits: 0,
-            exit_events: 0,
-            stub_events: 0,
-            migrations: 0,
-            divergence: None,
-        }
-    }
-
     /// Whether this run found no unexplained divergence.
     pub fn is_clean(&self) -> bool {
         self.verdict != DiffVerdict::Diverged

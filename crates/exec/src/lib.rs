@@ -115,6 +115,6 @@ pub use exec::{ExecError, Executor, RunConfig, RunStats, StopReason};
 pub use fx::{FxHashMap, FxHasher};
 pub use memory::Memory;
 pub use trace_store::{
-    crc32, CapturedTrace, DiskTier, StoreSnapshot, TraceKey, TraceRecorder, TraceStore,
-    DEFAULT_CACHE_MB, DEFAULT_DISK_MB, FORMAT_VERSION as TRACE_FORMAT_VERSION,
+    crc32, CapturedTrace, DiskTier, TraceKey, TraceRecorder, TraceStore, DEFAULT_CACHE_MB,
+    DEFAULT_DISK_MB, FORMAT_VERSION as TRACE_FORMAT_VERSION,
 };

@@ -35,7 +35,7 @@
 //! # Caching
 //!
 //! [`TraceStore`] is a bounded, thread-safe map from [`TraceKey`]
-//! (workload label + structural fingerprint + [`RunConfig`] limits) to
+//! (workload label + content fingerprint + [`RunConfig`] limits) to
 //! shared captures. [`TraceStore::obtain`] is the one front door used by
 //! the experiment harness: a hit hands back the cached capture, a miss
 //! executes once while recording — and concurrent misses on the same key
@@ -93,7 +93,6 @@
 use crate::event::{col, Retired, Sink};
 use crate::exec::{ExecError, Executor, RunConfig, RunStats};
 use crate::fx::FxHashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use vp_isa::CodeRef;
 use vp_program::{Layout, Program};
@@ -675,21 +674,23 @@ impl CapturedTrace {
 
 // --------------------------------------------------------------- the key
 
-/// Cache key for a capture: which workload ran, a structural fingerprint
+/// Cache key for a capture: which workload ran, a content fingerprint
 /// of the program *and* its layout, the [`RunConfig`] limits, and a
 /// *variant* distinguishing rewritten flavors of the same workload.
 ///
-/// The fingerprint hashes every block's instruction count and laid-out
-/// address, so regenerating the same workload (same builder, same scale)
-/// maps to the same key while any structural or layout change misses.
-/// The variant is 0 for the original binary; packed binaries use the
-/// package-set fingerprint ([`TraceKey::packed`]), so the original and
-/// each packed flavor of one workload coexist in the cache.
+/// The fingerprint folds every instruction and terminator with all its
+/// operands, every block's laid-out address and every initialized data
+/// word, so regenerating the same workload (same builder, same scale)
+/// maps to the same key while any change to code, data or layout misses
+/// — even one that keeps every block's shape. The variant is 0 for the
+/// original binary; packed binaries use the package-set fingerprint
+/// ([`TraceKey::packed`]), so the original and each packed flavor of one
+/// workload coexist in the cache.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TraceKey {
     /// Workload label, e.g. `"300.twolf A"`.
     pub workload: String,
-    /// Structural checksum of (program, layout).
+    /// Content fingerprint of (program, layout).
     pub fingerprint: u64,
     /// Rewrite variant: 0 for the original binary, the package-set
     /// fingerprint for a packed binary.
@@ -703,31 +704,35 @@ pub struct TraceKey {
 impl TraceKey {
     /// Builds the key for running `program` under `layout` and `cfg`.
     pub fn new(workload: &str, program: &Program, layout: &Layout, cfg: &RunConfig) -> TraceKey {
-        // FNV-1a over the structural outline; cheap relative to one run.
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut mix = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        mix(program.funcs.len() as u64);
-        mix(u64::from(program.entry.0));
+        // One pass over the static image; cheap relative to one run.
+        let mut h = vp_isa::Fnv::new();
+        h.write_usize(program.funcs.len());
+        h.write_u32(program.entry.0);
         for (fi, f) in program.funcs.iter().enumerate() {
-            mix(f.blocks.len() as u64);
+            h.write_usize(f.blocks.len());
+            h.write_u32(f.entry.0);
             for (bi, b) in f.blocks.iter().enumerate() {
-                mix(b.insts.len() as u64);
-                mix(layout.addr_of(vp_isa::CodeRef::new(fi as u32, bi as u32)));
+                h.write_u64(layout.addr_of(vp_isa::CodeRef::new(fi as u32, bi as u32)));
+                h.write_usize(b.insts.len());
+                b.insts.iter().for_each(|i| i.fold_into(&mut h));
+                b.term.fold_into(&mut h);
             }
+        }
+        for seg in &program.data {
+            h.write_u64(seg.base);
+            h.write_usize(seg.words.len());
+            seg.words.iter().for_each(|&w| h.write_u64(w));
         }
         TraceKey {
             workload: workload.to_string(),
-            fingerprint: h,
+            fingerprint: h.finish(),
             variant: 0,
             max_insts: cfg.max_insts,
             max_depth: cfg.max_depth as u64,
         }
     }
 
-    /// Builds the key for a *packed* flavor of `workload`: same structural
+    /// Builds the key for a *packed* flavor of `workload`: same content
     /// fingerprinting over the rewritten `program`/`layout`, tagged with
     /// the package-set fingerprint so packed captures never alias the
     /// original's (or another configuration's) cache entries.
@@ -847,18 +852,7 @@ pub struct TraceStore {
     disk: Option<DiskTier>,
     inner: Mutex<StoreInner>,
     flights: Mutex<FxHashMap<TraceKey, Arc<Flight>>>,
-    /// Entry count and resident bytes packed into one word
-    /// (`entries << OCC_BYTES_BITS | bytes`), republished by every
-    /// mutator while it still holds the `inner` lock. Observers read the
-    /// pair in a single atomic load — consistent *and* contention-free,
-    /// so the sweep's per-cell feed events never queue behind a capture
-    /// inserting under the store lock.
-    occupancy: AtomicU64,
 }
-
-/// Low bits of [`TraceStore::occupancy`] holding resident bytes (16 TiB
-/// of headroom); the entry count lives above.
-const OCC_BYTES_BITS: u32 = 44;
 
 impl std::fmt::Debug for TraceStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -890,17 +884,7 @@ impl TraceStore {
                 bytes: 0,
             }),
             flights: Mutex::new(FxHashMap::default()),
-            occupancy: AtomicU64::new(0),
         }
-    }
-
-    /// Republishes the packed occupancy word. Callers must hold the
-    /// `inner` lock (enforced by taking the guard's target), which
-    /// serializes writers; readers never take the lock.
-    fn publish_occupancy(&self, inner: &StoreInner) {
-        debug_assert!((inner.bytes as u64) < 1 << OCC_BYTES_BITS);
-        let packed = ((inner.map.len() as u64) << OCC_BYTES_BITS) | inner.bytes as u64;
-        self.occupancy.store(packed, Ordering::Release);
     }
 
     /// Creates a store bounded to `mb` megabytes.
@@ -1023,7 +1007,6 @@ impl TraceStore {
                 last_used: clock,
             },
         );
-        self.publish_occupancy(&inner);
     }
 
     /// The capture for `key`: from cache (memory or disk) if present,
@@ -1112,7 +1095,7 @@ impl TraceStore {
 
     /// Number of cached captures.
     pub fn len(&self) -> usize {
-        self.snapshot().entries
+        self.inner.lock().expect("trace store").map.len()
     }
 
     /// Whether the store is empty.
@@ -1122,7 +1105,7 @@ impl TraceStore {
 
     /// Bytes currently resident across all cached captures.
     pub fn resident_bytes(&self) -> usize {
-        self.snapshot().resident_bytes
+        self.inner.lock().expect("trace store").bytes
     }
 
     /// The configured byte budget.
@@ -1130,47 +1113,12 @@ impl TraceStore {
         self.cap_bytes
     }
 
-    /// One consistent view of the store's occupancy, without taking the
-    /// store lock.
-    ///
-    /// Periodic observers (the sweep's per-cell live-feed events, the
-    /// `sweep watch` resident-bytes row) want entries and bytes from the
-    /// *same instant*; calling [`TraceStore::len`] and
-    /// [`TraceStore::resident_bytes`] back to back can interleave with a
-    /// concurrent insert or eviction between the two reads. Both values
-    /// come from one atomic load of the packed occupancy word that
-    /// mutators republish under the lock, so a snapshot is always a state
-    /// the store actually passed through — and a feed event emitted from
-    /// a worker's `cell.done` path no longer queues behind a concurrent
-    /// capture holding the store lock through an eviction scan.
-    pub fn snapshot(&self) -> StoreSnapshot {
-        let packed = self.occupancy.load(Ordering::Acquire);
-        StoreSnapshot {
-            entries: (packed >> OCC_BYTES_BITS) as usize,
-            resident_bytes: (packed & ((1 << OCC_BYTES_BITS) - 1)) as usize,
-            capacity_bytes: self.cap_bytes,
-        }
-    }
-
     /// Drops every cached capture.
     pub fn clear(&self) {
         let mut inner = self.inner.lock().expect("trace store");
         inner.map.clear();
         inner.bytes = 0;
-        self.publish_occupancy(&inner);
     }
-}
-
-/// A point-in-time view of a [`TraceStore`]'s occupancy
-/// ([`TraceStore::snapshot`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StoreSnapshot {
-    /// Cached captures resident in memory.
-    pub entries: usize,
-    /// Bytes held by those captures.
-    pub resident_bytes: usize,
-    /// The configured in-memory byte budget.
-    pub capacity_bytes: usize,
 }
 
 #[cfg(test)]
@@ -1338,6 +1286,56 @@ mod tests {
         let k2 = TraceKey::new("w", &p, &layout, &limited);
         assert_ne!(k1, k2);
         assert_eq!(k1, TraceKey::new("w", &p, &layout, &base));
+    }
+
+    /// The key of `q`, a same-shaped edit of [`sample_program`], next to
+    /// the sample's own: block sizes and addresses are unchanged, so only
+    /// a content fingerprint can tell the two apart.
+    fn keys_of_edit(edit: impl FnOnce(&mut Program)) -> (TraceKey, TraceKey) {
+        let (p, layout) = sample_program();
+        let mut q = p.clone();
+        edit(&mut q);
+        let cfg = RunConfig::default();
+        let q_layout = Layout::natural(&q);
+        assert_eq!(q_layout.end(), layout.end(), "edit keeps the shape");
+        (
+            TraceKey::new("w", &p, &layout, &cfg),
+            TraceKey::new("w", &q, &q_layout, &cfg),
+        )
+    }
+
+    #[test]
+    fn key_changes_when_two_instructions_swap() {
+        let (orig, swapped) = keys_of_edit(|q| {
+            let b = q
+                .funcs
+                .iter_mut()
+                .flat_map(|f| &mut f.blocks)
+                .find(|b| b.insts.len() >= 2 && b.insts[0] != b.insts[1])
+                .expect("a block with two distinct instructions");
+            b.insts.swap(0, 1);
+        });
+        assert_ne!(orig, swapped);
+    }
+
+    #[test]
+    fn key_changes_when_one_operand_changes() {
+        let (orig, edited) = keys_of_edit(|q| {
+            let imm = q
+                .funcs
+                .iter_mut()
+                .flat_map(|f| &mut f.blocks)
+                .flat_map(|b| &mut b.insts)
+                .find_map(|i| match i {
+                    vp_isa::Inst::Alu {
+                        rs2: Src::Imm(v), ..
+                    } => Some(v),
+                    _ => None,
+                })
+                .expect("an ALU op with an immediate operand");
+            *imm += 1;
+        });
+        assert_ne!(orig, edited);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! The payload is varint-coded and opens with a shared **header string
 //! table** (each string stored once, referenced by index) followed by an
 //! echo of the owning [`TraceKey`] — workload name (by table index),
-//! structural fingerprint, variant, and run limits — which makes every
+//! content fingerprint, variant, and run limits — which makes every
 //! file self-describing and lets the loader refuse a capture whose key
 //! does not match the request (e.g. after a path-hash collision). Then
 //! come run stats, event count, the static side-table section, and the
@@ -78,8 +78,11 @@ static DISK_EVICTIONS: Counter = Counter::new("trace_store.disk_evictions");
 ///
 /// History: v1 had no header string table or key echo; v2 prepends both;
 /// v3 replaces the dense side-table section with the hot-slot index
-/// (referenced slots only, plus a remap table). Only v3 is read.
-pub const FORMAT_VERSION: u32 = 3;
+/// (referenced slots only, plus a remap table); v4 keeps v3's layout but
+/// echoes a content-addressed key (every instruction, not just block
+/// shapes), so v3 files keyed by shape alone are refused. Only v4 is
+/// read.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Default disk budget when `VP_TRACE_DISK_MB` is unset.
 pub const DEFAULT_DISK_MB: u64 = 2048;
@@ -619,17 +622,6 @@ pub(super) fn decode_mapped(map: Arc<mmap::MappedFile>) -> Option<(TraceKey, Cap
     ))
 }
 
-/// Parses a `VP_TRACE_MMAP`-style value: anything but `0` (the explicit
-/// opt-out) leaves mapping enabled.
-fn mmap_enabled_from(spec: Option<&str>) -> bool {
-    spec.is_none_or(|v| v.trim() != "0")
-}
-
-/// Whether `DiskTier::load` may memory-map (`VP_TRACE_MMAP`, default on).
-fn mmap_enabled() -> bool {
-    mmap_enabled_from(std::env::var("VP_TRACE_MMAP").ok().as_deref())
-}
-
 // -------------------------------------------------------------- the tier
 
 /// Parses a `VP_TRACE_DISK_MB`-style value; `None`/unparsable falls back
@@ -734,17 +726,16 @@ impl DiskTier {
     /// budget sweep true LRU order.
     ///
     /// On platforms with mmap support the file is memory-mapped and the
-    /// dynamic stream stays a zero-copy window into the mapping;
-    /// `VP_TRACE_MMAP=0` or an mmap failure falls back
-    /// to the owned single-allocation read. Either way the CRC is verified
-    /// in full before anything replays.
+    /// dynamic stream stays a zero-copy window into the mapping; an mmap
+    /// failure falls back to the owned single-allocation read. Either way
+    /// the CRC is verified in full before anything replays.
     pub fn load(&self, key: &TraceKey) -> Option<CapturedTrace> {
-        self.load_with(key, mmap_enabled())
+        self.load_with(key, true)
     }
 
-    /// [`DiskTier::load`] with the mmap decision made by the caller
-    /// instead of the `VP_TRACE_MMAP` knob — the replay bench uses this to
-    /// measure the zero-copy and owned-read paths side by side.
+    /// [`DiskTier::load`] with the mmap decision made by the caller — the
+    /// replay bench uses this to measure the zero-copy and owned-read
+    /// paths side by side.
     pub fn load_with(&self, key: &TraceKey, use_mmap: bool) -> Option<CapturedTrace> {
         let path = self.path_for(key);
         let mapped = if use_mmap {
@@ -955,15 +946,6 @@ mod tests {
         fs::remove_file(tier.path_for(&key)).unwrap();
         assert_eq!(events_of(&loaded), events_of(&trace));
         let _ = fs::remove_dir_all(tier.root());
-    }
-
-    #[test]
-    fn mmap_knob_parsing() {
-        assert!(mmap_enabled_from(None));
-        assert!(mmap_enabled_from(Some("1")));
-        assert!(mmap_enabled_from(Some("junk")));
-        assert!(!mmap_enabled_from(Some("0")));
-        assert!(!mmap_enabled_from(Some(" 0 ")));
     }
 
     #[test]

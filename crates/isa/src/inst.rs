@@ -5,6 +5,7 @@
 //! used registers (for liveness and scheduling dependence), its functional
 //! unit class, and its result latency on the Table 2 machine.
 
+use crate::fp::Fnv;
 use crate::reg::Reg;
 
 /// A second source operand: either a register or a small immediate.
@@ -23,6 +24,16 @@ impl Src {
             Src::Reg(r) => Some(r),
             Src::Imm(_) => None,
         }
+    }
+
+    /// Folds this operand, tagged by kind, into a content fingerprint.
+    pub fn fold_into(self, h: &mut Fnv) {
+        let (tag, v) = match self {
+            Src::Reg(r) => (0, r.index() as u64),
+            Src::Imm(v) => (1, v as u64),
+        };
+        h.write_u64(tag);
+        h.write_u64(v);
     }
 }
 
@@ -342,6 +353,33 @@ impl Inst {
     /// Whether this instruction touches memory.
     pub fn is_mem(&self) -> bool {
         matches!(self, Inst::Load { .. } | Inst::Store { .. })
+    }
+
+    /// Folds the opcode and every operand into `h`: two instructions fold
+    /// alike only when they are equal, so a program's fingerprint changes
+    /// with any instruction it contains (see `vp_exec::TraceKey`).
+    pub fn fold_into(&self, h: &mut Fnv) {
+        let r = |r: &Reg| r.index() as u64;
+        let words = |h: &mut Fnv, ws: &[u64]| ws.iter().for_each(|&w| h.write_u64(w));
+        match self {
+            Inst::Nop => words(h, &[0]),
+            Inst::Li { rd, imm } => words(h, &[1, r(rd), *imm as u64]),
+            Inst::Fli { rd, imm } => words(h, &[2, r(rd), imm.to_bits()]),
+            Inst::Mov { rd, rs } => words(h, &[3, r(rd), r(rs)]),
+            Inst::Alu { op, rd, rs1, rs2 } => {
+                words(h, &[4, *op as u64, r(rd), r(rs1)]);
+                rs2.fold_into(h);
+            }
+            Inst::Falu { op, rd, rs1, rs2 } => words(h, &[5, *op as u64, r(rd), r(rs1), r(rs2)]),
+            Inst::Itof { rd, rs } => words(h, &[6, r(rd), r(rs)]),
+            Inst::Ftoi { rd, rs } => words(h, &[7, r(rd), r(rs)]),
+            Inst::Load { rd, base, offset } => words(h, &[8, r(rd), r(base), *offset as u64]),
+            Inst::Store { src, base, offset } => words(h, &[9, r(src), r(base), *offset as u64]),
+            Inst::Consume { regs } => {
+                words(h, &[10, regs.len() as u64]);
+                regs.iter().for_each(|x| h.write_u64(r(x)));
+            }
+        }
     }
 }
 

@@ -252,7 +252,7 @@ pub fn evaluate_with_diff(
     diff_mode: DiffMode,
 ) -> Result<ConfigOutcome, ExecError> {
     let prep = prepare(pw, cfg, opt_cfg, machine);
-    let measured = measure(&prep, opt_cfg, machine, diff_mode)?;
+    let measured = measure(&prep, machine, diff_mode)?;
     measured.assert_strict(&prep.label, diff_mode);
     Ok(assemble(&prep, measured))
 }
@@ -385,7 +385,6 @@ fn prepare(
 /// failing.
 fn measure(
     prep: &Prepared,
-    opt_cfg: &OptConfig,
     machine: Option<&MachineConfig>,
     diff_mode: DiffMode,
 ) -> Result<Measured, ExecError> {
@@ -400,11 +399,8 @@ fn measure(
     );
     let mut counts = InstCounts::new();
     let mut timing = machine.map(|m| TimingModel::new(*m));
-    // The diff rides the packed replay unless it is off, or skipped:
-    // block-moving optimizations (cold sinking, LICM) break the
-    // block-level parallelism the alignment relies on.
-    let skip_diff = opt_cfg.sink_cold || opt_cfg.licm;
-    let mut differ = (diff_mode != DiffMode::Off && !skip_diff)
+    // The diff rides the packed replay unless it is off.
+    let mut differ = (diff_mode != DiffMode::Off)
         .then(|| Differ::new(&prep.original, &prep.identity, &DiffOptions::default()));
     let stats = {
         let _s = vp_trace::span("metrics.evaluate.measure");
@@ -421,10 +417,7 @@ fn measure(
         "{}: packed binary must halt",
         prep.label
     );
-    let diff = match differ {
-        Some(differ) => Some(differ.finish(stats.stop)),
-        None => (diff_mode != DiffMode::Off).then(DiffReport::skipped),
-    };
+    let diff = differ.map(|differ| differ.finish(stats.stop));
     // Packed cycles come from the same kind of replay as baseline cycles.
     let opt_cycles = timing.map(|t| {
         t.emit_trace();
@@ -552,7 +545,7 @@ impl<'a> ClaimTable<'a> {
             });
             claims.len() - 1
         };
-        let measured = measure(&prep, self.opt_cfg, self.machine, self.diff_mode)?;
+        let measured = measure(&prep, self.machine, self.diff_mode)?;
         self.claims.lock().expect("claim table")[slot].measured = Some(measured.clone());
         measured.assert_strict(&prep.label, self.diff_mode);
         Ok(Evaluation::Outcome(Box::new(assemble(&prep, measured))))
@@ -703,22 +696,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn block_moving_optimizations_skip_the_diff() {
-        use vp_exec::DiffVerdict;
-        let machine = MachineConfig::table2();
-        let pw = profile("300.twolf A", twolf::build(1), &HsdConfig::table2(), None).unwrap();
-        let out = evaluate_with_diff(
-            &pw,
-            &PackConfig::default(),
-            &OptConfig::full(), // sink_cold + licm move insts across blocks
-            Some(&machine),
-            vp_exec::DiffMode::Strict,
-        )
-        .unwrap();
-        assert_eq!(out.diff.unwrap().verdict, DiffVerdict::Skipped);
     }
 
     #[test]

@@ -13,10 +13,11 @@
 //!
 //! [`ResultKey`] is derivable **without executing anything**:
 //!
-//! * `trace_fp` — the structural trace-key fingerprint of the workload
-//!   ([`vp_exec::TraceKey::new`] hashes block counts and laid-out
-//!   addresses plus the run limits). Regenerating the same workload at
-//!   the same scale reproduces it; any program or layout change misses.
+//! * `trace_fp` — the content trace-key fingerprint of the workload
+//!   ([`vp_exec::TraceKey::new`] hashes every instruction, data word and
+//!   laid-out block address plus the run limits). Regenerating the same
+//!   workload at the same scale reproduces it; any program or layout
+//!   change misses.
 //! * `profile_fp` — how the phases driving the pack were obtained: the
 //!   detector/filter configuration for an own-profile cell, the source
 //!   input's trace fingerprint for a cross-input cell, the whole family
@@ -85,7 +86,10 @@ pub const RESULT_FORMAT_VERSION: u32 = 1;
 /// self-invalidate on load. Pure refactors that provably preserve every
 /// reported number (the bit-identity suite is the arbiter) do not need a
 /// bump.
-pub const PIPELINE_VERSION: u32 = 1;
+///
+/// History: v2 keys `trace_fp` on instruction content (v1 entries were
+/// keyed on block shapes and could serve another binary's outcome).
+pub const PIPELINE_VERSION: u32 = 2;
 
 /// Default byte budget when `VP_RESULT_MB` is unset. Entries are ~200
 /// bytes, so this comfortably holds millions of cells.
@@ -204,7 +208,6 @@ fn verdict_code(v: DiffVerdict) -> u8 {
         DiffVerdict::Clean => 0,
         DiffVerdict::Truncated => 1,
         DiffVerdict::Diverged => 2,
-        DiffVerdict::Skipped => 3,
     }
 }
 
@@ -213,7 +216,6 @@ fn verdict_from(code: u8) -> Option<DiffVerdict> {
         0 => DiffVerdict::Clean,
         1 => DiffVerdict::Truncated,
         2 => DiffVerdict::Diverged,
-        3 => DiffVerdict::Skipped,
         _ => return None,
     })
 }

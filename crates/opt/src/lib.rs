@@ -18,15 +18,11 @@
 #![warn(missing_docs)]
 
 pub mod chains;
-pub mod licm;
 pub mod sched;
-pub mod sink;
 pub mod weights;
 
 pub use chains::chain_layout;
-pub use licm::hoist_loop_invariants;
 pub use sched::{schedule_block, sequential_cycles};
-pub use sink::sink_cold_instructions;
 pub use weights::{propagate_weights, Weights};
 
 use vp_core::{PackOutput, Region};
@@ -35,8 +31,6 @@ use vp_sim::MachineConfig;
 use vp_trace::Counter;
 
 static OPT_PACKAGES: Counter = Counter::new("opt.packages");
-static OPT_INSTS_SUNK: Counter = Counter::new("opt.insts_sunk");
-static OPT_INSTS_HOISTED: Counter = Counter::new("opt.insts_hoisted");
 static OPT_BLOCKS_RESCHEDULED: Counter = Counter::new("opt.blocks_rescheduled");
 static OPT_INSTS_RESCHEDULED: Counter = Counter::new("opt.insts_rescheduled");
 static OPT_BLOCKS_RELAID: Counter = Counter::new("opt.blocks_relaid_out");
@@ -48,15 +42,6 @@ pub struct OptConfig {
     pub relayout: bool,
     /// Run list rescheduling inside blocks.
     pub reschedule: bool,
-    /// Run cold-instruction sinking into exit blocks (the
-    /// redundancy-elimination extension the paper suggests in Section 5.4
-    /// but does not evaluate; off by default to mirror the paper's
-    /// measured configuration).
-    pub sink_cold: bool,
-    /// Run loop-invariant code motion on packages (the loop-level
-    /// future-work extension; off by default — not in the paper's measured
-    /// configuration).
-    pub licm: bool,
 }
 
 impl Default for OptConfig {
@@ -64,8 +49,6 @@ impl Default for OptConfig {
         OptConfig {
             relayout: true,
             reschedule: true,
-            sink_cold: false,
-            licm: false,
         }
     }
 }
@@ -78,20 +61,7 @@ impl OptConfig {
         h.write_str("OptConfig");
         h.write_bool(self.relayout);
         h.write_bool(self.reschedule);
-        h.write_bool(self.sink_cold);
-        h.write_bool(self.licm);
         h.finish()
-    }
-
-    /// Every pass on, including the extensions the paper suggests but does
-    /// not evaluate (cold-instruction sinking, LICM).
-    pub fn full() -> OptConfig {
-        OptConfig {
-            relayout: true,
-            reschedule: true,
-            sink_cold: true,
-            licm: true,
-        }
     }
 }
 
@@ -116,17 +86,6 @@ pub fn optimize_packages(
             .iter()
             .find(|r| r.phase == pi.phase)
             .expect("package's region present");
-
-        if cfg.sink_cold {
-            let sunk = sink_cold_instructions(prog.func_mut(pi.func), &pi.meta);
-            OPT_INSTS_SUNK.add(sunk as u64);
-        }
-
-        if cfg.licm && pi.links_in == 0 {
-            let entries: Vec<vp_isa::BlockId> = pi.entry_blocks.iter().map(|(b, _)| *b).collect();
-            let hoisted = hoist_loop_invariants(prog.func_mut(pi.func), &entries);
-            OPT_INSTS_HOISTED.add(hoisted as u64);
-        }
 
         if cfg.reschedule {
             let f = prog.func_mut(pi.func);
@@ -275,8 +234,6 @@ mod tests {
         let cfg = OptConfig {
             relayout: false,
             reschedule: true,
-            sink_cold: false,
-            licm: false,
         };
         let (opt, order) = optimize_packages(&out, &MachineConfig::table2(), &cfg);
         let natural = LayoutOrder::natural(&opt);

@@ -1,6 +1,6 @@
 //! Basic blocks and terminators.
 
-use vp_isa::{BlockId, CodeRef, Cond, FuncId, Inst, Reg, Src};
+use vp_isa::{BlockId, CodeRef, Cond, Fnv, FuncId, Inst, Reg, Src};
 
 /// How a basic block ends.
 ///
@@ -111,6 +111,47 @@ impl Terminator {
     /// Branch Behavior Buffer profiles).
     pub fn is_cond_branch(&self) -> bool {
         matches!(self, Terminator::Br { .. })
+    }
+
+    /// Folds the kind and every operand and target into `h`, the control
+    /// counterpart of [`Inst::fold_into`].
+    pub fn fold_into(&self, h: &mut Fnv) {
+        let at = |h: &mut Fnv, c: &CodeRef| {
+            h.write_u32(c.func.0);
+            h.write_u32(c.block.0);
+        };
+        match self {
+            Terminator::Goto(t) => {
+                h.write_u64(0);
+                at(h, t);
+            }
+            Terminator::Br {
+                cond,
+                rs1,
+                rs2,
+                taken,
+                not_taken,
+            } => {
+                h.write_u64(1);
+                h.write_u64(*cond as u64);
+                h.write_usize(rs1.index());
+                rs2.fold_into(h);
+                at(h, taken);
+                at(h, not_taken);
+            }
+            Terminator::Call { callee, ret_to } => {
+                h.write_u64(2);
+                h.write_u32(callee.0);
+                h.write_u32(ret_to.0);
+            }
+            Terminator::CallThrough { target, ret_to } => {
+                h.write_u64(3);
+                at(h, target);
+                h.write_u32(ret_to.0);
+            }
+            Terminator::Ret => h.write_u64(4),
+            Terminator::Halt => h.write_u64(5),
+        }
     }
 }
 

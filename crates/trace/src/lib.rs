@@ -23,13 +23,11 @@
 //! Run manifests (config + stage times + counters + result tables) are
 //! built with [`manifest::Manifest`] and emitted as single JSONL objects.
 
-pub mod feed;
 pub mod flight;
 pub mod json;
 pub mod manifest;
 pub mod sink;
 
-pub use feed::{feed, feed_enabled, feed_target, parse_feed_line};
 pub use flight::{flight, FlightEvent, FlightSnapshot, DEFAULT_FLIGHT_EVENTS};
 pub use json::Json;
 pub use manifest::{parse_manifest_line, Manifest};

@@ -67,10 +67,9 @@ impl Manifest {
 
     /// Captures the current global counter totals, aggregated span wall
     /// times (flat and tree), the sequence ceiling, run duration, and a
-    /// bounded flight-recorder tail into the manifest. When a live feed
-    /// is attached (`VP_LIVE_FEED`) its path is stamped as `live_feed`;
-    /// when the flight recorder is disabled (`VP_FLIGHT_EVENTS=0`) an
-    /// all-zero `flight` object is stamped in place of the tail.
+    /// bounded flight-recorder tail into the manifest. When the flight
+    /// recorder is disabled (`VP_FLIGHT_EVENTS=0`) an all-zero `flight`
+    /// object is stamped in place of the tail.
     pub fn stamp(&mut self) -> &mut Manifest {
         self.root.set(
             "duration_ms",
@@ -105,10 +104,6 @@ impl Manifest {
             f.set("recorded", Json::U64(0));
             f.set("dropped", Json::U64(0));
             self.root.set("flight", f);
-        }
-        if let Some(path) = crate::feed::feed_target() {
-            self.root
-                .set("live_feed", path.display().to_string().into());
         }
         let flights = crate::flight::snapshot();
         if flights.recorded > 0 {

@@ -159,8 +159,6 @@ fn speedup_correlates_with_optimization() {
         &OptConfig {
             relayout: false,
             reschedule: false,
-            sink_cold: false,
-            licm: false,
         },
         Some(&machine),
     )
@@ -255,4 +253,32 @@ fn two_level_inlined_exits_reconstruct_frames() {
         "deep-exit frames must reconstruct"
     );
     assert!(counts.package_coverage() > 0.8);
+}
+
+#[test]
+fn pass_variants_in_one_process_never_share_a_stale_capture() {
+    // Each pass variant packs the same package set; rescheduling only
+    // reorders instructions inside blocks of unchanged size. A trace key
+    // over block shapes alone served the first variant's packed capture
+    // to the rest, so every speedup must match a fresh capture's.
+    let machine = MachineConfig::table2();
+    let program = vacuum_packing::workloads::twolf::build(1);
+    let pw = profile("300.twolf A", program, &HsdConfig::table2(), Some(&machine)).unwrap();
+    let variants = [(false, false), (false, true), (true, false), (true, true)].map(
+        |(relayout, reschedule)| OptConfig {
+            relayout,
+            reschedule,
+        },
+    );
+    let speedup = |ocfg: &OptConfig| {
+        evaluate(&pw, &PackConfig::default(), ocfg, Some(&machine))
+            .unwrap()
+            .speedup
+            .unwrap()
+    };
+    let in_sequence: Vec<f64> = variants.iter().map(speedup).collect();
+    for (ocfg, cached) in variants.iter().zip(in_sequence) {
+        vacuum_packing::exec::TraceStore::global().clear();
+        assert_eq!(cached, speedup(ocfg), "{ocfg:?}: cached vs fresh capture");
+    }
 }
