@@ -27,12 +27,10 @@
 //!   it: a single replay into the coverage counts, a `TimingRun` and a
 //!   `Differ` against the trace itself, counted as both streams' events
 //!   per second;
-//! * `disk_load` — bring a v3 `.vptrace` back from the disk tier on the
-//!   default path (memory-mapped zero-copy where supported, owned read
-//!   otherwise), CRC verified either way;
-//! * `disk_load_mmap` / `disk_load_owned` — the same load with the path
-//!   forced, so the zero-copy win is measured against the read+copy
-//!   fallback side by side.
+//! * `disk_load` — bring a `.vptrace` back from the disk tier through the
+//!   blob store (memory-mapped zero-copy where supported, the owned read
+//!   otherwise — `vp_exec::blob`'s unit tests pin that the two agree),
+//!   CRC verified either way.
 //!
 //! Knobs (on top of the usual `VP_BENCH_MS`/`VP_BENCH_SAMPLES`):
 //!
@@ -87,15 +85,16 @@ fn main() {
         trace.bytes() as f64 / events as f64
     );
 
-    // A throwaway disk tier: measures v3 image size and warm-load cost.
+    // A throwaway disk tier: measures image size and warm-load cost (the
+    // JSON key keeps its `trace_v3_bytes` name for history continuity).
     let dir = std::env::temp_dir().join(format!("vp-bench-replay-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let tier = DiskTier::new(&dir, u64::MAX).expect("temp disk tier");
     let key = TraceKey::new(workload, &program, &layout, &cfg);
     tier.store(&key, &trace).expect("persist trace");
-    let trace_v3_bytes = tier.resident_bytes();
+    let trace_v3_bytes = tier.blobs().resident_bytes();
     println!(
-        "v3 .vptrace image: {trace_v3_bytes} bytes ({:.2} B/inst)",
+        ".vptrace image: {trace_v3_bytes} bytes ({:.2} B/inst)",
         trace_v3_bytes as f64 / events as f64
     );
 
@@ -163,16 +162,6 @@ fn main() {
     r.bench_throughput("retire_stream/disk_load", events, || {
         tier.load(&key).expect("warm load").events()
     });
-    r.bench_throughput("retire_stream/disk_load_mmap", events, || {
-        tier.load_with(&key, true)
-            .expect("warm mapped load")
-            .events()
-    });
-    r.bench_throughput("retire_stream/disk_load_owned", events, || {
-        tier.load_with(&key, false)
-            .expect("warm owned load")
-            .events()
-    });
 
     let names = [
         "execute",
@@ -184,8 +173,6 @@ fn main() {
         "replay_diff",
         "replay_measure",
         "disk_load",
-        "disk_load_mmap",
-        "disk_load_owned",
     ];
     let eps: Vec<(&str, Option<f64>)> = names
         .iter()

@@ -539,7 +539,7 @@ fn main() {
             println!("With `VP_TRACE_DIR` set, captures persist across processes: the same");
             println!(
                 "trace is {:.2} MB on disk (CRC-checked), serialize+write {store_ms:.1} ms,",
-                tier.resident_bytes() as f64 / (1024.0 * 1024.0)
+                tier.blobs().resident_bytes() as f64 / (1024.0 * 1024.0)
             );
             println!(
                 "read+verify+decode {load_ms:.1} ms — a warmed rerun replaces the {exec_ms:.1} ms"
@@ -550,7 +550,7 @@ fn main() {
             mf.set("disk_load_ms", format!("{load_ms:.2}").into());
             mf.set(
                 "trace_v3_bytes",
-                format!("{}", tier.resident_bytes()).into(),
+                format!("{}", tier.blobs().resident_bytes()).into(),
             );
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -578,7 +578,7 @@ fn main() {
         println!("`cargo bench -p bench --bench replay` measures the full matrix (execute,");
         println!("both capture shapes, replay into counters, the timing model and the");
         println!("detector, the differential replay alone and riding one measurement");
-        println!("replay with counts and timing, disk load with and without mmap) and");
+        println!("replay with counts and timing, the mapped disk load) and");
         println!("gates the same-process ratio `replay_speedup_vs_execute` against the");
         println!("committed `BENCH_15.json` baseline (`VP_BENCH_JSON`, `VP_BENCH_BASELINE`).");
         println!();

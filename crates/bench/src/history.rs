@@ -14,7 +14,6 @@
 //! $VP_HISTORY_DIR/
 //!   seg-000001.jsonl   # vp-history/1 run records, append order
 //!   seg-000002.jsonl   # opened when the previous segment fills
-//!   index.jsonl        # one compact line per record: ts, fp, bin, seg
 //! ```
 //!
 //! Each ingested run becomes one [`RunRecord`] line (`vp-history/1`): a
@@ -22,9 +21,14 @@
 //! `vp-bench/1` baseline file, keyed by **binary × config × workload**
 //! (hashed to a FNV-1a fingerprint) **× timestamp**. Segments rotate on
 //! a size budget (`VP_HISTORY_MB`, default 64): when the store exceeds
-//! the budget the oldest whole segment is dropped and the index
-//! rewritten, so the warehouse self-bounds like the flight recorder
-//! does — the most recent history survives, byte cost stays fixed.
+//! the budget the oldest whole segment is dropped, so the warehouse
+//! self-bounds like the flight recorder does — the most recent history
+//! survives, byte cost stays fixed.
+//!
+//! The warehouse is deliberately not a client of the `vp_exec::blob`
+//! store the trace and result caches share: it is an append-ordered log
+//! with no blobs to frame, and one file per record would lose append
+//! order within a timestamp second.
 //!
 //! Everything here is observability-only: ingestion failures warn on
 //! stderr and never fail the run, and nothing the warehouse does alters
@@ -466,19 +470,6 @@ impl RunRecord {
     }
 }
 
-/// A parsed `index.jsonl` entry: where one run record lives.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IndexEntry {
-    /// Record timestamp (unix seconds).
-    pub ts: u64,
-    /// Key fingerprint (16 hex digits).
-    pub fp: String,
-    /// Emitting binary.
-    pub bin: String,
-    /// Segment file name holding the record.
-    pub seg: String,
-}
-
 /// An open warehouse directory.
 #[derive(Debug, Clone)]
 pub struct Warehouse {
@@ -566,16 +557,15 @@ impl Warehouse {
         let seg_cap = (self.budget_bytes / 8).max(4096);
 
         let segs = self.segments()?;
-        let (seg_path, seg_num) = match segs.last() {
+        let seg_path = match segs.last() {
             Some(last) if std::fs::metadata(last)?.len() + line.len() as u64 <= seg_cap => {
-                let num = seg_number(last).unwrap_or(1);
-                (last.clone(), num)
+                last.clone()
             }
             Some(last) => {
                 let num = seg_number(last).unwrap_or(1) + 1;
-                (self.dir.join(format!("seg-{num:06}.jsonl")), num)
+                self.dir.join(format!("seg-{num:06}.jsonl"))
             }
-            None => (self.dir.join("seg-000001.jsonl"), 1),
+            None => self.dir.join("seg-000001.jsonl"),
         };
         OpenOptions::new()
             .create(true)
@@ -583,58 +573,17 @@ impl Warehouse {
             .open(&seg_path)?
             .write_all(line.as_bytes())?;
 
-        let mut idx = Json::obj();
-        idx.set("ts", Json::U64(rec.ts));
-        idx.set("fp", rec.fingerprint().into());
-        idx.set("bin", rec.bin.as_str().into());
-        idx.set("seg", format!("seg-{seg_num:06}.jsonl").into());
-        let mut idx_line = idx.render();
-        idx_line.push('\n');
-        OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.dir.join("index.jsonl"))?
-            .write_all(idx_line.as_bytes())?;
-
         self.enforce_budget()
     }
 
     fn enforce_budget(&self) -> std::io::Result<()> {
-        let mut removed: Vec<String> = Vec::new();
         loop {
             let segs = self.segments()?;
             if segs.len() <= 1 || self.total_bytes()? <= self.budget_bytes {
-                break;
+                return Ok(());
             }
-            let oldest = &segs[0];
-            if let Some(name) = oldest.file_name() {
-                removed.push(name.to_string_lossy().into_owned());
-            }
-            std::fs::remove_file(oldest)?;
+            std::fs::remove_file(&segs[0])?;
         }
-        if !removed.is_empty() {
-            // Rewrite the index without the dropped segments' entries
-            // (atomically: temp file + rename).
-            let kept: Vec<IndexEntry> = self
-                .index()?
-                .into_iter()
-                .filter(|e| !removed.contains(&e.seg))
-                .collect();
-            let mut body = String::new();
-            for e in &kept {
-                let mut j = Json::obj();
-                j.set("ts", Json::U64(e.ts));
-                j.set("fp", e.fp.as_str().into());
-                j.set("bin", e.bin.as_str().into());
-                j.set("seg", e.seg.as_str().into());
-                body.push_str(&j.render());
-                body.push('\n');
-            }
-            let tmp = self.dir.join("index.jsonl.tmp");
-            std::fs::write(&tmp, body)?;
-            std::fs::rename(&tmp, self.dir.join("index.jsonl"))?;
-        }
-        Ok(())
     }
 
     /// Ingests one manifest JSONL line, stamping the current wall clock.
@@ -700,40 +649,6 @@ impl Warehouse {
                 if let Ok(rec) = RunRecord::parse_line(line) {
                     out.push(rec);
                 }
-            }
-        }
-        Ok(out)
-    }
-
-    /// The compact index, in append order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates index read failures (a missing index is empty).
-    pub fn index(&self) -> std::io::Result<Vec<IndexEntry>> {
-        let path = self.dir.join("index.jsonl");
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-            Err(e) => return Err(e),
-        };
-        let mut out = Vec::new();
-        for line in text.lines() {
-            if let Ok(j) = Json::parse(line) {
-                out.push(IndexEntry {
-                    ts: j.get("ts").and_then(Json::as_u64).unwrap_or(0),
-                    fp: j.get("fp").and_then(Json::as_str).unwrap_or("").to_string(),
-                    bin: j
-                        .get("bin")
-                        .and_then(Json::as_str)
-                        .unwrap_or("")
-                        .to_string(),
-                    seg: j
-                        .get("seg")
-                        .and_then(Json::as_str)
-                        .unwrap_or("")
-                        .to_string(),
-                });
             }
         }
         Ok(out)

@@ -56,7 +56,6 @@ fn v2_manifest_ingests_to_its_record_core() {
     assert_eq!(records[0].counters, rec.counters);
     assert_eq!(records[0].spans, rec.spans);
     assert_eq!(records[0].fingerprint(), rec.fingerprint());
-    assert_eq!(w.index().expect("index").len(), 1, "one index entry");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -104,25 +103,6 @@ fn tiny_budget_rotates_segments_and_drops_oldest_history() {
         "records stay in append order across segments: {kept_ts:?}"
     );
 
-    // Index consistency: entries reference only live segments, and every
-    // retained record has exactly one entry.
-    let live: Vec<String> = segs
-        .iter()
-        .map(|p| p.file_name().unwrap().to_string_lossy().into_owned())
-        .collect();
-    let index = w.index().expect("index");
-    assert_eq!(
-        index.len(),
-        records.len(),
-        "index must shrink with the rotated-out segments"
-    );
-    for e in &index {
-        assert!(
-            live.contains(&e.seg),
-            "index entry points at deleted segment {}",
-            e.seg
-        );
-    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -7,21 +7,21 @@
 //! correctness never depends on this module, only `disk_load` throughput.
 //!
 //! A [`MappedFile`] is a shared, immutable, page-cache-backed view of a
-//! whole file. `.vptrace` files are written atomically (temp + rename)
-//! and never truncated in place; eviction unlinks them, which on Linux
-//! leaves existing mappings valid until dropped. The one way to fault a
-//! mapping is an external actor truncating a live file under us — the
-//! same actor could corrupt an owned read mid-`fs::read`, so the tier's
-//! CRC covers both paths equally.
+//! whole file. Blob files are written atomically (temp + rename) and
+//! never truncated in place; eviction unlinks them, which on Linux leaves
+//! existing mappings valid until dropped. The one way to fault a mapping
+//! is an external actor truncating a live file under us — the same actor
+//! could corrupt an owned read mid-read, so the frame's CRC covers both
+//! paths equally.
 
-use std::path::Path;
+use std::fs::File;
 
 /// A read-only memory mapping of an entire file.
 ///
 /// The mapping is `MAP_PRIVATE` over an immutable file: the pages are
 /// plain memory for the mapping's lifetime, shared freely across threads
 /// (hence the manual `Send`/`Sync`), and released on drop.
-pub(crate) struct MappedFile {
+pub(super) struct MappedFile {
     ptr: *const u8,
     len: usize,
 }
@@ -33,31 +33,19 @@ unsafe impl Send for MappedFile {}
 unsafe impl Sync for MappedFile {}
 
 impl MappedFile {
-    /// Maps `path` read-only in full. Returns `None` when mapping is
-    /// unsupported on this platform, the file is absent or empty, or the
+    /// Maps the first `len` bytes of `file` read-only. Returns `None` when
+    /// mapping is unsupported on this platform, `len` is zero, or the
     /// syscall fails — callers fall back to an owned read.
-    pub(crate) fn map(path: &Path) -> Option<MappedFile> {
-        sys::map_readonly(path)
-    }
-
-    /// Whether this platform has a real mapping path at all.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn supported() -> bool {
-        sys::SUPPORTED
+    pub(super) fn map(file: &File, len: usize) -> Option<MappedFile> {
+        sys::map_readonly(file, len)
     }
 
     /// The mapped bytes.
     #[inline]
-    pub(crate) fn as_slice(&self) -> &[u8] {
+    pub(super) fn as_slice(&self) -> &[u8] {
         // SAFETY: `ptr` is a live read-only mapping of exactly `len`
         // bytes, valid until `Drop`.
         unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
-    }
-
-    /// The mapping's length in bytes.
-    #[allow(dead_code)]
-    pub(crate) fn len(&self) -> usize {
-        self.len
     }
 }
 
@@ -69,12 +57,6 @@ impl Drop for MappedFile {
     }
 }
 
-impl std::fmt::Debug for MappedFile {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "MappedFile({} bytes)", self.len)
-    }
-}
-
 #[cfg(all(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
@@ -83,9 +65,6 @@ mod sys {
     use super::MappedFile;
     use std::fs::File;
     use std::os::fd::AsRawFd;
-    use std::path::Path;
-
-    pub(crate) const SUPPORTED: bool = true;
 
     const PROT_READ: usize = 1;
     const MAP_PRIVATE: usize = 2;
@@ -135,9 +114,7 @@ mod sys {
         ret
     }
 
-    pub(crate) fn map_readonly(path: &Path) -> Option<MappedFile> {
-        let file = File::open(path).ok()?;
-        let len = usize::try_from(file.metadata().ok()?.len()).ok()?;
+    pub(crate) fn map_readonly(file: &File, len: usize) -> Option<MappedFile> {
         if len == 0 {
             return None; // zero-length mmap is EINVAL; an empty image is refused anyway
         }
@@ -174,11 +151,9 @@ mod sys {
 )))]
 mod sys {
     use super::MappedFile;
-    use std::path::Path;
+    use std::fs::File;
 
-    pub(crate) const SUPPORTED: bool = false;
-
-    pub(crate) fn map_readonly(_path: &Path) -> Option<MappedFile> {
+    pub(crate) fn map_readonly(_file: &File, _len: usize) -> Option<MappedFile> {
         None
     }
 
@@ -189,6 +164,13 @@ mod sys {
 mod tests {
     use super::*;
 
+    fn supported() -> bool {
+        cfg!(all(
+            target_os = "linux",
+            any(target_arch = "x86_64", target_arch = "aarch64")
+        ))
+    }
+
     #[test]
     fn mapping_matches_an_owned_read() {
         let path = std::env::temp_dir().join(format!("vp-mmap-test-{}", std::process::id()));
@@ -197,31 +179,28 @@ mod tests {
             .collect();
         std::fs::write(&path, &content).unwrap();
 
-        match MappedFile::map(&path) {
+        let file = File::open(&path).unwrap();
+        match MappedFile::map(&file, content.len()) {
             Some(map) => {
-                assert!(MappedFile::supported());
-                assert_eq!(map.len(), content.len());
+                assert!(supported());
                 assert_eq!(map.as_slice(), &content[..]);
-                // Unlinking a mapped file leaves the mapping readable.
+                // Closing the file and unlinking it leave the mapping readable.
+                drop(file);
                 std::fs::remove_file(&path).unwrap();
                 assert_eq!(map.as_slice(), &content[..]);
             }
             None => {
-                assert!(
-                    !MappedFile::supported(),
-                    "mapping failed on a supported platform"
-                );
+                assert!(!supported(), "mapping failed on a supported platform");
                 let _ = std::fs::remove_file(&path);
             }
         }
     }
 
     #[test]
-    fn empty_and_absent_files_are_refused() {
+    fn zero_length_is_refused() {
         let path = std::env::temp_dir().join(format!("vp-mmap-empty-{}", std::process::id()));
         std::fs::write(&path, b"").unwrap();
-        assert!(MappedFile::map(&path).is_none(), "empty file");
+        assert!(MappedFile::map(&File::open(&path).unwrap(), 0).is_none());
         std::fs::remove_file(&path).unwrap();
-        assert!(MappedFile::map(&path).is_none(), "absent file");
     }
 }

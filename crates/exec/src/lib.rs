@@ -57,9 +57,10 @@
 //!    budget is exceeded. Concurrent requests for the same key are
 //!    single-flighted: one thread interprets, the rest share its capture.
 //! 4. **Persist** across processes: with `VP_TRACE_DIR` set, captures are
-//!    serialized to disk ([`DiskTier`], versioned header + CRC, budget
-//!    `VP_TRACE_DISK_MB` with mtime-LRU eviction), so a warmed cache
-//!    survives restarts and is shared by sharded sweep processes.
+//!    serialized to disk ([`DiskTier`], a client of the [`blob`] store:
+//!    versioned frame + CRC, budget `VP_TRACE_DISK_MB` with mtime-LRU
+//!    eviction), so a warmed cache survives restarts and is shared by
+//!    sharded sweep processes.
 //!
 //! ```
 //! use vp_program::{ProgramBuilder, Layout};
@@ -99,6 +100,7 @@
 
 #![warn(missing_docs)]
 
+pub mod blob;
 pub mod diff;
 pub mod event;
 pub mod exec;
@@ -115,6 +117,6 @@ pub use exec::{ExecError, Executor, RunConfig, RunStats, StopReason};
 pub use fx::{FxHashMap, FxHasher};
 pub use memory::Memory;
 pub use trace_store::{
-    crc32, CapturedTrace, DiskTier, TraceKey, TraceRecorder, TraceStore, DEFAULT_CACHE_MB,
+    CapturedTrace, DiskTier, TraceKey, TraceRecorder, TraceStore, DEFAULT_CACHE_MB,
     DEFAULT_DISK_MB, FORMAT_VERSION as TRACE_FORMAT_VERSION,
 };

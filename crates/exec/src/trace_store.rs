@@ -90,6 +90,7 @@
 //! # Ok::<(), vp_exec::ExecError>(())
 //! ```
 
+use crate::blob::Blob;
 use crate::event::{col, Retired, Sink};
 use crate::exec::{ExecError, Executor, RunConfig, RunStats};
 use crate::fx::FxHashMap;
@@ -100,7 +101,7 @@ use vp_trace::Counter;
 
 pub mod persist;
 
-pub use persist::{crc32, DiskTier, DEFAULT_DISK_MB, FORMAT_VERSION};
+pub use persist::{DiskTier, DEFAULT_DISK_MB, FORMAT_VERSION};
 
 /// Architectural executions performed because no capture was available.
 static CAPTURES: Counter = Counter::new("trace_store.captures");
@@ -315,28 +316,14 @@ impl TraceRecorder {
 // ------------------------------------------------------------- the trace
 
 /// Backing storage of a trace's dynamic byte stream: an owned heap buffer
-/// (live captures, legacy disk loads) or a borrowed window into a
-/// memory-mapped `.vptrace` file (the zero-copy [`DiskTier`] load path —
-/// the kernel's page cache is the only copy of the stream bytes).
+/// (live captures) or a window into the blob store's bytes (a
+/// [`DiskTier`] hit — on Linux the mapped file, so the kernel's page cache
+/// is the only copy of the stream).
 pub(crate) enum StreamBytes {
-    /// Heap-allocated stream (captures; platforms without mmap).
+    /// Heap-allocated stream (captures).
     Owned(Vec<u8>),
-    /// Window into a shared read-only file mapping.
-    Mapped {
-        map: Arc<persist::mmap::MappedFile>,
-        off: usize,
-        len: usize,
-    },
-}
-
-impl StreamBytes {
-    #[inline]
-    pub(crate) fn as_slice(&self) -> &[u8] {
-        match self {
-            StreamBytes::Owned(v) => v.as_slice(),
-            StreamBytes::Mapped { map, off, len } => &map.as_slice()[*off..*off + *len],
-        }
-    }
+    /// Window into a verified store payload.
+    Stored(Blob),
 }
 
 impl std::ops::Deref for StreamBytes {
@@ -344,7 +331,10 @@ impl std::ops::Deref for StreamBytes {
 
     #[inline]
     fn deref(&self) -> &[u8] {
-        self.as_slice()
+        match self {
+            StreamBytes::Owned(v) => v,
+            StreamBytes::Stored(b) => b,
+        }
     }
 }
 
@@ -358,7 +348,7 @@ impl std::fmt::Debug for StreamBytes {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             StreamBytes::Owned(v) => write!(f, "StreamBytes::Owned({} bytes)", v.len()),
-            StreamBytes::Mapped { len, .. } => write!(f, "StreamBytes::Mapped({len} bytes)"),
+            StreamBytes::Stored(b) => write!(f, "StreamBytes::Stored({b:?})"),
         }
     }
 }
@@ -647,7 +637,7 @@ impl CapturedTrace {
     /// A cursor at the start of the dynamic stream.
     pub(crate) fn cursor(&self) -> TraceCursor<'_> {
         TraceCursor {
-            stream: self.stream.as_slice(),
+            stream: &self.stream,
             slot_cols: &self.slot_cols,
             slot_locs: &self.slot_locs,
             pos: 0,
@@ -961,7 +951,7 @@ impl TraceStore {
                 eprintln!(
                     "vp-exec: failed to persist trace for {:?} under {}: {e}",
                     key.workload,
-                    disk.root().display()
+                    disk.blobs().root().display()
                 );
             }
         }

@@ -43,22 +43,21 @@
 //!
 //! # On-disk format
 //!
-//! One file per cell, named by the key's hex fingerprint:
-//! `magic "VPRC" | format version | CRC-32 of payload | payload`, where
-//! the payload echoes the full key (pipeline version, cell label, three
-//! fingerprints) followed by the encoded outcome. Loads verify magic,
-//! versions, CRC, and the key echo; any mismatch deletes the file
-//! (self-heal) and reports a miss. Stores are atomic (temp file +
-//! rename), and the directory is evicted oldest-mtime-first to the
-//! `VP_RESULT_MB` budget, mirroring the trace store's disk tier.
+//! The cache is a thin client of [`vp_exec::blob`], the store the trace
+//! disk tier uses too: one framed file per cell (magic `"VPRC"`,
+//! [`RESULT_FORMAT_VERSION`]), named by the key's hex fingerprint. The key
+//! echo is the pipeline version, cell label and three fingerprints; the
+//! payload is the encoded outcome. The store verifies the frame and the
+//! echo, deletes any entry that fails (self-heal), writes atomically and
+//! evicts oldest-mtime-first to the `VP_RESULT_MB` budget; this module
+//! keeps only the name, the echo and the outcome codec.
 
 use crate::harness::ConfigOutcome;
-use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
-use std::time::SystemTime;
+use std::path::PathBuf;
+use vp_exec::blob::{Blob, BlobStore, Frame, Miss};
 use vp_exec::diff::{DiffReport, DiffVerdict};
-use vp_exec::{crc32, TraceKey};
+use vp_exec::TraceKey;
 use vp_isa::Fnv;
 use vp_trace::Counter;
 
@@ -75,7 +74,9 @@ static RC_EVICTIONS: Counter = Counter::new("result_cache.evictions");
 static RC_INVALIDATED: Counter = Counter::new("result_cache.invalidated");
 
 /// Version of the on-disk entry encoding. Bump on any layout change.
-pub const RESULT_FORMAT_VERSION: u32 = 1;
+///
+/// History: v2 moves the key echo into the blob store's frame.
+pub const RESULT_FORMAT_VERSION: u32 = 2;
 
 /// Version of the *evaluation pipeline semantics* folded into every key.
 ///
@@ -95,8 +96,12 @@ pub const PIPELINE_VERSION: u32 = 2;
 /// bytes, so this comfortably holds millions of cells.
 pub const DEFAULT_RESULT_MB: u64 = 64;
 
-const MAGIC: &[u8; 4] = b"VPRC";
-const EXT: &str = "vprc";
+const FRAME: Frame = Frame {
+    magic: *b"VPRC",
+    version: RESULT_FORMAT_VERSION,
+    ext: "vprc",
+    on_evict: |_, _| RC_EVICTIONS.incr(),
+};
 
 // ------------------------------------------------------------------ key
 
@@ -136,15 +141,28 @@ impl ResultKey {
         h.finish()
     }
 
-    /// The 64-bit address the entry file is named after.
-    fn address(&self) -> u64 {
+    /// The entry's file name: the key's 64-bit address in hex.
+    fn name(&self) -> String {
         let mut h = Fnv::new();
         h.write_u32(PIPELINE_VERSION);
         h.write_str(&self.cell);
         h.write_u64(self.trace_fp);
         h.write_u64(self.profile_fp);
         h.write_u64(self.config_fp);
-        h.finish()
+        format!("{:016x}", h.finish())
+    }
+
+    /// The key echo the store verifies on load: the pipeline version and
+    /// every key field, so neither a name collision nor an entry written
+    /// by older pipeline code can serve a foreign cell's numbers.
+    fn echo(&self) -> Vec<u8> {
+        let mut w = Writer(Vec::with_capacity(32 + self.cell.len()));
+        w.u32(PIPELINE_VERSION);
+        w.str(&self.cell);
+        w.u64(self.trace_fp);
+        w.u64(self.profile_fp);
+        w.u64(self.config_fp);
+        w.0
     }
 }
 
@@ -185,18 +203,11 @@ impl<'a> Reader<'a> {
     fn u8(&mut self) -> Option<u8> {
         Some(self.take(1)?[0])
     }
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
     fn u64(&mut self) -> Option<u64> {
         Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
     }
     fn f64(&mut self) -> Option<f64> {
         Some(f64::from_bits(self.u64()?))
-    }
-    fn str(&mut self) -> Option<String> {
-        let len = self.u32()? as usize;
-        String::from_utf8(self.take(len)?.to_vec()).ok()
     }
     fn done(&self) -> bool {
         self.at == self.buf.len()
@@ -304,58 +315,12 @@ fn decode_outcome(r: &mut Reader<'_>) -> Option<ConfigOutcome> {
     })
 }
 
-fn encode(key: &ResultKey, outcome: &ConfigOutcome) -> Vec<u8> {
-    let mut payload = Writer(Vec::with_capacity(192));
-    payload.u32(PIPELINE_VERSION);
-    payload.str(&key.cell);
-    payload.u64(key.trace_fp);
-    payload.u64(key.profile_fp);
-    payload.u64(key.config_fp);
-    encode_outcome(&mut payload, outcome);
-
-    let mut out = Writer(Vec::with_capacity(payload.0.len() + 12));
-    out.0.extend_from_slice(MAGIC);
-    out.u32(RESULT_FORMAT_VERSION);
-    out.u32(crc32(&payload.0));
-    out.0.extend_from_slice(&payload.0);
-    out.0
-}
-
-/// Decodes a full entry; `None` on any structural problem. The key echo
-/// is returned for the caller to verify against the requested key.
-fn decode(bytes: &[u8]) -> Option<(ResultKey, u32, ConfigOutcome)> {
-    let mut r = Reader { buf: bytes, at: 0 };
-    if r.take(4)? != MAGIC {
-        return None;
-    }
-    if r.u32()? != RESULT_FORMAT_VERSION {
-        return None;
-    }
-    let crc = r.u32()?;
-    if crc32(&bytes[r.at..]) != crc {
-        return None;
-    }
-    let pipeline = r.u32()?;
-    let key = ResultKey {
-        cell: r.str()?,
-        trace_fp: r.u64()?,
-        profile_fp: r.u64()?,
-        config_fp: r.u64()?,
-    };
-    let outcome = decode_outcome(&mut r)?;
-    if !r.done() {
-        return None; // trailing garbage: treat as corrupt
-    }
-    Some((key, pipeline, outcome))
-}
-
 // ---------------------------------------------------------------- cache
 
 /// Disk-backed store of evaluation outcomes.
 #[derive(Debug, Clone)]
 pub struct ResultCache {
-    root: PathBuf,
-    cap_bytes: u64,
+    blobs: BlobStore,
 }
 
 impl ResultCache {
@@ -366,83 +331,53 @@ impl ResultCache {
     ///
     /// Propagates the directory-creation failure.
     pub fn new(dir: impl Into<PathBuf>, cap_bytes: u64) -> io::Result<ResultCache> {
-        let root = dir.into();
-        fs::create_dir_all(&root)?;
-        Ok(ResultCache { root, cap_bytes })
+        let blobs = BlobStore::new(dir, cap_bytes, FRAME)?;
+        Ok(ResultCache { blobs })
     }
 
-    /// Builds the cache from `VP_RESULT_DIR` / `VP_RESULT_MB`.
-    ///
-    /// `None` — caching disabled — when the directory is unset or empty,
-    /// the budget parses to 0, or the directory cannot be created (the
-    /// last with a warning: a misspelled path should not silently turn
-    /// off memoization the user asked for).
+    /// Builds the cache from `VP_RESULT_DIR` / `VP_RESULT_MB`; `None` —
+    /// caching disabled — when the directory is unset, blank or unusable
+    /// or the budget is 0 (see [`BlobStore::from_env`]).
     pub fn from_env() -> Option<ResultCache> {
-        let dir = std::env::var("VP_RESULT_DIR").ok()?;
-        let dir = dir.trim();
-        if dir.is_empty() {
-            return None;
-        }
-        let mb = match std::env::var("VP_RESULT_MB").ok().as_deref() {
-            Some(s) => s.trim().parse::<u64>().unwrap_or(DEFAULT_RESULT_MB),
-            None => DEFAULT_RESULT_MB,
-        };
-        if mb == 0 {
-            return None;
-        }
-        match ResultCache::new(dir, mb.saturating_mul(1024 * 1024)) {
-            Ok(c) => Some(c),
-            Err(e) => {
-                eprintln!("vp-metrics: VP_RESULT_DIR={dir} unusable ({e}); result cache disabled");
-                None
-            }
-        }
+        BlobStore::from_env(FRAME, "VP_RESULT_DIR", "VP_RESULT_MB", DEFAULT_RESULT_MB)
+            .map(|blobs| ResultCache { blobs })
     }
 
-    /// The entry path for `key`.
-    pub fn path_for(&self, key: &ResultKey) -> PathBuf {
-        self.root.join(format!("{:016x}.{EXT}", key.address()))
-    }
-
-    /// Looks up `key`. A usable entry bumps `result_cache.hits` and the
-    /// file's mtime (recency for eviction); an absent entry is a plain
-    /// miss; a corrupt, mis-keyed, or stale-pipeline entry is deleted
-    /// (self-heal), counted invalidated, and reported as a miss.
+    /// Looks up `key`. A usable entry bumps `result_cache.hits`; an absent
+    /// entry is a plain miss; a corrupt, mis-keyed, or stale-pipeline
+    /// entry is deleted by the store, counted invalidated, and reported as
+    /// a miss.
     pub fn load(&self, key: &ResultKey) -> Option<ConfigOutcome> {
-        let path = self.path_for(key);
-        let bytes = match fs::read(&path) {
-            Ok(b) => b,
-            Err(_) => {
-                RC_MISSES.incr();
-                return None;
-            }
+        let decode = |payload: Blob| {
+            let mut r = Reader {
+                buf: &payload,
+                at: 0,
+            };
+            // Trailing garbage is corrupt too.
+            decode_outcome(&mut r).filter(|_| r.done())
         };
-        match decode(&bytes) {
-            Some((echoed, pipeline, outcome)) if echoed == *key && pipeline == PIPELINE_VERSION => {
+        match self.blobs.get(&key.name(), &key.echo(), decode) {
+            Ok(outcome) => {
                 RC_HITS.incr();
-                // Best-effort recency bump; eviction degrades to
-                // least-recently-written if the touch fails.
-                if let Ok(f) = fs::File::options().write(true).open(&path) {
-                    let _ = f.set_modified(SystemTime::now());
-                }
                 Some(outcome)
             }
-            _ => {
-                let _ = fs::remove_file(&path);
-                RC_INVALIDATED.incr();
+            Err(miss) => {
+                if miss == Miss::Refused {
+                    RC_INVALIDATED.incr();
+                }
                 RC_MISSES.incr();
                 None
             }
         }
     }
 
-    /// Persists `outcome` under `key` atomically, then evicts
-    /// oldest-mtime entries down to the budget.
+    /// Persists `outcome` under `key` (see [`BlobStore::put`]).
     ///
     /// Refused (returning `false`) when the outcome's diff report carries
     /// divergence forensics — those embed visit records that are not
     /// worth serializing, and a diverging cell should re-run under
-    /// scrutiny anyway.
+    /// scrutiny anyway — when the entry exceeds the whole budget, or on
+    /// an I/O failure.
     pub fn store(&self, key: &ResultKey, outcome: &ConfigOutcome) -> bool {
         if outcome
             .diff
@@ -451,78 +386,29 @@ impl ResultCache {
         {
             return false;
         }
-        let bytes = encode(key, outcome);
-        if bytes.len() as u64 > self.cap_bytes {
-            return false;
+        let mut payload = Writer(Vec::with_capacity(160));
+        encode_outcome(&mut payload, outcome);
+        let stored = matches!(
+            self.blobs.put(&key.name(), &key.echo(), &payload.0),
+            Ok(Some(_))
+        );
+        if stored {
+            RC_STORES.incr();
         }
-        let path = self.path_for(key);
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        if fs::write(&tmp, &bytes).is_err() || fs::rename(&tmp, &path).is_err() {
-            let _ = fs::remove_file(&tmp);
-            return false;
-        }
-        RC_STORES.incr();
-        self.evict_to_budget(&path);
-        true
-    }
-
-    /// Number of entries currently resident.
-    pub fn len(&self) -> usize {
-        self.scan().len()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.scan().is_empty()
-    }
-
-    fn scan(&self) -> Vec<(PathBuf, u64, SystemTime)> {
-        let Ok(entries) = fs::read_dir(&self.root) else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        for entry in entries.flatten() {
-            let path = entry.path();
-            if path.extension().and_then(|e| e.to_str()) != Some(EXT) {
-                continue;
-            }
-            if let Ok(meta) = entry.metadata() {
-                let mtime = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
-                out.push((path, meta.len(), mtime));
-            }
-        }
-        out
-    }
-
-    fn evict_to_budget(&self, keep: &Path) {
-        let mut files = self.scan();
-        let mut total: u64 = files.iter().map(|(_, len, _)| len).sum();
-        if total <= self.cap_bytes {
-            return;
-        }
-        // Oldest first; the path tie-break keeps eviction deterministic
-        // when mtime granularity groups writes.
-        files.sort_by(|a, b| (a.2, &a.0).cmp(&(b.2, &b.0)));
-        for (path, len, _) in files {
-            if total <= self.cap_bytes {
-                break;
-            }
-            if path == keep {
-                continue;
-            }
-            if fs::remove_file(&path).is_ok() {
-                total -= len;
-                RC_EVICTIONS.incr();
-            }
-        }
+        stored
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs;
     use std::sync::atomic::{AtomicU64, Ordering};
     use vp_exec::diff::Divergence;
+
+    fn path(c: &ResultCache, k: &ResultKey) -> PathBuf {
+        c.blobs.path(&k.name())
+    }
 
     fn tempdir(tag: &str) -> PathBuf {
         static N: AtomicU64 = AtomicU64::new(0);
@@ -655,49 +541,42 @@ mod tests {
         });
         assert!(!c.store(&k, &o), "divergence-carrying outcome must refuse");
         assert!(c.load(&k).is_none());
-        assert!(c.is_empty());
+        assert!(c.blobs.is_empty());
     }
 
     #[test]
     fn corruption_anywhere_is_refused_and_healed() {
-        let base = tempdir("corrupt");
+        let c = ResultCache::new(tempdir("corrupt"), 1 << 20).unwrap();
         let k = key("cell");
-        let o = outcome();
-        // Build one good entry to learn its length.
-        let c = ResultCache::new(base.join("probe"), 1 << 20).unwrap();
-        assert!(c.store(&k, &o));
-        let good = fs::read(c.path_for(&k)).unwrap();
+        assert!(c.store(&k, &outcome()));
+        let good = fs::read(path(&c, &k)).unwrap();
+        let refused = |bytes: &[u8], what: String| {
+            fs::write(path(&c, &k), bytes).unwrap();
+            let (miss, report) = vp_trace::scoped(|| c.load(&k));
+            assert!(miss.is_none(), "{what}: corrupt entry served");
+            assert!(!path(&c, &k).exists(), "{what}: poisoned entry not healed");
+            assert_eq!(report.counter("result_cache.invalidated"), 1, "{what}");
+            assert_eq!(report.counter("result_cache.misses"), 1, "{what}");
+            assert_eq!(report.counter("result_cache.hits"), 0, "{what}");
+        };
 
+        // Flipping a bit in the magic, version, CRC, key echo or body is
+        // refused; so is truncation at every offset and trailing garbage.
         for i in 0..good.len() {
-            let dir = base.join(format!("bit{i}"));
-            let c = ResultCache::new(&dir, 1 << 20).unwrap();
             let mut bad = good.clone();
             bad[i] ^= 0x40;
-            fs::write(c.path_for(&k), &bad).unwrap();
-            // Flipping a bit in the magic, version, CRC, key echo, or
-            // body must all be refused; the poisoned file is deleted.
-            assert!(c.load(&k).is_none(), "byte {i} flip accepted");
-            assert!(
-                !c.path_for(&k).exists(),
-                "byte {i}: poisoned entry not healed"
-            );
+            refused(&bad, format!("bit flip at byte {i}"));
         }
-
-        // Truncation at every boundary.
         for cut in 0..good.len() {
-            let dir = base.join(format!("cut{cut}"));
-            let c = ResultCache::new(&dir, 1 << 20).unwrap();
-            fs::write(c.path_for(&k), &good[..cut]).unwrap();
-            assert!(c.load(&k).is_none(), "truncation at {cut} accepted");
-            assert!(!c.path_for(&k).exists());
+            refused(&good[..cut], format!("truncation at {cut}"));
         }
-
-        // Trailing garbage.
-        let c = ResultCache::new(base.join("tail"), 1 << 20).unwrap();
         let mut long = good.clone();
         long.push(0);
-        fs::write(c.path_for(&k), &long).unwrap();
-        assert!(c.load(&k).is_none());
+        refused(&long, "trailing byte".into());
+
+        // The next store rewrites the slot and it serves again.
+        assert!(c.store(&k, &outcome()));
+        assert_outcomes_eq(&c.load(&k).expect("healed"), &outcome());
     }
 
     #[test]
@@ -737,9 +616,9 @@ mod tests {
         let k1 = key("one");
         let k2 = key("two");
         assert!(c.store(&k1, &outcome()));
-        fs::rename(c.path_for(&k1), c.path_for(&k2)).unwrap();
+        fs::rename(path(&c, &k1), path(&c, &k2)).unwrap();
         assert!(c.load(&k2).is_none());
-        assert!(!c.path_for(&k2).exists(), "mis-keyed entry not healed");
+        assert!(!path(&c, &k2).exists(), "mis-keyed entry not healed");
     }
 
     #[test]
@@ -749,8 +628,8 @@ mod tests {
         let entry_len = {
             let k = key("probe");
             assert!(c.store(&k, &o));
-            let len = fs::metadata(c.path_for(&k)).unwrap().len();
-            fs::remove_file(c.path_for(&k)).unwrap();
+            let len = fs::metadata(path(&c, &k)).unwrap().len();
+            fs::remove_file(path(&c, &k)).unwrap();
             len
         };
         // Budget for exactly three entries.
@@ -773,7 +652,7 @@ mod tests {
     fn oversized_store_is_refused() {
         let c = ResultCache::new(tempdir("oversize"), 10).unwrap();
         assert!(!c.store(&key("big"), &outcome()));
-        assert!(c.is_empty());
+        assert!(c.blobs.is_empty());
     }
 
     #[test]
@@ -790,11 +669,11 @@ mod tests {
         assert!(ResultCache::from_env().is_none(), "zero budget disables");
         std::env::set_var("VP_RESULT_MB", "2");
         let c = ResultCache::from_env().expect("enabled");
-        assert_eq!(c.cap_bytes, 2 * 1024 * 1024);
-        assert_eq!(c.root, dir);
+        assert_eq!(c.blobs.capacity_bytes(), 2 * 1024 * 1024);
+        assert_eq!(c.blobs.root(), dir);
         std::env::set_var("VP_RESULT_MB", "nonsense");
         let c = ResultCache::from_env().expect("enabled at default budget");
-        assert_eq!(c.cap_bytes, DEFAULT_RESULT_MB * 1024 * 1024);
+        assert_eq!(c.blobs.capacity_bytes(), DEFAULT_RESULT_MB * 1024 * 1024);
         std::env::remove_var("VP_RESULT_DIR");
         std::env::remove_var("VP_RESULT_MB");
     }

@@ -37,7 +37,6 @@ pub mod cfg;
 pub mod func;
 pub mod layout;
 pub mod liveness;
-pub mod loops;
 pub mod pretty;
 
 pub use block::{Block, EdgeKind, Terminator};
