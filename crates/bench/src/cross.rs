@@ -26,7 +26,7 @@
 //! evaluates every family member under input A's profile,
 //! `VP_PROFILE_FROM=merged` under the family merge.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use vacuum_packing::core::PackConfig;
 use vacuum_packing::exec::DiffMode;
 use vacuum_packing::hsd::{MergeConfig, MergedProfile, Phase};
@@ -41,7 +41,7 @@ use crate::cache::{
     active_cache, cell_config_fp, foreign_profile_fp, merged_profile_fp, own_profile_fp,
     workload_trace_fp,
 };
-use crate::{parallel_sweep_scoped, profile_workloads, scale};
+use crate::{parallel_sweep_scoped, profile_each, profile_workloads, scale};
 
 /// Column headers of the generalization table; the `sweep cross`
 /// manifest and [`render_cross_report`] both use this exact shape.
@@ -209,8 +209,11 @@ fn cell_specs(only: &[String], eval: &[String], from: &[String]) -> Vec<CellSpec
 ///
 /// Profiling covers every input of each selected family (foreign and
 /// merged columns need the siblings as sources even when their own rows
-/// are filtered out); the merged profile is resolved once per family
-/// with [`MergeConfig::from_env`] — `VP_MERGE_WEIGHT` selects the
+/// are filtered out); an input no live cell evaluates is profiled
+/// untimed. Profiles and packed-binary measurements an earlier sweep of
+/// the process already made are reused (see [`crate::profile_workloads`]
+/// and [`ClaimTable::shared`]). The merged profile is resolved once per
+/// family with [`MergeConfig::from_env`] — `VP_MERGE_WEIGHT` selects the
 /// weighting.
 ///
 /// # Panics
@@ -288,19 +291,25 @@ pub fn cross_cells(
     }
 
     // Profile every input of every family that still owns a live cell —
-    // a family whose selected cells are all cached never profiles.
-    let live_fams: BTreeSet<&str> = specs
+    // a family whose selected cells are all cached never profiles. Only
+    // inputs a live cell evaluates are timed: the others only supply
+    // phases. Suite order is kept, the order the merge folds dumps in.
+    let live: Vec<&CellSpec> = specs
         .iter()
         .enumerate()
         .filter(|(i, _)| !cached.contains_key(i))
-        .map(|(_, s)| s.family.as_str())
+        .map(|(_, s)| s)
         .collect();
-    let needed: Vec<Workload> = fams
+    let needed: Vec<(Workload, Option<&MachineConfig>)> = fams
         .into_iter()
-        .filter(|(b, _)| live_fams.contains(b.as_str()))
+        .filter(|(b, _)| live.iter().any(|s| &s.family == b))
         .flat_map(|(_, inputs)| inputs)
+        .map(|w| {
+            let evaluated = live.iter().any(|s| s.eval_label == w.label());
+            (w, machine.filter(|_| evaluated))
+        })
         .collect();
-    let profiled = profile_workloads(needed, machine);
+    let profiled = profile_each(needed);
     let by_label: BTreeMap<String, &ProfiledWorkload> =
         profiled.iter().map(|pw| (pw.label.clone(), pw)).collect();
 
@@ -323,8 +332,7 @@ pub fn cross_cells(
         .enumerate()
         .map(|(i, s)| (format!("{} {} <- {}", s.family, s.eval_input, s.profile), i))
         .collect();
-    let opt_cfg = OptConfig::default();
-    let table = ClaimTable::new(&opt_cfg, machine, DiffMode::from_env());
+    let table = ClaimTable::shared(&OptConfig::default(), machine, DiffMode::from_env());
     let results = parallel_sweep_scoped("cross", jobs, |&i| {
         if let Some(out) = cached.get(&i) {
             // Cached cell: no profile, replay, or simulation ran.
@@ -495,19 +503,16 @@ pub fn render_cross_report(rows: &[Vec<String>]) -> String {
 /// Workloads without a matching sibling — single-input benchmarks, or
 /// the named input itself — pass through unchanged.
 ///
-/// Sources are profiled on demand (served from the trace store when
-/// warm) and shared across the set.
+/// Sources are profiled on demand, untimed (they only supply phases;
+/// the process's profile memo or trace store answer them when warm), and
+/// shared across the set.
 ///
 /// # Panics
 ///
 /// Panics if a named source input exists for no family in the set —
 /// a typo'd `VP_PROFILE_FROM` silently measuring the same-input matrix
 /// would defeat the knob's purpose.
-pub fn substitute_profiles(
-    pws: Vec<ProfiledWorkload>,
-    spec: &str,
-    machine: Option<&MachineConfig>,
-) -> Vec<ProfiledWorkload> {
+pub fn substitute_profiles(pws: Vec<ProfiledWorkload>, spec: &str) -> Vec<ProfiledWorkload> {
     let _s = vp_trace::span("bench.substitute_profiles");
     let fams: BTreeMap<String, Vec<Workload>> = families(scale()).into_iter().collect();
     let family_of = |label: &str| -> Option<&str> {
@@ -551,7 +556,7 @@ pub fn substitute_profiles(
     );
 
     let sources: Vec<Workload> = needed.into_values().flatten().collect();
-    let source_profiles = profile_workloads(sources, machine);
+    let source_profiles = profile_workloads(sources, None);
     let by_label: BTreeMap<String, &ProfiledWorkload> = source_profiles
         .iter()
         .map(|pw| (pw.label.clone(), pw))

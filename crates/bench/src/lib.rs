@@ -45,10 +45,11 @@ pub mod steal;
 pub mod sweep;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use vacuum_packing::exec::DiffMode;
-use vacuum_packing::hsd::HsdConfig;
-use vacuum_packing::metrics::{profile, ClaimTable, ProfiledWorkload, TextTable};
+use std::sync::{Arc, Mutex, Weak};
+use vacuum_packing::exec::{CapturedTrace, DiffMode, RunConfig, TraceKey};
+use vacuum_packing::hsd::{HsdConfig, Phase};
+use vacuum_packing::metrics::{profile, BranchCounts, ClaimTable, ProfiledWorkload, TextTable};
+use vacuum_packing::program::Layout;
 use vacuum_packing::sim::MachineConfig;
 use vacuum_packing::workloads::{suite, Workload};
 use vp_trace::{Manifest, Value};
@@ -372,6 +373,13 @@ pub fn profile_suite(machine: Option<&MachineConfig>) -> Vec<ProfiledWorkload> {
 /// [`profile_suite`] over the full suite, the shard sweep over the subset
 /// of workloads its cells actually need.
 ///
+/// Every profile goes through a process-wide memo keyed on the original's
+/// `TraceKey`, the detector configuration and the machine, so a workload
+/// this process has already profiled is not replayed again; a timed entry
+/// also answers an untimed request. An entry holds its capture weakly, so
+/// the memo never keeps a capture alive past the trace store's budget:
+/// once the store has dropped it, the entry is a miss.
+///
 /// # Panics
 ///
 /// Panics after the sweep completes if any workload failed, listing every
@@ -380,13 +388,97 @@ pub fn profile_workloads(
     workloads: Vec<Workload>,
     machine: Option<&MachineConfig>,
 ) -> Vec<ProfiledWorkload> {
+    profile_each(workloads.into_iter().map(|w| (w, machine)).collect())
+}
+
+/// [`profile_workloads`] with a timing choice per workload: each is timed
+/// on its own machine (untimed for `None`).
+///
+/// # Panics
+///
+/// Panics after the sweep completes if any workload failed, listing every
+/// failing label.
+pub(crate) fn profile_each(
+    workloads: Vec<(Workload, Option<&MachineConfig>)>,
+) -> Vec<ProfiledWorkload> {
     let _s = vp_trace::span("bench.profile_suite");
-    let jobs: Vec<(String, Workload)> = workloads.into_iter().map(|w| (w.label(), w)).collect();
-    let results = parallel_sweep(jobs, |w| {
-        profile(&w.label(), w.program.clone(), &HsdConfig::table2(), machine)
-            .unwrap_or_else(|e| panic!("{e}"))
-    });
+    let jobs: Vec<(String, (Workload, Option<&MachineConfig>))> = workloads
+        .into_iter()
+        .map(|(w, m)| (w.label(), (w, m)))
+        .collect();
+    let results = parallel_sweep(jobs, |(w, machine)| profile_memoized(w, *machine));
     collect_or_report("profile_suite", results)
+}
+
+/// A memoized profile: a [`ProfiledWorkload`]'s results without its
+/// program, plus a weak handle on its capture.
+struct Memo {
+    key: TraceKey,
+    hsd: HsdConfig,
+    machine: Option<MachineConfig>,
+    trace: Weak<CapturedTrace>,
+    phases: Vec<Phase>,
+    branch_counts: BranchCounts,
+    dyn_insts: u64,
+    base_cycles: Option<u64>,
+    raw_detections: usize,
+}
+
+static PROFILES: Mutex<Vec<Memo>> = Mutex::new(Vec::new());
+
+/// Profiles answered from the memo of [`profile_each`].
+static PROFILE_REUSED: vp_trace::Counter = vp_trace::Counter::new("bench.profile.reused");
+
+/// `w` profiled with the Table 2 detector (timed on `machine` when
+/// given): from the memo when a live entry answers, else profiled and
+/// memoized. Either way the result equals a fresh [`profile`].
+fn profile_memoized(w: &Workload, machine: Option<&MachineConfig>) -> ProfiledWorkload {
+    let hsd = HsdConfig::table2();
+    let label = w.label();
+    let layout = Layout::natural(&w.program);
+    let key = TraceKey::new(&label, &w.program, &layout, &RunConfig::default());
+    let answers =
+        |m: &Memo| m.key == key && m.hsd == hsd && machine.is_none_or(|mc| m.machine == Some(*mc));
+    let hit = {
+        let mut memo = PROFILES.lock().expect("profile memo");
+        memo.retain(|m| m.trace.strong_count() > 0);
+        memo.iter().find(|m| answers(m)).and_then(|m| {
+            Some(ProfiledWorkload {
+                label: label.clone(),
+                program: w.program.clone(),
+                layout,
+                phases: m.phases.clone(),
+                branch_counts: m.branch_counts.clone(),
+                dyn_insts: m.dyn_insts,
+                base_cycles: machine.and(m.base_cycles),
+                raw_detections: m.raw_detections,
+                trace: m.trace.upgrade()?,
+            })
+        })
+    };
+    if let Some(pw) = hit {
+        PROFILE_REUSED.incr();
+        return pw;
+    }
+    let pw = profile(&label, w.program.clone(), &hsd, machine).unwrap_or_else(|e| panic!("{e}"));
+    let mut memo = PROFILES.lock().expect("profile memo");
+    // The new entry answers everything an entry of the same key it
+    // replaces did: that entry was untimed or timed on the same machine.
+    memo.retain(|m| {
+        !(m.key == key && m.hsd == hsd && (m.machine.is_none() || m.machine == machine.copied()))
+    });
+    memo.push(Memo {
+        key,
+        hsd,
+        machine: machine.copied(),
+        trace: Arc::downgrade(&pw.trace),
+        phases: pw.phases.clone(),
+        branch_counts: pw.branch_counts.clone(),
+        dyn_insts: pw.dyn_insts,
+        base_cycles: pw.base_cycles,
+        raw_detections: pw.raw_detections,
+    });
+    pw
 }
 
 /// The paper's four-bar configuration labels, in Figure 8/10 order.
@@ -394,7 +486,8 @@ pub const CONFIG_LABELS: [&str; 4] = ["noInf/noLink", "noInf/link", "inf/noLink"
 
 /// Evaluates every (workload, configuration) cell in parallel; the result
 /// is indexed `[workload][config]`. Cells that build the same packed
-/// binary share one measurement through a [`ClaimTable`].
+/// binary — in this call or an earlier sweep of the process — share one
+/// measurement through the process-wide [`ClaimTable`].
 ///
 /// # Panics
 ///
@@ -412,8 +505,7 @@ pub fn evaluate_matrix(
         .flat_map(|w| (0..configs.len()).map(move |c| (w, c)))
         .map(|(w, c)| (format!("{} [config {c}]", profiled[w].label), (w, c)))
         .collect();
-    let opt_cfg = OptConfig::default();
-    let table = ClaimTable::new(&opt_cfg, machine, DiffMode::from_env());
+    let table = ClaimTable::shared(&OptConfig::default(), machine, DiffMode::from_env());
     let results = parallel_sweep(cells, |&(w, c)| {
         table
             .evaluate(&profiled[w], &configs[c])
@@ -547,6 +639,31 @@ mod tests {
                 "{label} must not be attributed the other cell's span"
             );
         }
+    }
+
+    #[test]
+    fn profile_memo_never_keeps_a_capture_alive() {
+        let w = suite(1)
+            .into_iter()
+            .find(|w| w.label() == "130.li B")
+            .expect("suite workload");
+        let first = profile_memoized(&w, None);
+        let (second, report) = vp_trace::scoped(|| profile_memoized(&w, None));
+        assert!(
+            !report.has_span("metrics.profile.run"),
+            "a live entry answers"
+        );
+        assert_eq!(second.phases, first.phases);
+        assert!(Arc::ptr_eq(&first.trace, &second.trace));
+
+        // Once the store and every profile have let go of the capture,
+        // the entry is a miss.
+        let capture = Arc::downgrade(&first.trace);
+        drop((first, second));
+        vacuum_packing::exec::TraceStore::global().clear();
+        assert_eq!(capture.strong_count(), 0, "the memo holds it weakly");
+        let (_, report) = vp_trace::scoped(|| profile_memoized(&w, None));
+        assert!(report.has_span("metrics.profile.run"));
     }
 
     #[test]

@@ -139,6 +139,9 @@ pub struct SweepOutcome {
 /// filtered sweep partitions the same reduced matrix. Only the workloads
 /// that own at least one selected cell are profiled, which is what makes an
 /// `n`-way shard roughly `n`× cheaper rather than just `n`× smaller.
+/// Profiles and packed-binary measurements are shared with the other
+/// sweeps of the process (see [`crate::profile_workloads`] and
+/// [`ClaimTable::shared`]).
 ///
 /// # Panics
 ///
@@ -213,7 +216,7 @@ pub fn sweep_cells(
     // substitution always sees the full profiled set.)
     if let Ok(spec) = std::env::var("VP_PROFILE_FROM") {
         if !spec.trim().is_empty() {
-            profiled = crate::cross::substitute_profiles(profiled, spec.trim(), machine);
+            profiled = crate::cross::substitute_profiles(profiled, spec.trim());
         }
     }
     let mut by_index: BTreeMap<usize, ProfiledWorkload> = BTreeMap::new();
@@ -234,8 +237,7 @@ pub fn sweep_cells(
             (format!("{} [{}]", label_of(w), CONFIG_LABELS[c]), j)
         })
         .collect();
-    let opt_cfg = OptConfig::default();
-    let table = ClaimTable::new(&opt_cfg, machine, DiffMode::from_env());
+    let table = ClaimTable::shared(&OptConfig::default(), machine, DiffMode::from_env());
     let results = parallel_sweep_scoped("sweep", jobs, |&j| {
         if let Some(out) = cached.get(&j) {
             // Cached cell: the row is reproduced from the stored outcome;

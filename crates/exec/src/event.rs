@@ -59,7 +59,7 @@ pub struct Retired {
 ///
 /// Sinks read a handful of flat `u8`/`u64` fields instead of chasing
 /// `Option`s through 80-byte [`Retired`] records. This module defines the
-/// encoding; [`event`] is the one place a [`Retired`] record is packed
+/// encoding; [`event`](col::event) is the one place a [`Retired`] record is packed
 /// into it, for live execution and for the static half of every replayed
 /// event alike.
 pub mod col {

@@ -195,6 +195,7 @@ impl<'p> Executor<'p> {
                     in_package,
                 };
                 self.step(inst, &mut ev);
+                debug_assert_eq!((ev.def, ev.uses), inst_regs(inst), "{cur} slot {i}");
                 stats.retired += 1;
                 if in_package {
                     stats.in_package += 1;
@@ -414,6 +415,24 @@ impl<'p> Executor<'p> {
                 // Pseudo-instruction: architecturally a no-op.
             }
         }
+    }
+}
+
+/// The register fields of `inst`'s retired event — its destination and
+/// its sources in operand order — as the interpreter reports them. Trace
+/// hits check recorded slot templates against this (see
+/// [`CapturedTrace::fits`](crate::CapturedTrace::fits)).
+pub(crate) fn inst_regs(inst: &Inst) -> (Option<Reg>, [Option<Reg>; 3]) {
+    match inst {
+        Inst::Nop | Inst::Consume { .. } => (None, [None; 3]),
+        Inst::Li { rd, .. } | Inst::Fli { rd, .. } => (Some(*rd), [None; 3]),
+        Inst::Mov { rd, rs } | Inst::Itof { rd, rs } | Inst::Ftoi { rd, rs } => {
+            (Some(*rd), [Some(*rs), None, None])
+        }
+        Inst::Alu { rd, rs1, rs2, .. } => (Some(*rd), [Some(*rs1), rs2.reg(), None]),
+        Inst::Falu { rd, rs1, rs2, .. } => (Some(*rd), [Some(*rs1), Some(*rs2), None]),
+        Inst::Load { rd, base, .. } => (Some(*rd), [Some(*base), None, None]),
+        Inst::Store { src, base, .. } => (None, [Some(*src), Some(*base), None]),
     }
 }
 

@@ -91,12 +91,12 @@
 //! ```
 
 use crate::blob::Blob;
-use crate::event::{col, Retired, Sink};
+use crate::event::{col, Ctrl, Retired, Sink};
 use crate::exec::{ExecError, Executor, RunConfig, RunStats};
 use crate::fx::FxHashMap;
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use vp_isa::CodeRef;
-use vp_program::{Layout, Program};
+use vp_isa::{BlockId, CodeRef, FuClass, Inst, INST_BYTES};
+use vp_program::{Layout, Program, Terminator};
 use vp_trace::Counter;
 
 pub mod persist;
@@ -113,6 +113,9 @@ static HITS: Counter = Counter::new("trace_store.hits");
 static EVICTIONS: Counter = Counter::new("trace_store.evictions");
 /// Total encoded bytes captured (monotonic, not resident).
 static BYTES: Counter = Counter::new("trace_store.bytes");
+/// Store hits refused because a slot template disagrees with the
+/// requesting program (a key collision); each is re-captured.
+static TEMPLATE_MISMATCHES: Counter = Counter::new("trace_store.template_mismatches");
 
 /// Default cache budget when `VP_TRACE_CACHE_MB` is unset.
 pub const DEFAULT_CACHE_MB: usize = 512;
@@ -167,6 +170,137 @@ fn cold_path() {}
 pub(crate) struct StaticSlot {
     template: Retired,
     targets: [Option<u64>; 2],
+}
+
+impl StaticSlot {
+    /// Whether this slot's template is what `program` retires at the
+    /// slot's address under `layout`: the same block, the same static
+    /// fields and, for each direction observed, the same control target.
+    fn fits(&self, program: &Program, layout: &Layout) -> bool {
+        let t = &self.template;
+        let Some(func) = program.funcs.get(t.loc.func.0 as usize) else {
+            return false;
+        };
+        let Some(block) = func.blocks.get(t.loc.block.0 as usize) else {
+            return false;
+        };
+        let Some(slot) = t
+            .addr
+            .checked_sub(layout.addr_of(t.loc))
+            .filter(|d| d % INST_BYTES == 0)
+            .map(|d| d / INST_BYTES)
+            .filter(|&i| i < layout.insts_of(t.loc))
+        else {
+            return false;
+        };
+        // The template the interpreter records here, minus its control
+        // and register fields.
+        let expect = Retired {
+            loc: t.loc,
+            addr: t.addr,
+            fu: FuClass::Branch,
+            latency: 1,
+            def: None,
+            uses: [None; 3],
+            mem_addr: None,
+            is_store: false,
+            ctrl: None,
+            in_package: func.is_package(),
+        };
+        if let Some(inst) = block.insts.get(slot as usize) {
+            let (def, uses) = crate::exec::inst_regs(inst);
+            return self.targets == [None; 2]
+                && *t
+                    == Retired {
+                        fu: inst.fu(),
+                        latency: inst.latency(),
+                        def,
+                        uses,
+                        is_store: matches!(inst, Inst::Store { .. }),
+                        ..expect
+                    };
+        }
+        // Past the body: the terminator, then (branch-plus-jump only) the
+        // jump to the not-taken successor.
+        let at = |r: CodeRef| Some(layout.addr_of(r));
+        let returns_to = |b: BlockId| {
+            layout.addr_of(CodeRef {
+                func: t.loc.func,
+                block: b,
+            })
+        };
+        let jump = Ctrl {
+            block: t.loc,
+            is_cond: false,
+            arch_taken: false,
+            taken: false,
+            is_call: false,
+            is_ret: false,
+            target: 0,
+            ret_addr: 0,
+        };
+        let first = slot == block.insts.len() as u64;
+        let (ctrl, uses, targets) = match (&block.term, first) {
+            (
+                Terminator::Br {
+                    rs1,
+                    rs2,
+                    taken,
+                    not_taken,
+                    ..
+                },
+                true,
+            ) => (
+                Ctrl {
+                    is_cond: true,
+                    ..jump
+                },
+                [Some(*rs1), rs2.reg(), None],
+                [at(*not_taken), at(*taken)],
+            ),
+            (Terminator::Br { not_taken, .. }, false) => (jump, [None; 3], [None, at(*not_taken)]),
+            (Terminator::Goto(to), true) => (jump, [None; 3], [None, at(*to)]),
+            (Terminator::Call { callee, ret_to }, true) => {
+                let entry = CodeRef {
+                    func: *callee,
+                    block: program.func(*callee).entry,
+                };
+                let call = Ctrl {
+                    is_call: true,
+                    ret_addr: returns_to(*ret_to),
+                    ..jump
+                };
+                (call, [None; 3], [None, at(entry)])
+            }
+            (Terminator::CallThrough { target, ret_to }, true) => {
+                let call = Ctrl {
+                    is_call: true,
+                    ret_addr: returns_to(*ret_to),
+                    ..jump
+                };
+                (call, [None; 3], [None, at(*target)])
+            }
+            (Terminator::Ret, true) => (
+                Ctrl {
+                    is_ret: true,
+                    ..jump
+                },
+                [None; 3],
+                [None, None],
+            ),
+            (Terminator::Halt, true) => (jump, [None; 3], [Some(0), None]),
+            _ => return false,
+        };
+        *t == Retired {
+            uses,
+            ctrl: Some(ctrl),
+            ..expect
+        } && self
+            .targets
+            .iter()
+            .zip(targets)
+            .all(|(seen, want)| seen.is_none() || *seen == want)
+    }
 }
 
 const FLAG_SEQ: u8 = 1 << 0;
@@ -660,6 +794,20 @@ impl CapturedTrace {
     pub fn bytes(&self) -> usize {
         self.stream.len() + self.slots.len() * std::mem::size_of::<StaticSlot>()
     }
+
+    /// Whether this capture was recorded from `program` under `layout`, as
+    /// far as its static side-table shows: every slot's template matches
+    /// the instruction or terminator the program has at that slot's
+    /// address (O(static slots)). A [`TraceKey`] is a 64-bit content hash,
+    /// so two programs can share one; this check turns such a collision
+    /// into a miss instead of a replay of the wrong binary. It cannot see
+    /// an edit that leaves every template alone (an immediate, a data
+    /// word).
+    pub fn fits(&self, program: &Program, layout: &Layout) -> bool {
+        self.slots
+            .iter()
+            .all(|s| s.template.loc == persist::UNREFERENCED || s.fits(program, layout))
+    }
 }
 
 // --------------------------------------------------------------- the key
@@ -1022,7 +1170,9 @@ impl TraceStore {
     ) -> Result<Arc<CapturedTrace>, ExecError> {
         loop {
             if let Some(trace) = self.fetch(&key) {
-                return Ok(trace);
+                if self.verify(&key, &trace, program, layout) {
+                    return Ok(trace);
+                }
             }
 
             let flight = {
@@ -1040,7 +1190,9 @@ impl TraceStore {
                 // Another thread is already capturing this key: wait for
                 // its outcome.
                 Some(flight) => match flight.wait() {
-                    FlightOutcome::Done(trace) => return Ok(trace),
+                    FlightOutcome::Done(trace) if trace.fits(program, layout) => return Ok(trace),
+                    // A colliding program's capture: look again.
+                    FlightOutcome::Done(_) => continue,
                     FlightOutcome::Failed(e) => return Err(e),
                     FlightOutcome::Cancelled => continue,
                 },
@@ -1063,8 +1215,10 @@ impl TraceStore {
                     // Re-check under flight ownership: a racing leader may
                     // have completed between our fetch miss and takeover.
                     if let Some(trace) = self.get(&key) {
-                        guard.finish(FlightOutcome::Done(Arc::clone(&trace)));
-                        return Ok(trace);
+                        if self.verify(&key, &trace, program, layout) {
+                            guard.finish(FlightOutcome::Done(Arc::clone(&trace)));
+                            return Ok(trace);
+                        }
                     }
                     match CapturedTrace::capture(program, layout, cfg) {
                         Ok(trace) => {
@@ -1081,6 +1235,45 @@ impl TraceStore {
                 }
             }
         }
+    }
+
+    /// Whether a hit on `key` was recorded from `program` under `layout`
+    /// ([`CapturedTrace::fits`]). A mismatch is a miss: it is counted in
+    /// `trace_store.template_mismatches`, recorded as a flight event, and
+    /// `key` is dropped from both tiers so the caller's capture replaces
+    /// it.
+    fn verify(
+        &self,
+        key: &TraceKey,
+        trace: &Arc<CapturedTrace>,
+        program: &Program,
+        layout: &Layout,
+    ) -> bool {
+        if trace.fits(program, layout) {
+            return true;
+        }
+        TEMPLATE_MISMATCHES.incr();
+        // Flight payload: (refused trace bytes, event count).
+        vp_trace::flight(
+            "trace_store.template_mismatch",
+            trace.bytes() as u64,
+            trace.events,
+        );
+        {
+            let mut inner = self.inner.lock().expect("trace store");
+            if inner
+                .map
+                .get(key)
+                .is_some_and(|e| Arc::ptr_eq(&e.trace, trace))
+            {
+                inner.map.remove(key);
+                inner.bytes -= trace.bytes();
+            }
+        }
+        if let Some(disk) = &self.disk {
+            let _ = std::fs::remove_file(disk.path_for(key));
+        }
+        false
     }
 
     /// Number of cached captures.
@@ -1326,6 +1519,73 @@ mod tests {
             *imm += 1;
         });
         assert_ne!(orig, edited);
+    }
+
+    /// Every replayed event of `trace`.
+    fn events_of(trace: &CapturedTrace) -> Vec<crate::ColEvent> {
+        let mut c = Collect::default();
+        trace.replay(&mut c);
+        c.0
+    }
+
+    #[test]
+    fn a_key_collision_is_a_template_mismatch_and_recaptures() {
+        // `q` is the sample with two instructions swapped, requested under
+        // the sample's own key: a forced collision.
+        let (p, layout) = sample_program();
+        let mut q = p.clone();
+        let b = q
+            .funcs
+            .iter_mut()
+            .flat_map(|f| &mut f.blocks)
+            .find(|b| b.insts.len() >= 2 && b.insts[0] != b.insts[1])
+            .expect("a block with two distinct instructions");
+        b.insts.swap(0, 1);
+        let q_layout = Layout::natural(&q);
+        let cfg = RunConfig::default();
+        let key = TraceKey::new("w", &p, &layout, &cfg);
+        let want_p = events_of(&CapturedTrace::capture(&p, &layout, &cfg).unwrap());
+        let want_q = events_of(&CapturedTrace::capture(&q, &q_layout, &cfg).unwrap());
+        assert_ne!(want_p, want_q);
+
+        let dir = std::env::temp_dir().join(format!("vptrace-test-{}-collide", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let tier = || Some(DiskTier::new(&dir, 64 * 1024 * 1024).unwrap());
+
+        // Memory hit on p's capture for q: refused, both tiers dropped,
+        // q captured in its place.
+        let store = TraceStore::with_capacity_mb(4).with_disk(tier());
+        let (got, report) = vp_trace::scoped(|| {
+            let first = store.obtain(key.clone(), &p, &layout, &cfg).unwrap();
+            assert_eq!(events_of(&first), want_p);
+            store.obtain(key.clone(), &q, &q_layout, &cfg).unwrap()
+        });
+        assert_eq!(events_of(&got), want_q, "q replays its own stream");
+        assert_eq!(report.counter("trace_store.template_mismatches"), 1);
+        assert_eq!(report.counter("trace_store.captures"), 2);
+        assert_eq!(report.flight_count("trace_store.template_mismatch"), 1);
+        assert!(
+            Arc::ptr_eq(&got, &store.get(&key).unwrap()),
+            "q's capture is cached"
+        );
+
+        // Disk hit on q's capture for p, in a fresh process's store: the
+        // file is refused and deleted, then p is recorded over it.
+        let fresh = TraceStore::with_capacity_mb(0).with_disk(tier());
+        let (got, report) = vp_trace::scoped(|| fresh.obtain(key.clone(), &p, &layout, &cfg));
+        assert_eq!(events_of(&got.unwrap()), want_p);
+        assert_eq!(report.counter("trace_store.disk_hits"), 1);
+        assert_eq!(report.counter("trace_store.template_mismatches"), 1);
+        assert_eq!(report.counter("trace_store.captures"), 1);
+
+        // The rewritten file now fits p: a plain hit.
+        let ((), report) = vp_trace::scoped(|| {
+            fresh.obtain(key.clone(), &p, &layout, &cfg).unwrap();
+        });
+        assert_eq!(report.counter("trace_store.disk_hits"), 1);
+        assert_eq!(report.counter("trace_store.template_mismatches"), 0);
+        assert_eq!(report.counter("trace_store.captures"), 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

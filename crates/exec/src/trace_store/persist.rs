@@ -265,12 +265,15 @@ fn decode_fu(code: u8) -> Option<FuClass> {
     })
 }
 
+/// The block of a [`placeholder_slot`], which no program has.
+pub(super) const UNREFERENCED: CodeRef = CodeRef::new(u32::MAX, u32::MAX);
+
 /// An inert record occupying a side-table position the stream never
 /// references (v3 hot-slot decode). Replay can never observe it.
 fn placeholder_slot() -> StaticSlot {
     StaticSlot {
         template: Retired {
-            loc: CodeRef::new(u32::MAX, u32::MAX),
+            loc: UNREFERENCED,
             addr: 0,
             fu: FuClass::IntAlu,
             latency: 0,

@@ -67,7 +67,7 @@ impl CodeRef {
     /// assert_eq!(r.func.0, 2);
     /// assert_eq!(r.block.0, 7);
     /// ```
-    pub fn new(func: u32, block: u32) -> Self {
+    pub const fn new(func: u32, block: u32) -> Self {
         CodeRef {
             func: FuncId(func),
             block: BlockId(block),

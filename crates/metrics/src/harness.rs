@@ -19,8 +19,9 @@
 //! variants), their cycles are timed from replay, and every packed
 //! capture is differentially replayed against the original one
 //! (`vp_exec::diff`, `VP_DIFF` knob) to prove the rewrite did the same
-//! architectural work. A sweep evaluates its cells through a
-//! [`ClaimTable`], which measures each distinct packed binary once.
+//! architectural work. Sweeps evaluate their cells through a
+//! process-wide [`ClaimTable`], which measures each distinct packed
+//! binary once per process.
 //!
 //! Profiles are also *transferable*: [`ProfiledWorkload::dump`] exports a
 //! run's phases into the merge algebra (`vp_hsd::merge`), and
@@ -30,7 +31,7 @@
 //! sweep (`bench`'s `sweep cross`).
 
 use crate::branches::BranchCounts;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 use vp_core::{pack, PackConfig, PackOutput};
 use vp_exec::{
     CapturedTrace, DiffMode, DiffOptions, DiffReport, Differ, ExecError, IdentityMap, InstCounts,
@@ -252,7 +253,7 @@ pub fn evaluate_with_diff(
     diff_mode: DiffMode,
 ) -> Result<ConfigOutcome, ExecError> {
     let prep = prepare(pw, cfg, opt_cfg, machine);
-    let measured = measure(&prep, machine, diff_mode)?;
+    let measured = measure(&prep, &pw.trace, machine, diff_mode)?;
     measured.assert_strict(&prep.label, diff_mode);
     Ok(assemble(&prep, measured))
 }
@@ -263,8 +264,10 @@ pub fn evaluate_with_diff(
 #[derive(Debug)]
 struct Prepared {
     label: String,
-    /// The profile's original capture, the diff's reference side.
-    original: Arc<CapturedTrace>,
+    /// The profile's original capture, the diff's reference side. Weak, so
+    /// a claim never keeps a capture alive past the trace store's budget;
+    /// the evaluating cell holds it strongly while it measures.
+    original: Weak<CapturedTrace>,
     program: Program,
     order: LayoutOrder,
     identity: IdentityMap,
@@ -280,8 +283,12 @@ impl Prepared {
     /// the same original capture and an equal packed program, layout
     /// order and identity map. The fingerprint only short-cuts the
     /// comparison; it never decides equality on its own.
+    ///
+    /// A weak reference keeps its capture's allocation, so no later
+    /// capture shares its address: once the original is dropped, nothing
+    /// is a twin of `self` any more.
     fn twin_of(&self, other: &Prepared) -> bool {
-        Arc::ptr_eq(&self.original, &other.original)
+        Weak::ptr_eq(&self.original, &other.original)
             && self.fingerprint == other.fingerprint
             && self.order == other.order
             && self.identity == other.identity
@@ -367,7 +374,7 @@ fn prepare(
     });
     Prepared {
         label: pw.label.clone(),
-        original: Arc::clone(&pw.trace),
+        original: Arc::downgrade(&pw.trace),
         program,
         order,
         identity,
@@ -379,12 +386,13 @@ fn prepare(
 
 /// Runs the prepared packed binary: its capture from
 /// [`TraceStore::global`], replayed once into the coverage counts, the
-/// timing model and the [`Differ`] against the original. The strict
-/// verdict is [`Measured::check_strict`], taken separately so a
-/// [`ClaimTable`] can publish a diverged measurement to its twins before
-/// failing.
+/// timing model and the [`Differ`] against `original`, the capture
+/// `prep` was prepared from. The strict verdict is
+/// [`Measured::check_strict`], taken separately so a [`ClaimTable`] can
+/// publish a diverged measurement to its twins before failing.
 fn measure(
     prep: &Prepared,
+    original: &CapturedTrace,
     machine: Option<&MachineConfig>,
     diff_mode: DiffMode,
 ) -> Result<Measured, ExecError> {
@@ -401,7 +409,7 @@ fn measure(
     let mut timing = machine.map(|m| TimingModel::new(*m));
     // The diff rides the packed replay unless it is off.
     let mut differ = (diff_mode != DiffMode::Off)
-        .then(|| Differ::new(&prep.original, &prep.identity, &DiffOptions::default()));
+        .then(|| Differ::new(original, &prep.identity, &DiffOptions::default()));
     let stats = {
         let _s = vp_trace::span("metrics.evaluate.measure");
         let packed = TraceStore::global().obtain(key, &prep.program, &layout, &run_cfg)?;
@@ -448,35 +456,53 @@ fn assemble(prep: &Prepared, measured: Measured) -> ConfigOutcome {
 /// Cells resolved from a twin's measurement instead of running their own.
 static EVAL_SHARED: vp_trace::Counter = vp_trace::Counter::new("metrics.evaluate.shared");
 
-/// Measures each distinct packed binary of one sweep once.
+/// Measures each distinct packed binary once per process.
 ///
 /// In a sweep over the `{inference} × {linking}` matrix many cells build
 /// the same packed binary: inference often changes no package, and
-/// linking often adds no link. Such *twin* cells would replay the same
-/// capture through the same timing model and differential replay. A
-/// table scoped to one sweep call lets the first cell to claim a packed
-/// binary measure it; every later claim of an equal binary
-/// (same original capture, equal program, layout order and identity
-/// map) returns [`Evaluation::Twin`] at once, and
+/// linking often adds no link. Across sweeps the same binary recurs too:
+/// a cross-input matrix's same-input cell packs exactly what the standard
+/// sweep's inf/link cell packed. Such *twin* cells would replay the same
+/// capture through the same timing model and differential replay. The
+/// first cell to claim a packed binary measures it; every later claim of
+/// an equal binary (same original capture, equal program, layout order
+/// and identity map) returns [`Evaluation::Twin`] at once, and
 /// [`ClaimTable::resolve`] fills its outcome in from the table after the
 /// parallel join. No worker ever waits on another cell, so a twin
 /// scheduled ahead of its leader cannot stall a worker.
 ///
+/// [`ClaimTable::shared`] hands every sweep of a process the one table of
+/// its `(OptConfig, machine, DiffMode)`. Claims hold their original
+/// capture weakly: a table never keeps a capture alive past the trace
+/// store's budget, and a claim whose capture was dropped matches nothing
+/// and is pruned. A claim whose leader fails before publishing is dropped
+/// from the table as the leader unwinds, so a later sweep measures that
+/// binary again; the failed leader's twins in its own sweep fail with it.
+///
 /// Every cell goes through the same `prepare`/`measure`/`assemble` steps
 /// as [`evaluate_with_diff`], so a resolved twin's [`ConfigOutcome`]
 /// equals what evaluating it on its own would return.
-pub struct ClaimTable<'a> {
-    opt_cfg: &'a OptConfig,
-    machine: Option<&'a MachineConfig>,
+pub struct ClaimTable {
+    opt_cfg: OptConfig,
+    machine: Option<MachineConfig>,
     diff_mode: DiffMode,
-    claims: Mutex<Vec<Claim>>,
+    claims: Mutex<Vec<Arc<Claim>>>,
 }
 
 struct Claim {
     prepared: Arc<Prepared>,
-    /// `None` until the leader's measurement finishes, and for good if it
-    /// failed.
-    measured: Option<Measured>,
+    /// Unset while the leader measures; `Some` once it published, `None`
+    /// if it failed first.
+    measured: OnceLock<Option<Measured>>,
+}
+
+impl std::fmt::Debug for Claim {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Claim")
+            .field("label", &self.prepared.label)
+            .field("measured", &self.measured.get().map(Option::is_some))
+            .finish()
+    }
 }
 
 /// One cell's result from [`ClaimTable::evaluate`].
@@ -494,23 +520,65 @@ pub enum Evaluation {
 #[derive(Debug)]
 pub struct Twin {
     prepared: Arc<Prepared>,
-    leader: usize,
+    /// The cell's original capture, held until it resolves.
+    original: Arc<CapturedTrace>,
+    claim: Arc<Claim>,
 }
 
-impl<'a> ClaimTable<'a> {
+/// Drops the leader's claim from the table unless the leader published a
+/// measurement, so a failure never poisons a later sweep.
+struct Leading<'t> {
+    table: &'t ClaimTable,
+    claim: Arc<Claim>,
+}
+
+impl Drop for Leading<'_> {
+    fn drop(&mut self) {
+        if self.claim.measured.set(None).is_ok() {
+            self.table
+                .claims
+                .lock()
+                .expect("claim table")
+                .retain(|c| !Arc::ptr_eq(c, &self.claim));
+        }
+    }
+}
+
+impl ClaimTable {
     /// An empty table for cells evaluated with `opt_cfg`, `machine` and
-    /// `diff_mode` — the settings every cell of one sweep shares.
+    /// `diff_mode` — the settings every cell of its sweeps share.
     pub fn new(
-        opt_cfg: &'a OptConfig,
-        machine: Option<&'a MachineConfig>,
+        opt_cfg: OptConfig,
+        machine: Option<MachineConfig>,
         diff_mode: DiffMode,
-    ) -> ClaimTable<'a> {
+    ) -> ClaimTable {
         ClaimTable {
             opt_cfg,
             machine,
             diff_mode,
             claims: Mutex::new(Vec::new()),
         }
+    }
+
+    /// The process-wide table for `opt_cfg`, `machine` and `diff_mode`,
+    /// created on first use: every sweep of the process that evaluates
+    /// under these settings shares its claims.
+    pub fn shared(
+        opt_cfg: &OptConfig,
+        machine: Option<&MachineConfig>,
+        diff_mode: DiffMode,
+    ) -> Arc<ClaimTable> {
+        static TABLES: Mutex<Vec<Arc<ClaimTable>>> = Mutex::new(Vec::new());
+        let mut tables = TABLES.lock().expect("claim tables");
+        let found = tables.iter().find(|t| {
+            t.opt_cfg == *opt_cfg && t.machine.as_ref() == machine && t.diff_mode == diff_mode
+        });
+        if let Some(table) = found {
+            return Arc::clone(table);
+        }
+        let table = Arc::new(ClaimTable::new(*opt_cfg, machine.copied(), diff_mode));
+        tables.push(Arc::clone(&table));
+        table
     }
 
     /// Evaluates one cell: prepares it, then measures and assembles it if
@@ -529,30 +597,37 @@ impl<'a> ClaimTable<'a> {
         pw: &ProfiledWorkload,
         cfg: &PackConfig,
     ) -> Result<Evaluation, ExecError> {
-        let prep = Arc::new(prepare(pw, cfg, self.opt_cfg, self.machine));
-        let slot = {
+        let prep = Arc::new(prepare(pw, cfg, &self.opt_cfg, self.machine.as_ref()));
+        let claim = {
             let mut claims = self.claims.lock().expect("claim table");
-            if let Some(leader) = claims.iter().position(|c| c.prepared.twin_of(&prep)) {
+            claims.retain(|c| c.prepared.original.strong_count() > 0);
+            if let Some(leader) = claims.iter().find(|c| c.prepared.twin_of(&prep)) {
                 EVAL_SHARED.incr();
                 return Ok(Evaluation::Twin(Twin {
                     prepared: prep,
-                    leader,
+                    original: Arc::clone(&pw.trace),
+                    claim: Arc::clone(leader),
                 }));
             }
-            claims.push(Claim {
+            let claim = Arc::new(Claim {
                 prepared: Arc::clone(&prep),
-                measured: None,
+                measured: OnceLock::new(),
             });
-            claims.len() - 1
+            claims.push(Arc::clone(&claim));
+            claim
         };
-        let measured = measure(&prep, self.machine, self.diff_mode)?;
-        self.claims.lock().expect("claim table")[slot].measured = Some(measured.clone());
+        let leading = Leading { table: self, claim };
+        let measured = measure(&prep, &pw.trace, self.machine.as_ref(), self.diff_mode)?;
+        let _ = leading.claim.measured.set(Some(measured.clone()));
+        drop(leading);
         measured.assert_strict(&prep.label, self.diff_mode);
         Ok(Evaluation::Outcome(Box::new(assemble(&prep, measured))))
     }
 
     /// The outcome of an evaluated cell; a twin takes its leader's
-    /// measurement. Call after every cell of the table has finished.
+    /// measurement. Call after every cell of the sweep has finished. A
+    /// twin whose leader belongs to a sweep still running on another
+    /// thread measures its binary itself.
     ///
     /// # Errors
     ///
@@ -564,10 +639,21 @@ impl<'a> ClaimTable<'a> {
             Evaluation::Twin(twin) => twin,
         };
         let label = &twin.prepared.label;
-        let measured = self.claims.lock().expect("claim table")[twin.leader]
-            .measured
-            .clone()
-            .ok_or_else(|| format!("{label}: the cell measuring its packed binary failed"))?;
+        let measured = match twin.claim.measured.get() {
+            Some(Some(measured)) => measured.clone(),
+            Some(None) => {
+                return Err(format!(
+                    "{label}: the cell measuring its packed binary failed"
+                ))
+            }
+            None => measure(
+                &twin.prepared,
+                &twin.original,
+                self.machine.as_ref(),
+                self.diff_mode,
+            )
+            .map_err(|e| format!("{label}: {e}"))?,
+        };
         measured.check_strict(label, self.diff_mode)?;
         Ok(assemble(&twin.prepared, measured))
     }
@@ -801,8 +887,7 @@ mod tests {
         machine: Option<&MachineConfig>,
         mode: DiffMode,
     ) -> Vec<Result<ConfigOutcome, String>> {
-        let opt = OptConfig::default();
-        let table = ClaimTable::new(&opt, machine, mode);
+        let table = ClaimTable::new(OptConfig::default(), machine.copied(), mode);
         let evaluations: Vec<Option<Evaluation>> = PackConfig::evaluation_matrix()
             .iter()
             .map(|cfg| {
@@ -899,6 +984,46 @@ mod tests {
             assert!(err.starts_with("130.li A: packed run diverged"), "{err}");
             assert!(err.contains("VP_DIFF=strict"), "{err}");
         }
+    }
+
+    #[test]
+    fn claims_never_keep_an_original_capture_alive() {
+        use vp_workloads::li;
+        let pw = profile(
+            "130.li B",
+            li::build(li::Input::B, 1),
+            &HsdConfig::table2(),
+            None,
+        )
+        .unwrap();
+        // The profile under a capture of its own, held by nothing else.
+        let private = || ProfiledWorkload {
+            trace: Arc::new(
+                CapturedTrace::capture(&pw.program, &pw.layout, &RunConfig::default()).unwrap(),
+            ),
+            ..pw.with_phases(pw.phases.clone(), "own")
+        };
+        let cfg = PackConfig::default();
+        let table = ClaimTable::new(OptConfig::default(), None, DiffMode::Report);
+
+        let first = private();
+        let ev = table.evaluate(&first, &cfg).unwrap();
+        assert!(matches!(ev, Evaluation::Outcome(_)));
+        table.resolve(ev).unwrap();
+        assert_eq!(Arc::strong_count(&first.trace), 1, "claims hold it weakly");
+        // While the capture lives, an equal binary is a twin.
+        let (ev, report) = vp_trace::scoped(|| table.evaluate(&first, &cfg).unwrap());
+        assert!(matches!(ev, Evaluation::Twin(_)));
+        assert_eq!(report.counter("metrics.evaluate.shared"), 1);
+        table.resolve(ev).unwrap();
+
+        // Once it is gone, nothing is its twin: the same binary over a
+        // fresh capture is measured, and the dead claim is pruned.
+        drop(first);
+        let (ev, report) = vp_trace::scoped(|| table.evaluate(&private(), &cfg).unwrap());
+        assert!(matches!(ev, Evaluation::Outcome(_)));
+        assert_eq!(report.counter("metrics.evaluate.shared"), 0);
+        assert_eq!(table.claims.lock().unwrap().len(), 1);
     }
 
     #[test]

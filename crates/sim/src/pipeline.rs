@@ -223,21 +223,34 @@ impl TimingModel {
         }
     }
 
-    /// Extra latency of an instruction fetch through L1I → L2 → memory.
+    /// Extra latency of a demand instruction fetch through L1I → L2 →
+    /// memory.
     fn iaccess(&mut self, addr: u64) -> u32 {
         self.stats.icache_accesses += 1;
-        if self.l1i.access(addr) {
-            0
-        } else {
-            self.stats.icache_misses += 1;
-            self.stats.l2_accesses += 1;
-            if self.l2.access(addr) {
-                self.cfg.l2_latency
-            } else {
-                self.stats.l2_misses += 1;
-                self.cfg.l2_latency + self.cfg.mem_latency
+        match self.ifill(addr) {
+            Some(extra) => {
+                self.stats.icache_misses += 1;
+                extra
             }
+            None => 0,
         }
+    }
+
+    /// Brings `addr`'s line into L1I: `None` on an L1I hit, else the extra
+    /// latency of the L2 (and memory) fill. Counts only the L2 traffic, so
+    /// a wrong-path touch pollutes the caches without posing as a demand
+    /// access or miss.
+    fn ifill(&mut self, addr: u64) -> Option<u32> {
+        if self.l1i.access(addr) {
+            return None;
+        }
+        self.stats.l2_accesses += 1;
+        Some(if self.l2.access(addr) {
+            self.cfg.l2_latency
+        } else {
+            self.stats.l2_misses += 1;
+            self.cfg.l2_latency + self.cfg.mem_latency
+        })
     }
 }
 
@@ -435,16 +448,8 @@ impl TimingModel {
                 if k.wrong_path_fetch {
                     let wrong = if taken { addr + 4 } else { target };
                     for i in 0..k.branch_resolution as u64 {
-                        self.iaccess(wrong + i * k.line_bytes);
+                        self.ifill(wrong + i * k.line_bytes);
                     }
-                    self.stats.icache_misses = self
-                        .stats
-                        .icache_misses
-                        .saturating_sub(k.branch_resolution as u64);
-                    self.stats.icache_accesses = self
-                        .stats
-                        .icache_accesses
-                        .saturating_sub(k.branch_resolution as u64);
                 }
                 st.fetch_cycle = t + k.branch_resolution as u64;
                 st.fetch_left = k.issue_width;
@@ -686,6 +691,62 @@ mod tests {
     }
 
     #[test]
+    fn wrong_path_touches_are_not_demand_misses() {
+        // A loop of 64 body instructions plus a closing branch spans five
+        // 64-byte lines. The branch follows a pattern gshare cannot learn,
+        // so it mispredicts dozens of times, and every mispredict touches seven
+        // lines down the wrong path, two of them lines the loop never
+        // executes. Demand misses are exactly the cold misses of the five
+        // lines the loop fetches.
+        let cfg = MachineConfig::table2();
+        let mut tm = TimingModel::new(cfg);
+        let (head, branch) = (0x1000u64, 0x1100u64);
+        for i in 0..400u64 {
+            for a in (head..branch).step_by(4) {
+                tm.run()
+                    .retire(col::event(&inst(a, FuClass::IntAlu, None, [None; 3], 1)));
+            }
+            let taken = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 63 == 1;
+            let mut br = inst(branch, FuClass::Branch, None, [None; 3], 1);
+            br.ctrl = Some(vp_exec::Ctrl {
+                block: CodeRef::new(0, 0),
+                is_cond: true,
+                arch_taken: taken,
+                taken,
+                is_call: false,
+                is_ret: false,
+                target: if taken { head } else { branch + 4 },
+                ret_addr: 0,
+            });
+            tm.run().retire(col::event(&br));
+            if !taken {
+                // The fall-through path jumps back to the loop head.
+                let mut jump = inst(branch + 4, FuClass::Branch, None, [None; 3], 1);
+                jump.ctrl = Some(vp_exec::Ctrl {
+                    block: CodeRef::new(0, 1),
+                    is_cond: false,
+                    arch_taken: true,
+                    taken: true,
+                    is_call: false,
+                    is_ret: false,
+                    target: head,
+                    ret_addr: 0,
+                });
+                tm.run().retire(col::event(&jump));
+            }
+        }
+        let s = tm.stats();
+        assert!(s.mispredicts > 20, "{} mispredicts", s.mispredicts);
+        assert_eq!(s.icache_misses, 5, "demand misses are the loop's lines");
+        assert!(s.icache_accesses > s.icache_misses);
+        assert!(
+            s.l2_accesses >= 5 + 2,
+            "wrong-path fills still reach L2: {} accesses",
+            s.l2_accesses
+        );
+    }
+
+    #[test]
     fn stats_count_retirements() {
         let mut tm = TimingModel::new(MachineConfig::table2());
         for i in 0..10 {
@@ -859,20 +920,12 @@ mod reference {
                     if self.cfg.wrong_path_fetch {
                         // Pollute the I-cache down the wrong path until
                         // resolution: one sequential line per fetch cycle.
+                        // Those touches are speculative fetches, not demand
+                        // accesses of committed code.
                         let wrong = if c.taken { r.addr + 4 } else { c.target };
                         for i in 0..self.cfg.branch_resolution as u64 {
-                            self.iaccess(wrong + i * self.cfg.line_bytes as u64);
+                            self.ifill(wrong + i * self.cfg.line_bytes as u64);
                         }
-                        // Those touches are speculative fetches, not demand
-                        // misses of committed code.
-                        self.stats.icache_misses = self
-                            .stats
-                            .icache_misses
-                            .saturating_sub(self.cfg.branch_resolution as u64);
-                        self.stats.icache_accesses = self
-                            .stats
-                            .icache_accesses
-                            .saturating_sub(self.cfg.branch_resolution as u64);
                     }
                     self.fetch_cycle = t + self.cfg.branch_resolution as u64;
                     self.fetch_left = self.cfg.issue_width;
@@ -927,6 +980,13 @@ mod reference {
                 assert_eq!(reference.stats(), model.stats(), "{label}: {path} stats");
                 assert_eq!(reference.cycles(), model.cycles(), "{label}: {path} cycles");
             }
+            let s = reference.stats();
+            assert!(
+                0 < s.icache_misses && s.icache_misses <= s.icache_accesses,
+                "{label}: {} I-cache demand misses of {} accesses",
+                s.icache_misses,
+                s.icache_accesses
+            );
             assert_eq!(
                 hsd_reference.records(),
                 hsd.records(),
