@@ -23,8 +23,9 @@
 //! source) matrix — same-input, foreign-input, and merged-profile columns
 //! — under the strongest configuration (see `bench::cross`). `--only`
 //! filters families, `--eval` the evaluated input, `--from` the profile
-//! source column (an input name, `merged`, or a kind like `foreign`);
-//! `VP_PROFILE_FROM` applies the same substitution to the standard sweep.
+//! source column (an input name, `merged`, or a kind like `foreign`).
+//! Both matrices are cell lists over one cell engine, so one
+//! `VP_RESULT_DIR` serves both.
 
 use bench::cross::{cross_cells, render_cross_report, CROSS_HEADERS};
 use bench::sweep::{
@@ -59,8 +60,8 @@ fn merge_main(files: &[String]) -> ! {
 
 /// Stamps a run's result-cache effectiveness into its manifest:
 /// per-run hit/miss cell counts and the hit ratio. Omitted entirely when
-/// no cache was active (`VP_RESULT_DIR` unset or `VP_PROFILE_FROM` set),
-/// so cacheless manifests stay byte-compatible with older runs.
+/// no cache was active (`VP_RESULT_DIR` unset), so cacheless manifests
+/// stay byte-compatible with older runs.
 fn stamp_result_cache(mf: &mut vp_trace::Manifest, hits: usize, misses: usize) {
     if hits + misses == 0 {
         return;
@@ -421,11 +422,6 @@ fn main() {
         );
     }
     mf.set("timing", timing.into());
-    if let Ok(spec) = std::env::var("VP_PROFILE_FROM") {
-        if !spec.trim().is_empty() {
-            mf.set("profile_from", spec.trim().into());
-        }
-    }
 
     let machine = MachineConfig::table2();
     let outcome = sweep_cells(shard.as_ref(), timing.then_some(&machine), &only);

@@ -1,37 +1,24 @@
-//! Result-cache key plumbing for the sweep and cross binaries.
+//! Result-cache key plumbing for the cell engine ([`crate::cells`]).
 //!
 //! The [`vacuum_packing::metrics::ResultCache`] memoizes per-cell
 //! [`vacuum_packing::metrics::ConfigOutcome`]s; this module derives the
 //! three fingerprints of its key from what a cell is *about to* do —
 //! before any profiling or replay happens, which is what lets a workload
 //! whose every selected cell is already cached skip profiling entirely.
-//!
-//! The sweep and cross drivers obtain the cache through
-//! [`active_cache`], which additionally disables caching under
-//! `VP_PROFILE_FROM`: that knob substitutes profiles *after* the cells
-//! are planned, so the planned `profile_fp` would not describe what
-//! actually drove the pack.
+//! The profile fingerprint is domain-separated by profile source (own,
+//! foreign input, family merge), so one result directory serves the
+//! `sweep` and `sweep cross` cell lists side by side.
 
 use vacuum_packing::core::PackConfig;
 use vacuum_packing::exec::diff::DiffMode;
 use vacuum_packing::exec::{RunConfig, TraceKey};
 use vacuum_packing::hsd::{FilterConfig, HsdConfig, MergeConfig};
 use vacuum_packing::isa::Fnv;
-use vacuum_packing::metrics::{ResultCache, ResultKey};
+use vacuum_packing::metrics::ResultKey;
 use vacuum_packing::opt::OptConfig;
 use vacuum_packing::program::Layout;
 use vacuum_packing::sim::MachineConfig;
 use vacuum_packing::workloads::Workload;
-
-/// The result cache from `VP_RESULT_DIR`, or `None` when disabled —
-/// including under `VP_PROFILE_FROM`, whose profile substitution happens
-/// downstream of cell planning and would make every planned key a lie.
-pub(crate) fn active_cache() -> Option<ResultCache> {
-    if std::env::var("VP_PROFILE_FROM").is_ok_and(|s| !s.trim().is_empty()) {
-        return None;
-    }
-    ResultCache::from_env()
-}
 
 /// The trace fingerprint a workload's profile run would use: the
 /// content [`TraceKey`] over the natural layout under the default

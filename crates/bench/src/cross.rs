@@ -15,33 +15,22 @@
 //! * **merged** cells measure whether the weighted union recovers what
 //!   any single foreign profile loses.
 //!
+//! This module only lists those cells; the cell engine
+//! (`bench::cells`) that runs the standard sweep evaluates them.
 //! Every cell runs under the `VP_DIFF` mode of the environment; foreign
 //! phases whose branch addresses do not resolve in the evaluation
 //! layout are dropped by region identification, so transfer degrades
 //! coverage at worst — differential replay still proves the packed
 //! binary does the original's architectural work.
-//!
-//! The `VP_PROFILE_FROM` knob applies the same substitution to the
-//! *standard* sweep ([`substitute_profiles`]): `VP_PROFILE_FROM=A`
-//! evaluates every family member under input A's profile,
-//! `VP_PROFILE_FROM=merged` under the family merge.
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 use vacuum_packing::core::PackConfig;
-use vacuum_packing::exec::DiffMode;
-use vacuum_packing::hsd::{MergeConfig, MergedProfile, Phase};
-use vacuum_packing::metrics::{
-    pct, ClaimTable, ConfigOutcome, Evaluation, ProfiledWorkload, ResultKey, TextTable,
-};
-use vacuum_packing::opt::OptConfig;
+use vacuum_packing::metrics::{pct, ConfigOutcome, TextTable};
 use vacuum_packing::sim::MachineConfig;
 use vacuum_packing::workloads::{suite, Workload};
 
-use crate::cache::{
-    active_cache, cell_config_fp, foreign_profile_fp, merged_profile_fp, own_profile_fp,
-    workload_trace_fp,
-};
-use crate::{parallel_sweep_scoped, profile_each, profile_workloads, scale};
+use crate::cells::{self, mean_of, Cell, Source};
+use crate::scale;
 
 /// Column headers of the generalization table; the `sweep cross`
 /// manifest and [`render_cross_report`] both use this exact shape.
@@ -125,21 +114,28 @@ pub struct CrossOutcome {
 /// at least three inputs, in suite order, each with its inputs in suite
 /// order.
 pub fn families(scale: u32) -> Vec<(String, Vec<Workload>)> {
-    let mut order: Vec<String> = Vec::new();
-    let mut by_bench: BTreeMap<String, Vec<Workload>> = BTreeMap::new();
-    for w in suite(scale) {
-        if !by_bench.contains_key(w.bench) {
-            order.push(w.bench.to_string());
+    let suite = suite(scale);
+    let names = family_names(&suite);
+    let mut fams: Vec<(String, Vec<Workload>)> =
+        names.iter().map(|b| (b.to_string(), Vec::new())).collect();
+    for w in suite {
+        if let Some(i) = names.iter().position(|b| *b == w.bench) {
+            fams[i].1.push(w);
         }
-        by_bench.entry(w.bench.to_string()).or_default().push(w);
     }
-    order
-        .into_iter()
-        .filter_map(|b| {
-            let inputs = by_bench.remove(&b)?;
-            (inputs.len() >= 3).then_some((b, inputs))
-        })
-        .collect()
+    fams
+}
+
+/// The bench names of `suite`'s multi-input families, in suite order.
+fn family_names(suite: &[Workload]) -> Vec<&'static str> {
+    let mut names: Vec<&'static str> = Vec::new();
+    for w in suite {
+        if !names.contains(&w.bench) {
+            names.push(w.bench);
+        }
+    }
+    names.retain(|b| suite.iter().filter(|w| w.bench == *b).count() >= 3);
+    names
 }
 
 /// One (eval, profile) pair of a family's matrix, before evaluation.
@@ -156,7 +152,12 @@ struct CellSpec {
 /// by `only` (substring on the bench name), rows by `eval` (substring on
 /// the input or full label), columns by `from` (substring on the profile
 /// source, its kind, or — for input columns — the source's full label).
-fn cell_specs(only: &[String], eval: &[String], from: &[String]) -> Vec<CellSpec> {
+fn cell_specs(
+    suite: &[Workload],
+    only: &[String],
+    eval: &[String],
+    from: &[String],
+) -> Vec<CellSpec> {
     let hit = |filters: &[String], hay: &[&str]| {
         filters.is_empty()
             || filters
@@ -164,12 +165,13 @@ fn cell_specs(only: &[String], eval: &[String], from: &[String]) -> Vec<CellSpec
                 .any(|f| hay.iter().any(|h| h.contains(f.as_str())))
     };
     let mut specs = Vec::new();
-    for (family, inputs) in families(scale()) {
-        if !hit(only, &[family.as_str()]) {
+    for family in family_names(suite) {
+        if !hit(only, &[family]) {
             continue;
         }
+        let inputs: Vec<&Workload> = suite.iter().filter(|w| w.bench == family).collect();
         let input_names: Vec<String> = inputs.iter().map(|w| w.input.to_string()).collect();
-        for w in &inputs {
+        for w in inputs {
             let label = w.label();
             if !hit(eval, &[w.input, label.as_str()]) {
                 continue;
@@ -191,7 +193,7 @@ fn cell_specs(only: &[String], eval: &[String], from: &[String]) -> Vec<CellSpec
                     continue;
                 }
                 specs.push(CellSpec {
-                    family: family.clone(),
+                    family: family.to_string(),
                     eval_label: label.clone(),
                     eval_input: w.input.to_string(),
                     profile,
@@ -204,17 +206,20 @@ fn cell_specs(only: &[String], eval: &[String], from: &[String]) -> Vec<CellSpec
 }
 
 /// Evaluates the filtered generalization matrix under the paper's
-/// strongest configuration (inf/link), in parallel, one vp-trace scope
-/// per cell.
+/// strongest configuration (inf/link): the (eval input × profile source)
+/// cell list, run by the cell engine (`bench::cells`) in parallel, one
+/// vp-trace scope per cell.
 ///
-/// Profiling covers every input of each selected family (foreign and
-/// merged columns need the siblings as sources even when their own rows
-/// are filtered out); an input no live cell evaluates is profiled
-/// untimed. Profiles and packed-binary measurements an earlier sweep of
-/// the process already made are reused (see [`crate::profile_workloads`]
-/// and [`ClaimTable::shared`]). The merged profile is resolved once per
-/// family with [`MergeConfig::from_env`] — `VP_MERGE_WEIGHT` selects the
-/// weighting.
+/// Profiling covers every input a live cell evaluates or takes phases
+/// from (foreign and merged columns need the siblings as sources even
+/// when their own rows are filtered out); an input no live cell
+/// evaluates is profiled untimed. Profiles and packed-binary
+/// measurements an earlier sweep of the process already made are reused
+/// (see [`crate::profile_workloads`] and
+/// [`vacuum_packing::metrics::ClaimTable::shared`]). The merged profile is
+/// resolved once per family with
+/// [`vacuum_packing::hsd::MergeConfig::from_env`] — `VP_MERGE_WEIGHT`
+/// selects the weighting.
 ///
 /// # Panics
 ///
@@ -227,178 +232,47 @@ pub fn cross_cells(
     from: &[String],
 ) -> CrossOutcome {
     let _s = vp_trace::span("bench.cross_cells");
-    let specs = cell_specs(only, eval, from);
+    let suite = suite(scale());
+    let specs = cell_specs(&suite, only, eval, from);
     assert!(
         !specs.is_empty(),
         "no generalization cells match the filters (families need >= 3 inputs)"
     );
-
-    let fams = families(scale());
-    let cfg = PackConfig::default();
-    let merge_cfg = MergeConfig::from_env();
-
-    // Result-cache probe: each cell's content address folds the
-    // evaluated input's trace fingerprint with a per-kind profile
-    // fingerprint (own chain / source input's trace / whole-family fold
-    // + merge config) — all derivable from workload structure alone.
-    let cache = active_cache();
-    let mut keys: BTreeMap<usize, ResultKey> = BTreeMap::new();
-    let mut cached: BTreeMap<usize, ConfigOutcome> = BTreeMap::new();
-    if let Some(rc) = &cache {
-        let config_fp = cell_config_fp(&cfg, &OptConfig::default(), machine);
-        // input name -> trace fp, per family, inputs in suite order.
-        let fam_fps: BTreeMap<&str, Vec<(&str, u64)>> = fams
-            .iter()
-            .filter(|(b, _)| specs.iter().any(|s| &s.family == b))
-            .map(|(b, inputs)| {
-                (
-                    b.as_str(),
-                    inputs
-                        .iter()
-                        .map(|w| (w.input, workload_trace_fp(w)))
-                        .collect(),
-                )
-            })
-            .collect();
-        for (i, s) in specs.iter().enumerate() {
-            let inputs = &fam_fps[s.family.as_str()];
-            let fp_of = |input: &str| {
-                inputs
-                    .iter()
-                    .find(|(inp, _)| *inp == input)
-                    .expect("spec input present in family")
-                    .1
-            };
-            let profile_fp = match s.kind {
-                Kind::Same => own_profile_fp(),
-                Kind::Foreign => foreign_profile_fp(fp_of(&s.profile)),
-                Kind::Merged => {
-                    let fold: Vec<u64> = inputs.iter().map(|&(_, fp)| fp).collect();
-                    merged_profile_fp(&fold, &merge_cfg)
-                }
-            };
-            let key = ResultKey {
-                cell: format!("{} {} <- {}", s.family, s.eval_input, s.profile),
-                trace_fp: fp_of(&s.eval_input),
-                profile_fp,
-                config_fp,
-            };
-            if let Some(out) = rc.load(&key) {
-                cached.insert(i, out);
-            }
-            keys.insert(i, key);
-        }
-    }
-
-    // Profile every input of every family that still owns a live cell —
-    // a family whose selected cells are all cached never profiles. Only
-    // inputs a live cell evaluates are timed: the others only supply
-    // phases. Suite order is kept, the order the merge folds dumps in.
-    let live: Vec<&CellSpec> = specs
+    let list: Vec<Cell> = specs
         .iter()
-        .enumerate()
-        .filter(|(i, _)| !cached.contains_key(i))
-        .map(|(_, s)| s)
-        .collect();
-    let needed: Vec<(Workload, Option<&MachineConfig>)> = fams
-        .into_iter()
-        .filter(|(b, _)| live.iter().any(|s| &s.family == b))
-        .flat_map(|(_, inputs)| inputs)
-        .map(|w| {
-            let evaluated = live.iter().any(|s| s.eval_label == w.label());
-            (w, machine.filter(|_| evaluated))
+        .map(|s| Cell {
+            eval: s.eval_label.clone(),
+            source: match s.kind {
+                Kind::Same => Source::Own,
+                Kind::Foreign => Source::Input(format!("{} {}", s.family, s.profile)),
+                Kind::Merged => Source::Merged(s.family.clone()),
+            },
+            config: PackConfig::default(),
+            key: format!("{} {} <- {}", s.family, s.eval_input, s.profile),
         })
         .collect();
-    let profiled = profile_each(needed);
-    let by_label: BTreeMap<String, &ProfiledWorkload> =
-        profiled.iter().map(|pw| (pw.label.clone(), pw)).collect();
-
-    // One merged profile per family with a live cell, resolved outside
-    // the cells so its profile.merge.* counters land in the run manifest
-    // exactly once.
-    let mut merged: BTreeMap<String, Vec<Phase>> = BTreeMap::new();
-    for (i, s) in specs.iter().enumerate() {
-        if !cached.contains_key(&i) && !merged.contains_key(&s.family) {
-            let family_dumps = profiled
-                .iter()
-                .filter(|pw| pw.label.starts_with(s.family.as_str()))
-                .map(|pw| pw.dump());
-            let m = MergedProfile::of(merge_cfg, family_dumps);
-            merged.insert(s.family.clone(), m.resolve());
-        }
-    }
-    let jobs: Vec<(String, usize)> = specs
-        .iter()
-        .enumerate()
-        .map(|(i, s)| (format!("{} {} <- {}", s.family, s.eval_input, s.profile), i))
-        .collect();
-    let table = ClaimTable::shared(&OptConfig::default(), machine, DiffMode::from_env());
-    let results = parallel_sweep_scoped("cross", jobs, |&i| {
-        if let Some(out) = cached.get(&i) {
-            // Cached cell: no profile, replay, or simulation ran.
-            return (Evaluation::Outcome(Box::new(out.clone())), "hit");
-        }
-        let s = &specs[i];
-        let pw = by_label[&s.eval_label];
-        let ev = match s.kind {
-            Kind::Same => table.evaluate(pw, &cfg),
-            Kind::Merged => {
-                table.evaluate(&pw.with_phases(merged[&s.family].clone(), MERGED), &cfg)
-            }
-            Kind::Foreign => {
-                let src = by_label[&format!("{} {}", s.family, s.profile)];
-                table.evaluate(&pw.with_phases(src.phases.clone(), &src.label), &cfg)
-            }
-        }
-        .unwrap_or_else(|e| panic!("{e}"));
-        (ev, if cache.is_some() { "miss" } else { "-" })
-    });
-    let results = crate::settle(results, |((ev, status), t)| {
-        Ok(((table.resolve(ev)?, status), t))
-    });
-    if let Some(rc) = &cache {
-        for (i, (_, r)) in results.iter().enumerate() {
-            if let Ok(((out, "miss"), _)) = r {
-                rc.store(&keys[&i], out);
-            }
-        }
-    }
+    let run = cells::run("cross", suite, &list, machine);
 
     let mut cells = Vec::new();
     let mut telemetry = Vec::new();
-    for (i, ((outcome, cache_status), t)) in crate::collect_or_report("cross_cells", results)
-        .into_iter()
-        .enumerate()
-    {
-        telemetry.push(crate::sweep::telemetry_row(
-            &i.to_string(),
-            &t,
-            cache_status,
-            &outcome,
-        ));
-        let s = &specs[i];
+    for (i, (s, done)) in specs.into_iter().zip(run.cells).enumerate() {
+        telemetry.push(cells::telemetry_row(&i.to_string(), &done));
         cells.push(CrossCell {
             cell: i,
-            family: s.family.clone(),
-            eval: s.eval_input.clone(),
-            profile: s.profile.clone(),
+            family: s.family,
+            eval: s.eval_input,
+            profile: s.profile,
             kind: s.kind,
-            outcome,
+            outcome: done.outcome,
         });
     }
     let rows = cells.iter().map(cross_row).collect();
-    let cache_hits = cached.len();
-    let cache_misses = if cache.is_some() {
-        cells.len() - cache_hits
-    } else {
-        0
-    };
     CrossOutcome {
         cells,
         rows,
         telemetry,
-        cache_hits,
-        cache_misses,
+        cache_hits: run.cache_hits,
+        cache_misses: run.cache_misses,
     }
 }
 
@@ -421,15 +295,6 @@ pub fn cross_row(c: &CrossCell) -> Vec<String> {
             .as_ref()
             .map_or_else(|| "-".to_string(), |d| d.verdict.to_string()),
     ]
-}
-
-fn mean_of(rows: &[&Vec<String>], col: usize) -> Option<f64> {
-    let vals: Vec<f64> = rows.iter().filter_map(|r| r[col].parse().ok()).collect();
-    if vals.is_empty() {
-        None
-    } else {
-        Some(vals.iter().sum::<f64>() / vals.len() as f64)
-    }
 }
 
 /// Renders the generalization report from formatted rows: the cell
@@ -487,117 +352,13 @@ pub fn render_cross_report(rows: &[Vec<String>]) -> String {
     }
 
     let diverged = sorted.iter().filter(|r| r[COL_DIFF] == "diverged").count();
-    let families: std::collections::BTreeSet<&str> = sorted.iter().map(|r| r[1].as_str()).collect();
+    let families: BTreeSet<&str> = sorted.iter().map(|r| r[1].as_str()).collect();
     format!(
         "Cross-input generalization: {} families, {} cells, {} divergences\n\n{t}\n{summary}",
         families.len(),
         sorted.len(),
         diverged
     )
-}
-
-/// Applies a `VP_PROFILE_FROM` substitution to a profiled workload set:
-/// every workload whose benchmark family has the named sibling input is
-/// re-evaluated under that sibling's profile (`spec` = the input name,
-/// e.g. `"A"`), or under the family's merged profile (`spec = "merged"`).
-/// Workloads without a matching sibling — single-input benchmarks, or
-/// the named input itself — pass through unchanged.
-///
-/// Sources are profiled on demand, untimed (they only supply phases;
-/// the process's profile memo or trace store answer them when warm), and
-/// shared across the set.
-///
-/// # Panics
-///
-/// Panics if a named source input exists for no family in the set —
-/// a typo'd `VP_PROFILE_FROM` silently measuring the same-input matrix
-/// would defeat the knob's purpose.
-pub fn substitute_profiles(pws: Vec<ProfiledWorkload>, spec: &str) -> Vec<ProfiledWorkload> {
-    let _s = vp_trace::span("bench.substitute_profiles");
-    let fams: BTreeMap<String, Vec<Workload>> = families(scale()).into_iter().collect();
-    let family_of = |label: &str| -> Option<&str> {
-        fams.keys()
-            .find(|b| label.starts_with(b.as_str()))
-            .map(String::as_str)
-    };
-
-    // Which families need which sources.
-    let mut needed: BTreeMap<String, Vec<Workload>> = BTreeMap::new();
-    let mut applies = false;
-    for pw in &pws {
-        let Some(fam) = family_of(&pw.label) else {
-            continue;
-        };
-        let inputs = &fams[fam];
-        if spec == MERGED {
-            applies = true;
-            needed.entry(fam.to_string()).or_insert_with(|| {
-                suite(scale())
-                    .into_iter()
-                    .filter(|w| w.bench == fam)
-                    .collect()
-            });
-        } else if inputs.iter().any(|w| w.input == spec) {
-            applies = true;
-            if format!("{fam} {spec}") != pw.label {
-                needed.entry(fam.to_string()).or_insert_with(|| {
-                    suite(scale())
-                        .into_iter()
-                        .filter(|w| w.bench == fam && w.input == spec)
-                        .collect()
-                });
-            }
-        }
-    }
-    assert!(
-        applies,
-        "VP_PROFILE_FROM={spec:?} matches no multi-input family in this sweep \
-         (expected an input name like \"A\" or \"merged\")"
-    );
-
-    let sources: Vec<Workload> = needed.into_values().flatten().collect();
-    let source_profiles = profile_workloads(sources, None);
-    let by_label: BTreeMap<String, &ProfiledWorkload> = source_profiles
-        .iter()
-        .map(|pw| (pw.label.clone(), pw))
-        .collect();
-    let merge_cfg = MergeConfig::from_env();
-    let mut merged: BTreeMap<String, Vec<Phase>> = BTreeMap::new();
-    if spec == MERGED {
-        for fam in fams.keys() {
-            let dumps: Vec<_> = source_profiles
-                .iter()
-                .filter(|pw| pw.label.starts_with(fam.as_str()))
-                .map(|pw| pw.dump())
-                .collect();
-            if !dumps.is_empty() {
-                merged.insert(fam.clone(), MergedProfile::of(merge_cfg, dumps).resolve());
-            }
-        }
-    }
-
-    pws.into_iter()
-        .map(|pw| {
-            let Some(fam) = family_of(&pw.label) else {
-                return pw;
-            };
-            if spec == MERGED {
-                match merged.get(fam) {
-                    Some(phases) => pw.with_phases(phases.clone(), MERGED),
-                    None => pw,
-                }
-            } else {
-                let source_label = format!("{fam} {spec}");
-                if source_label == pw.label {
-                    return pw; // its own profile: the same-input cell
-                }
-                match by_label.get(&source_label) {
-                    Some(src) => pw.with_phases(src.phases.clone(), &source_label),
-                    None => pw,
-                }
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -618,7 +379,7 @@ mod tests {
 
     #[test]
     fn cell_specs_cover_the_full_matrix() {
-        let specs = cell_specs(&[], &[], &[]);
+        let specs = cell_specs(&suite(1), &[], &[], &[]);
         // 3 families x 3 eval inputs x (3 sources + merged).
         assert_eq!(specs.len(), 36);
         let same = specs.iter().filter(|s| s.kind == Kind::Same).count();
@@ -629,7 +390,9 @@ mod tests {
 
     #[test]
     fn cell_spec_filters_compose() {
+        let suite = suite(1);
         let one = cell_specs(
+            &suite,
             &["130.li".to_string()],
             &["B".to_string()],
             &["A".to_string()],
@@ -640,7 +403,7 @@ mod tests {
         assert_eq!(one[0].profile, "A");
         assert_eq!(one[0].kind, Kind::Foreign);
 
-        let merged_col = cell_specs(&[], &[], &[MERGED.to_string()]);
+        let merged_col = cell_specs(&suite, &[], &[], &[MERGED.to_string()]);
         assert_eq!(merged_col.len(), 9);
         assert!(merged_col.iter().all(|s| s.kind == Kind::Merged));
     }

@@ -201,9 +201,6 @@ impl RunRecord {
         if let Some(s) = j.get("shard").and_then(Json::as_str) {
             config.push(format!("shard={s}"));
         }
-        if let Some(s) = j.get("profile_from").and_then(Json::as_str) {
-            config.push(format!("profile_from={s}"));
-        }
 
         let workload = if let Some(only) = j.get("only").and_then(Json::as_arr) {
             let parts: Vec<&str> = only.iter().filter_map(Json::as_str).collect();

@@ -6,6 +6,13 @@
 //! glue ([`init`], [`emit_manifest`]) and a dependency-free micro-benchmark
 //! harness ([`micro`]) for the `benches/` targets.
 //!
+//! The `sweep` binary's two matrices — [`sweep::sweep_cells`] (own
+//! profile × the four Figure 8/10 configurations) and
+//! [`cross::cross_cells`] (same/foreign/merged profile under inf/link) —
+//! are two cell lists over one private cell engine (`cells`): one suite
+//! build, one result-cache probe, one profiling pass and one claim table
+//! per call.
+//!
 //! Environment knobs:
 //!
 //! * `VP_SCALE` — workload scale multiplier (default 1);
@@ -27,15 +34,12 @@
 //!   replay of every packed binary against its original capture (see
 //!   `vp_exec::diff`); `strict` panics the evaluating cell — and thereby
 //!   fails the sweep — on any unexplained divergence;
-//! * `VP_PROFILE_FROM` — profile-source substitution for the standard
-//!   sweep: an input name (e.g. `A`) evaluates every multi-input family
-//!   member under that sibling's profile, `merged` under the family's
-//!   merged profile (see [`cross::substitute_profiles`]);
 //! * `VP_MERGE_WEIGHT` — `retired` (default) or `uniform` weighting of
 //!   per-run counts when merging profiles (see
 //!   `vp_hsd::merge::Weighting`).
 
 mod cache;
+mod cells;
 pub mod cross;
 pub mod dashboard;
 pub mod history;

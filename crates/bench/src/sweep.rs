@@ -16,17 +16,13 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use vacuum_packing::core::PackConfig;
-use vacuum_packing::exec::{DiffMode, DiffVerdict};
-use vacuum_packing::metrics::{
-    pct, ClaimTable, ConfigOutcome, Evaluation, ProfiledWorkload, ResultKey, TextTable,
-};
-use vacuum_packing::opt::OptConfig;
+use vacuum_packing::metrics::{pct, ConfigOutcome, TextTable};
 use vacuum_packing::sim::MachineConfig;
 use vacuum_packing::workloads::{suite, Workload};
 use vp_trace::{parse_manifest_line, Json};
 
-use crate::cache::{active_cache, cell_config_fp, own_profile_fp, workload_trace_fp};
-use crate::{parallel_sweep_scoped, profile_workloads, scale, store_hit_ratio, CONFIG_LABELS};
+use crate::cells::{self, mean_of, Cell, Source};
+use crate::{scale, CONFIG_LABELS};
 
 /// Column headers of the per-cell sweep table; [`render_report`] and the
 /// shard manifests both use this exact shape.
@@ -132,16 +128,18 @@ pub struct SweepOutcome {
     pub cache_misses: usize,
 }
 
-/// Evaluates this shard's cells of the (workload × config) matrix.
+/// Evaluates this shard's cells of the (workload × config) matrix: the
+/// own-profile × [`PackConfig::evaluation_matrix`] cell list, run by the
+/// cell engine (`bench::cells`).
 ///
 /// Workloads are filtered by `only` (case-sensitive substring match on the
 /// label; empty = whole suite) *before* sharding, so every shard of a
 /// filtered sweep partitions the same reduced matrix. Only the workloads
-/// that own at least one selected cell are profiled, which is what makes an
-/// `n`-way shard roughly `n`× cheaper rather than just `n`× smaller.
-/// Profiles and packed-binary measurements are shared with the other
-/// sweeps of the process (see [`crate::profile_workloads`] and
-/// [`ClaimTable::shared`]).
+/// that own at least one selected, uncached cell are profiled, which is
+/// what makes an `n`-way shard roughly `n`× cheaper rather than just `n`×
+/// smaller. Profiles and packed-binary measurements are shared with the
+/// other sweeps of the process (see [`crate::profile_workloads`] and
+/// [`vacuum_packing::metrics::ClaimTable::shared`]).
 ///
 /// # Panics
 ///
@@ -152,163 +150,47 @@ pub fn sweep_cells(
     only: &[String],
 ) -> SweepOutcome {
     let _s = vp_trace::span("bench.sweep_cells");
-    let workloads: Vec<Workload> = suite(scale())
-        .into_iter()
-        .filter(|w| only.is_empty() || only.iter().any(|f| w.label().contains(f.as_str())))
+    let suite = suite(scale());
+    let labels: Vec<String> = suite
+        .iter()
+        .map(Workload::label)
+        .filter(|l| only.is_empty() || only.iter().any(|f| l.contains(f.as_str())))
         .collect();
     let configs = PackConfig::evaluation_matrix();
     let n_cfg = configs.len();
-    let cells_total = workloads.len() * n_cfg;
-
+    let cells_total = labels.len() * n_cfg;
     let mine: Vec<usize> = (0..cells_total)
         .filter(|&j| shard.is_none_or(|s| s.selects(j)))
         .collect();
-
-    // Result-cache probe: every selected cell's content address is
-    // derivable from the workload's structure alone (no execution), so
-    // cached outcomes are collected before deciding what to profile.
-    let cache = active_cache();
-    let mut keys: BTreeMap<usize, ResultKey> = BTreeMap::new();
-    let mut cached: BTreeMap<usize, ConfigOutcome> = BTreeMap::new();
-    if let Some(rc) = &cache {
-        let profile_fp = own_profile_fp();
-        let config_fps: Vec<u64> = configs
-            .iter()
-            .map(|c| cell_config_fp(c, &OptConfig::default(), machine))
-            .collect();
-        let by_workload: BTreeSet<usize> = mine.iter().map(|&j| j / n_cfg).collect();
-        let trace_fps: BTreeMap<usize, u64> = by_workload
-            .into_iter()
-            .map(|w| (w, workload_trace_fp(&workloads[w])))
-            .collect();
-        for &j in &mine {
-            let (w, c) = (j / n_cfg, j % n_cfg);
-            let key = ResultKey {
-                cell: format!("{} [{}]", workloads[w].label(), CONFIG_LABELS[c]),
-                trace_fp: trace_fps[&w],
-                profile_fp,
-                config_fp: config_fps[c],
-            };
-            if let Some(out) = rc.load(&key) {
-                cached.insert(j, out);
-            }
-            keys.insert(j, key);
-        }
-    }
-
-    // Profile only the workloads that still own at least one live cell: a
-    // fully-cached workload never replays, simulates, or even profiles.
-    let needed: BTreeSet<usize> = mine
-        .iter()
-        .filter(|j| !cached.contains_key(j))
-        .map(|&j| j / n_cfg)
-        .collect();
-    let labels: Vec<String> = workloads.iter().map(Workload::label).collect();
-    let subset: Vec<Workload> = workloads
-        .into_iter()
-        .enumerate()
-        .filter_map(|(w, wl)| needed.contains(&w).then_some(wl))
-        .collect();
-    let mut profiled = profile_workloads(subset, machine);
-    // VP_PROFILE_FROM: evaluate multi-input family members under a
-    // sibling's or the family-merged profile instead of their own.
-    // (Caching is disabled under this knob — see `active_cache` — so the
-    // substitution always sees the full profiled set.)
-    if let Ok(spec) = std::env::var("VP_PROFILE_FROM") {
-        if !spec.trim().is_empty() {
-            profiled = crate::cross::substitute_profiles(profiled, spec.trim());
-        }
-    }
-    let mut by_index: BTreeMap<usize, ProfiledWorkload> = BTreeMap::new();
-    for (&w, pw) in needed.iter().zip(profiled) {
-        by_index.insert(w, pw);
-    }
-
-    // Live cells render under the *profiled* label (substitution may
-    // have relabeled it, e.g. "130.li A [profile: merged]"); cached
-    // cells — which never profile — use the workload's own label, the
-    // same string the run that stored them rendered.
-    let label_of =
-        |w: usize| -> &str { by_index.get(&w).map_or(labels[w].as_str(), |pw| &pw.label) };
-    let jobs: Vec<(String, usize)> = mine
+    let cells: Vec<Cell> = mine
         .iter()
         .map(|&j| {
             let (w, c) = (j / n_cfg, j % n_cfg);
-            (format!("{} [{}]", label_of(w), CONFIG_LABELS[c]), j)
+            Cell {
+                eval: labels[w].clone(),
+                source: Source::Own,
+                config: configs[c],
+                key: format!("{} [{}]", labels[w], CONFIG_LABELS[c]),
+            }
         })
         .collect();
-    let table = ClaimTable::shared(&OptConfig::default(), machine, DiffMode::from_env());
-    let results = parallel_sweep_scoped("sweep", jobs, |&j| {
-        if let Some(out) = cached.get(&j) {
-            // Cached cell: the row is reproduced from the stored outcome;
-            // no replay, simulation, or profile ran.
-            return (Evaluation::Outcome(Box::new(out.clone())), "hit");
-        }
-        let (w, c) = (j / n_cfg, j % n_cfg);
-        let ev = table
-            .evaluate(&by_index[&w], &configs[c])
-            .unwrap_or_else(|e| panic!("{e}"));
-        (ev, if cache.is_some() { "miss" } else { "-" })
-    });
-    let results = crate::settle(results, |((ev, status), t)| {
-        Ok(((table.resolve(ev)?, status), t))
-    });
-    if let Some(rc) = &cache {
-        for (j, (_, r)) in mine.iter().zip(&results) {
-            if let Ok(((out, "miss"), _)) = r {
-                rc.store(&keys[j], out);
-            }
-        }
-    }
+    let run = cells::run("sweep", suite, &cells, machine);
+
     let mut rows = Vec::new();
     let mut telemetry = Vec::new();
-    for (&j, ((out, cache_status), t)) in mine
-        .iter()
-        .zip(crate::collect_or_report("sweep_cells", results))
-    {
+    for (&j, done) in mine.iter().zip(&run.cells) {
         let (w, c) = (j / n_cfg, j % n_cfg);
-        let row = cell_row(j, label_of(w), CONFIG_LABELS[c], &out);
-        telemetry.push(telemetry_row(&row[COL_CELL], &t, cache_status, &out));
+        let row = cell_row(j, &labels[w], CONFIG_LABELS[c], &done.outcome);
+        telemetry.push(cells::telemetry_row(&row[COL_CELL], done));
         rows.push(row);
     }
-    let cache_hits = cached.len();
-    let cache_misses = if cache.is_some() {
-        rows.len() - cache_hits
-    } else {
-        0
-    };
     SweepOutcome {
         rows,
         telemetry,
         cells_total,
-        cache_hits,
-        cache_misses,
+        cache_hits: run.cache_hits,
+        cache_misses: run.cache_misses,
     }
-}
-
-/// One [`TELEMETRY_HEADERS`] row. The `divergences` column comes from
-/// the cell's own diff verdict: a twin cell never runs the diff, so its
-/// scope's `diff.divergences` counter says nothing about it.
-pub(crate) fn telemetry_row(
-    cell: &str,
-    t: &crate::JobTelemetry,
-    cache_status: &str,
-    out: &ConfigOutcome,
-) -> Vec<String> {
-    let diverged = out
-        .diff
-        .as_ref()
-        .is_some_and(|d| d.verdict == DiffVerdict::Diverged);
-    vec![
-        cell.to_string(),
-        format!("{:.1}", t.wall_ms),
-        (t.report.counter("trace_store.hits") + t.report.counter("trace_store.disk_hits"))
-            .to_string(),
-        t.report.counter("trace_store.captures").to_string(),
-        store_hit_ratio(&t.report).map_or_else(|| "-".to_string(), |r| format!("{:.0}", r * 100.0)),
-        u64::from(diverged).to_string(),
-        cache_status.to_string(),
-    ]
 }
 
 fn cell_row(cell: usize, workload: &str, config: &str, out: &ConfigOutcome) -> Vec<String> {
@@ -326,15 +208,6 @@ fn cell_row(cell: usize, workload: &str, config: &str, out: &ConfigOutcome) -> V
             .as_ref()
             .map_or_else(|| "-".to_string(), |d| d.verdict.to_string()),
     ]
-}
-
-fn mean_of(rows: &[&Vec<String>], col: usize) -> Option<f64> {
-    let vals: Vec<f64> = rows.iter().filter_map(|r| r[col].parse().ok()).collect();
-    if vals.is_empty() {
-        None
-    } else {
-        Some(vals.iter().sum::<f64>() / vals.len() as f64)
-    }
 }
 
 /// Renders the canonical sweep report from formatted cell rows.

@@ -1,8 +1,8 @@
 //! End-to-end tests of `sweep cross`: the generalization report must be
 //! byte-identical across runs (the merge algebra and the cell schedule
 //! are both deterministic), strict differential replay must hold for
-//! every cell kind, and the merge/profile knobs must hard-reject typos
-//! instead of silently measuring the wrong matrix.
+//! every cell kind, and the merge knob and the filters must hard-reject
+//! typos instead of silently measuring the wrong matrix.
 //!
 //! Each test drives the real binary via `CARGO_BIN_EXE_sweep`,
 //! restricted with `--only`/`--eval` filters so debug-mode runtimes stay
@@ -20,7 +20,6 @@ fn sweep(args: &[&str], envs: &[(&str, &str)]) -> Output {
         "VP_TRACE_DIR",
         "VP_TRACE_DISK_MB",
         "VP_DIFF",
-        "VP_PROFILE_FROM",
         "VP_MERGE_WEIGHT",
     ] {
         cmd.env_remove(var);
@@ -99,24 +98,6 @@ fn strict_cross_report_is_byte_identical_across_runs() {
 }
 
 #[test]
-fn merged_profile_standard_sweep_is_byte_identical_across_runs() {
-    // VP_PROFILE_FROM=merged applies the family merge to the *standard*
-    // sweep; the substituted report must also be deterministic.
-    let args = ["--only", "130.li"];
-    let envs = [("VP_DIFF", "strict"), ("VP_PROFILE_FROM", "merged")];
-    let first = stdout(&sweep(&args, &envs));
-    let second = stdout(&sweep(&args, &envs));
-    assert_eq!(
-        first, second,
-        "two merged-profile sweeps must print the identical report"
-    );
-    assert!(first.contains("Sweep report"), "{first}");
-
-    // The substitution relabels the workloads it touched.
-    assert!(first.contains("[profile: merged]"), "{first}");
-}
-
-#[test]
 fn uniform_weighting_changes_nothing_about_determinism() {
     let args = [
         "cross", "--only", "130.li", "--eval", "B", "--from", "merged",
@@ -131,14 +112,8 @@ fn uniform_weighting_changes_nothing_about_determinism() {
 
 #[test]
 fn typoed_knobs_are_hard_errors() {
-    // A profile source that exists in no selected family must refuse to
-    // run rather than silently measure the same-input matrix.
-    let out = sweep(&["--only", "gzip"], &[("VP_PROFILE_FROM", "Z")]);
-    assert!(!out.status.success(), "VP_PROFILE_FROM=Z must be rejected");
-    let err = String::from_utf8_lossy(&out.stderr).to_string();
-    assert!(err.contains("VP_PROFILE_FROM"), "{err}");
-
-    // Same for an unknown merge weighting.
+    // An unknown merge weighting must refuse to run rather than silently
+    // measure under the default one.
     let out = sweep(
         &[
             "cross", "--only", "130.li", "--eval", "B", "--from", "merged",

@@ -19,7 +19,6 @@ fn sweep(args: &[&str], envs: &[(&str, &str)]) -> Output {
         "VP_TRACE_DIR",
         "VP_TRACE_DISK_MB",
         "VP_DIFF",
-        "VP_PROFILE_FROM",
         "VP_MERGE_WEIGHT",
         "VP_THREADS",
         "VP_HISTORY_DIR",

@@ -21,7 +21,6 @@ fn sweep(args: &[&str], envs: &[(&str, &str)]) -> Output {
         "VP_TRACE_DIR",
         "VP_TRACE_DISK_MB",
         "VP_DIFF",
-        "VP_PROFILE_FROM",
         "VP_MERGE_WEIGHT",
         "VP_RESULT_DIR",
         "VP_RESULT_MB",
@@ -202,27 +201,42 @@ fn knob_changes_miss_instead_of_serving_stale_results() {
         line.contains("\"result_cache\":{\"hits\":0,\"misses\":12"),
         "VP_DIFF change must miss every cell: {line}"
     );
+}
 
-    // VP_PROFILE_FROM bypasses the cache entirely: no hits, no misses,
-    // no result_cache manifest object at all.
-    let mf = dir.join("profile-from.jsonl");
-    let subst = stdout(&sweep(
-        &args,
-        &[
-            ("VP_DIFF", "strict"),
-            ("VP_PROFILE_FROM", "merged"),
-            ("VP_RESULT_DIR", cache),
-            ("VP_TRACE", &format!("json:{}", mf.display())),
-        ],
-    ));
-    assert!(subst.contains("[profile: merged]"), "{subst}");
-    let line = manifest_line(&mf);
-    assert!(
-        !line.contains("\"result_cache\":{"),
-        "VP_PROFILE_FROM must bypass the cache: {line}"
-    );
-    assert!(
-        !line.contains("result_cache.hits"),
-        "VP_PROFILE_FROM must not probe the cache: {line}"
-    );
+#[test]
+fn one_result_dir_serves_both_drivers() {
+    // The sweep and cross cell lists share one engine and one result
+    // dir; their keys must never collide (130.li's inf/link sweep cells
+    // and its same-input cross cells pack the identical binary).
+    let dir = tempdir("both");
+    let cache = dir.to_str().unwrap();
+    let sweep_args = ["--only", "130.li"];
+    let cross_args = ["cross", "--only", "130.li"];
+    let envs = [("VP_DIFF", "strict"), ("VP_RESULT_DIR", cache)];
+    let cold_sweep = stdout(&sweep(&sweep_args, &envs));
+    let cold_cross = stdout(&sweep(&cross_args, &envs));
+
+    for (args, cold, cells) in [
+        (&sweep_args[..], &cold_sweep, 12),
+        (&cross_args[..], &cold_cross, 12),
+    ] {
+        let mf = dir.join(format!("warm-{}.jsonl", args[0]));
+        let spec = format!("json:{}", mf.display());
+        let warm = stdout(&sweep(
+            args,
+            &[
+                ("VP_DIFF", "strict"),
+                ("VP_RESULT_DIR", cache),
+                ("VP_TRACE", spec.as_str()),
+            ],
+        ));
+        assert_eq!(cold, &warm, "{args:?}: warm report must be byte-identical");
+        let line = manifest_line(&mf);
+        assert!(
+            line.contains(&format!(
+                "\"result_cache\":{{\"hits\":{cells},\"misses\":0,"
+            )),
+            "{args:?}: every cell must hit: {line}"
+        );
+    }
 }

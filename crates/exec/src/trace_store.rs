@@ -804,9 +804,7 @@ impl CapturedTrace {
     /// an edit that leaves every template alone (an immediate, a data
     /// word).
     pub fn fits(&self, program: &Program, layout: &Layout) -> bool {
-        self.slots
-            .iter()
-            .all(|s| s.template.loc == persist::UNREFERENCED || s.fits(program, layout))
+        self.slots.iter().all(|s| s.fits(program, layout))
     }
 }
 

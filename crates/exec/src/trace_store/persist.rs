@@ -26,13 +26,10 @@
 //! stays a window into the store's bytes — on Linux the mapped file — so a
 //! load makes no stream-sized copy.
 //!
-//! The side-table section is a **hot-slot index**: only slots actually
-//! referenced by the dynamic stream are written, preceded by the logical
-//! table size, the written count, and — when the written set is sparse —
-//! a delta-coded remap table of original slot indices. The loader
-//! rebuilds the side table at its logical size with inert placeholders in
-//! the unreferenced positions, so the stream (which encodes slot
-//! references as deltas over *original* indices) replays byte-identically.
+//! The side-table section is dense: the slot count, then every slot in
+//! index order. A capture only gains a slot while recording a stream
+//! record that references it, so every slot is live and there is nothing
+//! to skip.
 
 use super::{put_varint, CapturedTrace, StaticSlot, StreamBytes, TraceKey};
 use crate::blob::{Blob, BlobStore, Frame};
@@ -57,11 +54,13 @@ static DISK_EVICTIONS: Counter = Counter::new("trace_store.disk_evictions");
 /// re-captured instead of mis-decoded.
 ///
 /// History: v1 had no key echo; v2 added a header string table and the
-/// echo; v3 replaced the dense side-table section with the hot-slot index;
-/// v4 echoed a content-addressed key (every instruction, not just block
-/// shapes); v5 moves the echo into the blob store's frame and drops the
-/// string table and the stream length. Only v5 is read.
-pub const FORMAT_VERSION: u32 = 5;
+/// echo; v3 replaced the dense side-table section with a hot-slot index
+/// (referenced slots only); v4 echoed a content-addressed key (every
+/// instruction, not just block shapes); v5 moved the echo into the blob
+/// store's frame and dropped the string table and the stream length; v6
+/// writes the side table densely again, since every slot of a capture is
+/// referenced by its stream. Only v6 is read.
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Default disk budget when `VP_TRACE_DISK_MB` is unset.
 pub const DEFAULT_DISK_MB: u64 = 2048;
@@ -111,19 +110,6 @@ fn fu_code(fu: FuClass) -> u8 {
         FuClass::Mem => 2,
         FuClass::Branch => 3,
     }
-}
-
-/// Walks the dynamic stream once (a decode-lite pass: no event
-/// materialization) and marks every side-table slot it references. New
-/// captures reference every slot by construction, but traces that round-
-/// trip through other producers (or future truncation passes) may not —
-/// the hot-slot index drops the dead ones.
-fn referenced_slots(trace: &CapturedTrace) -> Vec<bool> {
-    let mut seen = vec![false; trace.slots.len()];
-    for rec in trace.cursor() {
-        seen[rec.slot] = true;
-    }
-    seen
 }
 
 /// Serializes one side-table record.
@@ -190,24 +176,10 @@ fn encode(trace: &CapturedTrace) -> Vec<u8> {
     });
     put_varint(&mut payload, trace.events);
 
-    // Static side-table section, the hot-slot index: logical size,
-    // written count, sparse remap, referenced records only.
-    let seen = referenced_slots(trace);
-    let written: Vec<usize> = (0..trace.slots.len()).filter(|&i| seen[i]).collect();
+    // Static side-table section: the slot count, then every slot.
     put_varint(&mut payload, trace.slots.len() as u64);
-    put_varint(&mut payload, written.len() as u64);
-    if written.len() < trace.slots.len() {
-        // Sparse remap: original indices of the written slots, delta-coded
-        // (strictly ascending, so every delta after the first is >= 1).
-        let mut prev = 0u64;
-        for (k, &idx) in written.iter().enumerate() {
-            let idx = idx as u64;
-            put_varint(&mut payload, if k == 0 { idx } else { idx - prev });
-            prev = idx;
-        }
-    }
-    for &idx in &written {
-        put_slot(&mut payload, &trace.slots[idx]);
+    for slot in &trace.slots {
+        put_slot(&mut payload, slot);
     }
 
     // Dynamic stream section: the rest of the payload.
@@ -263,29 +235,6 @@ fn decode_fu(code: u8) -> Option<FuClass> {
         3 => FuClass::Branch,
         _ => return None,
     })
-}
-
-/// The block of a [`placeholder_slot`], which no program has.
-pub(super) const UNREFERENCED: CodeRef = CodeRef::new(u32::MAX, u32::MAX);
-
-/// An inert record occupying a side-table position the stream never
-/// references (v3 hot-slot decode). Replay can never observe it.
-fn placeholder_slot() -> StaticSlot {
-    StaticSlot {
-        template: Retired {
-            loc: UNREFERENCED,
-            addr: 0,
-            fu: FuClass::IntAlu,
-            latency: 0,
-            def: None,
-            uses: [None; 3],
-            mem_addr: None,
-            is_store: false,
-            ctrl: None,
-            in_package: false,
-        },
-        targets: [None; 2],
-    }
 }
 
 /// Deserializes one side-table record.
@@ -372,40 +321,9 @@ fn decode(payload: Blob) -> Option<CapturedTrace> {
     if n_slots > payload.len() {
         return None;
     }
-    // Hot-slot index: only referenced records are present; rebuild the
-    // table at its logical size with placeholders elsewhere.
-    let n_written = usize::try_from(rd.varint()?).ok()?;
-    if n_written > n_slots {
-        return None;
-    }
-    let indices: Vec<usize> = if n_written < n_slots {
-        let mut indices = Vec::with_capacity(n_written);
-        let mut prev = 0u64;
-        for k in 0..n_written {
-            let delta = rd.varint()?;
-            let idx = if k == 0 {
-                delta
-            } else {
-                // Strictly ascending: a zero delta (duplicate index) is
-                // malformed.
-                if delta == 0 {
-                    return None;
-                }
-                prev.checked_add(delta)?
-            };
-            if idx >= n_slots as u64 {
-                return None;
-            }
-            prev = idx;
-            indices.push(idx as usize);
-        }
-        indices
-    } else {
-        (0..n_written).collect()
-    };
-    let mut slots = vec![placeholder_slot(); n_slots];
-    for idx in indices {
-        slots[idx] = read_slot(&mut rd)?;
+    let mut slots = Vec::with_capacity(n_slots);
+    for _ in 0..n_slots {
+        slots.push(read_slot(&mut rd)?);
     }
 
     let stream = payload.window(rd.pos..payload.len());
@@ -696,41 +614,24 @@ mod tests {
     }
 
     #[test]
-    fn v3_hot_slot_index_drops_unreferenced_slots() {
-        let (p, layout) = sample_program();
+    fn every_slot_of_a_live_capture_is_referenced() {
+        // The dense side table relies on this: a recorder only registers
+        // a slot while recording a stream record that references it.
         let cfg = RunConfig::default();
-        let key = TraceKey::new("hotslots", &p, &layout, &cfg);
-        let mut trace = CapturedTrace::capture(&p, &layout, &cfg).unwrap();
-        let reference = events_of(&trace);
-        let clean = encode(&trace);
-
-        // Dead side-table weight: slots the stream never references (as a
-        // truncation pass or a foreign producer would leave behind).
-        let dead = trace.slots[0].clone();
-        for _ in 0..64 {
-            trace.slots.push(dead.clone());
+        for w in vp_workloads::suite(1)
+            .into_iter()
+            .filter(|w| ["130.li A", "164.gzip A", "181.mcf A"].contains(&w.label().as_str()))
+        {
+            let layout = vp_program::Layout::natural(&w.program);
+            let trace = CapturedTrace::capture(&w.program, &layout, &cfg).unwrap();
+            let mut seen = vec![false; trace.slots.len()];
+            for rec in trace.cursor() {
+                seen[rec.slot] = true;
+            }
+            assert!(!seen.is_empty(), "{}", w.label());
+            let dead = seen.iter().filter(|s| !**s).count();
+            assert_eq!(dead, 0, "{}: {dead} unreferenced slots", w.label());
         }
-
-        let mut dead_record = Vec::new();
-        put_slot(&mut dead_record, &dead);
-        let dense = clean.len() + 64 * dead_record.len();
-        let sparse = encode(&trace);
-        assert!(
-            sparse.len() < dense,
-            "hot-slot index must shrink the image: sparse={} dense={dense}",
-            sparse.len(),
-        );
-
-        let tier = DiskTier::new(tempdir("hotslots"), 64 * 1024 * 1024).unwrap();
-        tier.store(&key, &trace).unwrap();
-        let reloaded = tier.load(&key).expect("sparse image decodes");
-        assert_eq!(
-            reloaded.slots.len(),
-            trace.slots.len(),
-            "logical side-table size survives"
-        );
-        assert_eq!(events_of(&reloaded), reference);
-        let _ = fs::remove_dir_all(tier.blobs().root());
     }
 
     #[test]
