@@ -143,8 +143,9 @@ pub struct RunRecord {
     /// Histogram summaries by name.
     pub hists: BTreeMap<String, HistSummary>,
     /// Scalar run metrics: top-level numeric manifest fields
-    /// (`cells_done`, `coverage`, …), `sched.*` scheduler totals, and
-    /// for bench records `eps.<stage>` plus the speedup ratios.
+    /// (`cells_done`, `coverage`, the process's `peak_rss_mb`, …),
+    /// `sched.*` scheduler totals, and for bench records `eps.<stage>`
+    /// plus the speedup ratios.
     pub metrics: BTreeMap<String, f64>,
 }
 
@@ -983,6 +984,19 @@ mod tests {
         assert_eq!(rec.metric("hist:hsd.len:p50"), Some(5.0));
         assert_eq!(rec.metric("metric:cells_done"), Some(4.0));
         assert_eq!(rec.metric("metric:nope"), None);
+    }
+
+    #[test]
+    fn peak_rss_is_warehoused_as_a_run_metric() {
+        let line = r#"{"t":"manifest","schema":"vp-manifest/2","bin":"sweep","timing":true,"duration_ms":610.0,"peak_rss_mb":41.25,"counters":{}}"#;
+        let rec = RunRecord::from_manifest_line(line, 1).unwrap();
+        assert_eq!(rec.metric("metric:peak_rss_mb"), Some(41.25));
+        let back = RunRecord::parse_line(&rec.to_line()).unwrap();
+        assert_eq!(back.metric("metric:peak_rss_mb"), Some(41.25));
+        // A manifest from a host that reports none simply lacks it.
+        let line = line.replace(r#""peak_rss_mb":41.25,"#, "");
+        let rec = RunRecord::from_manifest_line(&line, 1).unwrap();
+        assert_eq!(rec.metric("metric:peak_rss_mb"), None);
     }
 
     #[test]

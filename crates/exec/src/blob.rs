@@ -28,11 +28,15 @@
 //!
 //! # Writes and budget
 //!
-//! [`BlobStore::put`] writes a temp file whose name is unique per write
-//! and renames it over the entry, so readers in any thread or process
-//! sharing the directory see the old file or the new one, never a torn
-//! one; the temp file is removed on any error. A blob larger than the
-//! whole budget is refused. After each write the oldest-mtime files are
+//! Every write goes through a `BlobWriter`: it writes the header to a
+//! temp file whose name is unique per write, streams the payload after it
+//! in whatever pieces the client produces (the CRC accumulates as they
+//! go), patches the CRC in and renames the temp file over the entry. So
+//! readers in any thread or process sharing the directory see the old
+//! file or the new one, never a torn one, and a client never needs the
+//! whole payload in memory. The temp file is removed on any error.
+//! [`BlobStore::put`] is the one-piece form. A blob larger than the whole
+//! budget is not published. After each write the oldest-mtime files are
 //! evicted until the directory fits, which with touch-on-hit makes
 //! eviction least-recently-*used*.
 //!
@@ -42,10 +46,19 @@
 //! payload is a window into the mapping: the kernel's page cache is the
 //! only copy. Smaller files, and hosts where mapping fails, are read into
 //! one owned buffer. The CRC is verified in full either way.
+//!
+//! # Residency
+//!
+//! A mapped blob costs address space, and resident memory only for the
+//! pages read since they were last released: [`BlobStore::get`]'s CRC
+//! pass releases each 1 MiB behind it and the rest once the client has
+//! decoded the payload, and a client streaming through a payload releases
+//! what it has consumed (`Blob::release`). A released page reads back
+//! unchanged, faulted in again from the page cache.
 
 use std::fmt;
 use std::fs;
-use std::io::{self, Read, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::ops::{Deref, Range};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -56,6 +69,10 @@ mod mmap;
 
 /// Fixed frame header: magic, version, CRC, echo length.
 const HEADER: usize = 16;
+
+/// Bytes a pass over a mapped blob reads between two releases of the
+/// pages behind it.
+pub(crate) const RELEASE_WINDOW: usize = 1 << 20;
 
 /// Files below this size are read into an owned buffer instead of mapped:
 /// a mapping costs a syscall pair and a page fault, more than copying a
@@ -168,6 +185,29 @@ impl Bytes {
             Bytes::Owned(v) => v,
         }
     }
+
+    /// Drops the resident pages of `range` of a mapping; owned bytes stay.
+    fn release(&self, range: Range<usize>) {
+        if let Bytes::Mapped(m) = self {
+            m.release(range);
+        }
+    }
+
+    /// The frame's CRC-32 of every byte after the CRC field, computed a
+    /// [`RELEASE_WINDOW`] at a time and releasing each window behind it,
+    /// so verifying a mapped file never makes all of it resident at once.
+    fn crc_after_header(&self) -> u32 {
+        let b = self.as_slice();
+        let mut crc = !0;
+        let mut at = 12.min(b.len());
+        while at < b.len() {
+            let end = b.len().min(at + RELEASE_WINDOW);
+            crc = crc32_update(crc, &b[at..end]);
+            self.release(at..end);
+            at = end;
+        }
+        !crc
+    }
 }
 
 /// A verified payload: a window into a mapped file or an owned read of
@@ -190,6 +230,23 @@ impl Blob {
             bytes: Arc::clone(&self.bytes),
             range: self.range.start + range.start..self.range.start + range.end,
         }
+    }
+
+    /// Hands the resident pages behind `range` (relative to this blob's
+    /// start) back to the kernel: the memory-mapped bytes then cost
+    /// address space only, and the next read faults them in again,
+    /// unchanged, from the page cache. Pages are released whole: the one
+    /// holding `range.start` goes too, the one holding `range.end` stays
+    /// unless the range runs to the end of the file. A no-op on owned
+    /// bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` reaches past the end of the blob.
+    pub(crate) fn release(&self, range: Range<usize>) {
+        assert!(range.start <= range.end && range.end <= self.len());
+        self.bytes
+            .release(self.range.start + range.start..self.range.start + range.end);
     }
 }
 
@@ -312,50 +369,74 @@ impl BlobStore {
         self.root.join(format!("{name}.{}", self.frame.ext))
     }
 
-    /// Frames `payload` under `echo` and writes it atomically as `name`,
-    /// then evicts oldest-mtime files down to the budget. Returns the
-    /// file's size, or `None` when the framed blob is larger than the
-    /// whole budget and was not written.
+    /// Frames `payload` under `echo` and writes it atomically as `name`
+    /// (one `BlobWriter` pass), then evicts oldest-mtime files down to
+    /// the budget. Returns the file's size, or `None` when the framed blob
+    /// is larger than the whole budget and was not written.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures, after removing the temp file; the caller
     /// treats them as a miss.
     pub fn put(&self, name: &str, echo: &[u8], payload: &[u8]) -> io::Result<Option<u64>> {
-        let len = (HEADER + echo.len() + payload.len()) as u64;
-        if len > self.cap_bytes {
+        if (HEADER + echo.len() + payload.len()) as u64 > self.cap_bytes {
             return Ok(None);
         }
+        let mut w = self.writer(name, echo)?;
+        w.write(payload);
+        w.finish()
+    }
+
+    /// Starts writing the entry `name` under `echo`: the frame header
+    /// goes to a fresh temp file now, the payload follows in
+    /// [`BlobWriter::write`] pieces.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the echo is longer than the frame can describe or the temp
+    /// file cannot be created and written.
+    pub(crate) fn writer(&self, name: &str, echo: &[u8]) -> io::Result<BlobWriter> {
         let echo_len = u32::try_from(echo.len())
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "key echo too long"))?;
         let mut head = Vec::with_capacity(HEADER + echo.len());
         head.extend_from_slice(&self.frame.magic);
         head.extend_from_slice(&self.frame.version.to_le_bytes());
-        head.extend_from_slice(&[0; 4]);
+        head.extend_from_slice(&[0; 4]); // the CRC, patched in by `finish`
         head.extend_from_slice(&echo_len.to_le_bytes());
         head.extend_from_slice(echo);
-        let crc = !crc32_update(crc32_update(!0, &head[12..]), payload);
-        head[8..12].copy_from_slice(&crc.to_le_bytes());
 
         // Unique per write, so concurrent writers of one name (threads or
         // processes) never share a temp file.
         static WRITES: AtomicU64 = AtomicU64::new(0);
-        let path = self.path(name);
         let tmp = self.root.join(format!(
             "{name}.{}.tmp.{}.{}",
             self.frame.ext,
             std::process::id(),
             WRITES.fetch_add(1, Ordering::Relaxed)
         ));
-        let written = fs::File::create(&tmp)
-            .and_then(|mut f| f.write_all(&head).and_then(|()| f.write_all(payload)))
-            .and_then(|()| fs::rename(&tmp, &path));
-        if let Err(e) = written {
-            let _ = fs::remove_file(&tmp);
-            return Err(e);
+        // Readable too: `finish_and_read` maps or reads the file back
+        // through this handle.
+        let file = fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&tmp)?;
+        let mut w = BlobWriter {
+            path: self.path(name),
+            store: self.clone(),
+            tmp: Some(tmp),
+            file,
+            crc: crc32_update(!0, &head[12..]),
+            len: 0,
+            payload_start: head.len(),
+            error: None,
+        };
+        w.write_raw(&head);
+        match w.error.take() {
+            Some(e) => Err(e),
+            None => Ok(w),
         }
-        self.evict_to_budget(&path);
-        Ok(Some(len))
     }
 
     /// Looks `name` up, verifying magic, version, CRC and that the file
@@ -376,7 +457,15 @@ impl BlobStore {
         let file = fs::File::open(&path).map_err(|_| Miss::Absent)?;
         let len = file.metadata().map_err(|_| Miss::Absent)?.len();
         let bytes = read(&file, len).map_err(|_| Miss::Absent)?;
-        match self.unframe(bytes, echo).and_then(decode) {
+        let decoded = self.unframe(bytes, echo).and_then(|blob| {
+            let backing = Arc::clone(&blob.bytes);
+            let value = decode(blob)?;
+            // Nothing reads the verified and decoded pages again until
+            // the client does.
+            backing.release(0..backing.as_slice().len());
+            Some(value)
+        });
+        match decoded {
             Some(value) => {
                 // Best-effort recency bump; eviction degrades to
                 // least-recently-written if the touch fails.
@@ -399,7 +488,7 @@ impl BlobStore {
             return None;
         }
         let start = HEADER.checked_add(usize::try_from(word(12)).ok()?)?;
-        if b.get(HEADER..start)? != echo || crc32(&b[12..]) != word(8) {
+        if b.get(HEADER..start)? != echo || bytes.crc_after_header() != word(8) {
             return None;
         }
         let end = b.len();
@@ -464,6 +553,120 @@ impl BlobStore {
                 (self.frame.on_evict)(len, total);
             }
         }
+    }
+}
+
+/// One entry being written (see [`BlobStore::writer`]). Payload pieces
+/// go straight to the temp file — the writer buffers nothing — and the
+/// first I/O error is kept and returned by `finish`. A writer dropped
+/// before its file is published (the client's computation failed, a
+/// write failed, or the blob is over budget) removes its temp file.
+pub(crate) struct BlobWriter {
+    store: BlobStore,
+    path: PathBuf,
+    /// The temp file; `None` once renamed into place.
+    tmp: Option<PathBuf>,
+    file: fs::File,
+    /// Raw CRC register over every byte after the CRC field.
+    crc: u32,
+    /// Bytes written so far, header included.
+    len: u64,
+    /// Offset of the payload in the file.
+    payload_start: usize,
+    error: Option<io::Error>,
+}
+
+impl BlobWriter {
+    /// Appends `bytes` to the payload. An I/O error is kept for
+    /// [`BlobWriter::finish`]; later writes are then dropped.
+    pub(crate) fn write(&mut self, bytes: &[u8]) {
+        self.crc = crc32_update(self.crc, bytes);
+        self.write_raw(bytes);
+    }
+
+    fn write_raw(&mut self, bytes: &[u8]) {
+        if self.error.is_some() {
+            return;
+        }
+        match self.file.write_all(bytes) {
+            Ok(()) => self.len += bytes.len() as u64,
+            Err(e) => self.error = Some(e),
+        }
+    }
+
+    /// Patches the CRC in and publishes the entry: renamed into place,
+    /// then oldest-mtime files are evicted down to the budget. Returns the
+    /// file's size, or `None` when it is larger than the whole budget and
+    /// was removed instead.
+    ///
+    /// # Errors
+    ///
+    /// The first I/O error of the whole write; the temp file is removed.
+    pub(crate) fn finish(mut self) -> io::Result<Option<u64>> {
+        self.patch_crc()?;
+        self.publish()
+    }
+
+    /// Like [`BlobWriter::finish`], and also hands back the payload as
+    /// written, read through the writer's own handle: mapped when the
+    /// file is large enough and the host can map it, owned otherwise. A
+    /// blob over budget is read before its temp file is removed, so the
+    /// caller keeps it either way.
+    ///
+    /// # Errors
+    ///
+    /// As [`BlobWriter::finish`], plus a failed read-back.
+    pub(crate) fn finish_and_read(mut self) -> io::Result<(Blob, Option<u64>)> {
+        self.patch_crc()?;
+        self.file.seek(SeekFrom::Start(0))?;
+        let bytes = read(&self.file, self.len)?;
+        let end = bytes.as_slice().len();
+        if end as u64 != self.len {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "blob read back short",
+            ));
+        }
+        let blob = Blob {
+            bytes: Arc::new(bytes),
+            range: self.payload_start..end,
+        };
+        Ok((blob, self.publish()?))
+    }
+
+    fn patch_crc(&mut self) -> io::Result<()> {
+        if let Some(e) = self.error.take() {
+            return Err(e);
+        }
+        self.file.seek(SeekFrom::Start(8))?;
+        self.file.write_all(&(!self.crc).to_le_bytes())
+    }
+
+    /// Renames the temp file into place and evicts down to the budget; a
+    /// file over the whole budget stays a temp file, which drop removes.
+    fn publish(&mut self) -> io::Result<Option<u64>> {
+        if self.len > self.store.cap_bytes {
+            return Ok(None);
+        }
+        let tmp = self.tmp.as_ref().expect("published once");
+        fs::rename(tmp, &self.path)?;
+        self.tmp = None;
+        self.store.evict_to_budget(&self.path);
+        Ok(Some(self.len))
+    }
+}
+
+impl Drop for BlobWriter {
+    fn drop(&mut self) {
+        if let Some(tmp) = &self.tmp {
+            let _ = fs::remove_file(tmp);
+        }
+    }
+}
+
+impl fmt::Debug for BlobWriter {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "BlobWriter({}, {} bytes)", self.path.display(), self.len)
     }
 }
 
@@ -766,6 +969,25 @@ mod tests {
     }
 
     #[test]
+    fn the_windowed_crc_pass_checks_every_window() {
+        // Several release windows and a ragged tail: the CRC pass releases
+        // each window behind it, and a flipped bit in any window, the
+        // last included, is still refused.
+        let s = store("windows", u64::MAX);
+        let body = payload(2 * RELEASE_WINDOW + 4321);
+        s.put("k", b"e", &body).unwrap();
+        let good = fs::read(s.path("k")).unwrap();
+        assert_eq!(get(&s, "k", b"e").unwrap(), body);
+        for at in [RELEASE_WINDOW + 12, 2 * RELEASE_WINDOW + 12, good.len() - 1] {
+            let mut bad = good.clone();
+            bad[at] ^= 0x01;
+            fs::write(s.path("k"), &bad).unwrap();
+            assert_eq!(get(&s, "k", b"e"), Err(Miss::Refused), "bit flip at {at}");
+        }
+        let _ = fs::remove_dir_all(s.root());
+    }
+
+    #[test]
     fn a_hit_outlives_the_eviction_of_its_file() {
         let s = store("unlink", u64::MAX);
         let body = payload(MAP_MIN_BYTES as usize);
@@ -773,6 +995,74 @@ mod tests {
         let blob = s.get("k", b"e", Some).unwrap();
         fs::remove_file(s.path("k")).unwrap();
         assert_eq!(&blob[..], &body[..]);
+    }
+
+    /// File names in `s`'s directory.
+    fn files(s: &BlobStore) -> Vec<std::ffi::OsString> {
+        let mut names: Vec<_> = fs::read_dir(s.root())
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn a_streamed_write_equals_put_and_reads_back_its_payload() {
+        let body = payload(MAP_MIN_BYTES as usize + 5000);
+        let whole = store("whole", u64::MAX);
+        whole.put("k", b"echo", &body).unwrap();
+        let s = store("streamed", u64::MAX);
+        let mut w = s.writer("k", b"echo").unwrap();
+        for piece in body.chunks(777) {
+            w.write(piece);
+        }
+        let (blob, published) = w.finish_and_read().unwrap();
+        assert_eq!(&blob[..], &body[..]);
+        if cfg!(target_os = "linux") {
+            assert!(matches!(*blob.bytes, Bytes::Mapped(_)), "{blob:?}");
+        }
+        let image = fs::read(s.path("k")).unwrap();
+        assert_eq!(published, Some(image.len() as u64));
+        assert_eq!(
+            image,
+            fs::read(whole.path("k")).unwrap(),
+            "same file as put"
+        );
+        assert_eq!(get(&s, "k", b"echo").unwrap(), body);
+        assert_eq!(files(&s), ["k.blob"]);
+        // Releasing any part of the read-back payload leaves it readable.
+        blob.release(0..blob.len());
+        blob.window(100..200).release(0..50);
+        assert_eq!(&blob[..], &body[..]);
+    }
+
+    #[test]
+    fn an_over_budget_stream_is_handed_back_but_not_published() {
+        let body = payload(MAP_MIN_BYTES as usize + 1);
+        let s = store("over", 1024);
+        let mut w = s.writer("big", b"e").unwrap();
+        w.write(&body);
+        let (blob, published) = w.finish_and_read().unwrap();
+        assert_eq!(published, None);
+        assert_eq!(&blob[..], &body[..], "readable through the unlinked file");
+        assert!(files(&s).is_empty(), "neither entry nor temp file left");
+        // `finish` alone publishes nothing either.
+        let mut w = s.writer("big", b"e").unwrap();
+        w.write(&body);
+        assert_eq!(w.finish().unwrap(), None);
+        assert!(files(&s).is_empty());
+    }
+
+    #[test]
+    fn an_unfinished_writer_leaves_no_temp_file() {
+        let s = store("dropped", u64::MAX);
+        let mut w = s.writer("k", b"e").unwrap();
+        w.write(b"half a payload");
+        assert_eq!(files(&s).len(), 1, "the temp file exists while writing");
+        drop(w);
+        assert!(files(&s).is_empty());
+        assert_eq!(get(&s, "k", b"e"), Err(Miss::Absent));
     }
 
     #[test]

@@ -57,10 +57,12 @@
 //!    budget is exceeded. Concurrent requests for the same key are
 //!    single-flighted: one thread interprets, the rest share its capture.
 //! 4. **Persist** across processes: with `VP_TRACE_DIR` set, captures are
-//!    serialized to disk ([`DiskTier`], a client of the [`blob`] store:
-//!    versioned frame + CRC, budget `VP_TRACE_DISK_MB` with mtime-LRU
-//!    eviction), so a warmed cache survives restarts and is shared by
-//!    sharded sweep processes.
+//!    recorded straight to disk ([`DiskTier`], a client of the [`blob`]
+//!    store: versioned frame + CRC, budget `VP_TRACE_DISK_MB` with
+//!    mtime-LRU eviction), so a warmed cache survives restarts and is
+//!    shared by sharded sweep processes. A disk-backed capture is a
+//!    memory-mapped window that every replay pass releases behind
+//!    itself: it costs address space, not resident memory.
 //!
 //! ```
 //! use vp_program::{ProgramBuilder, Layout};

@@ -53,11 +53,21 @@
 //! When `VP_TRACE_DIR` is set, the global store layers an on-disk tier
 //! ([`persist::DiskTier`]) under the memory LRU: lookups resolve
 //! memory-hit → disk-hit (load, CRC-verify, promote) → live capture
-//! (write-through), so a warmed cache survives process restarts and is
-//! shared between concurrently running shard processes. The disk budget
-//! is `VP_TRACE_DISK_MB` (default 2048), enforced by mtime-LRU eviction.
-//! Corrupted or version-mismatched files are refused and re-captured,
-//! never replayed wrong.
+//! (recorded straight into the tier), so a warmed cache survives process
+//! restarts and is shared between concurrently running shard processes.
+//! The disk budget is `VP_TRACE_DISK_MB` (default 2048), enforced by
+//! mtime-LRU eviction. Corrupted or version-mismatched files are refused
+//! and re-captured, never replayed wrong.
+//!
+//! # Residency
+//!
+//! A capture backed by the disk tier — loaded, or recorded into it — is
+//! a window into the file's memory mapping, so it costs address space,
+//! not resident memory, between and behind replays: every replay pass
+//! releases the pages it has consumed, 1 MiB at a time, and the rest
+//! when it reaches the end of the stream. The next pass faults them
+//! back in from the page cache. Captures recorded without a disk tier
+//! are owned heap buffers.
 //!
 //! Instrumentation (`vp-trace` counters, stamped into every run
 //! manifest): `trace_store.captures`, `.replays`, `.hits`, `.evictions`,
@@ -90,7 +100,7 @@
 //! # Ok::<(), vp_exec::ExecError>(())
 //! ```
 
-use crate::blob::Blob;
+use crate::blob::{Blob, BlobWriter, RELEASE_WINDOW};
 use crate::event::{col, Ctrl, Retired, Sink};
 use crate::exec::{ExecError, Executor, RunConfig, RunStats};
 use crate::fx::FxHashMap;
@@ -119,6 +129,10 @@ static TEMPLATE_MISMATCHES: Counter = Counter::new("trace_store.template_mismatc
 
 /// Default cache budget when `VP_TRACE_CACHE_MB` is unset.
 pub const DEFAULT_CACHE_MB: usize = 512;
+
+/// Stream bytes a recorder spooling to the disk tier buffers between two
+/// writes.
+const SPOOL_CHUNK: usize = 256 * 1024;
 
 // ---------------------------------------------------------------- varints
 
@@ -313,7 +327,7 @@ const FLAG_TAKEN: u8 = 1 << 3;
 /// Feed it every event of an [`Executor::run_with`] run through
 /// [`TraceRecorder::record`], then call [`TraceRecorder::finish`] with the
 /// run's stats to obtain the immutable [`CapturedTrace`].
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct TraceRecorder {
     slots: Vec<StaticSlot>,
     /// Fetch address of each slot, parallel to `slots`: the capture fast
@@ -321,29 +335,100 @@ pub struct TraceRecorder {
     /// one compare instead of a hash probe per event.
     addrs: Vec<u64>,
     by_addr: FxHashMap<u64, u32>,
+    /// The whole stream, or with a spool the part not yet written.
     stream: Vec<u8>,
+    /// `stream` length at which [`TraceRecorder::record`] hands the
+    /// buffer to `spool`; `usize::MAX` without one.
+    spill_at: usize,
+    /// The disk tier's writer this recording streams into, if any.
+    spool: Option<BlobWriter>,
+    /// Stream bytes already handed to `spool`.
+    spilled: usize,
     prev_idx: i64,
     last_mem: u64,
     events: u64,
+}
+
+impl Default for TraceRecorder {
+    fn default() -> TraceRecorder {
+        TraceRecorder::new()
+    }
 }
 
 impl TraceRecorder {
     /// Creates an empty recorder.
     pub fn new() -> TraceRecorder {
         TraceRecorder {
+            slots: Vec::new(),
+            addrs: Vec::new(),
+            by_addr: FxHashMap::default(),
+            stream: Vec::new(),
+            spill_at: usize::MAX,
+            spool: None,
+            spilled: 0,
             prev_idx: -1,
-            ..TraceRecorder::default()
+            last_mem: 0,
+            events: 0,
+        }
+    }
+
+    /// A recorder writing its stream through `w` in [`SPOOL_CHUNK`]
+    /// pieces, so its heap holds the side table and one chunk whatever
+    /// the run length (see [`DiskTier::recorder`]).
+    pub(crate) fn spooling(w: BlobWriter) -> TraceRecorder {
+        TraceRecorder {
+            stream: Vec::with_capacity(SPOOL_CHUNK + 32),
+            spill_at: SPOOL_CHUNK,
+            spool: Some(w),
+            ..TraceRecorder::new()
         }
     }
 
     /// Seals the recording into a [`CapturedTrace`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the recording was spooling to disk and its I/O failed.
     pub fn finish(self, stats: RunStats) -> CapturedTrace {
-        let trace = CapturedTrace::assemble(self.slots, self.stream.into(), stats, self.events);
+        self.seal(stats)
+            .expect("an in-memory recording does no I/O")
+    }
+
+    /// Seals the recording: an in-memory one into an owned stream, a
+    /// spooling one by publishing its file and handing out the stream as
+    /// written (see [`persist::publish`]).
+    ///
+    /// # Errors
+    ///
+    /// The spool's first I/O error; nothing is published then.
+    fn seal(mut self, stats: RunStats) -> std::io::Result<CapturedTrace> {
+        let stream = match self.spool.take() {
+            None => StreamBytes::Owned(std::mem::take(&mut self.stream)),
+            Some(mut w) => {
+                w.write(&self.stream);
+                let len = self.spilled + self.stream.len();
+                StreamBytes::Stored(persist::publish(w, &self.slots, len, stats, self.events)?)
+            }
+        };
+        let trace = CapturedTrace::assemble(self.slots, stream, stats, self.events);
         CAPTURES.incr();
         BYTES.add(trace.bytes() as u64);
         // Flight payload: (trace bytes, event count).
         vp_trace::flight("trace_store.capture", trace.bytes() as u64, trace.events);
-        trace
+        Ok(trace)
+    }
+
+    /// Hands the buffered stream bytes to the spool.
+    #[cold]
+    #[inline(never)]
+    fn spill(&mut self) {
+        let w = self
+            .spool
+            .as_mut()
+            .expect("spill_at is set only with a spool");
+        w.write(&self.stream);
+        self.spilled += self.stream.len();
+        self.stream.clear();
     }
 
     /// Slot resolution off the sequential fast path (taken branches, call
@@ -444,6 +529,9 @@ impl TraceRecorder {
             }
         }
         self.events += 1;
+        if self.stream.len() >= self.spill_at {
+            self.spill();
+        }
     }
 }
 
@@ -458,6 +546,16 @@ pub(crate) enum StreamBytes {
     Owned(Vec<u8>),
     /// Window into a verified store payload.
     Stored(Blob),
+}
+
+impl StreamBytes {
+    /// Drops the resident pages behind `range` of a stored stream (see
+    /// [`Blob::release`]); an owned stream stays as it is.
+    fn release(&self, range: std::ops::Range<usize>) {
+        if let StreamBytes::Stored(b) = self {
+            b.release(range);
+        }
+    }
 }
 
 impl std::ops::Deref for StreamBytes {
@@ -587,6 +685,12 @@ impl Record<'_> {
 /// the original stream and the disk tier's slot census are each a loop
 /// over this iterator.
 ///
+/// Over a stored stream the cursor keeps the trace off the resident set:
+/// each time it has consumed another [`RELEASE_WINDOW`] bytes it releases
+/// them, and on reaching the end it releases the rest, so a finished pass
+/// leaves none of its pages resident. The check rides on the end-of-
+/// stream compare the loop makes anyway: `limit` is the window's end.
+///
 /// Besides stream bytes the chain reads one static fact per record —
 /// whether the slot is a return, the one record shape with a trailing
 /// target varint the next record's position depends on — from the
@@ -598,11 +702,38 @@ impl Record<'_> {
 #[derive(Debug, Clone)]
 pub(crate) struct TraceCursor<'t> {
     stream: &'t [u8],
+    /// Where `stream` lives, for releasing its pages.
+    backing: &'t StreamBytes,
     slot_cols: &'t [SlotCol],
     slot_locs: &'t [CodeRef],
     pos: usize,
+    /// Records starting at or past this offset wait for
+    /// [`TraceCursor::next_window`]: the stream's end, or over a stored
+    /// stream the current release window's end if that comes first.
+    limit: usize,
+    /// Stream bytes before this offset have been released.
+    released: usize,
     prev_idx: i64,
     last_mem: u64,
+}
+
+impl TraceCursor<'_> {
+    /// The cursor reached `limit` at `pos`: releases what it consumed
+    /// since the last release and opens the next window. Returns `false`
+    /// at the end of the stream, having released the rest of it.
+    #[cold]
+    #[inline(never)]
+    fn next_window(&mut self, pos: usize) -> bool {
+        let len = self.stream.len();
+        let end = pos.min(len);
+        self.backing.release(self.released..end);
+        self.released = end;
+        if pos >= len {
+            return false;
+        }
+        self.limit = len.min(pos + RELEASE_WINDOW);
+        true
+    }
 }
 
 impl<'t> Iterator for TraceCursor<'t> {
@@ -612,7 +743,7 @@ impl<'t> Iterator for TraceCursor<'t> {
     fn next(&mut self) -> Option<Record<'t>> {
         let stream = self.stream;
         let mut pos = self.pos;
-        if pos >= stream.len() {
+        if pos >= self.limit && !self.next_window(pos) {
             return None;
         }
         let flags = stream[pos];
@@ -770,11 +901,18 @@ impl CapturedTrace {
 
     /// A cursor at the start of the dynamic stream.
     pub(crate) fn cursor(&self) -> TraceCursor<'_> {
+        let len = self.stream.len();
         TraceCursor {
             stream: &self.stream,
+            backing: &self.stream,
             slot_cols: &self.slot_cols,
             slot_locs: &self.slot_locs,
             pos: 0,
+            limit: match self.stream {
+                StreamBytes::Owned(_) => len,
+                StreamBytes::Stored(_) => len.min(RELEASE_WINDOW),
+            },
+            released: 0,
             prev_idx: -1,
             last_mem: 0,
         }
@@ -1218,10 +1356,10 @@ impl TraceStore {
                             return Ok(trace);
                         }
                     }
-                    match CapturedTrace::capture(program, layout, cfg) {
+                    match self.record(&key, program, layout, cfg) {
                         Ok(trace) => {
                             let trace = Arc::new(trace);
-                            self.insert(key.clone(), Arc::clone(&trace));
+                            self.insert_memory(key.clone(), Arc::clone(&trace));
                             guard.finish(FlightOutcome::Done(Arc::clone(&trace)));
                             return Ok(trace);
                         }
@@ -1233,6 +1371,37 @@ impl TraceStore {
                 }
             }
         }
+    }
+
+    /// Executes `program` once, recording `key`'s capture: straight into
+    /// the disk tier when one is attached, so the capture is file-backed
+    /// from birth and already persisted, otherwise in memory. If the
+    /// disk tier fails, it warns and records again in memory.
+    fn record(
+        &self,
+        key: &TraceKey,
+        program: &Program,
+        layout: &Layout,
+        cfg: &RunConfig,
+    ) -> Result<CapturedTrace, ExecError> {
+        if let Some(disk) = &self.disk {
+            let spooled = match disk.recorder(key) {
+                Ok(mut rec) => {
+                    let stats = Executor::new(program, layout).run_with(cfg, |r| rec.record(r))?;
+                    rec.seal(stats)
+                }
+                Err(e) => Err(e),
+            };
+            match spooled {
+                Ok(trace) => return Ok(trace),
+                Err(e) => eprintln!(
+                    "vp-exec: failed to persist trace for {:?} under {}: {e}",
+                    key.workload,
+                    disk.blobs().root().display()
+                ),
+            }
+        }
+        CapturedTrace::capture(program, layout, cfg)
     }
 
     /// Whether a hit on `key` was recorded from `program` under `layout`
@@ -1632,6 +1801,127 @@ mod tests {
         assert_eq!(report.counter("trace_store.captures"), 1);
         assert_eq!(report.counter("trace_store.disk_hits"), 1);
         assert!(store.is_empty(), "memory tier stays empty at budget 0");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A loop long enough that its stream spans several spool chunks and
+    /// release windows.
+    fn long_program() -> (Program, Layout) {
+        let mut pb = ProgramBuilder::new();
+        let table = pb.data(vec![0; 64]);
+        pb.func("main", |f| {
+            let i = Reg::int(20);
+            let b = Reg::int(21);
+            let v = Reg::int(22);
+            f.li(b, table as i64);
+            f.for_range(i, 0, 200_000, |f| {
+                f.alu(vp_isa::AluOp::And, v, i, Src::Imm(63));
+                f.alu(vp_isa::AluOp::Shl, v, v, Src::Imm(3));
+                f.add(v, v, b);
+                f.load(v, v, 0);
+            });
+            f.halt();
+        });
+        let p = pb.build();
+        let layout = Layout::natural(&p);
+        (p, layout)
+    }
+
+    fn tempdir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("vptrace-test-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn file_names(dir: &std::path::Path) -> Vec<std::ffi::OsString> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect()
+    }
+
+    #[test]
+    fn a_cold_capture_is_recorded_straight_into_the_disk_tier() {
+        let (p, layout) = long_program();
+        let cfg = RunConfig::default();
+        let want = events_of(&CapturedTrace::capture(&p, &layout, &cfg).unwrap());
+        let dir = tempdir("spool");
+        let tier = || Some(DiskTier::new(&dir, u64::MAX).unwrap());
+        let key = TraceKey::new("w", &p, &layout, &cfg);
+
+        let store = TraceStore::with_capacity_mb(64).with_disk(tier());
+        let (trace, report) = vp_trace::scoped(|| store.obtain(key.clone(), &p, &layout, &cfg));
+        let trace = trace.unwrap();
+        assert!(trace.stream.len() > RELEASE_WINDOW, "{:?}", trace.stream);
+        assert!(
+            matches!(trace.stream, StreamBytes::Stored(_)),
+            "file-backed from birth: {:?}",
+            trace.stream
+        );
+        let path = store.disk().unwrap().path_for(&key);
+        let file_bytes = std::fs::metadata(&path).unwrap().len();
+        assert_eq!(report.counter("trace_store.captures"), 1);
+        assert_eq!(
+            report.counter("trace_store.disk_hits"),
+            0,
+            "publishing is no hit"
+        );
+        assert_eq!(report.counter("trace_store.disk_bytes"), file_bytes);
+        assert_eq!(file_names(&dir).len(), 1, "no temp file left");
+        assert_eq!(events_of(&trace), want);
+        assert_eq!(events_of(&trace), want, "a released pass replays again");
+
+        // A fresh process's store loads the published file.
+        let fresh = TraceStore::with_capacity_mb(64).with_disk(tier());
+        let (loaded, report) = vp_trace::scoped(|| fresh.obtain(key.clone(), &p, &layout, &cfg));
+        assert_eq!(events_of(&loaded.unwrap()), want);
+        assert_eq!(report.counter("trace_store.disk_hits"), 1);
+        assert_eq!(report.counter("trace_store.captures"), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_capture_over_the_disk_budget_is_kept_but_not_published() {
+        let (p, layout) = long_program();
+        let cfg = RunConfig::default();
+        let want = events_of(&CapturedTrace::capture(&p, &layout, &cfg).unwrap());
+        let dir = tempdir("spool-over");
+        let store = TraceStore::with_capacity_mb(64)
+            .with_disk(Some(DiskTier::new(&dir, 64 * 1024).unwrap()));
+        let key = TraceKey::new("w", &p, &layout, &cfg);
+        let (trace, report) = vp_trace::scoped(|| store.obtain(key.clone(), &p, &layout, &cfg));
+        let trace = trace.unwrap();
+        assert_eq!(events_of(&trace), want, "replays through the unlinked file");
+        assert!(
+            file_names(&dir).is_empty(),
+            "nothing published, no temp file"
+        );
+        assert_eq!(report.counter("trace_store.disk_bytes"), 0);
+        assert_eq!(report.counter("trace_store.captures"), 1);
+        // The memory tier still serves it.
+        assert!(Arc::ptr_eq(&trace, &store.get(&key).unwrap()));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_spooled_run_leaves_no_file() {
+        let mut pb = ProgramBuilder::new();
+        pb.func("main", |f| {
+            f.nop();
+            f.ret();
+        });
+        let p = pb.build();
+        let layout = Layout::natural(&p);
+        let cfg = RunConfig::default();
+        let dir = tempdir("spool-fail");
+        let store = TraceStore::with_capacity_mb(64)
+            .with_disk(Some(DiskTier::new(&dir, u64::MAX).unwrap()));
+        let key = TraceKey::new("w", &p, &layout, &cfg);
+        assert!(matches!(
+            store.obtain(key, &p, &layout, &cfg),
+            Err(ExecError::ReturnWithoutCall(_))
+        ));
+        assert!(file_names(&dir).is_empty(), "the temp file is removed");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

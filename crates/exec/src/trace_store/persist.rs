@@ -21,18 +21,28 @@
 //!
 //! # Payload (version [`FORMAT_VERSION`])
 //!
-//! Varint-coded run stats and event count, the static side-table section,
-//! then the raw dynamic stream to the end of the file. On a hit the stream
-//! stays a window into the store's bytes — on Linux the mapped file — so a
-//! load makes no stream-sized copy.
+//! ```text
+//! stream      the raw dynamic stream, as the recorder produced it
+//! side table  varint run stats and event count, the slot count, then
+//!             every slot in index order
+//! trailer     the stream's length (LE u64, the payload's last 8 bytes)
+//! ```
 //!
-//! The side-table section is dense: the slot count, then every slot in
-//! index order. A capture only gains a slot while recording a stream
-//! record that references it, so every slot is live and there is nothing
-//! to skip.
+//! Stream first, so a recording can go to disk as it is made: with a disk
+//! tier attached, the trace store records through `DiskTier::recorder`,
+//! which streams its bytes into the blob's temp file in fixed chunks and,
+//! when the run ends, appends the side table and publishes the file. A cold
+//! capture is then file-backed from birth; no buffer ever grows to the
+//! trace's size. On a hit the stream stays a window into the store's
+//! bytes — on Linux the mapped file — so a load makes no stream-sized
+//! copy either.
+//!
+//! The side table is dense: a capture only gains a slot while recording
+//! a stream record that references it, so every slot is live and there
+//! is nothing to skip.
 
-use super::{put_varint, CapturedTrace, StaticSlot, StreamBytes, TraceKey};
-use crate::blob::{Blob, BlobStore, Frame};
+use super::{put_varint, CapturedTrace, StaticSlot, StreamBytes, TraceKey, TraceRecorder};
+use crate::blob::{Blob, BlobStore, BlobWriter, Frame};
 use crate::event::{Ctrl, Retired};
 use crate::exec::{RunStats, StopReason};
 use std::io;
@@ -59,8 +69,10 @@ static DISK_EVICTIONS: Counter = Counter::new("trace_store.disk_evictions");
 /// instruction, not just block shapes); v5 moved the echo into the blob
 /// store's frame and dropped the string table and the stream length; v6
 /// writes the side table densely again, since every slot of a capture is
-/// referenced by its stream. Only v6 is read.
-pub const FORMAT_VERSION: u32 = 6;
+/// referenced by its stream; v7 puts the stream first and the side table
+/// after it, closed by the stream's length, so a recorder can write the
+/// stream to disk as it goes. Only v7 is read.
+pub const FORMAT_VERSION: u32 = 7;
 
 /// Default disk budget when `VP_TRACE_DISK_MB` is unset.
 pub const DEFAULT_DISK_MB: u64 = 2048;
@@ -162,29 +174,56 @@ fn put_slot(payload: &mut Vec<u8>, slot: &StaticSlot) {
     }
 }
 
-/// Serializes a capture into its payload (always [`FORMAT_VERSION`]).
-fn encode(trace: &CapturedTrace) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(trace.stream.len() + 64 * trace.slots.len() + 64);
+/// Length of the payload's trailer: the stream length as a LE u64.
+const TRAILER: usize = 8;
+
+/// Serializes what follows a capture's `stream_len`-byte stream in its
+/// payload: the side table, then the trailer.
+fn encode_tail(slots: &[StaticSlot], stats: RunStats, events: u64, stream_len: usize) -> Vec<u8> {
+    let mut tail = Vec::with_capacity(64 * slots.len() + 64);
 
     // Stats header.
-    put_varint(&mut payload, trace.stats.retired);
-    put_varint(&mut payload, trace.stats.cond_branches);
-    put_varint(&mut payload, trace.stats.in_package);
-    payload.push(match trace.stats.stop {
+    put_varint(&mut tail, stats.retired);
+    put_varint(&mut tail, stats.cond_branches);
+    put_varint(&mut tail, stats.in_package);
+    tail.push(match stats.stop {
         StopReason::Halted => 0,
         StopReason::InstLimit => 1,
     });
-    put_varint(&mut payload, trace.events);
+    put_varint(&mut tail, events);
 
     // Static side-table section: the slot count, then every slot.
-    put_varint(&mut payload, trace.slots.len() as u64);
-    for slot in &trace.slots {
-        put_slot(&mut payload, slot);
+    put_varint(&mut tail, slots.len() as u64);
+    for slot in slots {
+        put_slot(&mut tail, slot);
     }
+    tail.extend_from_slice(&(stream_len as u64).to_le_bytes());
+    tail
+}
 
-    // Dynamic stream section: the rest of the payload.
-    payload.extend_from_slice(&trace.stream);
-    payload
+/// Ends a recording spooled through `w` (see [`DiskTier::recorder`]):
+/// appends the side table and publishes the file, counting its bytes in
+/// `trace_store.disk_bytes`. Returns the stream as written, a window into
+/// the file's mapping where the host maps it. A capture over the disk
+/// budget is not published but still returned: mapped through its
+/// unlinked temp file, or read back owned.
+///
+/// # Errors
+///
+/// Any I/O error of the whole recording; the temp file is removed.
+pub(super) fn publish(
+    mut w: BlobWriter,
+    slots: &[StaticSlot],
+    stream_len: usize,
+    stats: RunStats,
+    events: u64,
+) -> io::Result<Blob> {
+    w.write(&encode_tail(slots, stats, events, stream_len));
+    let (payload, published) = w.finish_and_read()?;
+    if let Some(bytes) = published {
+        DISK_BYTES.add(bytes);
+    }
+    Ok(payload.window(0..stream_len))
 }
 
 /// A bounds-checked payload reader; every accessor returns `None` past the
@@ -295,15 +334,20 @@ fn read_slot(rd: &mut Rd) -> Option<StaticSlot> {
     })
 }
 
-/// Deserializes a payload produced by [`encode`]. The dynamic stream — the
-/// bulk of every capture — stays a window into `payload`; the side table
-/// and the derived decode columns are materialized (they are
-/// random-access-hot during replay and tiny next to the stream). Returns
-/// `None` on a malformed payload, which the store then deletes.
+/// Deserializes a payload (stream, side table, trailer). The dynamic
+/// stream — the bulk of every capture — stays a window into `payload`;
+/// the side table and the derived decode columns are materialized (they
+/// are random-access-hot during replay and tiny next to the stream).
+/// Returns `None` on a malformed payload, which the store then deletes.
 fn decode(payload: Blob) -> Option<CapturedTrace> {
+    let body = payload.len().checked_sub(TRAILER)?;
+    let trailer: [u8; TRAILER] = payload[body..].try_into().ok()?;
+    let stream_len = usize::try_from(u64::from_le_bytes(trailer))
+        .ok()
+        .filter(|&n| n <= body)?;
     let mut rd = Rd {
-        buf: &payload,
-        pos: 0,
+        buf: &payload[..body],
+        pos: stream_len,
     };
     let retired = rd.varint()?;
     let cond_branches = rd.varint()?;
@@ -325,8 +369,11 @@ fn decode(payload: Blob) -> Option<CapturedTrace> {
     for _ in 0..n_slots {
         slots.push(read_slot(&mut rd)?);
     }
+    if rd.pos != body {
+        return None;
+    }
 
-    let stream = payload.window(rd.pos..payload.len());
+    let stream = payload.window(0..stream_len);
     let stats = RunStats {
         retired,
         cond_branches,
@@ -393,18 +440,40 @@ impl DiskTier {
         Some(trace)
     }
 
-    /// Persists `trace` under `key` (see [`BlobStore::put`]); a capture
-    /// larger than the whole budget is silently not persisted.
+    /// Persists `trace` under `key`, writing its stream straight from
+    /// the capture (no payload copy); a capture larger than the whole
+    /// budget is silently not persisted.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures; the caller treats them as a cache miss.
     pub fn store(&self, key: &TraceKey, trace: &CapturedTrace) -> io::Result<()> {
         let echo = echo(key);
-        if let Some(bytes) = self.blobs.put(&name(key, &echo), &echo, &encode(trace))? {
+        let mut w = self.blobs.writer(&name(key, &echo), &echo)?;
+        w.write(&trace.stream);
+        w.write(&encode_tail(
+            &trace.slots,
+            trace.stats,
+            trace.events,
+            trace.stream.len(),
+        ));
+        if let Some(bytes) = w.finish()? {
             DISK_BYTES.add(bytes);
         }
         Ok(())
+    }
+
+    /// A recorder for `key`'s capture that writes its stream into this
+    /// tier as it records; sealing it publishes the file (see the module
+    /// docs). Publishing is not a disk hit.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the temp file cannot be created.
+    pub(super) fn recorder(&self, key: &TraceKey) -> io::Result<TraceRecorder> {
+        let echo = echo(key);
+        let w = self.blobs.writer(&name(key, &echo), &echo)?;
+        Ok(TraceRecorder::spooling(w))
     }
 }
 
@@ -493,10 +562,16 @@ mod tests {
         let _ = fs::remove_dir_all(tier.blobs().root());
     }
 
-    /// Offset of the dynamic stream in `trace`'s encoded payload: everything
-    /// before it is the varint header and the side-table section.
-    fn stream_start(payload: &[u8], trace: &CapturedTrace) -> usize {
-        payload.len() - trace.stream.len()
+    /// `trace`'s payload as [`DiskTier::store`] writes it.
+    fn encode(trace: &CapturedTrace) -> Vec<u8> {
+        let mut payload = trace.stream.to_vec();
+        payload.extend(encode_tail(
+            &trace.slots,
+            trace.stats,
+            trace.events,
+            trace.stream.len(),
+        ));
+        payload
     }
 
     #[test]
@@ -529,8 +604,7 @@ mod tests {
         assert_eq!(events_of(&m), events_of(&trace));
 
         // A malformed payload is refused on the mapped path too.
-        let head = stream_start(&payload, &trace);
-        fs::write(&path, &payload[..head - 1]).unwrap();
+        fs::write(&path, &payload[..payload.len() - 1]).unwrap();
         assert!(decode(map(&path).unwrap()).is_none());
         let _ = fs::remove_dir_all(&dir);
     }
@@ -555,8 +629,7 @@ mod tests {
         assert_eq!(events_of(&a), events_of(&trace));
 
         // A malformed payload is refused identically.
-        let head = stream_start(&payload, &trace);
-        assert!(decode(Blob::owned(payload[..head - 1].to_vec())).is_none());
+        assert!(decode(Blob::owned(payload[..payload.len() - 1].to_vec())).is_none());
     }
 
     #[test]
@@ -566,16 +639,31 @@ mod tests {
         let key = TraceKey::new("corrupt", &p, &layout, &cfg);
         let trace = CapturedTrace::capture(&p, &layout, &cfg).unwrap();
 
-        // The codec: a payload cut anywhere before the stream, or with an
-        // unknown stop reason, is malformed.
+        // The codec: a payload cut anywhere, with trailing bytes, with a
+        // stream length past the side table, or with an unknown stop
+        // reason, is malformed.
         let payload = encode(&trace);
-        for cut in 0..stream_start(&payload, &trace) {
+        for cut in 0..payload.len() {
             let short = Blob::owned(payload[..cut].to_vec());
             assert!(decode(short).is_none(), "payload truncated at {cut}");
         }
+        let body = payload.len() - TRAILER;
+        let mut long = payload[..body].to_vec();
+        long.push(0);
+        long.extend_from_slice(&payload[body..]);
+        assert!(
+            decode(Blob::owned(long)).is_none(),
+            "a byte after the side table"
+        );
+        let mut past = payload.clone();
+        past[body..].copy_from_slice(&(body as u64 + 1).to_le_bytes());
+        assert!(
+            decode(Blob::owned(past)).is_none(),
+            "stream length past the end"
+        );
         let mut rd = Rd {
             buf: &payload,
-            pos: 0,
+            pos: trace.stream.len(),
         };
         for _ in 0..3 {
             rd.varint().unwrap();
@@ -610,6 +698,43 @@ mod tests {
             wrong[4..8].copy_from_slice(&v.to_le_bytes());
             refused(&wrong, format!("version {v}"));
         }
+        let _ = fs::remove_dir_all(tier.blobs().root());
+    }
+
+    #[test]
+    fn a_v6_file_is_refused_and_deleted() {
+        // A whole, well-framed file in the previous layout (side table
+        // first, then the stream, no trailer), under the key's own name:
+        // the version check refuses it before the codec sees it.
+        let (p, layout) = sample_program();
+        let cfg = RunConfig::default();
+        let key = TraceKey::new("v6", &p, &layout, &cfg);
+        let trace = CapturedTrace::capture(&p, &layout, &cfg).unwrap();
+        let tail = encode_tail(&trace.slots, trace.stats, trace.events, trace.stream.len());
+        let mut v6 = tail[..tail.len() - TRAILER].to_vec();
+        v6.extend_from_slice(&trace.stream);
+
+        let tier = DiskTier::new(tempdir("v6"), 64 * 1024 * 1024).unwrap();
+        let old = BlobStore::new(
+            tier.blobs().root(),
+            u64::MAX,
+            Frame {
+                version: 6,
+                ..FRAME
+            },
+        )
+        .unwrap();
+        let echo = echo(&key);
+        old.put(&name(&key, &echo), &echo, &v6).unwrap();
+        let path = tier.path_for(&key);
+        assert!(path.exists());
+        let (loaded, report) = vp_trace::scoped(|| tier.load(&key));
+        assert!(loaded.is_none(), "a v6 file is never decoded");
+        assert!(!path.exists(), "the v6 file is deleted");
+        assert_eq!(report.counter("trace_store.disk_hits"), 0);
+        // The healed slot takes a v7 write.
+        tier.store(&key, &trace).unwrap();
+        assert_eq!(events_of(&tier.load(&key).unwrap()), events_of(&trace));
         let _ = fs::remove_dir_all(tier.blobs().root());
     }
 

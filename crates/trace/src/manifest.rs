@@ -1,6 +1,7 @@
 //! Per-run manifests: one JSON object capturing everything needed to
 //! reproduce and diff a bench run — binary name, config, scale/seed,
-//! per-stage wall times, counter totals, and the emitted tables/figures.
+//! per-stage wall times, counter totals, the process's peak resident set
+//! (`peak_rss_mb`, Linux only), and the emitted tables/figures.
 
 use crate::json::Json;
 use std::time::Instant;
@@ -66,15 +67,20 @@ impl Manifest {
     }
 
     /// Captures the current global counter totals, aggregated span wall
-    /// times (flat and tree), the sequence ceiling, run duration, and a
-    /// bounded flight-recorder tail into the manifest. When the flight
-    /// recorder is disabled (`VP_FLIGHT_EVENTS=0`) an all-zero `flight`
-    /// object is stamped in place of the tail.
+    /// times (flat and tree), the sequence ceiling, run duration, the
+    /// process's peak resident set so far ([`peak_rss_mb`], omitted where
+    /// the host does not report it), and a bounded flight-recorder tail
+    /// into the manifest. When the flight recorder is disabled
+    /// (`VP_FLIGHT_EVENTS=0`) an all-zero `flight` object is stamped in
+    /// place of the tail.
     pub fn stamp(&mut self) -> &mut Manifest {
         self.root.set(
             "duration_ms",
             Json::F64(self.started.elapsed().as_secs_f64() * 1e3),
         );
+        if let Some(mb) = peak_rss_mb() {
+            self.root.set("peak_rss_mb", Json::F64(mb));
+        }
         self.root.set("seq", Json::U64(crate::seq_ceiling()));
         let mut spans = Json::obj();
         for (name, (count, nanos)) in crate::spans_snapshot() {
@@ -160,6 +166,26 @@ impl Manifest {
         crate::emit_manifest(&line);
         line
     }
+}
+
+/// The process's peak resident set so far, in MiB: `VmHWM` of
+/// `/proc/self/status`. `None` off Linux or when the file cannot be read
+/// or parsed.
+pub fn peak_rss_mb() -> Option<f64> {
+    if !cfg!(target_os = "linux") {
+        return None;
+    }
+    parse_vm_hwm(&std::fs::read_to_string("/proc/self/status").ok()?)
+}
+
+/// The `VmHWM:` line of a `/proc/<pid>/status` text, in MiB.
+fn parse_vm_hwm(status: &str) -> Option<f64> {
+    let mut fields = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))?
+        .split_whitespace();
+    let kb: u64 = fields.next()?.parse().ok()?;
+    (fields.next()? == "kB").then_some(kb as f64 / 1024.0)
 }
 
 /// Parses one JSONL line as a `vp-manifest/2` manifest object.
@@ -268,6 +294,33 @@ mod tests {
             "nested path present in span_tree: {}",
             m.render()
         );
+    }
+
+    #[test]
+    fn vm_hwm_parses_from_status_text() {
+        let status = "Name:\tsweep\nVmPeak:\t  912344 kB\nVmSize:\t  900000 kB\n\
+                      VmHWM:\t   81920 kB\nVmRSS:\t   40960 kB\nThreads:\t3\n";
+        assert_eq!(parse_vm_hwm(status), Some(80.0));
+        assert_eq!(parse_vm_hwm("VmHWM:  1536 kB"), Some(1.5));
+        // Absent, unparsable, or in a unit the kernel does not use.
+        assert_eq!(parse_vm_hwm("VmRSS:\t 40960 kB\n"), None);
+        assert_eq!(parse_vm_hwm("VmHWM:\t lots kB\n"), None);
+        assert_eq!(parse_vm_hwm("VmHWM:\t 81920\n"), None);
+        assert_eq!(parse_vm_hwm("VmHWM:\t 81920 MB\n"), None);
+        assert_eq!(parse_vm_hwm(""), None);
+    }
+
+    #[test]
+    fn stamp_records_peak_rss_on_linux() {
+        let mut m = Manifest::new("x");
+        m.stamp();
+        let j = Json::parse(&m.render()).unwrap();
+        let rss = j.get("peak_rss_mb").and_then(Json::as_f64);
+        if cfg!(target_os = "linux") {
+            assert!(rss.is_some_and(|mb| mb > 0.0), "{}", m.render());
+        } else {
+            assert_eq!(rss, None);
+        }
     }
 
     #[test]

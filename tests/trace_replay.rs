@@ -426,3 +426,86 @@ fn replay_hands_sinks_the_live_event_stream_across_the_suite() {
         });
     }
 }
+
+/// Order-sensitive digest of every field of every event a sink sees.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct Digest {
+    events: u64,
+    hash: u64,
+}
+
+impl Sink for Digest {
+    fn retire(&mut self, e: vacuum_packing::exec::ColEvent) {
+        self.events += 1;
+        let loc = u64::from(e.loc.func.0) << 32 | u64::from(e.loc.block.0);
+        for v in [u64::from(e.flags), e.addr, e.exec, e.mem, e.target, loc] {
+            self.hash = (self.hash ^ v).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// A disk-backed capture releases its pages behind every replay pass and
+/// faults them back in unchanged. For a real workload whose stream spans
+/// several release windows, the capture recorded straight into the disk
+/// tier and the same capture loaded back by a fresh store each replay to
+/// the live run's exact events: once, again after the first pass released
+/// everything, and from two threads at once, each releasing pages the
+/// other may still be reading.
+#[test]
+fn released_disk_traces_replay_bit_identical_to_the_live_capture() {
+    use std::sync::Barrier;
+    let cfg = RunConfig::default();
+    let program = vacuum_packing::workloads::twolf::build(1);
+    let layout = Layout::natural(&program);
+    let mut live = Digest::default();
+    Executor::new(&program, &layout)
+        .run(&mut live, &cfg)
+        .expect("live run");
+
+    let dir = tmp_dir("release");
+    let key = TraceKey::new("300.twolf A", &program, &layout, &cfg);
+    let store = || {
+        TraceStore::with_capacity_mb(64)
+            .with_disk(Some(DiskTier::new(&dir, u64::MAX).expect("tier")))
+    };
+    let (recorded, report) = trace::scoped(|| store().obtain(key.clone(), &program, &layout, &cfg));
+    assert_eq!(report.counter("trace_store.captures"), 1);
+    let (loaded, report) = trace::scoped(|| store().obtain(key.clone(), &program, &layout, &cfg));
+    assert_eq!(
+        report.counter("trace_store.disk_hits"),
+        1,
+        "loaded from disk"
+    );
+    let (recorded, loaded) = (recorded.expect("capture"), loaded.expect("load"));
+    assert!(
+        loaded.bytes() > 4 << 20,
+        "{} bytes span too few release windows",
+        loaded.bytes()
+    );
+
+    let digest = |t: &CapturedTrace| {
+        let mut d = Digest::default();
+        t.replay(&mut d);
+        d
+    };
+    for (what, t) in [("recorded", &recorded), ("loaded", &loaded)] {
+        for pass in 0..2 {
+            assert_eq!(digest(t), live, "{what}: pass {pass}");
+        }
+        let barrier = Barrier::new(2);
+        std::thread::scope(|s| {
+            let racers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        digest(t)
+                    })
+                })
+                .collect();
+            for r in racers {
+                assert_eq!(r.join().expect("replay thread"), live, "{what}: concurrent");
+            }
+        });
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
