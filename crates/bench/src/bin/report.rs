@@ -317,7 +317,7 @@ fn main() {
     println!("region identification, so a stale profile can only lose coverage, never");
     println!("correctness. Captures come warm from the trace store shared with the");
     println!("sections above. Standalone:");
-    println!("`VP_DIFF=strict cargo run --release -p bench --bin sweep -- cross --timing`.");
+    println!("`cargo run --release -p bench --bin sweep -- cross --timing`.");
     println!();
     let cross = cross_cells(Some(&machine), &[], &[], &[]);
     println!("| family | eval | profile | kind | coverage % | speedup | phases | diff |");
@@ -412,7 +412,7 @@ fn main() {
     println!("## Divergence audit — differential replay of packed binaries");
     println!();
     println!("Not a paper figure: every packed run above was differentially replayed");
-    println!("against the original capture (`vp_exec::diff`, knob `VP_DIFF`). Packed");
+    println!("against the original capture (`vp_exec::diff`, strict on every run). Packed");
     println!("locations fold back to original blocks through the rewriter's provenance");
     println!("metadata; exit-block and launch-stub events are expected divergences and");
     println!("are dropped; everything else must align visit-for-visit. A `diverged`");

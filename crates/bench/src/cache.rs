@@ -10,7 +10,6 @@
 //! `sweep` and `sweep cross` cell lists side by side.
 
 use vacuum_packing::core::PackConfig;
-use vacuum_packing::exec::diff::DiffMode;
 use vacuum_packing::exec::{RunConfig, TraceKey};
 use vacuum_packing::hsd::{FilterConfig, HsdConfig, MergeConfig};
 use vacuum_packing::isa::Fnv;
@@ -85,11 +84,6 @@ pub(crate) fn cell_config_fp(
         }
         None => h.write_bool(false),
     }
-    h.write_u64(match DiffMode::from_env() {
-        DiffMode::Off => 0,
-        DiffMode::Report => 1,
-        DiffMode::Strict => 2,
-    });
     h.finish()
 }
 

@@ -18,7 +18,7 @@
 
 use std::collections::BTreeMap;
 use vacuum_packing::core::PackConfig;
-use vacuum_packing::exec::{DiffMode, DiffVerdict};
+use vacuum_packing::exec::DiffVerdict;
 use vacuum_packing::hsd::{MergeConfig, MergedProfile, Phase};
 use vacuum_packing::metrics::{
     ClaimTable, ConfigOutcome, Evaluation, ProfiledWorkload, ResultCache, ResultKey,
@@ -200,7 +200,7 @@ pub(crate) fn run(
         .map(|(i, c)| (c.key.clone(), i))
         .collect();
     let miss = if cache.is_some() { "miss" } else { "-" };
-    let table = ClaimTable::shared(&OptConfig::default(), machine, DiffMode::from_env());
+    let table = ClaimTable::shared(&OptConfig::default(), machine);
     let results = parallel_sweep_scoped(what, jobs, |&i| {
         if let Some(out) = &cached[i] {
             // Cached cell: no profile, replay, or simulation ran.

@@ -17,11 +17,11 @@
 //!
 //! This module only lists those cells; the cell engine
 //! (`bench::cells`) that runs the standard sweep evaluates them.
-//! Every cell runs under the `VP_DIFF` mode of the environment; foreign
-//! phases whose branch addresses do not resolve in the evaluation
-//! layout are dropped by region identification, so transfer degrades
-//! coverage at worst — differential replay still proves the packed
-//! binary does the original's architectural work.
+//! Every cell is strictly diffed; foreign phases whose branch addresses
+//! do not resolve in the evaluation layout are dropped by region
+//! identification, so transfer degrades coverage at worst — differential
+//! replay still proves the packed binary does the original's
+//! architectural work.
 
 use std::collections::BTreeSet;
 use vacuum_packing::core::PackConfig;

@@ -30,10 +30,6 @@
 //!   processes, so warmed reruns and sharded sweeps skip live execution;
 //! * `VP_SHARD` — `i/n` cell partition for the `sweep` binary (see
 //!   [`sweep::ShardSpec`]); shard manifests are joined by `sweep merge`;
-//! * `VP_DIFF` — `off`, `report` (default), or `strict` differential
-//!   replay of every packed binary against its original capture (see
-//!   `vp_exec::diff`); `strict` panics the evaluating cell — and thereby
-//!   fails the sweep — on any unexplained divergence;
 //! * `VP_MERGE_WEIGHT` — `retired` (default) or `uniform` weighting of
 //!   per-run counts when merging profiles (see
 //!   `vp_hsd::merge::Weighting`).
@@ -50,7 +46,7 @@ pub mod sweep;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, Weak};
-use vacuum_packing::exec::{CapturedTrace, DiffMode, RunConfig, TraceKey};
+use vacuum_packing::exec::{CapturedTrace, RunConfig, TraceKey};
 use vacuum_packing::hsd::{HsdConfig, Phase};
 use vacuum_packing::metrics::{profile, BranchCounts, ClaimTable, ProfiledWorkload, TextTable};
 use vacuum_packing::program::Layout;
@@ -509,7 +505,7 @@ pub fn evaluate_matrix(
         .flat_map(|w| (0..configs.len()).map(move |c| (w, c)))
         .map(|(w, c)| (format!("{} [config {c}]", profiled[w].label), (w, c)))
         .collect();
-    let table = ClaimTable::shared(&OptConfig::default(), machine, DiffMode::from_env());
+    let table = ClaimTable::shared(&OptConfig::default(), machine);
     let results = parallel_sweep(cells, |&(w, c)| {
         table
             .evaluate(&profiled[w], &configs[c])

@@ -14,10 +14,12 @@
 //! * **history-aware** (`--history DIR`): a span fails when it lands
 //!   above the tolerance band of its last-K warehoused runs — median +
 //!   max(3·MAD, `max_pct`) (see [`crate::history`]). One noisy baseline
-//!   sample no longer decides the verdict; spans without enough history
-//!   fall back to the single-baseline rule.
+//!   sample no longer decides the verdict.
+//!
+//! Both are one rule: a span without enough history is judged against
+//! the one-sample band of its old-manifest time, whose MAD is 0.
 
-use crate::history::{Band, RunRecord, GATE_K, GATE_LAST_K, GATE_MIN_SAMPLES};
+use crate::history::{self, Band, RunRecord, GATE_K, GATE_LAST_K, GATE_MIN_SAMPLES};
 use std::collections::BTreeMap;
 use vp_trace::Json;
 
@@ -210,37 +212,33 @@ impl ManifestDiff {
     /// Span-gate failure descriptions under the history-aware rule.
     ///
     /// Each span on the new side is judged against its tolerance band in
-    /// `bands` when one exists (`new > band.ceil` fails; bands whose
-    /// median is below [`MIN_GATED_SPAN_MS`] never gate), and against
-    /// the single-baseline `max_pct` rule otherwise. Returns one line
-    /// per failing span; empty means the gate passes.
+    /// `bands` when one exists, and otherwise against the one-sample band
+    /// of its old-manifest time. MAD is 0 there, so its ceiling is
+    /// `old·(1 + max_pct/100)`: the single-baseline rule. `new >
+    /// band.ceil` fails; bands whose median is below
+    /// [`MIN_GATED_SPAN_MS`] never gate. Returns one line per failing
+    /// span; empty means the gate passes.
     pub fn gate_failures(&self, bands: &BTreeMap<String, Band>, max_pct: f64) -> Vec<String> {
         let mut out = Vec::new();
         for s in &self.spans {
             let Some(new) = s.new_ms else { continue };
-            match bands.get(&s.name) {
-                Some(band) if band.median >= MIN_GATED_SPAN_MS => {
-                    let ceil = band.ceil(GATE_K, max_pct / 100.0);
-                    if new > ceil {
-                        out.push(format!(
-                            "span {} = {new:.3} ms exceeds history band ceil {ceil:.3} ms \
-                             (median {:.3} ms, MAD {:.3}, n={})",
-                            s.name, band.median, band.mad, band.n
-                        ));
-                    }
-                }
-                Some(_) => {}
-                None => {
-                    if let Some(pct) = s.gated_pct() {
-                        if pct > max_pct {
-                            out.push(format!(
-                                "span {} regressed {pct:+.1}% vs the old manifest \
-                                 (gate {max_pct:.0}%, no history band)",
-                                s.name
-                            ));
-                        }
-                    }
-                }
+            let (band, source) = match bands.get(&s.name) {
+                Some(band) => (*band, "history band"),
+                None => match s.old_ms.and_then(|old| history::band(&[old])) {
+                    Some(band) => (band, "old-manifest band"),
+                    None => continue,
+                },
+            };
+            if band.median < MIN_GATED_SPAN_MS {
+                continue;
+            }
+            let ceil = band.ceil(GATE_K, max_pct / 100.0);
+            if new > ceil {
+                out.push(format!(
+                    "span {} = {new:.3} ms exceeds {source} ceil {ceil:.3} ms \
+                     (median {:.3} ms, MAD {:.3}, n={})",
+                    s.name, band.median, band.mad, band.n
+                ));
             }
         }
         out
@@ -488,7 +486,8 @@ mod tests {
         let d = diff_manifests(&old, &new);
         let failures = d.gate_failures(&bands, 25.0);
         assert_eq!(failures.len(), 1);
-        assert!(failures[0].contains("no history band"), "{failures:?}");
+        assert!(failures[0].contains("old-manifest band"), "{failures:?}");
+        assert!(failures[0].contains("n=1"), "{failures:?}");
         // And with no bands at all, behaves exactly like the old gate.
         let none = BTreeMap::new();
         assert_eq!(d.gate_failures(&none, 25.0).len(), 1);

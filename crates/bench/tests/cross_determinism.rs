@@ -19,7 +19,6 @@ fn sweep(args: &[&str], envs: &[(&str, &str)]) -> Output {
         "VP_TRACE",
         "VP_TRACE_DIR",
         "VP_TRACE_DISK_MB",
-        "VP_DIFF",
         "VP_MERGE_WEIGHT",
     ] {
         cmd.env_remove(var);
@@ -44,8 +43,7 @@ fn stdout(out: &Output) -> String {
 #[test]
 fn strict_cross_report_is_byte_identical_across_runs() {
     let args = ["cross", "--only", "130.li"];
-    let envs = [("VP_DIFF", "strict")];
-    let first = stdout(&sweep(&args, &envs));
+    let first = stdout(&sweep(&args, &[]));
     // The second run also traces, which must not change the report, and
     // runs two workers, so a twin cell may finish before its leader.
     let mf_path =
@@ -53,7 +51,7 @@ fn strict_cross_report_is_byte_identical_across_runs() {
     let spec = format!("json:{}", mf_path.display());
     let second = stdout(&sweep(
         &["cross", "--jobs", "2", "--only", "130.li"],
-        &[("VP_DIFF", "strict"), ("VP_TRACE", spec.as_str())],
+        &[("VP_TRACE", spec.as_str())],
     ));
     assert_eq!(
         first, second,

@@ -18,7 +18,6 @@ fn sweep(args: &[&str], envs: &[(&str, &str)]) -> Output {
         "VP_TRACE",
         "VP_TRACE_DIR",
         "VP_TRACE_DISK_MB",
-        "VP_DIFF",
         "VP_MERGE_WEIGHT",
         "VP_THREADS",
         "VP_HISTORY_DIR",
@@ -47,18 +46,12 @@ fn stdout(out: &Output) -> String {
 #[test]
 fn history_leaves_the_strict_report_byte_identical() {
     let args = ["--only", "gzip"];
-    let plain = stdout(&sweep(&args, &[("VP_DIFF", "strict")]));
+    let plain = stdout(&sweep(&args, &[]));
     assert!(plain.contains("Sweep report"), "{plain}");
 
     let hist = tmp_path("warehouse");
     let _ = std::fs::remove_dir_all(&hist);
-    let warehoused = stdout(&sweep(
-        &args,
-        &[
-            ("VP_DIFF", "strict"),
-            ("VP_HISTORY_DIR", hist.to_str().unwrap()),
-        ],
-    ));
+    let warehoused = stdout(&sweep(&args, &[("VP_HISTORY_DIR", hist.to_str().unwrap())]));
     assert_eq!(
         warehoused, plain,
         "the warehouse side channel must never change the report"

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use bench::cross::{cross_cells, render_cross_report};
 use bench::sweep::sweep_cells;
 use vacuum_packing::core::PackConfig;
-use vacuum_packing::exec::{CapturedTrace, DiffMode, RunConfig};
+use vacuum_packing::exec::{CapturedTrace, RunConfig};
 use vacuum_packing::isa::Reg;
 use vacuum_packing::metrics::{BranchCounts, ClaimTable, ProfiledWorkload};
 use vacuum_packing::opt::OptConfig;
@@ -175,7 +175,7 @@ fn cross_after_sweep_reuses_profiles_and_claims() {
         raw_detections: 0,
         trace: Arc::new(trace),
     };
-    let table = ClaimTable::shared(&OptConfig::default(), None, DiffMode::Report);
+    let table = ClaimTable::shared(&OptConfig::default(), None);
     for sweep in 0..2 {
         let (result, report) = vp_trace::scoped(|| table.evaluate(&pw, &PackConfig::default()));
         assert!(

@@ -35,7 +35,6 @@ fn sweep(args: &[&str], envs: &[(&str, &str)]) -> Output {
         "VP_TRACE",
         "VP_TRACE_DIR",
         "VP_TRACE_DISK_MB",
-        "VP_DIFF",
         "VP_MERGE_WEIGHT",
         "VP_THREADS",
     ] {
@@ -82,10 +81,9 @@ fn with_jobs(jobs: &'static str) -> Vec<&'static str> {
 #[test]
 fn jobs_count_never_changes_the_strict_sweep_report() {
     let args = ONLY;
-    let strict = [("VP_DIFF", "strict")];
-    let sequential = stdout(&sweep(&args, &[("VP_DIFF", "strict"), ("VP_THREADS", "1")]));
-    let one = stdout(&sweep(&with_jobs("1"), &strict));
-    let eight = stdout(&sweep(&with_jobs("8"), &strict));
+    let sequential = stdout(&sweep(&args, &[("VP_THREADS", "1")]));
+    let one = stdout(&sweep(&with_jobs("1"), &[]));
+    let eight = stdout(&sweep(&with_jobs("8"), &[]));
     assert!(sequential.contains("Sweep report"), "{sequential}");
     assert_eq!(
         one, sequential,
@@ -97,7 +95,7 @@ fn jobs_count_never_changes_the_strict_sweep_report() {
     );
 
     // The env-knob spelling of the same worker count is equivalent.
-    let via_env = stdout(&sweep(&args, &[("VP_DIFF", "strict"), ("VP_THREADS", "8")]));
+    let via_env = stdout(&sweep(&args, &[("VP_THREADS", "8")]));
     assert_eq!(via_env, sequential, "VP_THREADS=8 equals --jobs 8");
 }
 
@@ -105,9 +103,8 @@ fn jobs_count_never_changes_the_strict_sweep_report() {
 fn jobs_count_never_changes_the_cross_report() {
     let args =
         |jobs: &'static str| vec!["cross", "--jobs", jobs, "--only", "130.li", "--eval", "A"];
-    let strict = [("VP_DIFF", "strict")];
-    let one = stdout(&sweep(&args("1"), &strict));
-    let eight = stdout(&sweep(&args("8"), &strict));
+    let one = stdout(&sweep(&args("1"), &[]));
+    let eight = stdout(&sweep(&args("8"), &[]));
     assert!(one.contains("Cross-input"), "{one}");
     assert_eq!(
         eight, one,

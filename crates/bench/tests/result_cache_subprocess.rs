@@ -20,7 +20,6 @@ fn sweep(args: &[&str], envs: &[(&str, &str)]) -> Output {
         "VP_TRACE",
         "VP_TRACE_DIR",
         "VP_TRACE_DISK_MB",
-        "VP_DIFF",
         "VP_MERGE_WEIGHT",
         "VP_RESULT_DIR",
         "VP_RESULT_MB",
@@ -74,13 +73,12 @@ fn warm_sweep_is_byte_identical_and_skips_all_work() {
     let args = ["--only", "130.li", "--timing"];
 
     // No-cache reference first: the cache must never change the report.
-    let uncached = stdout(&sweep(&args, &[("VP_DIFF", "strict")]));
+    let uncached = stdout(&sweep(&args, &[]));
 
     let cold_mf = dir.join("cold.jsonl");
     let cold = stdout(&sweep(
         &args,
         &[
-            ("VP_DIFF", "strict"),
             ("VP_RESULT_DIR", cache),
             ("VP_TRACE", &format!("json:{}", cold_mf.display())),
         ],
@@ -96,7 +94,6 @@ fn warm_sweep_is_byte_identical_and_skips_all_work() {
     let warm = stdout(&sweep(
         &args,
         &[
-            ("VP_DIFF", "strict"),
             ("VP_RESULT_DIR", cache),
             ("VP_TRACE", &format!("json:{}", warm_mf.display())),
         ],
@@ -130,7 +127,7 @@ fn warm_sweep_is_byte_identical_and_skips_all_work() {
     // Parallelism must not change a warm report either.
     let warm8 = stdout(&sweep(
         &["--only", "130.li", "--timing", "--jobs", "8"],
-        &[("VP_DIFF", "strict"), ("VP_RESULT_DIR", cache)],
+        &[("VP_RESULT_DIR", cache)],
     ));
     assert_eq!(cold, warm8, "--jobs 8 warm report must match");
 }
@@ -141,18 +138,14 @@ fn warm_cross_is_byte_identical_and_never_profiles() {
     let cache = dir.to_str().unwrap();
     let args = ["cross", "--only", "130.li", "--timing"];
 
-    let uncached = stdout(&sweep(&args, &[("VP_DIFF", "strict")]));
-    let cold = stdout(&sweep(
-        &args,
-        &[("VP_DIFF", "strict"), ("VP_RESULT_DIR", cache)],
-    ));
+    let uncached = stdout(&sweep(&args, &[]));
+    let cold = stdout(&sweep(&args, &[("VP_RESULT_DIR", cache)]));
     assert_eq!(uncached, cold, "a cold cached cross must match no-cache");
 
     let warm_mf = dir.join("warm.jsonl");
     let warm = stdout(&sweep(
         &args,
         &[
-            ("VP_DIFF", "strict"),
             ("VP_RESULT_DIR", cache),
             ("VP_TRACE", &format!("json:{}", warm_mf.display())),
         ],
@@ -174,21 +167,18 @@ fn warm_cross_is_byte_identical_and_never_profiles() {
 }
 
 #[test]
-fn knob_changes_miss_instead_of_serving_stale_results() {
+fn a_stray_diff_knob_is_ignored() {
     let dir = tempdir("knobs");
     let cache = dir.to_str().unwrap();
     let args = ["--only", "130.li", "--timing"];
 
-    let _ = stdout(&sweep(
-        &args,
-        &[("VP_DIFF", "strict"), ("VP_RESULT_DIR", cache)],
-    ));
+    let cold = stdout(&sweep(&args, &[("VP_RESULT_DIR", cache)]));
 
-    // A different diff mode is a different config fingerprint: every
-    // cell must re-evaluate (and the report renders a different diff
-    // column), not hit the strict-mode entries.
-    let mf = dir.join("report-mode.jsonl");
-    let _ = stdout(&sweep(
+    // Every packed run is strict-checked and the retired diff-mode knob
+    // is read by nothing: setting it leaves the config fingerprint alone,
+    // so a warm rerun serves every cell and renders the same verdicts.
+    let mf = dir.join("stray-knob.jsonl");
+    let warm = stdout(&sweep(
         &args,
         &[
             ("VP_DIFF", "off"),
@@ -196,11 +186,14 @@ fn knob_changes_miss_instead_of_serving_stale_results() {
             ("VP_TRACE", &format!("json:{}", mf.display())),
         ],
     ));
+    assert_eq!(cold, warm, "a stray knob must not change the report");
     let line = manifest_line(&mf);
     assert!(
-        line.contains("\"result_cache\":{\"hits\":0,\"misses\":12"),
-        "VP_DIFF change must miss every cell: {line}"
+        line.contains("\"result_cache\":{\"hits\":12,\"misses\":0,"),
+        "a stray knob must hit every cell: {line}"
     );
+    let clean = warm.lines().filter(|l| l.ends_with("  clean")).count();
+    assert_eq!(clean, 12, "every cell renders clean:\n{warm}");
 }
 
 #[test]
@@ -212,7 +205,7 @@ fn one_result_dir_serves_both_drivers() {
     let cache = dir.to_str().unwrap();
     let sweep_args = ["--only", "130.li"];
     let cross_args = ["cross", "--only", "130.li"];
-    let envs = [("VP_DIFF", "strict"), ("VP_RESULT_DIR", cache)];
+    let envs = [("VP_RESULT_DIR", cache)];
     let cold_sweep = stdout(&sweep(&sweep_args, &envs));
     let cold_cross = stdout(&sweep(&cross_args, &envs));
 
@@ -224,11 +217,7 @@ fn one_result_dir_serves_both_drivers() {
         let spec = format!("json:{}", mf.display());
         let warm = stdout(&sweep(
             args,
-            &[
-                ("VP_DIFF", "strict"),
-                ("VP_RESULT_DIR", cache),
-                ("VP_TRACE", spec.as_str()),
-            ],
+            &[("VP_RESULT_DIR", cache), ("VP_TRACE", spec.as_str())],
         ));
         assert_eq!(cold, &warm, "{args:?}: warm report must be byte-identical");
         let line = manifest_line(&mf);

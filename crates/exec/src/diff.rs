@@ -38,9 +38,10 @@
 //! the expected and actual visit, and the packed side's package/phase
 //! attribution. Both streams are then drained, so visit totals and the
 //! packed side's drop and migration counts always cover the whole run.
-//! [`DiffMode::from_env`] reads the `VP_DIFF` knob (`off` / `report` /
-//! `strict`); callers (the `vp-metrics` harness) decide whether a
-//! divergence is fatal.
+//! Callers pass a [`DiffMode`] to say whether a divergence is fatal: the
+//! `vp-metrics` harness measures every packed run under
+//! [`DiffMode::Strict`], and tests use [`DiffMode::Report`] to inspect a
+//! diverged outcome without unwinding.
 //!
 //! The alignment assumes the optimizer preserved the rewriter's
 //! block-level structure: in-block rescheduling and relayout are fine,
@@ -75,42 +76,15 @@ static H_MIGRATION_GAP: Histogram = Histogram::new("diff.migration_gap");
 /// Aligned-visit run length per diff run (the full sequence when clean).
 static H_ALIGN_RUN: Histogram = Histogram::new("diff.alignment_run");
 
-/// How the harness reacts to packed-run divergences (`VP_DIFF`).
+/// How the harness reacts to a packed-run divergence. Every packed run
+/// is diffed either way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DiffMode {
-    /// Skip differential replay entirely.
-    Off,
-    /// Diff every packed run; record divergences in counters and report
-    /// sections but keep going.
+    /// Record divergences in counters and the outcome's report, but keep
+    /// going.
     Report,
-    /// Diff every packed run; an unexplained divergence is fatal.
+    /// An unexplained divergence is fatal.
     Strict,
-}
-
-impl DiffMode {
-    /// Parses one mode name (`off`, `report`, `strict`).
-    pub fn parse(s: &str) -> Option<DiffMode> {
-        match s {
-            "off" => Some(DiffMode::Off),
-            "report" => Some(DiffMode::Report),
-            "strict" => Some(DiffMode::Strict),
-            _ => None,
-        }
-    }
-
-    /// Reads `VP_DIFF`; unset defaults to [`DiffMode::Report`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on a set-but-unrecognized value — a typo silently disabling
-    /// the correctness check would defeat its purpose.
-    pub fn from_env() -> DiffMode {
-        match std::env::var("VP_DIFF") {
-            Ok(s) => DiffMode::parse(s.trim())
-                .unwrap_or_else(|| panic!("VP_DIFF must be off|report|strict, got {s:?}")),
-            Err(_) => DiffMode::Report,
-        }
-    }
 }
 
 /// Provenance of one packed-program block, as recorded by the rewriter.
@@ -1063,14 +1037,6 @@ mod tests {
         let mut none = ContextRing::new(0);
         none.extend(&visits);
         assert!(none.buf.is_empty());
-    }
-
-    #[test]
-    fn mode_parsing() {
-        assert_eq!(DiffMode::parse("off"), Some(DiffMode::Off));
-        assert_eq!(DiffMode::parse("report"), Some(DiffMode::Report));
-        assert_eq!(DiffMode::parse("strict"), Some(DiffMode::Strict));
-        assert_eq!(DiffMode::parse("bogus"), None);
     }
 
     #[test]

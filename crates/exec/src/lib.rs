@@ -97,8 +97,8 @@
 //! else must align visit-for-visit or the run is flagged with
 //! first-divergence forensics. The [`Differ`] is a [`Sink`] over the packed
 //! stream, so it rides the same replay as the packed run's other
-//! consumers; [`diff_traces`] is that replay on its own. See the `VP_DIFF`
-//! knob ([`DiffMode::from_env`]).
+//! consumers; [`diff_traces`] is that replay on its own. A [`DiffMode`]
+//! says whether a divergence is fatal.
 
 #![warn(missing_docs)]
 

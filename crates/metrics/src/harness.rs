@@ -18,7 +18,7 @@
 //! [`TraceKey::packed`] key (the package-set fingerprint distinguishes
 //! variants), their cycles are timed from replay, and every packed
 //! capture is differentially replayed against the original one
-//! (`vp_exec::diff`, `VP_DIFF` knob) to prove the rewrite did the same
+//! (`vp_exec::diff`), strictly, to prove the rewrite did the same
 //! architectural work. Sweeps evaluate their cells through a
 //! process-wide [`ClaimTable`], which measures each distinct packed
 //! binary once per process.
@@ -86,9 +86,9 @@ impl ProfiledWorkload {
     /// Foreign branch addresses that do not resolve in this layout are
     /// skipped by region identification, so a stale profile can shrink
     /// coverage but never corrupt the packed binary (differential replay
-    /// still proves equivalence under `VP_DIFF`). `source` names the
-    /// profile's provenance in the returned label, which also keys packed
-    /// trace-store entries apart from the same-input ones.
+    /// still proves equivalence). `source` names the profile's provenance
+    /// in the returned label, which also keys packed trace-store entries
+    /// apart from the same-input ones.
     pub fn with_phases(&self, phases: Vec<Phase>, source: &str) -> ProfiledWorkload {
         ProfiledWorkload {
             label: format!("{} [profile: {source}]", self.label),
@@ -193,15 +193,14 @@ pub struct ConfigOutcome {
     pub opt_cycles: Option<u64>,
     /// Speedup over the original binary (when timed).
     pub speedup: Option<f64>,
-    /// Differential-replay result for the packed run (`None` when
-    /// `VP_DIFF=off`).
+    /// Differential-replay result for the packed run. The harness always
+    /// diffs, so every outcome it returns carries `Some`.
     pub diff: Option<DiffReport>,
 }
 
 /// Runs the Vacuum Packing pipeline on a profiled workload under one
-/// configuration, measuring coverage and (optionally) speedup, diffing
-/// the packed run against the original capture per `VP_DIFF`
-/// ([`DiffMode::from_env`]).
+/// configuration, measuring coverage and (optionally) speedup, and
+/// strictly diffing the packed run against the original capture.
 ///
 /// Nothing executes live more than once per key: the packed binary's
 /// retired stream goes through [`TraceStore::global`] under a
@@ -218,19 +217,19 @@ pub struct ConfigOutcome {
 ///
 /// # Panics
 ///
-/// Panics under `VP_DIFF=strict` when the packed run diverges from the
-/// original, with first-divergence forensics in the message.
+/// Panics when the packed run diverges from the original, with
+/// first-divergence forensics in the message.
 pub fn evaluate(
     pw: &ProfiledWorkload,
     cfg: &PackConfig,
     opt_cfg: &OptConfig,
     machine: Option<&MachineConfig>,
 ) -> Result<ConfigOutcome, ExecError> {
-    evaluate_with_diff(pw, cfg, opt_cfg, machine, DiffMode::from_env())
+    evaluate_with_diff(pw, cfg, opt_cfg, machine, DiffMode::Strict)
 }
 
-/// [`evaluate`] with an explicit diff mode (instead of `VP_DIFF`) —
-/// the environment-independent form tests use.
+/// [`evaluate`] with an explicit diff mode; [`DiffMode::Report`] returns
+/// a diverged outcome instead of panicking.
 ///
 /// One evaluation is three steps: `prepare` (pack, optimize, identity
 /// map), `measure` (one replay of the packed capture into coverage,
@@ -253,7 +252,7 @@ pub fn evaluate_with_diff(
     diff_mode: DiffMode,
 ) -> Result<ConfigOutcome, ExecError> {
     let prep = prepare(pw, cfg, opt_cfg, machine);
-    let measured = measure(&prep, &pw.trace, machine, diff_mode)?;
+    let measured = measure(&prep, &pw.trace, machine)?;
     measured.assert_strict(&prep.label, diff_mode);
     Ok(assemble(&prep, measured))
 }
@@ -301,19 +300,20 @@ impl Prepared {
 struct Measured {
     coverage: f64,
     opt_cycles: Option<u64>,
-    diff: Option<DiffReport>,
+    diff: DiffReport,
 }
 
 impl Measured {
-    /// The `VP_DIFF=strict` verdict on this measurement for the cell
-    /// labeled `label`.
+    /// The verdict of `mode` on this measurement for the cell labeled
+    /// `label`.
     fn check_strict(&self, label: &str, mode: DiffMode) -> Result<(), String> {
-        match &self.diff {
-            Some(report) if mode == DiffMode::Strict && !report.is_clean() => Err(format!(
-                "{label}: packed run diverged from the original (VP_DIFF=strict)\n{report}"
-            )),
-            _ => Ok(()),
+        if mode == DiffMode::Strict && !self.diff.is_clean() {
+            return Err(format!(
+                "{label}: packed run diverged from the original (strict diff)\n{}",
+                self.diff
+            ));
         }
+        Ok(())
     }
 
     fn assert_strict(&self, label: &str, mode: DiffMode) {
@@ -394,7 +394,6 @@ fn measure(
     prep: &Prepared,
     original: &CapturedTrace,
     machine: Option<&MachineConfig>,
-    diff_mode: DiffMode,
 ) -> Result<Measured, ExecError> {
     let run_cfg = RunConfig::default();
     let layout = Layout::new(&prep.program, &prep.order);
@@ -407,16 +406,15 @@ fn measure(
     );
     let mut counts = InstCounts::new();
     let mut timing = machine.map(|m| TimingModel::new(*m));
-    // The diff rides the packed replay unless it is off.
-    let mut differ = (diff_mode != DiffMode::Off)
-        .then(|| Differ::new(original, &prep.identity, &DiffOptions::default()));
+    // The diff rides the packed replay.
+    let mut differ = Differ::new(original, &prep.identity, &DiffOptions::default());
     let stats = {
         let _s = vp_trace::span("metrics.evaluate.measure");
         let packed = TraceStore::global().obtain(key, &prep.program, &layout, &run_cfg)?;
         packed.replay(&mut (
             &mut counts,
             timing.as_mut().map(TimingModel::run),
-            differ.as_mut(),
+            &mut differ,
         ))
     };
     debug_assert_eq!(
@@ -425,7 +423,7 @@ fn measure(
         "{}: packed binary must halt",
         prep.label
     );
-    let diff = differ.map(|differ| differ.finish(stats.stop));
+    let diff = differ.finish(stats.stop);
     // Packed cycles come from the same kind of replay as baseline cycles.
     let opt_cycles = timing.map(|t| {
         t.emit_trace();
@@ -448,7 +446,7 @@ fn assemble(prep: &Prepared, measured: Measured) -> ConfigOutcome {
         coverage: measured.coverage,
         opt_cycles: measured.opt_cycles,
         speedup,
-        diff: measured.diff,
+        diff: Some(measured.diff),
         ..prep.outcome.clone()
     }
 }
@@ -471,8 +469,8 @@ static EVAL_SHARED: vp_trace::Counter = vp_trace::Counter::new("metrics.evaluate
 /// parallel join. No worker ever waits on another cell, so a twin
 /// scheduled ahead of its leader cannot stall a worker.
 ///
-/// [`ClaimTable::shared`] hands every sweep of a process the one table of
-/// its `(OptConfig, machine, DiffMode)`. Claims hold their original
+/// [`ClaimTable::shared`] hands every sweep of a process the one strict
+/// table of its `(OptConfig, machine)`. Claims hold their original
 /// capture weakly: a table never keeps a capture alive past the trace
 /// store's budget, and a claim whose capture was dropped matches nothing
 /// and is pruned. A claim whose leader fails before publishing is dropped
@@ -560,23 +558,23 @@ impl ClaimTable {
         }
     }
 
-    /// The process-wide table for `opt_cfg`, `machine` and `diff_mode`,
-    /// created on first use: every sweep of the process that evaluates
-    /// under these settings shares its claims.
-    pub fn shared(
-        opt_cfg: &OptConfig,
-        machine: Option<&MachineConfig>,
-        diff_mode: DiffMode,
-    ) -> Arc<ClaimTable> {
+    /// The process-wide strict table for `opt_cfg` and `machine`, created
+    /// on first use: every sweep of the process that evaluates under these
+    /// settings shares its claims.
+    pub fn shared(opt_cfg: &OptConfig, machine: Option<&MachineConfig>) -> Arc<ClaimTable> {
         static TABLES: Mutex<Vec<Arc<ClaimTable>>> = Mutex::new(Vec::new());
         let mut tables = TABLES.lock().expect("claim tables");
-        let found = tables.iter().find(|t| {
-            t.opt_cfg == *opt_cfg && t.machine.as_ref() == machine && t.diff_mode == diff_mode
-        });
+        let found = tables
+            .iter()
+            .find(|t| t.opt_cfg == *opt_cfg && t.machine.as_ref() == machine);
         if let Some(table) = found {
             return Arc::clone(table);
         }
-        let table = Arc::new(ClaimTable::new(*opt_cfg, machine.copied(), diff_mode));
+        let table = Arc::new(ClaimTable::new(
+            *opt_cfg,
+            machine.copied(),
+            DiffMode::Strict,
+        ));
         tables.push(Arc::clone(&table));
         table
     }
@@ -617,7 +615,7 @@ impl ClaimTable {
             claim
         };
         let leading = Leading { table: self, claim };
-        let measured = measure(&prep, &pw.trace, self.machine.as_ref(), self.diff_mode)?;
+        let measured = measure(&prep, &pw.trace, self.machine.as_ref())?;
         let _ = leading.claim.measured.set(Some(measured.clone()));
         drop(leading);
         measured.assert_strict(&prep.label, self.diff_mode);
@@ -646,13 +644,8 @@ impl ClaimTable {
                     "{label}: the cell measuring its packed binary failed"
                 ))
             }
-            None => measure(
-                &twin.prepared,
-                &twin.original,
-                self.machine.as_ref(),
-                self.diff_mode,
-            )
-            .map_err(|e| format!("{label}: {e}"))?,
+            None => measure(&twin.prepared, &twin.original, self.machine.as_ref())
+                .map_err(|e| format!("{label}: {e}"))?,
         };
         measured.check_strict(label, self.diff_mode)?;
         Ok(assemble(&twin.prepared, measured))
@@ -785,45 +778,18 @@ mod tests {
     }
 
     #[test]
-    fn diff_off_mode_skips_entirely() {
-        let pw = profile("300.twolf A", twolf::build(1), &HsdConfig::table2(), None).unwrap();
-        let out = evaluate_with_diff(
-            &pw,
-            &PackConfig::default(),
-            &OptConfig::default(),
-            None,
-            vp_exec::DiffMode::Off,
-        )
-        .unwrap();
-        assert!(out.diff.is_none());
-    }
-
-    #[test]
     fn packed_runs_replay_from_the_store_on_reevaluation() {
         let pw = profile("300.twolf A", twolf::build(1), &HsdConfig::table2(), None).unwrap();
         let cfg = PackConfig::default();
         // Warm the store for this exact (workload, packed variant) key.
-        evaluate_with_diff(
-            &pw,
-            &cfg,
-            &OptConfig::default(),
-            None,
-            vp_exec::DiffMode::Off,
-        )
-        .unwrap();
+        evaluate_with_diff(&pw, &cfg, &OptConfig::default(), None, DiffMode::Strict).unwrap();
         let (_, report) = vp_trace::scoped(|| {
-            evaluate_with_diff(
-                &pw,
-                &cfg,
-                &OptConfig::default(),
-                None,
-                vp_exec::DiffMode::Off,
-            )
-            .unwrap()
+            evaluate_with_diff(&pw, &cfg, &OptConfig::default(), None, DiffMode::Strict).unwrap()
         });
         assert_eq!(report.counter("trace_store.captures"), 0);
         assert_eq!(report.counter("trace_store.hits"), 1);
-        assert_eq!(report.counter("trace_store.replays"), 1);
+        // The packed replay plus the diff's pull of the original capture.
+        assert_eq!(report.counter("trace_store.replays"), 2);
     }
 
     #[test]
@@ -935,13 +901,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn diverged_measurement_reaches_every_twin() {
-        use vp_exec::DiffVerdict;
+    /// Input A's binary diffed against input B's capture: the packed run
+    /// does A's work, so its diff diverges, and all four cells of 130.li A
+    /// build the same packed binary.
+    fn crossed_li() -> ProfiledWorkload {
         use vp_workloads::li;
-        // Input A's binary diffed against input B's capture: the packed
-        // run does A's work, so the leader's diff diverges, and all four
-        // cells of 130.li A build the same packed binary.
         let a = profile(
             "130.li A",
             li::build(li::Input::A, 1),
@@ -956,10 +920,36 @@ mod tests {
             None,
         )
         .unwrap();
-        let pw = ProfiledWorkload {
+        ProfiledWorkload {
             trace: Arc::clone(&b.trace),
             ..a
-        };
+        }
+    }
+
+    #[test]
+    fn evaluate_is_strict_without_being_asked() {
+        use vp_exec::DiffVerdict;
+        let pw = crossed_li();
+        let cfg = PackConfig::default();
+        let reported =
+            evaluate_with_diff(&pw, &cfg, &OptConfig::default(), None, DiffMode::Report).unwrap();
+        assert_eq!(reported.diff.unwrap().verdict, DiffVerdict::Diverged);
+
+        let panicked = std::panic::catch_unwind(|| {
+            evaluate(&pw, &cfg, &OptConfig::default(), None).unwrap();
+        })
+        .expect_err("evaluate must fail a diverged packed run");
+        let msg = panicked
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .unwrap_or_default();
+        assert!(msg.starts_with("130.li A: packed run diverged"), "{msg}");
+    }
+
+    #[test]
+    fn diverged_measurement_reaches_every_twin() {
+        use vp_exec::DiffVerdict;
+        let pw = crossed_li();
 
         let (reported, report) = vp_trace::scoped(|| claim_matrix(&pw, None, DiffMode::Report));
         assert_eq!(report.counter("diff.runs"), 1);
@@ -982,7 +972,7 @@ mod tests {
         assert_eq!(errors[0], "panicked");
         for err in &errors[1..] {
             assert!(err.starts_with("130.li A: packed run diverged"), "{err}");
-            assert!(err.contains("VP_DIFF=strict"), "{err}");
+            assert!(err.contains("(strict diff)"), "{err}");
         }
     }
 

@@ -23,8 +23,8 @@
 //!   input's trace fingerprint for a cross-input cell, the whole family
 //!   fold plus the merge configuration for a merged-profile cell.
 //! * `config_fp` — every knob of the evaluated cell:
-//!   `PackConfig::fingerprint`, `OptConfig::fingerprint`,
-//!   `MachineConfig::fingerprint` (or absence), and the diff mode.
+//!   `PackConfig::fingerprint`, `OptConfig::fingerprint` and
+//!   `MachineConfig::fingerprint` (or absence).
 //! * [`PIPELINE_VERSION`] — a manually-bumped constant folded into every
 //!   stored entry. **Bump it whenever the semantics of profiling,
 //!   packing, optimization, or timing change** (new pass, changed

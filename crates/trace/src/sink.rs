@@ -200,22 +200,42 @@ impl JsonlSink {
         })
     }
 
-    fn write_line(&self, line: &str) {
+    fn write_with(&self, f: impl FnOnce(&mut dyn Write) -> std::io::Result<()>) {
         let mut t = self.target.lock().expect("jsonl sink");
-        match &mut *t {
-            JsonlTarget::Stderr => {
-                let _ = writeln!(std::io::stderr(), "{line}");
-            }
-            JsonlTarget::File(f) => {
-                let _ = writeln!(f, "{line}");
-            }
-        }
+        let _ = match &mut *t {
+            JsonlTarget::Stderr => f(&mut std::io::stderr().lock()),
+            JsonlTarget::File(file) => f(file),
+        };
     }
+
+    fn write_line(&self, line: &str) {
+        self.write_with(|w| writeln!(w, "{line}"));
+    }
+}
+
+/// Writes the line `record_json(&Record::Flight { events })` renders, one
+/// event at a time: a dump holds up to the whole flight ring, which as one
+/// [`Json`] tree would be the run's largest allocation.
+fn write_flight(w: &mut impl Write, events: &[crate::FlightEvent]) -> std::io::Result<()> {
+    w.write_all(br#"{"t":"flight","events":["#)?;
+    for (i, e) in events.iter().enumerate() {
+        if i > 0 {
+            w.write_all(b",")?;
+        }
+        w.write_all(flight_event_json(e).render().as_bytes())?;
+    }
+    w.write_all(b"]}\n")?;
+    w.flush()
 }
 
 impl TraceSink for JsonlSink {
     fn record(&self, r: &Record) {
-        self.write_line(&record_json(r).render());
+        match r {
+            Record::Flight { events } => {
+                self.write_with(|w| write_flight(&mut std::io::BufWriter::new(w), events));
+            }
+            _ => self.write_line(&record_json(r).render()),
+        }
     }
 
     fn manifest(&self, json: &str) {
@@ -437,6 +457,32 @@ mod tests {
             Some("diff.divergence")
         );
         assert_eq!(events[1].get("b").and_then(Json::as_u64), Some(2));
+    }
+
+    #[test]
+    fn jsonl_flight_line_streams_the_record_json_bytes() {
+        let events = (0..300)
+            .map(|i| crate::FlightEvent {
+                seq: i,
+                kind: if i % 2 == 0 {
+                    "hsd.detect".into()
+                } else {
+                    "odd \"kind\"\n".into()
+                },
+                a: i * 4096,
+                b: u64::MAX - i,
+            })
+            .collect();
+        let r = Record::Flight { events };
+        let dir = std::env::temp_dir().join(format!("vp-trace-flight-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("flight.jsonl");
+        let sink = JsonlSink::file(path.to_str().unwrap()).unwrap();
+        sink.record(&r);
+        sink.flush();
+        let written = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(written, format!("{}\n", record_json(&r).render()));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
