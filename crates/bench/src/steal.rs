@@ -7,7 +7,7 @@
 //! complements the second: one process runs `jobs` workers over a shared
 //! **injector deque** of cell indices, each worker keeps a small **local
 //! deque** it refills in grain-sized batches, and an idle worker **steals**
-//! the back half of a victim's local deque before it ever spins. All
+//! the back half of a victim's local deque before it ever sleeps. All
 //! workers share one process-wide `TraceStore` (memory + disk tier), so a
 //! workload is captured once and replayed everywhere regardless of which
 //! worker first touched it.
@@ -26,7 +26,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
 /// Per-worker telemetry of one scheduler run.
@@ -89,12 +89,51 @@ struct Queues {
     locals: Vec<Mutex<VecDeque<usize>>>,
     grain: usize,
     /// Tasks not yet *completed* (not merely dequeued) — the termination
-    /// condition. A worker only parks on `remaining == 0`, never on empty
+    /// condition. A worker only exits on `remaining == 0`, never on empty
     /// queues, because another worker's local deque may still hold work.
     remaining: AtomicUsize,
+    /// Bumped after every change that can make work runnable or end the
+    /// run: a batch landing on a local deque, a task completing.
+    epoch: Mutex<u64>,
+    wake: Condvar,
 }
 
 impl Queues {
+    /// All `tasks` on the injector, `jobs` empty local deques.
+    fn new(tasks: usize, jobs: usize) -> Queues {
+        Queues {
+            injector: Mutex::new((0..tasks).collect()),
+            locals: (0..jobs).map(|_| Mutex::new(VecDeque::new())).collect(),
+            grain: grain_for(tasks, jobs),
+            remaining: AtomicUsize::new(tasks),
+            epoch: Mutex::new(0),
+            wake: Condvar::new(),
+        }
+    }
+
+    /// The current epoch; read it *before* looking for work.
+    fn epoch(&self) -> u64 {
+        *self.epoch.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Wakes every idle worker after a change they may have missed.
+    fn bump(&self) {
+        *self.epoch.lock().unwrap_or_else(|e| e.into_inner()) += 1;
+        self.wake.notify_all();
+    }
+
+    /// Blocks an idle worker until the epoch moves past `seen`. A refill
+    /// leaves its batch unqueued between the injector and the refiller's
+    /// deque, so a worker can find every queue empty while work remains;
+    /// the refiller bumps the epoch once the batch is stealable, and an
+    /// epoch read before the search never misses that bump.
+    fn wait_past(&self, seen: u64) {
+        let mut epoch = self.epoch.lock().unwrap_or_else(|e| e.into_inner());
+        while *epoch == seen {
+            epoch = self.wake.wait(epoch).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+
     /// Fetches the next task for `worker`: own deque front, else a
     /// grain-sized refill from the injector, else the back half of the
     /// first non-empty victim deque. `None` means nothing was runnable
@@ -115,6 +154,7 @@ impl Queues {
                 if let Ok(mut own) = self.locals[worker].lock() {
                     own.extend(batch);
                 }
+                self.bump();
                 return Some(t);
             }
         }
@@ -136,6 +176,7 @@ impl Queues {
             if let Ok(mut own) = self.locals[worker].lock() {
                 own.extend(grabbed);
             }
+            self.bump();
             *stolen = true;
             return first;
         }
@@ -156,13 +197,7 @@ pub(crate) fn run_stealing<T: Send>(
     exec: impl Fn(usize) -> T + Sync,
 ) -> (Vec<Option<T>>, SchedStats) {
     let jobs = jobs.clamp(1, tasks.max(1));
-    let grain = grain_for(tasks, jobs);
-    let queues = Queues {
-        injector: Mutex::new((0..tasks).collect()),
-        locals: (0..jobs).map(|_| Mutex::new(VecDeque::new())).collect(),
-        grain,
-        remaining: AtomicUsize::new(tasks),
-    };
+    let queues = Queues::new(tasks, jobs);
     let results: Mutex<Vec<Option<T>>> = Mutex::new((0..tasks).map(|_| None).collect());
     let executed: Vec<AtomicU64> = (0..jobs).map(|_| AtomicU64::new(0)).collect();
     let stolen_ctr: Vec<AtomicU64> = (0..jobs).map(|_| AtomicU64::new(0)).collect();
@@ -180,6 +215,7 @@ pub(crate) fn run_stealing<T: Send>(
             s.spawn(move || {
                 let mut was_stolen = false;
                 loop {
+                    let seen = queues.epoch();
                     match queues.next(w, &mut was_stolen) {
                         Some(t) => {
                             let t0 = Instant::now();
@@ -193,15 +229,16 @@ pub(crate) fn run_stealing<T: Send>(
                                 r[t] = Some(out);
                             }
                             queues.remaining.fetch_sub(1, Ordering::Release);
+                            queues.bump();
                         }
                         None => {
                             if queues.remaining.load(Ordering::Acquire) == 0 {
                                 break;
                             }
                             // Another worker still holds queued or running
-                            // work; cells are heavyweight, so a yield-spin
-                            // here is invisible in the profile.
-                            std::thread::yield_now();
+                            // work: sleep until it publishes a batch or
+                            // finishes a task.
+                            queues.wait_past(seen);
                         }
                     }
                 }
@@ -220,7 +257,7 @@ pub(crate) fn run_stealing<T: Send>(
     let stats = SchedStats {
         jobs,
         tasks,
-        grain,
+        grain: queues.grain,
         steals: workers.iter().map(|w| w.stolen).sum(),
         wall_ms,
         workers,
@@ -292,6 +329,49 @@ mod tests {
             stats.workers.iter().map(|w| w.stolen).sum::<u64>()
         );
         assert!(stats.mean_utilization() <= 1.0);
+    }
+
+    #[test]
+    fn idle_worker_sleeps_until_a_refill_publishes_its_batch() {
+        // Worker 0 has taken a batch off the injector but not yet queued
+        // it: worker 1 finds nothing to run while work remains, and must
+        // wake once the batch lands, not miss it.
+        let q = Queues::new(4, 2);
+        let batch: Vec<usize> = q.injector.lock().unwrap().drain(..).collect();
+        let (searched, idle_found_nothing) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            let idle = s.spawn(|| {
+                let seen = q.epoch();
+                let mut stolen = false;
+                assert_eq!(q.next(1, &mut stolen), None);
+                searched.send(()).unwrap();
+                q.wait_past(seen);
+                q.next(1, &mut stolen).map(|t| (t, stolen))
+            });
+            idle_found_nothing.recv().unwrap();
+            q.locals[0].lock().unwrap().extend(batch);
+            q.bump();
+            assert_eq!(
+                idle.join().unwrap(),
+                Some((2, true)),
+                "steals the back half"
+            );
+        });
+    }
+
+    #[test]
+    fn blocking_workers_always_terminate() {
+        // Many short runs with more workers than grain-sized batches
+        // exercise every refill/steal/finish interleaving the box allows.
+        for round in 0..200 {
+            let tasks = 1 + round % 9;
+            let (out, stats) = run_stealing(3, tasks, |t| t + round);
+            assert_eq!(
+                out.into_iter().map(Option::unwrap).collect::<Vec<_>>(),
+                (0..tasks).map(|t| t + round).collect::<Vec<_>>()
+            );
+            assert_eq!(stats.tasks, tasks);
+        }
     }
 
     /// The ISSUE's shared-store stress scenario: N workers of the stealing

@@ -552,6 +552,8 @@ pub struct Differ<'t> {
     open_attr: u64,
     cur_pkg: u32,
     cur_residency: u64,
+    /// Per package id: entered at least once in this run.
+    entered: Vec<bool>,
     /// Dropped events since the last kept event.
     dropped_run: u64,
     exit_events: u64,
@@ -601,6 +603,7 @@ impl<'t> Differ<'t> {
             open_attr: NO_ATTR,
             cur_pkg: NO_PKG,
             cur_residency: 0,
+            entered: Vec::new(),
             dropped_run: 0,
             exit_events: 0,
             stub_events: 0,
@@ -654,10 +657,19 @@ impl<'t> Differ<'t> {
             H_MIGRATION_GAP.observe(self.dropped_run);
         }
         self.cur_pkg = pkg;
-        if pkg != NO_PKG {
-            // Flight payload: (package id, events dropped in the gap since
-            // the last in-package event) — the package-switch timeline.
-            vp_trace::flight("diff.pkg_enter", u64::from(pkg), self.dropped_run);
+        if pkg == NO_PKG {
+            return;
+        }
+        let slot = pkg as usize;
+        if self.entered.len() <= slot {
+            self.entered.resize(slot + 1, false);
+        }
+        if !std::mem::replace(&mut self.entered[slot], true) {
+            // Flight payload: (package id, packed visits closed before it)
+            // — the package's first entry in this run. Later switches are
+            // traffic, carried by the residency and migration histograms.
+            let at = self.packed_visits + self.plen as u64;
+            vp_trace::flight("diff.pkg_enter", u64::from(pkg), at);
         }
     }
 

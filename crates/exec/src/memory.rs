@@ -20,7 +20,8 @@ impl Memory {
         Memory::default()
     }
 
-    /// Creates a memory initialized from data segments.
+    /// Creates a memory initialized from data segments: the one copy of a
+    /// program's shared data image, into this run's private pages.
     pub fn from_segments(segments: &[DataSegment]) -> Memory {
         let mut m = Memory::new();
         for seg in segments {
@@ -84,10 +85,7 @@ mod tests {
 
     #[test]
     fn from_segments_initializes_words() {
-        let segs = vec![DataSegment {
-            base: 0x2000,
-            words: vec![10, 20, 30],
-        }];
+        let segs = vec![DataSegment::new(0x2000, vec![10, 20, 30])];
         let m = Memory::from_segments(&segs);
         assert_eq!(m.read(0x2000), 10);
         assert_eq!(m.read(0x2010), 30);

@@ -1017,6 +1017,46 @@ mod tests {
     }
 
     #[test]
+    fn every_stage_shares_the_original_data_image() {
+        use vp_workloads::li;
+        let original = li::build(li::Input::A, 1);
+        let shares = |what: &str, program: &Program| {
+            assert_eq!(program.data.len(), original.data.len(), "{what}");
+            for (seg, orig) in program.data.iter().zip(&original.data) {
+                assert!(
+                    Arc::ptr_eq(&seg.words, &orig.words),
+                    "{what} copied its data"
+                );
+            }
+        };
+        let machine = MachineConfig::table2();
+        let pw = profile(
+            "130.li A",
+            original.clone(),
+            &HsdConfig::table2(),
+            Some(&machine),
+        )
+        .unwrap();
+        shares("profile", &pw.program);
+        shares(
+            "with_phases",
+            &pw.with_phases(pw.phases.clone(), "own").program,
+        );
+        let cfg = PackConfig::default();
+        let out = pack(&pw.program, &pw.layout, &pw.phases, &cfg);
+        assert!(!out.packages.is_empty());
+        shares("pack", &out.program);
+        let (optimized, _) = optimize_packages(&out, &machine, &OptConfig::default());
+        shares("optimize_packages", &optimized);
+        let table = ClaimTable::new(OptConfig::default(), Some(machine), DiffMode::Strict);
+        table.resolve(table.evaluate(&pw, &cfg).unwrap()).unwrap();
+        shares(
+            "the claim",
+            &table.claims.lock().unwrap()[0].prepared.program,
+        );
+    }
+
+    #[test]
     fn dump_round_trips_the_profile() {
         let pw = profile("300.twolf A", twolf::build(1), &HsdConfig::table2(), None).unwrap();
         let d = pw.dump();

@@ -122,7 +122,7 @@ impl ProgramBuilder {
     pub fn data(&mut self, words: Vec<u64>) -> u64 {
         let base = self.next_data;
         self.next_data += 8 * words.len().max(1) as u64;
-        self.data.push(DataSegment { base, words });
+        self.data.push(DataSegment::new(base, words));
         base
     }
 

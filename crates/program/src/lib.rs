@@ -47,18 +47,35 @@ pub use func::{FuncKind, Function};
 pub use layout::{Layout, LayoutOrder, TermEncoding};
 pub use liveness::Liveness;
 
+use std::sync::Arc;
 use vp_isa::{BlockId, CodeRef, FuncId};
 
 /// An initialized region of data memory.
+///
+/// The initial words are an immutable image shared by every clone: the
+/// packer only appends code and patches launch points, so an original
+/// binary, its packed variants and every profile or claim holding one of
+/// them point at the same words, and a data image exists once per
+/// workload build. The executor copies the image into its own private, mutable
+/// memory when a run starts; nothing else copies it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DataSegment {
     /// Byte address of the first word (must be 8-byte aligned).
     pub base: u64,
-    /// Initial 64-bit word values.
-    pub words: Vec<u64>,
+    /// Initial 64-bit word values, shared by every clone of the segment.
+    pub words: Arc<Vec<u64>>,
 }
 
 impl DataSegment {
+    /// A segment at `base` whose image takes ownership of `words` without
+    /// copying them (a calloc'd zero image stays untouched).
+    pub fn new(base: u64, words: Vec<u64>) -> DataSegment {
+        DataSegment {
+            base,
+            words: Arc::new(words),
+        }
+    }
+
     /// Byte address one past the end of the segment.
     pub fn end(&self) -> u64 {
         self.base + 8 * self.words.len() as u64
@@ -350,14 +367,8 @@ mod tests {
     fn overlapping_data_rejected() {
         let mut p = Program::default();
         p.push_func(leaf_func("main"));
-        p.data.push(DataSegment {
-            base: 0x1000,
-            words: vec![0; 4],
-        });
-        p.data.push(DataSegment {
-            base: 0x1010,
-            words: vec![0; 4],
-        });
+        p.data.push(DataSegment::new(0x1000, vec![0; 4]));
+        p.data.push(DataSegment::new(0x1010, vec![0; 4]));
         assert!(matches!(
             p.validate(),
             Err(ValidateError::OverlappingData(..))

@@ -10,6 +10,13 @@
 //! interleaves exactly with the span tree: "the divergence happened after
 //! phase 2 was detected, inside `metrics.evaluate.measure`".
 //!
+//! A flight event is a *moment*, bounded per run: an instrumentation site
+//! fires a number of times set by the run's phases, packages, cells or
+//! captures, never once per retired instruction or package switch (the
+//! differ records a package's first entry, `diff.pkg_enter`, and leaves
+//! switch traffic to its histograms). Traffic would evict the moments
+//! that explain a run.
+//!
 //! Recording is gated on [`crate::enabled`] like every other primitive —
 //! one predicted branch when tracing is off — and the ring holds only the
 //! most recent `capacity` events (older ones are counted as `dropped`),
