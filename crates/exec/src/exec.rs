@@ -420,7 +420,7 @@ impl<'p> Executor<'p> {
 
 /// The register fields of `inst`'s retired event — its destination and
 /// its sources in operand order — as the interpreter reports them. Trace
-/// hits check recorded slot templates against this (see
+/// hits rebuild each recorded slot's exec word from this (see
 /// [`CapturedTrace::fits`](crate::CapturedTrace::fits)).
 pub(crate) fn inst_regs(inst: &Inst) -> (Option<Reg>, [Option<Reg>; 3]) {
     match inst {

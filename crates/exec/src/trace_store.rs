@@ -18,8 +18,11 @@
 //! control-transfer kind. The recorder therefore splits the stream:
 //!
 //! * a **static side-table** with one entry per distinct fetch address,
-//!   holding a template `Retired` event plus the (at most two) observed
-//!   control-transfer targets, keyed densely in first-seen order;
+//!   keyed densely in first-seen order: the slot's 40-byte `SlotCol`
+//!   record — the static half of its [`ColEvent`], packed by
+//!   [`col::event`] when the recorder first sees the slot, plus the (at
+//!   most two) control-transfer targets as each direction is observed —
+//!   and its block, a [`CodeRef`] kept beside it;
 //! * a **dynamic byte stream** with one record per retired instruction: a
 //!   flags byte (sequential-index bit, memory bit, branch directions),
 //!   then optional LEB128 varints — a zig-zag table-index delta when
@@ -31,6 +34,9 @@
 //! Straight-line code costs one byte per instruction; the amortized cost
 //! stays well under the 8-bytes-per-instruction budget even on
 //! memory-heavy workloads (see `tests/trace_replay.rs`).
+//!
+//! [`ColEvent`]: crate::ColEvent
+//! [`col::event`]: crate::event::col::event
 //!
 //! # Caching
 //!
@@ -123,7 +129,7 @@ static HITS: Counter = Counter::new("trace_store.hits");
 static EVICTIONS: Counter = Counter::new("trace_store.evictions");
 /// Total encoded bytes captured (monotonic, not resident).
 static BYTES: Counter = Counter::new("trace_store.bytes");
-/// Store hits refused because a slot template disagrees with the
+/// Store hits refused because a slot record disagrees with the
 /// requesting program (a key collision); each is re-captured.
 static TEMPLATE_MISMATCHES: Counter = Counter::new("trace_store.template_mismatches");
 
@@ -178,40 +184,111 @@ fn cold_path() {}
 
 // ---------------------------------------------------------- static table
 
-/// Per-address static information: a template event plus the observed
-/// control targets, indexed by architectural direction.
-#[derive(Debug, Clone)]
-pub(crate) struct StaticSlot {
-    template: Retired,
-    targets: [Option<u64>; 2],
+const FLAG_SEQ: u8 = 1 << 0;
+const FLAG_MEM: u8 = 1 << 1;
+const FLAG_ARCH_TAKEN: u8 = 1 << 2;
+const FLAG_TAKEN: u8 = 1 << 3;
+
+/// The dynamic [`col`] bits. They coincide with the stream record's flag
+/// bits of the same names, so the dynamic half of an event's flag byte is
+/// a single mask of the record byte; a slot record's flags never carry
+/// them.
+const DYN_MASK: u8 = col::MEM | col::ARCH_TAKEN | col::TAKEN;
+const _: () =
+    assert!(col::MEM == FLAG_MEM && col::ARCH_TAKEN == FLAG_ARCH_TAKEN && col::TAKEN == FLAG_TAKEN);
+
+/// A capture's one record per static slot: the static half of the slot's
+/// [`ColEvent`], interleaved so the decoder touches one record per event.
+/// Fields mirror the [`ColEvent`] fields: `flags` is the static [`col`]
+/// bits (dynamic `MEM`/`TAKEN`/`ARCH_TAKEN` come from the stream record),
+/// `exec` the packed exec word, `tgt` the control auxiliary address per
+/// architectural direction — the observed target of each direction for
+/// branches and jumps (`Halt`'s is 0), the callee entry and then the RAS
+/// return address for calls, the slot's own fetch address in both lanes
+/// for returns (the stream carries their target as a delta from it), and
+/// zero for non-control slots. Bit `d` of `seen` marks lane `d` as
+/// observed, so a lane never taken stays distinct from one whose target is
+/// 0. Replay reads lane `arch_taken`, which is 1 for every unconditional
+/// transfer but `Halt`; a call's lane 0 only serves
+/// [`CapturedTrace::fits`]. Slot records carry no memory address: the
+/// memory column is purely dynamic.
+///
+/// [`ColEvent`]: crate::ColEvent
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SlotCol {
+    exec: u64,
+    tgt: [u64; 2],
+    addr: u64,
+    flags: u8,
+    seen: u8,
 }
 
-impl StaticSlot {
-    /// Whether this slot's template is what `program` retires at the
-    /// slot's address under `layout`: the same block, the same static
-    /// fields and, for each direction observed, the same control target.
-    fn fits(&self, program: &Program, layout: &Layout) -> bool {
-        let t = &self.template;
-        let Some(func) = program.funcs.get(t.loc.func.0 as usize) else {
+// The parse chain streams these records; a 48-byte record cost the
+// timing replay about 8%.
+const _: () = assert!(std::mem::size_of::<SlotCol>() == 40);
+
+/// `seen` with both control lanes observed.
+const BOTH_LANES: u8 = 0b11;
+
+impl SlotCol {
+    /// The record of the slot `r` retires at: [`col::event`] of `r` less
+    /// its dynamic bits, no control lane observed yet.
+    ///
+    /// [`col::event`]: crate::event::col::event
+    fn new(r: &Retired) -> SlotCol {
+        let e = col::event(r);
+        SlotCol {
+            exec: e.exec,
+            tgt: [0; 2],
+            addr: e.addr,
+            flags: e.flags & !DYN_MASK,
+            seen: 0,
+        }
+    }
+
+    /// Fills the control lanes the retirement of `c` at this slot shows.
+    fn observe(&mut self, c: &Ctrl) {
+        if c.is_ret {
+            // The cursor's return-target delta is 0 for every other slot,
+            // so `tgt[dir] + ret_delta` is the target for all slots
+            // without a branch on the slot kind.
+            self.tgt = [self.addr; 2];
+            self.seen = BOTH_LANES;
+        } else if c.is_call {
+            self.tgt = [c.target, c.ret_addr];
+            self.seen = BOTH_LANES;
+        } else {
+            let dir = usize::from(c.arch_taken);
+            self.tgt[dir] = c.target;
+            self.seen |= 1 << dir;
+        }
+    }
+
+    /// Whether this record, at block `loc`, is what `program` retires at
+    /// the record's address under `layout`: the same exec word, static
+    /// flags and block, and for each observed direction the same control
+    /// lane.
+    fn fits(&self, loc: CodeRef, program: &Program, layout: &Layout) -> bool {
+        let Some(func) = program.funcs.get(loc.func.0 as usize) else {
             return false;
         };
-        let Some(block) = func.blocks.get(t.loc.block.0 as usize) else {
+        let Some(block) = func.blocks.get(loc.block.0 as usize) else {
             return false;
         };
-        let Some(slot) = t
+        let Some(slot) = self
             .addr
-            .checked_sub(layout.addr_of(t.loc))
+            .checked_sub(layout.addr_of(loc))
             .filter(|d| d % INST_BYTES == 0)
             .map(|d| d / INST_BYTES)
-            .filter(|&i| i < layout.insts_of(t.loc))
+            .filter(|&i| i < layout.insts_of(loc))
         else {
             return false;
         };
-        // The template the interpreter records here, minus its control
-        // and register fields.
-        let expect = Retired {
-            loc: t.loc,
-            addr: t.addr,
+        // The event the interpreter retires here, less its dynamic fields;
+        // a control transfer also fills one lane per direction.
+        let plain = Retired {
+            loc,
+            addr: self.addr,
             fu: FuClass::Branch,
             latency: 1,
             def: None,
@@ -223,28 +300,27 @@ impl StaticSlot {
         };
         if let Some(inst) = block.insts.get(slot as usize) {
             let (def, uses) = crate::exec::inst_regs(inst);
-            return self.targets == [None; 2]
-                && *t
-                    == Retired {
-                        fu: inst.fu(),
-                        latency: inst.latency(),
-                        def,
-                        uses,
-                        is_store: matches!(inst, Inst::Store { .. }),
-                        ..expect
-                    };
+            let want = Retired {
+                fu: inst.fu(),
+                latency: inst.latency(),
+                def,
+                uses,
+                is_store: matches!(inst, Inst::Store { .. }),
+                ..plain
+            };
+            return self.packs(&want, [None; 2]);
         }
         // Past the body: the terminator, then (branch-plus-jump only) the
         // jump to the not-taken successor.
         let at = |r: CodeRef| Some(layout.addr_of(r));
         let returns_to = |b: BlockId| {
-            layout.addr_of(CodeRef {
-                func: t.loc.func,
+            at(CodeRef {
+                func: loc.func,
                 block: b,
             })
         };
         let jump = Ctrl {
-            block: t.loc,
+            block: loc,
             is_cond: false,
             arch_taken: false,
             taken: false,
@@ -253,8 +329,12 @@ impl StaticSlot {
             target: 0,
             ret_addr: 0,
         };
+        let call = Ctrl {
+            is_call: true,
+            ..jump
+        };
         let first = slot == block.insts.len() as u64;
-        let (ctrl, uses, targets) = match (&block.term, first) {
+        let (ctrl, uses, lanes) = match (&block.term, first) {
             (
                 Terminator::Br {
                     rs1,
@@ -279,20 +359,10 @@ impl StaticSlot {
                     func: *callee,
                     block: program.func(*callee).entry,
                 };
-                let call = Ctrl {
-                    is_call: true,
-                    ret_addr: returns_to(*ret_to),
-                    ..jump
-                };
-                (call, [None; 3], [None, at(entry)])
+                (call, [None; 3], [at(entry), returns_to(*ret_to)])
             }
             (Terminator::CallThrough { target, ret_to }, true) => {
-                let call = Ctrl {
-                    is_call: true,
-                    ret_addr: returns_to(*ret_to),
-                    ..jump
-                };
-                (call, [None; 3], [None, at(*target)])
+                (call, [None; 3], [at(*target), returns_to(*ret_to)])
             }
             (Terminator::Ret, true) => (
                 Ctrl {
@@ -300,27 +370,30 @@ impl StaticSlot {
                     ..jump
                 },
                 [None; 3],
-                [None, None],
+                [Some(self.addr); 2],
             ),
             (Terminator::Halt, true) => (jump, [None; 3], [Some(0), None]),
             _ => return false,
         };
-        *t == Retired {
+        let want = Retired {
             uses,
             ctrl: Some(ctrl),
-            ..expect
-        } && self
-            .targets
-            .iter()
-            .zip(targets)
-            .all(|(seen, want)| seen.is_none() || *seen == want)
+            ..plain
+        };
+        self.packs(&want, lanes)
+    }
+
+    /// Whether this record is what [`SlotCol::new`] packs `want` to, with
+    /// `lanes[d]` in each observed lane `d`.
+    fn packs(&self, want: &Retired, lanes: [Option<u64>; 2]) -> bool {
+        let want = SlotCol::new(want);
+        (want.exec, want.flags, want.addr) == (self.exec, self.flags, self.addr)
+            && lanes
+                .iter()
+                .enumerate()
+                .all(|(d, &lane)| self.seen & (1 << d) == 0 || lane == Some(self.tgt[d]))
     }
 }
-
-const FLAG_SEQ: u8 = 1 << 0;
-const FLAG_MEM: u8 = 1 << 1;
-const FLAG_ARCH_TAKEN: u8 = 1 << 2;
-const FLAG_TAKEN: u8 = 1 << 3;
 
 /// Records the retired stream of one [`Executor`] run.
 ///
@@ -329,11 +402,12 @@ const FLAG_TAKEN: u8 = 1 << 3;
 /// run's stats to obtain the immutable [`CapturedTrace`].
 #[derive(Debug)]
 pub struct TraceRecorder {
-    slots: Vec<StaticSlot>,
-    /// Fetch address of each slot, parallel to `slots`: the capture fast
-    /// path resolves sequential execution against this dense array with
-    /// one compare instead of a hash probe per event.
-    addrs: Vec<u64>,
+    /// The record of each slot, in first-seen order: the capture fast
+    /// path resolves sequential execution against the next record's
+    /// address with one compare instead of a hash probe per event.
+    cols: Vec<SlotCol>,
+    /// Block of each slot, parallel to `cols`.
+    locs: Vec<CodeRef>,
     by_addr: FxHashMap<u64, u32>,
     /// The whole stream, or with a spool the part not yet written.
     stream: Vec<u8>,
@@ -359,8 +433,8 @@ impl TraceRecorder {
     /// Creates an empty recorder.
     pub fn new() -> TraceRecorder {
         TraceRecorder {
-            slots: Vec::new(),
-            addrs: Vec::new(),
+            cols: Vec::new(),
+            locs: Vec::new(),
             by_addr: FxHashMap::default(),
             stream: Vec::new(),
             spill_at: usize::MAX,
@@ -407,10 +481,23 @@ impl TraceRecorder {
             Some(mut w) => {
                 w.write(&self.stream);
                 let len = self.spilled + self.stream.len();
-                StreamBytes::Stored(persist::publish(w, &self.slots, len, stats, self.events)?)
+                StreamBytes::Stored(persist::publish(
+                    w,
+                    &self.cols,
+                    &self.locs,
+                    len,
+                    stats,
+                    self.events,
+                )?)
             }
         };
-        let trace = CapturedTrace::assemble(self.slots, stream, stats, self.events);
+        let trace = CapturedTrace {
+            slot_cols: self.cols,
+            slot_locs: self.locs,
+            stream,
+            stats,
+            events: self.events,
+        };
         CAPTURES.incr();
         BYTES.add(trace.bytes() as u64);
         // Flight payload: (trace bytes, event count).
@@ -438,19 +525,9 @@ impl TraceRecorder {
         match self.by_addr.get(&r.addr) {
             Some(&i) => i,
             None => {
-                let i = self.slots.len() as u32;
-                let mut template = *r;
-                template.mem_addr = None;
-                if let Some(c) = &mut template.ctrl {
-                    c.arch_taken = false;
-                    c.taken = false;
-                    c.target = 0;
-                }
-                self.slots.push(StaticSlot {
-                    template,
-                    targets: [None; 2],
-                });
-                self.addrs.push(r.addr);
+                let i = self.cols.len() as u32;
+                self.cols.push(SlotCol::new(r));
+                self.locs.push(r.loc);
                 self.by_addr.insert(r.addr, i);
                 i
             }
@@ -470,7 +547,7 @@ impl TraceRecorder {
         // unique per slot (`by_addr` is injective), so a match *proves*
         // the slot index.
         let next = (self.prev_idx + 1) as usize;
-        let idx = if self.addrs.get(next) == Some(&r.addr) {
+        let idx = if self.cols.get(next).map(|c| c.addr) == Some(r.addr) {
             next as u32
         } else {
             self.retire_slot_slow(r)
@@ -508,24 +585,33 @@ impl TraceRecorder {
             );
             self.last_mem = m;
         }
+        debug_assert_eq!(
+            (self.locs[idx as usize], self.cols[idx as usize].exec),
+            (r.loc, col::pack_exec(r)),
+            "static fields must be constant per address"
+        );
         if let Some(c) = &r.ctrl {
-            let slot = &mut self.slots[idx as usize];
-            debug_assert_eq!(
-                slot.template.loc, r.loc,
-                "static fields must be constant per address"
-            );
             if c.is_ret {
                 // A return's target depends on the dynamic call stack.
                 put_varint(
                     &mut self.stream,
                     zigzag(c.target.wrapping_sub(r.addr) as i64),
                 );
+            }
+            let sc = &mut self.cols[idx as usize];
+            let dir = usize::from(c.arch_taken);
+            if sc.seen & (1 << dir) == 0 {
+                sc.observe(c);
             } else {
-                let dir = &mut slot.targets[usize::from(c.arch_taken)];
-                match dir {
-                    Some(t) => debug_assert_eq!(*t, c.target, "per-direction target is static"),
-                    None => *dir = Some(c.target),
-                }
+                debug_assert_eq!(
+                    {
+                        let mut again = *sc;
+                        again.observe(c);
+                        again
+                    },
+                    *sc,
+                    "per-direction targets are static"
+                );
             }
         }
         self.events += 1;
@@ -588,11 +674,10 @@ impl std::fmt::Debug for StreamBytes {
 /// A recorded retired-instruction stream, replayable through any [`Sink`].
 #[derive(Debug)]
 pub struct CapturedTrace {
-    slots: Vec<StaticSlot>,
-    /// Derived records backing the parse chain and the column decoder:
-    /// one interleaved [`SlotCol`] per slot, so the per-event work loads a
-    /// single 40-byte record (one bounds check, one cache-line stream)
-    /// instead of a 120-byte [`StaticSlot`] or parallel arrays.
+    /// The one record per slot backing the parse chain and the column
+    /// decoder: the per-event work loads a single 40-byte [`SlotCol`]
+    /// (one bounds check, one cache-line stream) instead of parallel
+    /// arrays.
     slot_cols: Vec<SlotCol>,
     /// Block of each slot, parallel to `slot_cols`: read only by sinks
     /// that look at [`ColEvent::loc`], so it stays out of the 40-byte
@@ -603,28 +688,6 @@ pub struct CapturedTrace {
     stream: StreamBytes,
     stats: RunStats,
     events: u64,
-}
-
-/// Per-slot static halves of the [`ColEvent`] encoding, interleaved so
-/// the decoder touches one record per event. Fields mirror the
-/// [`ColEvent`] fields: `flags` is the template's static [`col`] bits (dynamic
-/// `MEM`/`TAKEN`/`ARCH_TAKEN` come from the stream record), `exec` the
-/// packed exec word, `tgt` the control auxiliary address per
-/// architectural direction (`[targets[0], targets[1]]` for branches and
-/// jumps, the RAS return address in both lanes for calls, the slot's own
-/// fetch address in both lanes for returns — the stream carries their
-/// target as a delta from it — and zero for non-control slots).
-/// Templates carry no memory address, so the memory column is purely
-/// dynamic.
-///
-/// [`col`]: crate::event::col
-/// [`ColEvent`]: crate::ColEvent
-#[derive(Debug, Clone, Copy)]
-struct SlotCol {
-    exec: u64,
-    tgt: [u64; 2],
-    addr: u64,
-    flags: u8,
 }
 
 /// One parsed record of the dynamic stream: which static slot retired,
@@ -661,13 +724,6 @@ impl Record<'_> {
     /// already loaded — no further slot-table traffic.
     #[inline(always)]
     pub(crate) fn col_event(&self) -> crate::ColEvent {
-        // The dynamic column bits are chosen to coincide with the stream
-        // record's flag bits, so the dynamic half of the flag byte is a
-        // single mask of the record byte.
-        const _: () = assert!(
-            col::MEM == FLAG_MEM && col::ARCH_TAKEN == FLAG_ARCH_TAKEN && col::TAKEN == FLAG_TAKEN
-        );
-        const DYN_MASK: u8 = FLAG_MEM | FLAG_ARCH_TAKEN | FLAG_TAKEN;
         let sc = self.col;
         crate::ColEvent {
             flags: sc.flags | (self.flags & DYN_MASK),
@@ -681,9 +737,8 @@ impl Record<'_> {
 }
 
 /// Pull-based decoder over a trace's dynamic stream: *the* serial parse
-/// chain. [`CapturedTrace::replay`], the differential replay's pull of
-/// the original stream and the disk tier's slot census are each a loop
-/// over this iterator.
+/// chain. [`CapturedTrace::replay`] and the differential replay's pull of
+/// the original stream are each a loop over this iterator.
 ///
 /// Over a stored stream the cursor keeps the trace off the resident set:
 /// each time it has consumed another [`RELEASE_WINDOW`] bytes it releases
@@ -694,8 +749,8 @@ impl Record<'_> {
 /// Besides stream bytes the chain reads one static fact per record —
 /// whether the slot is a return, the one record shape with a trailing
 /// target varint the next record's position depends on — from the
-/// compact [`SlotCol`] record the column split loads anyway, never from
-/// a 120-byte [`StaticSlot`]. That keeps the cross-event dependency chain
+/// slot's 40-byte [`SlotCol`] record, which the column split loads
+/// anyway. That keeps the cross-event dependency chain
 /// (stream position, slot index, memory anchor) inside a few cache lines;
 /// everything consumers derive from a [`Record`] hangs off it as pure
 /// dataflow.
@@ -786,58 +841,6 @@ impl<'t> Iterator for TraceCursor<'t> {
 }
 
 impl CapturedTrace {
-    /// Builds a trace from its encoded parts, deriving the per-slot
-    /// [`SlotCol`] records the parse chain reads instead of the full slot
-    /// records from [`col::event`] of each template — the same encoding
-    /// live execution uses. The single constructor used by both live
-    /// capture ([`TraceRecorder::finish`]) and disk decode.
-    ///
-    /// [`col::event`]: crate::event::col::event
-    pub(crate) fn assemble(
-        slots: Vec<StaticSlot>,
-        stream: StreamBytes,
-        stats: RunStats,
-        events: u64,
-    ) -> CapturedTrace {
-        // Static halves of the column encoding: the per-event decoder ORs
-        // in the dynamic MEM/TAKEN/ARCH_TAKEN bits from the stream record.
-        let slot_cols = slots
-            .iter()
-            .map(|s| {
-                let e = col::event(&s.template);
-                SlotCol {
-                    exec: e.exec,
-                    tgt: match &s.template.ctrl {
-                        // A return's lanes hold its own fetch address: the
-                        // cursor's return-target delta is 0 for every
-                        // other slot, so `tgt[dir] + ret_delta` is the
-                        // target for all slots without a branch on the
-                        // slot kind.
-                        Some(c) if c.is_ret => [e.addr; 2],
-                        // A call's static target field is its RAS return
-                        // address.
-                        Some(c) if !c.is_cond && c.is_call => [e.target; 2],
-                        Some(_) => s.targets.map(|t| t.unwrap_or(0)),
-                        None => [0, 0],
-                    },
-                    addr: e.addr,
-                    // Templates carry no memory address; the dynamic
-                    // MEM/TAKEN/ARCH_TAKEN bits come from the stream record.
-                    flags: e.flags & !(col::TAKEN | col::ARCH_TAKEN),
-                }
-            })
-            .collect();
-        let slot_locs = slots.iter().map(|s| s.template.loc).collect();
-        CapturedTrace {
-            slots,
-            slot_cols,
-            slot_locs,
-            stream,
-            stats,
-            events,
-        }
-    }
-
     /// Executes `program` once under `cfg`, recording the retired stream.
     ///
     /// # Errors
@@ -928,21 +931,28 @@ impl CapturedTrace {
         self.events
     }
 
-    /// Approximate resident size of the capture in bytes.
+    /// Approximate resident size of the capture in bytes: the stream
+    /// plus each slot's record and block.
     pub fn bytes(&self) -> usize {
-        self.stream.len() + self.slots.len() * std::mem::size_of::<StaticSlot>()
+        self.stream.len()
+            + self.slot_cols.len()
+                * (std::mem::size_of::<SlotCol>() + std::mem::size_of::<CodeRef>())
     }
 
     /// Whether this capture was recorded from `program` under `layout`, as
-    /// far as its static side-table shows: every slot's template matches
+    /// far as its static side-table shows: every slot's record is the one
     /// the instruction or terminator the program has at that slot's
-    /// address (O(static slots)). A [`TraceKey`] is a 64-bit content hash,
-    /// so two programs can share one; this check turns such a collision
-    /// into a miss instead of a replay of the wrong binary. It cannot see
-    /// an edit that leaves every template alone (an immediate, a data
-    /// word).
+    /// address packs to, with the same target in each observed direction
+    /// (O(static slots)). A [`TraceKey`] is a 64-bit content hash, so two
+    /// programs can share one; this check turns such a collision into a
+    /// miss instead of a replay of the wrong binary. It cannot see an edit
+    /// that leaves every slot record alone (an immediate, a data word, the
+    /// target of a direction never taken).
     pub fn fits(&self, program: &Program, layout: &Layout) -> bool {
-        self.slots.iter().all(|s| s.fits(program, layout))
+        self.slot_cols
+            .iter()
+            .zip(&self.slot_locs)
+            .all(|(sc, &loc)| sc.fits(loc, program, layout))
     }
 }
 
@@ -1501,6 +1511,9 @@ mod tests {
                 let c = f.cond(Cond::Lt, v, Src::Imm(4));
                 f.if_else(c, |f| f.add(acc, acc, v), |f| f.store(v, base, 0));
             });
+            // A guard the run never takes: one direction left unobserved.
+            let never = f.cond(Cond::Lt, acc, Src::Imm(0));
+            f.if_(never, |f| f.li(acc, 0));
             f.call_args(callee, &[Src::Imm(7)]);
             f.halt();
         });
@@ -1753,6 +1766,144 @@ mod tests {
         assert_eq!(report.counter("trace_store.template_mismatches"), 0);
         assert_eq!(report.counter("trace_store.captures"), 0);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn fits_refuses_a_change_to_any_recorded_static_field() {
+        use vp_isa::{FuncId, Inst};
+        use vp_program::{FuncKind, TermEncoding};
+
+        let (p, layout) = sample_program();
+        let trace = CapturedTrace::capture(&p, &layout, &RunConfig::default()).unwrap();
+        assert!(trace.fits(&p, &layout));
+        // Every block the run executed, and the observed-lane mask of its
+        // terminator's slot.
+        let executed: Vec<CodeRef> = (0..p.funcs.len())
+            .flat_map(|fi| {
+                (0..p.funcs[fi].blocks.len()).map(move |bi| CodeRef::new(fi as u32, bi as u32))
+            })
+            .filter(|loc| trace.slot_locs.contains(loc))
+            .collect();
+        let term_seen = |loc: CodeRef| {
+            let addr = layout.addr_of(loc) + p.block(loc).insts.len() as u64 * INST_BYTES;
+            let sc = trace.slot_cols.iter().find(|sc| sc.addr == addr);
+            sc.expect("an executed terminator retires").seen
+        };
+        let find = |want: &dyn Fn(CodeRef) -> bool| {
+            *executed
+                .iter()
+                .find(|&&loc| want(loc))
+                .expect("the sample executes such a block")
+        };
+        let insts_where = |want: &dyn Fn(&Inst) -> bool| {
+            let loc = find(&|loc| p.block(loc).insts.iter().any(&want));
+            (loc, p.block(loc).insts.iter().position(want).unwrap())
+        };
+        // Each edit changes one field of executed code; the sample's own
+        // layout keeps every slot at its address.
+        let fits_after = |edit: &dyn Fn(&mut Program)| {
+            let mut q = p.clone();
+            edit(&mut q);
+            assert_ne!(q, p, "the edit changes the program");
+            trace.fits(&q, &layout)
+        };
+        fn block(q: &mut Program, loc: CodeRef) -> &mut vp_program::Block {
+            &mut q.funcs[loc.func.0 as usize].blocks[loc.block.0 as usize]
+        }
+
+        let (alu, at) = insts_where(&|i| matches!(i, Inst::Alu { .. }));
+        let other = |r: Reg| Reg::int(if r == Reg::int(30) { 29 } else { 30 });
+        assert!(
+            !fits_after(&|q| {
+                if let Inst::Alu { rd, .. } = &mut block(q, alu).insts[at] {
+                    *rd = other(*rd);
+                }
+            }),
+            "a def register"
+        );
+        assert!(
+            !fits_after(&|q| {
+                if let Inst::Alu { rs1, .. } = &mut block(q, alu).insts[at] {
+                    *rs1 = other(*rs1);
+                }
+            }),
+            "a use register"
+        );
+        let (load, at) = insts_where(&|i| matches!(i, Inst::Load { .. }));
+        assert!(
+            !fits_after(&|q| {
+                let i = &mut block(q, load).insts[at];
+                if let Inst::Load { rd, base, offset } = *i {
+                    *i = Inst::Store {
+                        src: rd,
+                        base,
+                        offset,
+                    };
+                }
+            }),
+            "a load become a store"
+        );
+        let (store, at) = insts_where(&|i| matches!(i, Inst::Store { .. }));
+        assert!(
+            !fits_after(&|q| {
+                let i = &mut block(q, store).insts[at];
+                if let Inst::Store { src, base, offset } = *i {
+                    *i = Inst::Load {
+                        rd: src,
+                        base,
+                        offset,
+                    };
+                }
+            }),
+            "a store become a load"
+        );
+
+        // Branch targets: a direction the run took, and one it never took.
+        let br_seen = |seen: u8| {
+            find(&|loc| {
+                matches!(p.block(loc).term, Terminator::Br { .. }) && term_seen(loc) == seen
+            })
+        };
+        let retarget = |loc: CodeRef| {
+            move |q: &mut Program| {
+                if let Terminator::Br {
+                    taken, not_taken, ..
+                } = &mut block(q, loc).term
+                {
+                    *taken = *not_taken;
+                }
+            }
+        };
+        assert!(
+            !fits_after(&retarget(br_seen(0b11))),
+            "an observed taken target"
+        );
+        assert!(fits_after(&retarget(br_seen(0b01))), "a target never taken");
+
+        let call = find(&|loc| matches!(p.block(loc).term, Terminator::Call { .. }));
+        assert!(
+            !fits_after(&|q| {
+                let Terminator::Call { callee, .. } = &mut block(q, call).term else {
+                    unreachable!()
+                };
+                *callee = FuncId(1 - callee.0);
+            }),
+            "a call's callee"
+        );
+        let jump = find(&|loc| {
+            matches!(p.block(loc).term, Terminator::Goto(_))
+                && layout.encoding(loc) == TermEncoding::Jump
+        });
+        assert!(
+            !fits_after(&|q| block(q, jump).term = Terminator::Ret),
+            "a goto become a return"
+        );
+        assert!(
+            !fits_after(&|q| {
+                q.funcs[call.func.0 as usize].kind = FuncKind::Package { phase: 0 }
+            }),
+            "a function's package flag"
+        );
     }
 
     #[test]

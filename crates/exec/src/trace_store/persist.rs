@@ -24,8 +24,16 @@
 //! ```text
 //! stream      the raw dynamic stream, as the recorder produced it
 //! side table  varint run stats and event count, the slot count, then
-//!             every slot in index order
+//!             every slot record in index order
 //! trailer     the stream's length (LE u64, the payload's last 8 bytes)
+//!
+//! slot record (the slot's in-memory `SlotCol` and block)
+//!   exec      the packed exec word (LE u64)
+//!   flags     the static `col` flag bits (u8)
+//!   seen      the observed-lane mask (u8, bit d for lane d)
+//!   addr      fetch address (varint)
+//!   loc       block: function index, block index (varints)
+//!   lanes     the target of each observed lane, lane 0 first (varints)
 //! ```
 //!
 //! Stream first, so a recording can go to disk as it is made: with a disk
@@ -39,16 +47,20 @@
 //!
 //! The side table is dense: a capture only gains a slot while recording
 //! a stream record that references it, so every slot is live and there
-//! is nothing to skip.
+//! is nothing to skip. A slot record is stored as the decoder reads it, so
+//! decode only checks that it cannot index out of range: every register
+//! field of the exec word at most [`col::DEF_NONE`], no dynamic bit in
+//! the flags, no lane past the second.
 
-use super::{put_varint, CapturedTrace, StaticSlot, StreamBytes, TraceKey, TraceRecorder};
+use super::{
+    put_varint, CapturedTrace, SlotCol, StreamBytes, TraceKey, TraceRecorder, BOTH_LANES, DYN_MASK,
+};
 use crate::blob::{Blob, BlobStore, BlobWriter, Frame};
-use crate::event::{Ctrl, Retired};
+use crate::event::col;
 use crate::exec::{RunStats, StopReason};
 use std::io;
 use std::path::PathBuf;
-use vp_isa::reg::NUM_REGS;
-use vp_isa::{CodeRef, Fnv, FuClass, Reg};
+use vp_isa::{CodeRef, Fnv};
 use vp_trace::Counter;
 
 /// Store lookups answered by loading a capture from `VP_TRACE_DIR`.
@@ -71,8 +83,10 @@ static DISK_EVICTIONS: Counter = Counter::new("trace_store.disk_evictions");
 /// writes the side table densely again, since every slot of a capture is
 /// referenced by its stream; v7 puts the stream first and the side table
 /// after it, closed by the stream's length, so a recorder can write the
-/// stream to disk as it goes. Only v7 is read.
-pub const FORMAT_VERSION: u32 = 7;
+/// stream to disk as it goes; v8 stores each slot as its in-memory
+/// record (exec word, static flags, observed lanes, block) instead of a
+/// template `Retired` and its targets. Only v8 is read.
+pub const FORMAT_VERSION: u32 = 8;
 
 /// Default disk budget when `VP_TRACE_DISK_MB` is unset.
 pub const DEFAULT_DISK_MB: u64 = 2048;
@@ -101,76 +115,18 @@ fn echo(key: &TraceKey) -> Vec<u8> {
     out
 }
 
-const SLOT_IS_STORE: u8 = 1 << 0;
-const SLOT_IN_PACKAGE: u8 = 1 << 1;
-const SLOT_HAS_DEF: u8 = 1 << 2;
-const SLOT_HAS_CTRL: u8 = 1 << 3;
-const SLOT_IS_COND: u8 = 1 << 4;
-const SLOT_IS_CALL: u8 = 1 << 5;
-const SLOT_IS_RET: u8 = 1 << 6;
-
-const NO_REG: u8 = 0xff;
-
-fn put_reg(out: &mut Vec<u8>, r: Option<Reg>) {
-    out.push(r.map_or(NO_REG, |r| r.index() as u8));
-}
-
-fn fu_code(fu: FuClass) -> u8 {
-    match fu {
-        FuClass::IntAlu => 0,
-        FuClass::Fp => 1,
-        FuClass::Mem => 2,
-        FuClass::Branch => 3,
-    }
-}
-
 /// Serializes one side-table record.
-fn put_slot(payload: &mut Vec<u8>, slot: &StaticSlot) {
-    let t = &slot.template;
-    debug_assert!(t.mem_addr.is_none(), "templates carry no dynamic state");
-    let mut flags = 0u8;
-    if t.is_store {
-        flags |= SLOT_IS_STORE;
-    }
-    if t.in_package {
-        flags |= SLOT_IN_PACKAGE;
-    }
-    if t.def.is_some() {
-        flags |= SLOT_HAS_DEF;
-    }
-    if let Some(c) = &t.ctrl {
-        flags |= SLOT_HAS_CTRL;
-        if c.is_cond {
-            flags |= SLOT_IS_COND;
+fn put_slot(payload: &mut Vec<u8>, sc: &SlotCol, loc: CodeRef) {
+    payload.extend_from_slice(&sc.exec.to_le_bytes());
+    payload.push(sc.flags);
+    payload.push(sc.seen);
+    put_varint(payload, sc.addr);
+    put_varint(payload, u64::from(loc.func.0));
+    put_varint(payload, u64::from(loc.block.0));
+    for (d, &t) in sc.tgt.iter().enumerate() {
+        if sc.seen & (1 << d) != 0 {
+            put_varint(payload, t);
         }
-        if c.is_call {
-            flags |= SLOT_IS_CALL;
-        }
-        if c.is_ret {
-            flags |= SLOT_IS_RET;
-        }
-    }
-    payload.push(flags);
-    put_varint(payload, t.addr);
-    put_varint(payload, u64::from(t.loc.func.0));
-    put_varint(payload, u64::from(t.loc.block.0));
-    payload.push(fu_code(t.fu));
-    put_varint(payload, u64::from(t.latency));
-    if t.def.is_some() {
-        put_reg(payload, t.def);
-    }
-    for u in t.uses {
-        put_reg(payload, u);
-    }
-    if let Some(c) = &t.ctrl {
-        put_varint(payload, u64::from(c.block.func.0));
-        put_varint(payload, u64::from(c.block.block.0));
-        put_varint(payload, c.ret_addr);
-    }
-    let presence = u8::from(slot.targets[0].is_some()) | (u8::from(slot.targets[1].is_some()) << 1);
-    payload.push(presence);
-    for t in slot.targets.into_iter().flatten() {
-        put_varint(payload, t);
     }
 }
 
@@ -179,8 +135,14 @@ const TRAILER: usize = 8;
 
 /// Serializes what follows a capture's `stream_len`-byte stream in its
 /// payload: the side table, then the trailer.
-fn encode_tail(slots: &[StaticSlot], stats: RunStats, events: u64, stream_len: usize) -> Vec<u8> {
-    let mut tail = Vec::with_capacity(64 * slots.len() + 64);
+fn encode_tail(
+    cols: &[SlotCol],
+    locs: &[CodeRef],
+    stats: RunStats,
+    events: u64,
+    stream_len: usize,
+) -> Vec<u8> {
+    let mut tail = Vec::with_capacity(24 * cols.len() + 64);
 
     // Stats header.
     put_varint(&mut tail, stats.retired);
@@ -193,9 +155,9 @@ fn encode_tail(slots: &[StaticSlot], stats: RunStats, events: u64, stream_len: u
     put_varint(&mut tail, events);
 
     // Static side-table section: the slot count, then every slot.
-    put_varint(&mut tail, slots.len() as u64);
-    for slot in slots {
-        put_slot(&mut tail, slot);
+    put_varint(&mut tail, cols.len() as u64);
+    for (sc, &loc) in cols.iter().zip(locs) {
+        put_slot(&mut tail, sc, loc);
     }
     tail.extend_from_slice(&(stream_len as u64).to_le_bytes());
     tail
@@ -213,12 +175,13 @@ fn encode_tail(slots: &[StaticSlot], stats: RunStats, events: u64, stream_len: u
 /// Any I/O error of the whole recording; the temp file is removed.
 pub(super) fn publish(
     mut w: BlobWriter,
-    slots: &[StaticSlot],
+    cols: &[SlotCol],
+    locs: &[CodeRef],
     stream_len: usize,
     stats: RunStats,
     events: u64,
 ) -> io::Result<Blob> {
-    w.write(&encode_tail(slots, stats, events, stream_len));
+    w.write(&encode_tail(cols, locs, stats, events, stream_len));
     let (payload, published) = w.finish_and_read()?;
     if let Some(bytes) = published {
         DISK_BYTES.add(bytes);
@@ -257,87 +220,49 @@ impl<'a> Rd<'a> {
         }
     }
 
-    fn reg(&mut self) -> Option<Option<Reg>> {
-        match self.u8()? {
-            NO_REG => Some(None),
-            idx if (idx as usize) < NUM_REGS => Some(Some(Reg::from_index(idx as usize))),
-            _ => None,
-        }
+    fn u64_le(&mut self) -> Option<u64> {
+        let bytes = self.buf.get(self.pos..self.pos + 8)?;
+        self.pos += 8;
+        Some(u64::from_le_bytes(bytes.try_into().ok()?))
     }
 }
 
-fn decode_fu(code: u8) -> Option<FuClass> {
-    Some(match code {
-        0 => FuClass::IntAlu,
-        1 => FuClass::Fp,
-        2 => FuClass::Mem,
-        3 => FuClass::Branch,
-        _ => return None,
-    })
-}
-
-/// Deserializes one side-table record.
-fn read_slot(rd: &mut Rd) -> Option<StaticSlot> {
+/// Deserializes one side-table record, refusing one that could index
+/// out of range: a register field past [`col::DEF_NONE`], a dynamic bit
+/// in the static flags, or a lane past the second.
+fn read_slot(rd: &mut Rd) -> Option<(SlotCol, CodeRef)> {
+    let exec = rd.u64_le()?;
     let flags = rd.u8()?;
+    let seen = rd.u8()?;
+    let regs_in_range = [0, col::USE1_SHIFT, col::USE2_SHIFT, col::DEF_SHIFT]
+        .iter()
+        .all(|&at| (exec >> at & col::REG_MASK) as usize <= col::DEF_NONE);
+    if !regs_in_range || flags & DYN_MASK != 0 || seen & !BOTH_LANES != 0 {
+        return None;
+    }
     let addr = rd.varint()?;
     let func = u32::try_from(rd.varint()?).ok()?;
     let block = u32::try_from(rd.varint()?).ok()?;
-    let fu = decode_fu(rd.u8()?)?;
-    let latency = u32::try_from(rd.varint()?).ok()?;
-    let def = if flags & SLOT_HAS_DEF != 0 {
-        rd.reg()?
-    } else {
-        None
-    };
-    let mut uses = [None; 3];
-    for u in &mut uses {
-        *u = rd.reg()?;
-    }
-    let ctrl = if flags & SLOT_HAS_CTRL != 0 {
-        let cfunc = u32::try_from(rd.varint()?).ok()?;
-        let cblock = u32::try_from(rd.varint()?).ok()?;
-        let ret_addr = rd.varint()?;
-        Some(Ctrl {
-            block: CodeRef::new(cfunc, cblock),
-            is_cond: flags & SLOT_IS_COND != 0,
-            arch_taken: false,
-            taken: false,
-            is_call: flags & SLOT_IS_CALL != 0,
-            is_ret: flags & SLOT_IS_RET != 0,
-            target: 0,
-            ret_addr,
-        })
-    } else {
-        None
-    };
-    let presence = rd.u8()?;
-    let mut targets = [None; 2];
-    for (bit, t) in targets.iter_mut().enumerate() {
-        if presence & (1 << bit) != 0 {
-            *t = Some(rd.varint()?);
+    let mut tgt = [0; 2];
+    for (d, t) in tgt.iter_mut().enumerate() {
+        if seen & (1 << d) != 0 {
+            *t = rd.varint()?;
         }
     }
-    Some(StaticSlot {
-        template: Retired {
-            loc: CodeRef::new(func, block),
-            addr,
-            fu,
-            latency,
-            def,
-            uses,
-            mem_addr: None,
-            is_store: flags & SLOT_IS_STORE != 0,
-            ctrl,
-            in_package: flags & SLOT_IN_PACKAGE != 0,
-        },
-        targets,
-    })
+    let sc = SlotCol {
+        exec,
+        tgt,
+        addr,
+        flags,
+        seen,
+    };
+    Some((sc, CodeRef::new(func, block)))
 }
 
 /// Deserializes a payload (stream, side table, trailer). The dynamic
 /// stream — the bulk of every capture — stays a window into `payload`;
-/// the side table and the derived decode columns are materialized (they
-/// are random-access-hot during replay and tiny next to the stream).
+/// the slot records are materialized (they are random-access-hot during
+/// replay and tiny next to the stream).
 /// Returns `None` on a malformed payload, which the store then deletes.
 fn decode(payload: Blob) -> Option<CapturedTrace> {
     let body = payload.len().checked_sub(TRAILER)?;
@@ -360,32 +285,34 @@ fn decode(payload: Blob) -> Option<CapturedTrace> {
     let events = rd.varint()?;
 
     let n_slots = usize::try_from(rd.varint()?).ok()?;
-    // A slot costs at least 10 bytes encoded; reject fantastic counts
+    // A slot costs at least 13 bytes encoded; reject fantastic counts
     // before allocating.
     if n_slots > payload.len() {
         return None;
     }
-    let mut slots = Vec::with_capacity(n_slots);
+    let mut slot_cols = Vec::with_capacity(n_slots);
+    let mut slot_locs = Vec::with_capacity(n_slots);
     for _ in 0..n_slots {
-        slots.push(read_slot(&mut rd)?);
+        let (sc, loc) = read_slot(&mut rd)?;
+        slot_cols.push(sc);
+        slot_locs.push(loc);
     }
     if rd.pos != body {
         return None;
     }
 
-    let stream = payload.window(0..stream_len);
-    let stats = RunStats {
-        retired,
-        cond_branches,
-        in_package,
-        stop,
-    };
-    Some(CapturedTrace::assemble(
-        slots,
-        StreamBytes::Stored(stream),
-        stats,
+    Some(CapturedTrace {
+        slot_cols,
+        slot_locs,
+        stream: StreamBytes::Stored(payload.window(0..stream_len)),
+        stats: RunStats {
+            retired,
+            cond_branches,
+            in_package,
+            stop,
+        },
         events,
-    ))
+    })
 }
 
 // -------------------------------------------------------------- the tier
@@ -452,7 +379,8 @@ impl DiskTier {
         let mut w = self.blobs.writer(&name(key, &echo), &echo)?;
         w.write(&trace.stream);
         w.write(&encode_tail(
-            &trace.slots,
+            &trace.slot_cols,
+            &trace.slot_locs,
             trace.stats,
             trace.events,
             trace.stream.len(),
@@ -566,7 +494,8 @@ mod tests {
     fn encode(trace: &CapturedTrace) -> Vec<u8> {
         let mut payload = trace.stream.to_vec();
         payload.extend(encode_tail(
-            &trace.slots,
+            &trace.slot_cols,
+            &trace.slot_locs,
             trace.stats,
             trace.events,
             trace.stream.len(),
@@ -672,6 +601,43 @@ mod tests {
         bad_stop[rd.pos] = 7;
         assert!(decode(Blob::owned(bad_stop)).is_none(), "stop code 7");
 
+        // A slot record that could index out of range, in a CRC-valid
+        // file: a register field past `DEF_NONE`, a dynamic flag bit, or
+        // a third lane.
+        rd.pos += 1;
+        for _ in 0..2 {
+            rd.varint().unwrap();
+        }
+        let slot = rd.pos;
+        assert_eq!(
+            rd.u64_le(),
+            Some(trace.slot_cols[0].exec),
+            "slot 0's exec word"
+        );
+        let mut out_of_range = Vec::new();
+        for at in [0, col::USE1_SHIFT, col::USE2_SHIFT, col::DEF_SHIFT] {
+            let mut bad = payload.clone();
+            bad[slot + at as usize / 8] = col::DEF_NONE as u8 + 1;
+            out_of_range.push((bad, format!("register field at bit {at}")));
+        }
+        for bit in [col::MEM, col::ARCH_TAKEN, col::TAKEN] {
+            let mut bad = payload.clone();
+            bad[slot + 8] |= bit;
+            out_of_range.push((bad, format!("dynamic flag {bit:#x}")));
+        }
+        let mut bad = payload.clone();
+        bad[slot + 9] |= 1 << 2;
+        out_of_range.push((bad, "a third lane".to_string()));
+        let tier = DiskTier::new(tempdir("range"), 64 * 1024 * 1024).unwrap();
+        let echo = echo(&key);
+        for (bad, what) in out_of_range {
+            assert!(decode(Blob::owned(bad.clone())).is_none(), "{what}");
+            tier.blobs().put(&name(&key, &echo), &echo, &bad).unwrap();
+            assert!(tier.load(&key).is_none(), "{what}: loaded");
+            assert!(!tier.path_for(&key).exists(), "{what}: not deleted");
+        }
+        let _ = fs::remove_dir_all(tier.blobs().root());
+
         // The tier: the frame refuses a truncated or bit-flipped file and
         // deletes it.
         let tier = DiskTier::new(tempdir("corrupt"), 64 * 1024 * 1024).unwrap();
@@ -703,36 +669,34 @@ mod tests {
 
     #[test]
     fn a_v6_file_is_refused_and_deleted() {
-        // A whole, well-framed file in the previous layout (side table
-        // first, then the stream, no trailer), under the key's own name:
-        // the version check refuses it before the codec sees it.
+        // Whole, well-framed files in older layouts under the key's own
+        // name — v6 (side table first, then the stream, no trailer) and
+        // v7 (stream first, as today) — each holding this capture's
+        // bytes: the version check refuses them before the codec sees
+        // them.
         let (p, layout) = sample_program();
         let cfg = RunConfig::default();
         let key = TraceKey::new("v6", &p, &layout, &cfg);
         let trace = CapturedTrace::capture(&p, &layout, &cfg).unwrap();
-        let tail = encode_tail(&trace.slots, trace.stats, trace.events, trace.stream.len());
-        let mut v6 = tail[..tail.len() - TRAILER].to_vec();
+        let v7 = encode(&trace);
+        let tail = &v7[trace.stream.len()..v7.len() - TRAILER];
+        let mut v6 = tail.to_vec();
         v6.extend_from_slice(&trace.stream);
 
         let tier = DiskTier::new(tempdir("v6"), 64 * 1024 * 1024).unwrap();
-        let old = BlobStore::new(
-            tier.blobs().root(),
-            u64::MAX,
-            Frame {
-                version: 6,
-                ..FRAME
-            },
-        )
-        .unwrap();
         let echo = echo(&key);
-        old.put(&name(&key, &echo), &echo, &v6).unwrap();
         let path = tier.path_for(&key);
-        assert!(path.exists());
-        let (loaded, report) = vp_trace::scoped(|| tier.load(&key));
-        assert!(loaded.is_none(), "a v6 file is never decoded");
-        assert!(!path.exists(), "the v6 file is deleted");
-        assert_eq!(report.counter("trace_store.disk_hits"), 0);
-        // The healed slot takes a v7 write.
+        for (version, payload) in [(6, v6), (7, v7)] {
+            let old =
+                BlobStore::new(tier.blobs().root(), u64::MAX, Frame { version, ..FRAME }).unwrap();
+            old.put(&name(&key, &echo), &echo, &payload).unwrap();
+            assert!(path.exists());
+            let (loaded, report) = vp_trace::scoped(|| tier.load(&key));
+            assert!(loaded.is_none(), "a v{version} file is never decoded");
+            assert!(!path.exists(), "the v{version} file is deleted");
+            assert_eq!(report.counter("trace_store.disk_hits"), 0);
+        }
+        // The healed slot takes a current write.
         tier.store(&key, &trace).unwrap();
         assert_eq!(events_of(&tier.load(&key).unwrap()), events_of(&trace));
         let _ = fs::remove_dir_all(tier.blobs().root());
@@ -749,7 +713,7 @@ mod tests {
         {
             let layout = vp_program::Layout::natural(&w.program);
             let trace = CapturedTrace::capture(&w.program, &layout, &cfg).unwrap();
-            let mut seen = vec![false; trace.slots.len()];
+            let mut seen = vec![false; trace.slot_cols.len()];
             for rec in trace.cursor() {
                 seen[rec.slot] = true;
             }

@@ -180,6 +180,10 @@ fn disk_round_trip_replays_bit_exact_on_three_workloads() {
         let loaded = tier
             .load(&key)
             .unwrap_or_else(|| panic!("{name}: reload failed"));
+        assert!(
+            loaded.fits(&program, &layout),
+            "{name}: the loaded capture does not fit its own program"
+        );
 
         let mut orig_hsd = HotSpotDetector::new(HsdConfig::table2());
         let mut orig_counts = InstCounts::new();
@@ -389,6 +393,12 @@ fn replay_hands_sinks_the_live_event_stream_across_the_suite() {
         let (program, layout) = (&w.program, &Layout::natural(&w.program));
         let capture = CapturedTrace::capture(program, layout, &cfg)
             .unwrap_or_else(|e| panic!("{label}: capture failed: {e}"));
+        // A check too strict would turn every store hit into a silent
+        // re-capture, which no byte-identity check could see.
+        assert!(
+            capture.fits(program, layout),
+            "{label}: the capture does not fit its own program"
+        );
         std::thread::scope(|s| {
             let (tx, rx) = sync_channel::<Vec<ColEvent>>(4);
             let live = s.spawn(move || {
