@@ -8,7 +8,7 @@
 //! * `capture` — interpret once while recording the stream;
 //! * `capture_fast` — the same recording on a sequential-heavy workload
 //!   (gzip's long deflate loops), the shape the recorder's no-hash-probe
-//!   straight-line append exists for;
+//!   predicted-successor path exists for;
 //! * `replay_batched` — the one replay entry point
 //!   (`CapturedTrace::replay`) into the `InstCounts` counting sink: the
 //!   decode loop with an inlined consumer. The key is kept from the
@@ -113,15 +113,15 @@ fn main() {
             .events()
     });
     // twolf above is the branch-dense adversarial capture; gzip is the
-    // sequential-heavy shape where the recorder's straight-line append
-    // (no per-event hash probe) dominates.
+    // sequential-heavy shape where the recorder's predicted-successor
+    // check (no per-event hash probe) dominates.
     let gzip = vacuum_packing::workloads::gzip::build(bench::scale());
     let gzip_layout = Layout::natural(&gzip);
     let gzip_trace = CapturedTrace::capture(&gzip, &gzip_layout, &cfg).unwrap();
     let gzip_events = gzip_trace.events();
     println!(
         "capture_fast workload (gzip): {gzip_events} retired instructions, \
-         {:.2} B/inst (straight-line events are 1 byte)",
+         {:.2} B/inst (straight-line events cost no stream bytes)",
         gzip_trace.bytes() as f64 / gzip_events as f64
     );
     drop(gzip_trace);

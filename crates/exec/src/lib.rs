@@ -43,8 +43,9 @@
 //!
 //! 1. **Capture** once: [`CapturedTrace::capture`] (or `capture_with`, which
 //!    also feeds live sinks during the recording run) executes the program
-//!    and records the stream into a compact delta-coded encoding, typically
-//!    one to two bytes per retired instruction.
+//!    and records the stream into a compact branch-and-address encoding:
+//!    only branch directions, memory deltas and return targets, well
+//!    under half a byte per retired instruction.
 //! 2. **Replay** many times: [`CapturedTrace::replay`] reconstructs every
 //!    event bit-for-bit — the same [`ColEvent`] values live execution hands
 //!    a [`Sink`] — with no register file, no memory image, no

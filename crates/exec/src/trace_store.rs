@@ -12,28 +12,44 @@
 //!
 //! # Encoding
 //!
-//! Almost every field of a [`Retired`] event is *static*: for a fixed
-//! program and layout, the instruction at a given fetch address always has
-//! the same location, FU class, latency, register defs/uses, and
-//! control-transfer kind. The recorder therefore splits the stream:
+//! For a fixed program and layout, almost everything about a retired
+//! instruction is *static*: the instruction at a given fetch address
+//! always has the same block, FU class, latency, register defs/uses and
+//! memory-access and control-transfer kind, and in each architectural
+//! direction the same flags, the same target and the same next
+//! instruction. Only three facts are dynamic: which way a conditional
+//! branch went, which address a load or store touched, and where a
+//! return went. The recorder therefore splits the stream (trace format
+//! v9):
 //!
-//! * a **static side-table** with one entry per distinct fetch address,
+//! * a **static side table** with one entry per distinct fetch address,
 //!   keyed densely in first-seen order: the slot's 40-byte `SlotCol`
 //!   record — the static half of its [`ColEvent`], packed by
-//!   [`col::event`] when the recorder first sees the slot, plus the (at
-//!   most two) control-transfer targets as each direction is observed —
-//!   and its block, a [`CodeRef`] kept beside it;
-//! * a **dynamic byte stream** with one record per retired instruction: a
-//!   flags byte (sequential-index bit, memory bit, branch directions),
-//!   then optional LEB128 varints — a zig-zag table-index delta when
-//!   execution did not fall through to the next recorded address, a
-//!   zig-zag delta-coded effective address for loads/stores, and an
-//!   explicit target only for returns (the one transfer whose target is
-//!   not a function of the address and direction).
+//!   [`col::event`] when the recorder first sees the slot (a conditional
+//!   branch's as if not taken), plus the control target of each
+//!   direction as it is observed — its block, a [`CodeRef`], and its
+//!   *successor* in each direction: the slot the next event retires at,
+//!   filled in when that transition is first observed;
+//! * a **dynamic byte stream** holding only the dynamic facts, in
+//!   retirement order: one direction bit per conditional branch, eight
+//!   to a group byte that sits where the group's first branch retires;
+//!   per load or store its effective address as a zig-zag LEB128 varint
+//!   delta from the address the last slot with the same index mod 64
+//!   touched — a loop's loads and stores each walk their own array, so
+//!   that delta is usually one stride; and per return its target (a
+//!   delta from the return's own address) and its successor slot.
 //!
-//! Straight-line code costs one byte per instruction; the amortized cost
-//! stays well under the 8-bytes-per-instruction budget even on
-//! memory-heavy workloads (see `tests/trace_replay.rs`).
+//! Replay walks the successor chain from slot 0. A slot whose successor
+//! is the next slot in first-seen order — straight-line code, and most
+//! transfers the first time they run — decodes as `slot + 1` on a
+//! predicted branch, so the chain does not wait on a load. Straight-line
+//! code costs no stream bytes at all; a real workload's stream stays
+//! under half a byte per instruction (see `tests/trace_replay.rs`).
+//!
+//! A group byte also closes early: a conditional branch that retires 64
+//! KiB or more of stream after its group's byte opens a new group. That
+//! bounds how much stream a spooling recorder holds back to patch the
+//! open group.
 //!
 //! [`ColEvent`]: crate::ColEvent
 //! [`col::event`]: crate::event::col::event
@@ -112,7 +128,7 @@ use crate::exec::{ExecError, Executor, RunConfig, RunStats};
 use crate::fx::FxHashMap;
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use vp_isa::{BlockId, CodeRef, FuClass, Inst, INST_BYTES};
-use vp_program::{Layout, Program, Terminator};
+use vp_program::{Layout, Program, TermEncoding, Terminator};
 use vp_trace::Counter;
 
 pub mod persist;
@@ -139,6 +155,20 @@ pub const DEFAULT_CACHE_MB: usize = 512;
 /// Stream bytes a recorder spooling to the disk tier buffers between two
 /// writes.
 const SPOOL_CHUNK: usize = 256 * 1024;
+
+/// A conditional branch this many stream bytes or more past its group's
+/// byte opens a new direction group, even if the old one has bits left
+/// (see the module docs).
+const GROUP_SPAN: usize = 64 * 1024;
+
+/// Events a replay cursor decodes between two looks at its release
+/// window.
+const CHECK_EVENTS: u64 = 1 << 16;
+
+/// Memory anchors: a load or store's address is coded as a delta from
+/// anchor `slot % ANCHORS`, the address last touched by a slot of that
+/// residue.
+const ANCHORS: usize = 64;
 
 // ---------------------------------------------------------------- varints
 
@@ -184,34 +214,29 @@ fn cold_path() {}
 
 // ---------------------------------------------------------- static table
 
-const FLAG_SEQ: u8 = 1 << 0;
-const FLAG_MEM: u8 = 1 << 1;
-const FLAG_ARCH_TAKEN: u8 = 1 << 2;
-const FLAG_TAKEN: u8 = 1 << 3;
+/// A successor lane not observed (yet).
+const NO_SLOT: u32 = u32::MAX;
 
-/// The dynamic [`col`] bits. They coincide with the stream record's flag
-/// bits of the same names, so the dynamic half of an event's flag byte is
-/// a single mask of the record byte; a slot record's flags never carry
-/// them.
-const DYN_MASK: u8 = col::MEM | col::ARCH_TAKEN | col::TAKEN;
-const _: () =
-    assert!(col::MEM == FLAG_MEM && col::ARCH_TAKEN == FLAG_ARCH_TAKEN && col::TAKEN == FLAG_TAKEN);
+/// The [`col`] bits a conditional branch's direction flips: the
+/// architectural direction, and the encoded one, which is the
+/// architectural direction or (an inverted branch) its inverse.
+const FLIP: u8 = col::ARCH_TAKEN | col::TAKEN;
 
 /// A capture's one record per static slot: the static half of the slot's
 /// [`ColEvent`], interleaved so the decoder touches one record per event.
-/// Fields mirror the [`ColEvent`] fields: `flags` is the static [`col`]
-/// bits (dynamic `MEM`/`TAKEN`/`ARCH_TAKEN` come from the stream record),
-/// `exec` the packed exec word, `tgt` the control auxiliary address per
-/// architectural direction — the observed target of each direction for
-/// branches and jumps (`Halt`'s is 0), the callee entry and then the RAS
-/// return address for calls, the slot's own fetch address in both lanes
-/// for returns (the stream carries their target as a delta from it), and
-/// zero for non-control slots. Bit `d` of `seen` marks lane `d` as
-/// observed, so a lane never taken stays distinct from one whose target is
-/// 0. Replay reads lane `arch_taken`, which is 1 for every unconditional
-/// transfer but `Halt`; a call's lane 0 only serves
-/// [`CapturedTrace::fits`]. Slot records carry no memory address: the
-/// memory column is purely dynamic.
+/// Fields mirror the [`ColEvent`] fields. `flags` is every [`col`] bit of
+/// the slot's events — `MEM` and `STORE` included, since loads and stores
+/// always carry an address — and for a conditional branch those of its
+/// not-taken events, which a taken one flips by [`FLIP`]. `exec` is the
+/// packed exec word, and `tgt` the control auxiliary address per
+/// architectural direction: the observed target of each direction for
+/// branches and jumps (`Halt`'s is 0), the RAS return address for calls,
+/// the slot's own fetch address for returns (the stream carries their
+/// target as a delta from it), and zero for non-control slots. Bit `d` of
+/// `seen` marks lane `d` as observed, so a lane never taken stays
+/// distinct from one whose target is 0; bit `d` of `seq` marks the slot's
+/// successor in direction `d` as the next slot. Replay reads lane
+/// `arch_taken`, which is 1 for every unconditional transfer but `Halt`.
 ///
 /// [`ColEvent`]: crate::ColEvent
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -221,6 +246,7 @@ struct SlotCol {
     addr: u64,
     flags: u8,
     seen: u8,
+    seq: u8,
 }
 
 // The parse chain streams these records; a 48-byte record cost the
@@ -230,60 +256,59 @@ const _: () = assert!(std::mem::size_of::<SlotCol>() == 40);
 /// `seen` with both control lanes observed.
 const BOTH_LANES: u8 = 0b11;
 
+/// A `seq` bit: the slot's events have no stream bytes and fall through
+/// to the next slot — the decoder's fast path.
+const FALL: u8 = 1 << 2;
+
 impl SlotCol {
-    /// The record of the slot `r` retires at: [`col::event`] of `r` less
-    /// its dynamic bits, no control lane observed yet.
+    /// The record of the slot `r` retires at: [`col::event`] of `r`, a
+    /// conditional branch's as if not taken, no control lane observed
+    /// yet.
     ///
     /// [`col::event`]: crate::event::col::event
     fn new(r: &Retired) -> SlotCol {
         let e = col::event(r);
+        let taken_branch = r.ctrl.is_some_and(|c| c.is_cond && c.arch_taken);
         SlotCol {
             exec: e.exec,
             tgt: [0; 2],
             addr: e.addr,
-            flags: e.flags & !DYN_MASK,
+            flags: e.flags ^ if taken_branch { FLIP } else { 0 },
             seen: 0,
+            seq: 0,
         }
     }
 
-    /// Fills the control lanes the retirement of `c` at this slot shows.
+    /// Fills the control lane the retirement of `c` at this slot shows.
     fn observe(&mut self, c: &Ctrl) {
-        if c.is_ret {
-            // The cursor's return-target delta is 0 for every other slot,
-            // so `tgt[dir] + ret_delta` is the target for all slots
-            // without a branch on the slot kind.
-            self.tgt = [self.addr; 2];
-            self.seen = BOTH_LANES;
+        let dir = usize::from(c.arch_taken);
+        // The cursor's return-target delta is 0 for every other slot, so
+        // `tgt[dir] + ret_delta` is the target for all slots without a
+        // branch on the slot kind.
+        self.tgt[dir] = if c.is_ret {
+            self.addr
         } else if c.is_call {
-            self.tgt = [c.target, c.ret_addr];
-            self.seen = BOTH_LANES;
+            c.ret_addr
         } else {
-            let dir = usize::from(c.arch_taken);
-            self.tgt[dir] = c.target;
-            self.seen |= 1 << dir;
-        }
+            c.target
+        };
+        self.seen |= 1 << dir;
     }
 
-    /// Whether this record, at block `loc`, is what `program` retires at
-    /// the record's address under `layout`: the same exec word, static
-    /// flags and block, and for each observed direction the same control
-    /// lane.
-    fn fits(&self, loc: CodeRef, program: &Program, layout: &Layout) -> bool {
-        let Some(func) = program.funcs.get(loc.func.0 as usize) else {
-            return false;
-        };
-        let Some(block) = func.blocks.get(loc.block.0 as usize) else {
-            return false;
-        };
-        let Some(slot) = self
+    /// If this record, at block `loc`, is what `program` retires at the
+    /// record's address under `layout` — the same exec word, static flags
+    /// and block, and for each observed direction the same control lane —
+    /// the address the next event retires at in each direction, where the
+    /// program fixes it (`None` after a return or a halt).
+    fn fits(&self, loc: CodeRef, program: &Program, layout: &Layout) -> Option<[Option<u64>; 2]> {
+        let func = program.funcs.get(loc.func.0 as usize)?;
+        let block = func.blocks.get(loc.block.0 as usize)?;
+        let slot = self
             .addr
             .checked_sub(layout.addr_of(loc))
             .filter(|d| d % INST_BYTES == 0)
             .map(|d| d / INST_BYTES)
-            .filter(|&i| i < layout.insts_of(loc))
-        else {
-            return false;
-        };
+            .filter(|&i| i < layout.insts_of(loc))?;
         // The event the interpreter retires here, less its dynamic fields;
         // a control transfer also fills one lane per direction.
         let plain = Retired {
@@ -298,6 +323,7 @@ impl SlotCol {
             ctrl: None,
             in_package: func.is_package(),
         };
+        let next = self.addr + INST_BYTES;
         if let Some(inst) = block.insts.get(slot as usize) {
             let (def, uses) = crate::exec::inst_regs(inst);
             let want = Retired {
@@ -305,10 +331,13 @@ impl SlotCol {
                 latency: inst.latency(),
                 def,
                 uses,
+                mem_addr: matches!(inst, Inst::Load { .. } | Inst::Store { .. }).then_some(0),
                 is_store: matches!(inst, Inst::Store { .. }),
                 ..plain
             };
-            return self.packs(&want, [None; 2]);
+            // The next instruction, or the terminator, or through a
+            // fall-through `Goto` the next block: one slot on.
+            return self.packs(&want, [None; 2]).then_some([Some(next), None]);
         }
         // Past the body: the terminator, then (branch-plus-jump only) the
         // jump to the not-taken successor.
@@ -322,8 +351,8 @@ impl SlotCol {
         let jump = Ctrl {
             block: loc,
             is_cond: false,
-            arch_taken: false,
-            taken: false,
+            arch_taken: true,
+            taken: true,
             is_call: false,
             is_ret: false,
             target: 0,
@@ -333,8 +362,10 @@ impl SlotCol {
             is_call: true,
             ..jump
         };
+        let enc = layout.encoding(loc);
         let first = slot == block.insts.len() as u64;
-        let (ctrl, uses, lanes) = match (&block.term, first) {
+        // (control record, uses, lanes, successors)
+        let (ctrl, uses, lanes, succ) = match (&block.term, first) {
             (
                 Terminator::Br {
                     rs1,
@@ -347,40 +378,73 @@ impl SlotCol {
             ) => (
                 Ctrl {
                     is_cond: true,
+                    arch_taken: false,
+                    taken: enc == TermEncoding::BrInverted,
                     ..jump
                 },
                 [Some(*rs1), rs2.reg(), None],
                 [at(*not_taken), at(*taken)],
+                [
+                    if enc == TermEncoding::BrJump {
+                        Some(next)
+                    } else {
+                        at(*not_taken)
+                    },
+                    at(*taken),
+                ],
             ),
-            (Terminator::Br { not_taken, .. }, false) => (jump, [None; 3], [None, at(*not_taken)]),
-            (Terminator::Goto(to), true) => (jump, [None; 3], [None, at(*to)]),
+            (Terminator::Br { not_taken, .. }, false) => (
+                jump,
+                [None; 3],
+                [None, at(*not_taken)],
+                [None, at(*not_taken)],
+            ),
+            (Terminator::Goto(to), true) => (jump, [None; 3], [None, at(*to)], [None, at(*to)]),
             (Terminator::Call { callee, ret_to }, true) => {
                 let entry = CodeRef {
                     func: *callee,
                     block: program.func(*callee).entry,
                 };
-                (call, [None; 3], [at(entry), returns_to(*ret_to)])
+                (
+                    call,
+                    [None; 3],
+                    [None, returns_to(*ret_to)],
+                    [None, at(entry)],
+                )
             }
-            (Terminator::CallThrough { target, ret_to }, true) => {
-                (call, [None; 3], [at(*target), returns_to(*ret_to)])
-            }
+            (Terminator::CallThrough { target, ret_to }, true) => (
+                call,
+                [None; 3],
+                [None, returns_to(*ret_to)],
+                [None, at(*target)],
+            ),
             (Terminator::Ret, true) => (
                 Ctrl {
                     is_ret: true,
                     ..jump
                 },
                 [None; 3],
-                [Some(self.addr); 2],
+                [None, Some(self.addr)],
+                [None; 2],
             ),
-            (Terminator::Halt, true) => (jump, [None; 3], [Some(0), None]),
-            _ => return false,
+            (Terminator::Halt, true) => (
+                Ctrl {
+                    arch_taken: false,
+                    taken: false,
+                    ..jump
+                },
+                [None; 3],
+                [Some(0), None],
+                [None; 2],
+            ),
+            _ => return None,
         };
         let want = Retired {
             uses,
             ctrl: Some(ctrl),
             ..plain
         };
-        self.packs(&want, lanes)
+        self.packs(&want, lanes).then_some(succ)
     }
 
     /// Whether this record is what [`SlotCol::new`] packs `want` to, with
@@ -395,6 +459,55 @@ impl SlotCol {
     }
 }
 
+/// A capture's static side table, one entry per slot in first-seen order.
+#[derive(Debug, Default)]
+struct Slots {
+    /// The record of each slot: the one the parse chain loads per event.
+    cols: Vec<SlotCol>,
+    /// Block of each slot: read only by sinks that look at
+    /// [`ColEvent::loc`], so it stays out of the 40-byte records.
+    ///
+    /// [`ColEvent::loc`]: crate::ColEvent::loc
+    locs: Vec<CodeRef>,
+    /// Successor slot of each slot per architectural direction, or
+    /// [`NO_SLOT`] while that transition has not been observed. A
+    /// return's successor is dynamic: its lanes stay [`NO_SLOT`] and the
+    /// stream carries it.
+    next: Vec<[u32; 2]>,
+}
+
+impl Slots {
+    fn len(&self) -> usize {
+        self.cols.len()
+    }
+
+    /// Appends the slot `r` retires at; returns its index.
+    fn push(&mut self, r: &Retired) -> u32 {
+        let i = self.cols.len() as u32;
+        self.cols.push(SlotCol::new(r));
+        self.locs.push(r.loc);
+        self.next.push([NO_SLOT; 2]);
+        i
+    }
+
+    /// Records `to` as slot `from`'s successor in direction `dir`.
+    fn link(&mut self, from: usize, dir: usize, to: u32) {
+        self.next[from][dir] = to;
+        if to as usize == from + 1 {
+            let sc = &mut self.cols[from];
+            sc.seq |= 1 << dir;
+            if sc.flags & (col::COND | col::MEM | col::RET) == 0 {
+                sc.seq |= FALL;
+            }
+        }
+    }
+
+    /// Bytes the table holds per slot.
+    const SLOT_BYTES: usize = std::mem::size_of::<SlotCol>()
+        + std::mem::size_of::<CodeRef>()
+        + std::mem::size_of::<[u32; 2]>();
+}
+
 /// Records the retired stream of one [`Executor`] run.
 ///
 /// Feed it every event of an [`Executor::run_with`] run through
@@ -402,12 +515,7 @@ impl SlotCol {
 /// run's stats to obtain the immutable [`CapturedTrace`].
 #[derive(Debug)]
 pub struct TraceRecorder {
-    /// The record of each slot, in first-seen order: the capture fast
-    /// path resolves sequential execution against the next record's
-    /// address with one compare instead of a hash probe per event.
-    cols: Vec<SlotCol>,
-    /// Block of each slot, parallel to `cols`.
-    locs: Vec<CodeRef>,
+    slots: Slots,
     by_addr: FxHashMap<u64, u32>,
     /// The whole stream, or with a spool the part not yet written.
     stream: Vec<u8>,
@@ -418,8 +526,19 @@ pub struct TraceRecorder {
     spool: Option<BlobWriter>,
     /// Stream bytes already handed to `spool`.
     spilled: usize,
-    prev_idx: i64,
-    last_mem: u64,
+    /// The slot the next event must retire at — the previous event's
+    /// known successor, or a return's recorded one — or [`NO_SLOT`] when
+    /// the previous event's transition is new.
+    expect: u32,
+    /// The previous event's slot and direction: the lane a new
+    /// transition fills.
+    prev: (usize, usize),
+    /// Stream offset of the open direction group's byte.
+    group_at: usize,
+    /// Directions in the open group; 8 when none is open.
+    group_len: u32,
+    /// The address each memory anchor last saw (see [`ANCHORS`]).
+    anchors: [u64; ANCHORS],
     events: u64,
 }
 
@@ -433,15 +552,18 @@ impl TraceRecorder {
     /// Creates an empty recorder.
     pub fn new() -> TraceRecorder {
         TraceRecorder {
-            cols: Vec::new(),
-            locs: Vec::new(),
+            slots: Slots::default(),
             by_addr: FxHashMap::default(),
             stream: Vec::new(),
             spill_at: usize::MAX,
             spool: None,
             spilled: 0,
-            prev_idx: -1,
-            last_mem: 0,
+            // The first event registers slot 0.
+            expect: 0,
+            prev: (0, 0),
+            group_at: 0,
+            group_len: 8,
+            anchors: [0; ANCHORS],
             events: 0,
         }
     }
@@ -481,19 +603,11 @@ impl TraceRecorder {
             Some(mut w) => {
                 w.write(&self.stream);
                 let len = self.spilled + self.stream.len();
-                StreamBytes::Stored(persist::publish(
-                    w,
-                    &self.cols,
-                    &self.locs,
-                    len,
-                    stats,
-                    self.events,
-                )?)
+                StreamBytes::Stored(persist::publish(w, &self.slots, len, stats, self.events)?)
             }
         };
         let trace = CapturedTrace {
-            slot_cols: self.cols,
-            slot_locs: self.locs,
+            slots: self.slots,
             stream,
             stats,
             events: self.events,
@@ -505,33 +619,71 @@ impl TraceRecorder {
         Ok(trace)
     }
 
-    /// Hands the buffered stream bytes to the spool.
+    /// Hands the buffered stream bytes to the spool, all but an open
+    /// direction group's byte and what follows it: a later branch of the
+    /// group still patches that byte.
     #[cold]
     #[inline(never)]
     fn spill(&mut self) {
+        let end = self.spilled + self.stream.len();
+        let keep_from = if self.group_len < 8 && end - self.group_at < GROUP_SPAN {
+            self.group_at - self.spilled
+        } else {
+            self.stream.len()
+        };
         let w = self
             .spool
             .as_mut()
             .expect("spill_at is set only with a spool");
-        w.write(&self.stream);
-        self.spilled += self.stream.len();
-        self.stream.clear();
+        w.write(&self.stream[..keep_from]);
+        self.spilled += keep_from;
+        self.stream.drain(..keep_from);
     }
 
-    /// Slot resolution off the sequential fast path (taken branches, call
-    /// and loop back-edges): hash-probe the address map, registering a new
-    /// slot on first sight.
-    fn retire_slot_slow(&mut self, r: &Retired) -> u32 {
-        match self.by_addr.get(&r.addr) {
+    /// Slot resolution off the predicted path: the previous event's
+    /// transition is new (taken for the first time, or a slot's first
+    /// run) or leads to a slot not registered yet. Hash-probes the
+    /// address map, registering a new slot on first sight, and fills the
+    /// previous event's successor lane when it was unknown.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a known successor disagrees with the event: successors
+    /// are static for every slot but a return, whose recorded successor
+    /// is its target's slot.
+    #[cold]
+    #[inline(never)]
+    fn resolve(&mut self, r: &Retired) -> u32 {
+        let idx = match self.by_addr.get(&r.addr) {
             Some(&i) => i,
             None => {
-                let i = self.cols.len() as u32;
-                self.cols.push(SlotCol::new(r));
-                self.locs.push(r.loc);
+                let i = self.slots.push(r);
                 self.by_addr.insert(r.addr, i);
                 i
             }
+        };
+        if self.expect == NO_SLOT {
+            let (from, dir) = self.prev;
+            self.slots.link(from, dir, idx);
+        } else {
+            assert_eq!(idx, self.expect, "successor of slot {:?}", self.prev);
         }
+        idx
+    }
+
+    /// Appends a conditional branch's direction to the open group,
+    /// opening a new group (a zero byte patched in place) when none is
+    /// open or the open one spans [`GROUP_SPAN`].
+    #[inline(always)]
+    fn push_direction(&mut self, taken: bool) {
+        let at = self.spilled + self.stream.len();
+        if self.group_len == 8 || at - self.group_at >= GROUP_SPAN {
+            self.group_at = at;
+            self.group_len = 0;
+            self.stream.push(0);
+        }
+        self.stream[self.group_at - self.spilled] |= u8::from(taken) << self.group_len;
+        self.group_len += 1;
     }
 
     /// Appends one retired instruction to the recording. Forced inline:
@@ -539,67 +691,56 @@ impl TraceRecorder {
     /// instruction loop and its terminator emission.
     #[inline(always)]
     pub fn record(&mut self, r: &Retired) {
-        // Fast path: straight-line execution of already-seen code. Slots
-        // are numbered in first-seen order, so whenever execution falls
-        // through, the next event's address equals the next slot's — one
-        // dense-array compare replaces the per-event hash probe, and the
-        // record is the bare one-byte `FLAG_SEQ | ...` form. Addresses are
-        // unique per slot (`by_addr` is injective), so a match *proves*
-        // the slot index.
-        let next = (self.prev_idx + 1) as usize;
-        let idx = if self.cols.get(next).map(|c| c.addr) == Some(r.addr) {
-            next as u32
-        } else {
-            self.retire_slot_slow(r)
-        };
+        // Fast path: the previous event's successor is known and this
+        // event retires at it — one record compare replaces the hash
+        // probe. Addresses are unique per slot (`by_addr` is injective),
+        // so a match *proves* the slot index.
+        let expect = self.expect;
+        let idx = match self.slots.cols.get(expect as usize) {
+            Some(c) if c.addr == r.addr => expect,
+            _ => self.resolve(r),
+        } as usize;
 
-        let mut flags = 0u8;
-        let seq = i64::from(idx) == self.prev_idx + 1;
-        if seq {
-            flags |= FLAG_SEQ;
-        }
-        if r.mem_addr.is_some() {
-            flags |= FLAG_MEM;
-        }
+        let dir = r.ctrl.map_or(0, |c| usize::from(c.arch_taken));
         if let Some(c) = &r.ctrl {
-            if c.arch_taken {
-                flags |= FLAG_ARCH_TAKEN;
-            }
-            if c.taken {
-                flags |= FLAG_TAKEN;
+            if c.is_cond {
+                self.push_direction(c.arch_taken);
             }
         }
-        self.stream.push(flags);
-        if !seq {
-            put_varint(
-                &mut self.stream,
-                zigzag(i64::from(idx) - (self.prev_idx + 1)),
-            );
-        }
-        self.prev_idx = i64::from(idx);
-
         if let Some(m) = r.mem_addr {
-            put_varint(
-                &mut self.stream,
-                zigzag(m.wrapping_sub(self.last_mem) as i64),
-            );
-            self.last_mem = m;
+            let anchor = &mut self.anchors[idx % ANCHORS];
+            put_varint(&mut self.stream, zigzag(m.wrapping_sub(*anchor) as i64));
+            *anchor = m;
         }
-        debug_assert_eq!(
-            (self.locs[idx as usize], self.cols[idx as usize].exec),
-            (r.loc, col::pack_exec(r)),
-            "static fields must be constant per address"
-        );
-        if let Some(c) = &r.ctrl {
-            if c.is_ret {
-                // A return's target depends on the dynamic call stack.
+        self.expect = match &r.ctrl {
+            Some(c) if c.is_ret => {
+                // A return's target depends on the dynamic call stack; the
+                // next event retires there, at a known slot or at the
+                // next one registered.
                 put_varint(
                     &mut self.stream,
                     zigzag(c.target.wrapping_sub(r.addr) as i64),
                 );
+                let succ = self
+                    .by_addr
+                    .get(&c.target)
+                    .copied()
+                    .unwrap_or(self.slots.len() as u32);
+                put_varint(&mut self.stream, u64::from(succ));
+                succ
             }
-            let sc = &mut self.cols[idx as usize];
-            let dir = usize::from(c.arch_taken);
+            _ => self.slots.next[idx][dir],
+        };
+        debug_assert_eq!(
+            {
+                let again = SlotCol::new(r);
+                (self.slots.locs[idx], again.exec, again.flags)
+            },
+            (r.loc, self.slots.cols[idx].exec, self.slots.cols[idx].flags),
+            "static fields must be constant per address"
+        );
+        if let Some(c) = &r.ctrl {
+            let sc = &mut self.slots.cols[idx];
             if sc.seen & (1 << dir) == 0 {
                 sc.observe(c);
             } else {
@@ -614,6 +755,7 @@ impl TraceRecorder {
                 );
             }
         }
+        self.prev = (idx, dir);
         self.events += 1;
         if self.stream.len() >= self.spill_at {
             self.spill();
@@ -674,17 +816,8 @@ impl std::fmt::Debug for StreamBytes {
 /// A recorded retired-instruction stream, replayable through any [`Sink`].
 #[derive(Debug)]
 pub struct CapturedTrace {
-    /// The one record per slot backing the parse chain and the column
-    /// decoder: the per-event work loads a single 40-byte [`SlotCol`]
-    /// (one bounds check, one cache-line stream) instead of parallel
-    /// arrays.
-    slot_cols: Vec<SlotCol>,
-    /// Block of each slot, parallel to `slot_cols`: read only by sinks
-    /// that look at [`ColEvent::loc`], so it stays out of the 40-byte
-    /// records the parse chain streams through.
-    ///
-    /// [`ColEvent::loc`]: crate::ColEvent::loc
-    slot_locs: Vec<CodeRef>,
+    /// The static side table the parse chain walks.
+    slots: Slots,
     stream: StreamBytes,
     stats: RunStats,
     events: u64,
@@ -702,8 +835,8 @@ pub(crate) struct Record<'t> {
     /// The trace's per-slot blocks, indexed by `slot` only when a sink
     /// reads the event's `loc`.
     locs: &'t [CodeRef],
-    /// The record's flags byte. Its `MEM`/`ARCH_TAKEN`/`TAKEN` bits
-    /// coincide with the [`col`](crate::event::col) bits of the same names.
+    /// The event's [`col`](crate::event::col) flags: the slot's, flipped
+    /// for a taken conditional branch.
     flags: u8,
     /// Effective memory address; 0 unless `flags` has the memory bit.
     mem: u64,
@@ -713,24 +846,19 @@ pub(crate) struct Record<'t> {
 }
 
 impl Record<'_> {
-    /// Architectural branch direction (meaningful for control slots only).
-    #[inline(always)]
-    fn arch_taken(&self) -> bool {
-        self.flags & FLAG_ARCH_TAKEN != 0
-    }
-
     /// The column form of the record. Values come from registers (the
-    /// record's dynamic bits) or the slot's [`SlotCol`] the parse chain
+    /// record's dynamic fields) or the slot's [`SlotCol`] the parse chain
     /// already loaded — no further slot-table traffic.
     #[inline(always)]
     pub(crate) fn col_event(&self) -> crate::ColEvent {
         let sc = self.col;
+        let dir = usize::from(self.flags & col::ARCH_TAKEN != 0);
         crate::ColEvent {
-            flags: sc.flags | (self.flags & DYN_MASK),
+            flags: self.flags,
             addr: sc.addr,
             exec: sc.exec,
             mem: self.mem,
-            target: sc.tgt[usize::from(self.arch_taken())].wrapping_add(self.ret_delta),
+            target: sc.tgt[dir].wrapping_add(self.ret_delta),
             loc: self.locs[self.slot],
         }
     }
@@ -740,54 +868,77 @@ impl Record<'_> {
 /// chain. [`CapturedTrace::replay`] and the differential replay's pull of
 /// the original stream are each a loop over this iterator.
 ///
-/// Over a stored stream the cursor keeps the trace off the resident set:
-/// each time it has consumed another [`RELEASE_WINDOW`] bytes it releases
-/// them, and on reaching the end it releases the rest, so a finished pass
-/// leaves none of its pages resident. The check rides on the end-of-
-/// stream compare the loop makes anyway: `limit` is the window's end.
-///
-/// Besides stream bytes the chain reads one static fact per record —
-/// whether the slot is a return, the one record shape with a trailing
-/// target varint the next record's position depends on — from the
-/// slot's 40-byte [`SlotCol`] record, which the column split loads
-/// anyway. That keeps the cross-event dependency chain
-/// (stream position, slot index, memory anchor) inside a few cache lines;
-/// everything consumers derive from a [`Record`] hangs off it as pure
+/// The chain walks the successor table: each event's slot is the
+/// previous slot's successor in the direction it went, `slot + 1` on the
+/// predicted path the slot's `seq` bits mark, and for a return the slot
+/// the stream names. The stream only feeds it direction bits (from a
+/// group byte held in a register), memory deltas and return varints; the
+/// slot's 40-byte [`SlotCol`] record tells which of them the event has.
+/// Memory addresses chain per anchor, off the slot chain. Everything
+/// consumers derive from a [`Record`] hangs off the chain as pure
 /// dataflow.
+///
+/// The cursor stops after the trace's event count, not at the end of the
+/// stream: trailing events may have no stream bytes at all. Over a stored
+/// stream it keeps the trace off the resident set: every
+/// [`CHECK_EVENTS`] events it releases what it has consumed once that
+/// reaches a [`RELEASE_WINDOW`], and at the end it releases the rest, so
+/// a finished pass leaves none of its pages resident.
 #[derive(Debug, Clone)]
 pub(crate) struct TraceCursor<'t> {
     stream: &'t [u8],
-    /// Where `stream` lives, for releasing its pages.
-    backing: &'t StreamBytes,
-    slot_cols: &'t [SlotCol],
-    slot_locs: &'t [CodeRef],
+    cols: &'t [SlotCol],
+    locs: &'t [CodeRef],
+    next_of: &'t [[u32; 2]],
     pos: usize,
-    /// Records starting at or past this offset wait for
-    /// [`TraceCursor::next_window`]: the stream's end, or over a stored
-    /// stream the current release window's end if that comes first.
-    limit: usize,
-    /// Stream bytes before this offset have been released.
-    released: usize,
-    prev_idx: i64,
-    last_mem: u64,
+    /// Events the cursor decodes before its next [`Window::grant`].
+    budget: u64,
+    /// The release state, apart from the fields the chain carries: its
+    /// cold path touches nothing else, so those stay in registers.
+    window: Window<'t>,
+    /// The slot the next event retires at.
+    next: usize,
+    /// The open group's unread direction bits above a sentinel 1 bit.
+    group: u32,
+    /// Stream offset from which a branch opens a new group: 0 once the
+    /// group's bits are spent.
+    group_end: usize,
+    /// The address each memory anchor last saw (see [`ANCHORS`]).
+    anchors: [u64; ANCHORS],
 }
 
-impl TraceCursor<'_> {
-    /// The cursor reached `limit` at `pos`: releases what it consumed
-    /// since the last release and opens the next window. Returns `false`
-    /// at the end of the stream, having released the rest of it.
+/// A [`TraceCursor`]'s events not granted yet and the pages it has
+/// released.
+#[derive(Debug, Clone)]
+struct Window<'t> {
+    /// Where the stream lives, for releasing its pages.
+    backing: &'t StreamBytes,
+    /// Events not granted to the cursor yet.
+    left: u64,
+    /// Stream bytes before this offset have been released.
+    released: usize,
+}
+
+impl Window<'_> {
+    /// The cursor, at stream offset `pos`, spent its budget: releases
+    /// what it consumed once that fills a window, or at the end of the
+    /// trace the rest of the stream, and grants the next budget (0 at the
+    /// end).
     #[cold]
     #[inline(never)]
-    fn next_window(&mut self, pos: usize) -> bool {
-        let len = self.stream.len();
-        let end = pos.min(len);
-        self.backing.release(self.released..end);
-        self.released = end;
-        if pos >= len {
-            return false;
+    fn grant(&mut self, pos: usize) -> u64 {
+        let end = if self.left == 0 {
+            self.backing.len()
+        } else {
+            pos
+        };
+        if self.left == 0 || end - self.released >= RELEASE_WINDOW {
+            self.backing.release(self.released..end);
+            self.released = end;
         }
-        self.limit = len.min(pos + RELEASE_WINDOW);
-        true
+        let n = self.left.min(CHECK_EVENTS);
+        self.left -= n;
+        n
     }
 }
 
@@ -796,43 +947,83 @@ impl<'t> Iterator for TraceCursor<'t> {
 
     #[inline(always)]
     fn next(&mut self) -> Option<Record<'t>> {
+        if self.budget == 0 {
+            self.budget = self.window.grant(self.pos);
+            if self.budget == 0 {
+                return None;
+            }
+        }
+        self.budget -= 1;
         let stream = self.stream;
         let mut pos = self.pos;
-        if pos >= self.limit && !self.next_window(pos) {
-            return None;
+        let slot = self.next;
+        let col = &self.cols[slot];
+        let flags = col.flags;
+        if col.seq & FALL != 0 {
+            self.next = slot + 1;
+            return Some(Record {
+                slot,
+                col,
+                locs: self.locs,
+                flags,
+                mem: 0,
+                ret_delta: 0,
+            });
         }
-        let flags = stream[pos];
-        pos += 1;
-        let idx = if flags & FLAG_SEQ != 0 {
-            self.prev_idx + 1
-        } else {
-            self.prev_idx + 1 + unzigzag(get_varint(stream, &mut pos))
-        };
-        self.prev_idx = idx;
-        let slot = idx as usize;
-        let mem = if flags & FLAG_MEM != 0 {
-            self.last_mem = self
-                .last_mem
-                .wrapping_add(unzigzag(get_varint(stream, &mut pos)) as u64);
-            self.last_mem
+        if flags & col::COND != 0 {
+            if pos >= self.group_end {
+                self.group = u32::from(stream[pos]) | 0x100;
+                self.group_end = pos + GROUP_SPAN;
+                self.pos = pos + 1;
+            }
+            let dir = (self.group & 1) as usize;
+            self.group >>= 1;
+            if self.group == 1 {
+                // The group is spent: the next branch opens another.
+                self.group_end = 0;
+            }
+            // Either direction loads its successor rather than branching
+            // on the direction: on branchy workloads a mispredicted
+            // direction cost more than the load.
+            self.next = self.next_of[slot][dir] as usize;
+            return Some(Record {
+                slot,
+                col,
+                locs: self.locs,
+                flags: flags ^ (FLIP * dir as u8),
+                mem: 0,
+                ret_delta: 0,
+            });
+        }
+        let mem = if flags & col::MEM != 0 {
+            let anchor = &mut self.anchors[slot % ANCHORS];
+            *anchor = anchor.wrapping_add(unzigzag(get_varint(stream, &mut pos)) as u64);
+            *anchor
         } else {
             0
         };
-        let col = &self.slot_cols[slot];
-        let ret_delta = if col.flags & crate::event::col::RET != 0 {
+        let dir = usize::from(flags & col::ARCH_TAKEN != 0);
+        let ret_delta = if flags & col::RET != 0 {
             // Returns are a few percent of events. Marking the branch
             // cold keeps the register allocator from spilling the hot
-            // chain's anchors (`prev_idx`) to make room for this path.
+            // chain's anchors to make room for this path.
             cold_path();
-            unzigzag(get_varint(stream, &mut pos)) as u64
+            let delta = unzigzag(get_varint(stream, &mut pos)) as u64;
+            self.next = get_varint(stream, &mut pos) as usize;
+            delta
         } else {
+            self.next = if col.seq & (1 << dir) != 0 {
+                slot + 1
+            } else {
+                self.next_of[slot][dir] as usize
+            };
             0
         };
         self.pos = pos;
         Some(Record {
             slot,
             col,
-            locs: self.slot_locs,
+            locs: self.locs,
             flags,
             mem,
             ret_delta,
@@ -882,7 +1073,7 @@ impl CapturedTrace {
     /// [`RunStats`].
     ///
     /// The decode and a monomorphized sink fuse into one loop: the
-    /// decoder's serial chain (stream position, slot index, memory
+    /// decoder's serial chain (slot index, stream position, memory
     /// anchor) and a typical consumer's state chains are independent per
     /// event, so the host overlaps them, and the event values flow
     /// through registers.
@@ -902,22 +1093,24 @@ impl CapturedTrace {
         self.cursor()
     }
 
-    /// A cursor at the start of the dynamic stream.
+    /// A cursor at the start of the trace.
     pub(crate) fn cursor(&self) -> TraceCursor<'_> {
-        let len = self.stream.len();
         TraceCursor {
             stream: &self.stream,
-            backing: &self.stream,
-            slot_cols: &self.slot_cols,
-            slot_locs: &self.slot_locs,
+            cols: &self.slots.cols,
+            locs: &self.slots.locs,
+            next_of: &self.slots.next,
             pos: 0,
-            limit: match self.stream {
-                StreamBytes::Owned(_) => len,
-                StreamBytes::Stored(_) => len.min(RELEASE_WINDOW),
+            budget: 0,
+            window: Window {
+                backing: &self.stream,
+                left: self.events,
+                released: 0,
             },
-            released: 0,
-            prev_idx: -1,
-            last_mem: 0,
+            next: 0,
+            group: 1,
+            group_end: 0,
+            anchors: [0; ANCHORS],
         }
     }
 
@@ -931,28 +1124,42 @@ impl CapturedTrace {
         self.events
     }
 
-    /// Approximate resident size of the capture in bytes: the stream
-    /// plus each slot's record and block.
-    pub fn bytes(&self) -> usize {
+    /// Bytes of the dynamic stream.
+    pub fn stream_bytes(&self) -> usize {
         self.stream.len()
-            + self.slot_cols.len()
-                * (std::mem::size_of::<SlotCol>() + std::mem::size_of::<CodeRef>())
+    }
+
+    /// Approximate resident size of the capture in bytes: the stream
+    /// plus the side table.
+    pub fn bytes(&self) -> usize {
+        self.stream.len() + self.slots.len() * Slots::SLOT_BYTES
     }
 
     /// Whether this capture was recorded from `program` under `layout`, as
-    /// far as its static side-table shows: every slot's record is the one
+    /// far as its static side table shows: every slot's record is the one
     /// the instruction or terminator the program has at that slot's
-    /// address packs to, with the same target in each observed direction
-    /// (O(static slots)). A [`TraceKey`] is a 64-bit content hash, so two
-    /// programs can share one; this check turns such a collision into a
-    /// miss instead of a replay of the wrong binary. It cannot see an edit
-    /// that leaves every slot record alone (an immediate, a data word, the
-    /// target of a direction never taken).
+    /// address packs to, with the same target in each observed direction,
+    /// and every observed successor is the slot at the address the
+    /// program continues at in that direction (O(static slots)). A
+    /// [`TraceKey`] is a 64-bit content hash, so two programs can share
+    /// one; this check turns such a collision into a miss instead of a
+    /// replay of the wrong binary. It cannot see an edit that leaves
+    /// every slot record alone (an immediate, a data word, the target of
+    /// a direction never taken).
     pub fn fits(&self, program: &Program, layout: &Layout) -> bool {
-        self.slot_cols
+        let s = &self.slots;
+        let addr_of = |slot: u32| s.cols.get(slot as usize).map(|c| c.addr);
+        s.cols
             .iter()
-            .zip(&self.slot_locs)
-            .all(|(sc, &loc)| sc.fits(loc, program, layout))
+            .zip(&s.locs)
+            .zip(&s.next)
+            .all(|((sc, &loc), next)| {
+                sc.fits(loc, program, layout).is_some_and(|succ| {
+                    next.iter()
+                        .zip(succ)
+                        .all(|(&to, want)| to == NO_SLOT || want.is_some() && addr_of(to) == want)
+                })
+            })
     }
 }
 
@@ -1782,11 +1989,11 @@ mod tests {
             .flat_map(|fi| {
                 (0..p.funcs[fi].blocks.len()).map(move |bi| CodeRef::new(fi as u32, bi as u32))
             })
-            .filter(|loc| trace.slot_locs.contains(loc))
+            .filter(|loc| trace.slots.locs.contains(loc))
             .collect();
         let term_seen = |loc: CodeRef| {
             let addr = layout.addr_of(loc) + p.block(loc).insts.len() as u64 * INST_BYTES;
-            let sc = trace.slot_cols.iter().find(|sc| sc.addr == addr);
+            let sc = trace.slots.cols.iter().find(|sc| sc.addr == addr);
             sc.expect("an executed terminator retires").seen
         };
         let find = |want: &dyn Fn(CodeRef) -> bool| {
@@ -1956,20 +2163,33 @@ mod tests {
     }
 
     /// A loop long enough that its stream spans several spool chunks and
-    /// release windows.
+    /// release windows: two loads an iteration at scrambled table
+    /// indices, so each address delta takes about two bytes, and two
+    /// conditional branches, so spills and release windows land inside
+    /// open direction groups.
     fn long_program() -> (Program, Layout) {
         let mut pb = ProgramBuilder::new();
-        let table = pb.data(vec![0; 64]);
+        let table = pb.data(vec![0; 1024]);
         pb.func("main", |f| {
             let i = Reg::int(20);
             let b = Reg::int(21);
             let v = Reg::int(22);
             f.li(b, table as i64);
-            f.for_range(i, 0, 200_000, |f| {
-                f.alu(vp_isa::AluOp::And, v, i, Src::Imm(63));
-                f.alu(vp_isa::AluOp::Shl, v, v, Src::Imm(3));
-                f.add(v, v, b);
-                f.load(v, v, 0);
+            f.for_range(i, 0, 600_000, |f| {
+                for scramble in [389, 853] {
+                    f.alu(vp_isa::AluOp::Mul, v, i, Src::Imm(scramble));
+                    f.alu(vp_isa::AluOp::And, v, v, Src::Imm(1023));
+                    f.alu(vp_isa::AluOp::Shl, v, v, Src::Imm(3));
+                    f.add(v, v, b);
+                    f.load(v, v, 0);
+                }
+                // An iteration length prime to the cursor's check
+                // interval, so release points fall at every phase of the
+                // direction groups.
+                f.nop();
+                f.alu(vp_isa::AluOp::And, v, i, Src::Imm(1));
+                let odd = f.cond(Cond::Ne, v, Src::Imm(0));
+                f.if_(odd, |f| f.nop());
             });
             f.halt();
         });
@@ -2073,6 +2293,227 @@ mod tests {
             Err(ExecError::ReturnWithoutCall(_))
         ));
         assert!(file_names(&dir).is_empty(), "the temp file is removed");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `p`'s live events under `cfg`, after checking that an owned
+    /// capture, a capture recorded straight into a disk tier and the same
+    /// capture loaded back by a fresh store each replay exactly them, with
+    /// the live run's stats.
+    fn round_trip(
+        p: &Program,
+        layout: &Layout,
+        cfg: &RunConfig,
+        tag: &str,
+    ) -> Vec<crate::ColEvent> {
+        let mut live = Collect::default();
+        let stats = Executor::new(p, layout).run(&mut live, cfg).unwrap();
+        let owned = CapturedTrace::capture(p, layout, cfg).unwrap();
+        assert!(matches!(owned.stream, StreamBytes::Owned(_)));
+
+        let dir = tempdir(tag);
+        let key = TraceKey::new("w", p, layout, cfg);
+        let store = || {
+            TraceStore::with_capacity_mb(0).with_disk(Some(DiskTier::new(&dir, u64::MAX).unwrap()))
+        };
+        let (recorded, report) = vp_trace::scoped(|| store().obtain(key.clone(), p, layout, cfg));
+        assert_eq!(report.counter("trace_store.captures"), 1, "{tag}");
+        let (loaded, report) = vp_trace::scoped(|| store().obtain(key.clone(), p, layout, cfg));
+        assert_eq!(report.counter("trace_store.disk_hits"), 1, "{tag}");
+        for (what, trace) in [
+            ("owned", &owned),
+            ("recorded", &recorded.unwrap()),
+            ("loaded", &loaded.unwrap()),
+        ] {
+            assert_eq!(trace.stats(), stats, "{tag}: {what}");
+            assert_eq!(trace.events(), stats.retired, "{tag}: {what}");
+            assert!(trace.fits(p, layout), "{tag}: {what}");
+            assert_eq!(events_of(trace), live.0, "{tag}: {what}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        live.0
+    }
+
+    #[test]
+    fn truncated_runs_round_trip_at_every_length() {
+        // The sample, plus a fall-through `Goto` after its first block, so
+        // a limit can stop the run after a plain instruction whose
+        // successor was never recorded.
+        let (mut p, _) = sample_program();
+        let main = p.entry.0 as usize;
+        let entry = p.funcs[main].entry;
+        let body = std::mem::replace(
+            &mut p.funcs[main].blocks[entry.0 as usize],
+            vp_program::Block::empty(Terminator::Halt),
+        );
+        let tail = p.funcs[main].push_block(body);
+        p.funcs[main].blocks[entry.0 as usize] = vp_program::Block {
+            insts: vec![Inst::Nop, Inst::Nop],
+            term: Terminator::Goto(CodeRef {
+                func: p.entry,
+                block: tail,
+            }),
+        };
+        let order = vp_program::LayoutOrder::natural(&p);
+        let mut blocks = order.blocks.clone();
+        let pos = blocks[main].iter().position(|&b| b == tail).unwrap();
+        blocks[main].remove(pos);
+        blocks[main].insert(1, tail);
+        let layout = Layout::new(&p, &vp_program::LayoutOrder { blocks, ..order });
+        assert_eq!(
+            layout.encoding(CodeRef {
+                func: p.entry,
+                block: entry
+            }),
+            TermEncoding::Fallthrough
+        );
+        let full = round_trip(&p, &layout, &RunConfig::default(), "trunc-full");
+        let (mut plain_last, mut partial_group, mut ret_last) = (false, false, false);
+        for n in 0..full.len() as u64 {
+            let cfg = RunConfig {
+                max_insts: n,
+                ..RunConfig::default()
+            };
+            let events = round_trip(&p, &layout, &cfg, "trunc");
+            let Some(last) = events.last() else {
+                continue;
+            };
+            assert!(events.len() < full.len(), "{n}: the limit truncates");
+            plain_last |= last.flags & col::CTRL == 0;
+            ret_last |= last.flags & col::RET != 0;
+            partial_group |= events.iter().filter(|e| e.flags & col::COND != 0).count() % 8 != 0;
+        }
+        assert!(plain_last, "a run that stops after a plain instruction");
+        assert!(partial_group, "a run that stops inside a direction group");
+        assert!(ret_last, "a run whose last event is a return");
+    }
+
+    #[test]
+    fn a_halt_only_program_round_trips() {
+        let mut pb = ProgramBuilder::new();
+        pb.func("main", |f| f.halt());
+        let p = pb.build();
+        let layout = Layout::natural(&p);
+        let cfg = RunConfig::default();
+        assert_eq!(round_trip(&p, &layout, &cfg, "halt").len(), 1);
+        let trace = CapturedTrace::capture(&p, &layout, &cfg).unwrap();
+        assert_eq!(trace.stream.len(), 0, "nothing dynamic");
+    }
+
+    #[test]
+    fn spills_and_release_windows_inside_open_groups_round_trip() {
+        let (p, layout) = long_program();
+        let cfg = RunConfig::default();
+        let want = round_trip(&p, &layout, &cfg, "groups");
+
+        // Spooling by hand: spills that hold back an open group's byte.
+        let dir = tempdir("groups-spool");
+        let tier = DiskTier::new(&dir, u64::MAX).unwrap();
+        let mut rec = tier
+            .recorder(&TraceKey::new("w", &p, &layout, &cfg))
+            .unwrap();
+        let mut open_spills = 0;
+        let stats = Executor::new(&p, &layout)
+            .run_with(&cfg, |r| {
+                let spilled = rec.spilled;
+                rec.record(r);
+                if rec.spilled != spilled && rec.group_len < 8 {
+                    assert_eq!(rec.group_at, rec.spilled, "the open group's byte is kept");
+                    open_spills += 1;
+                }
+                assert!(rec.stream.len() < SPOOL_CHUNK + GROUP_SPAN);
+            })
+            .unwrap();
+        let trace = rec.seal(stats).unwrap();
+        assert!(open_spills > 0, "no spill inside an open group");
+        assert!(
+            trace.stream.len() > 2 * RELEASE_WINDOW,
+            "{:?}",
+            trace.stream
+        );
+
+        // Release windows that end inside an open group.
+        let mut cursor = trace.cursor();
+        let (mut events, mut released, mut open_releases) = (Vec::new(), 0, 0);
+        while let Some(r) = cursor.next() {
+            events.push(r.col_event());
+            if cursor.window.released != released {
+                released = cursor.window.released;
+                open_releases += u32::from(cursor.group != 1);
+            }
+        }
+        assert_eq!(
+            cursor.window.released,
+            trace.stream.len(),
+            "the pass releases all"
+        );
+        assert!(open_releases > 0, "no release inside an open group");
+        assert_eq!(events, want);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_group_spanning_too_many_bytes_closes_early() {
+        // Between two loop tests, a block of loads whose deltas take
+        // more than `GROUP_SPAN` stream bytes.
+        let mut pb = ProgramBuilder::new();
+        let table = pb.data(vec![0; 1024]);
+        pb.func("main", |f| {
+            let i = Reg::int(20);
+            let b = Reg::int(21);
+            let v = Reg::int(22);
+            f.li(b, table as i64);
+            f.for_range(i, 0, 3, |f| {
+                for k in 0..GROUP_SPAN / 2 {
+                    f.load(v, b, 4096 * (k as i64 & 1));
+                }
+            });
+            f.halt();
+        });
+        let p = pb.build();
+        let layout = Layout::natural(&p);
+        let cfg = RunConfig::default();
+        round_trip(&p, &layout, &cfg, "span");
+
+        let mut rec = TraceRecorder::new();
+        let mut early = 0;
+        Executor::new(&p, &layout)
+            .run_with(&cfg, |r| {
+                let before = rec.group_len;
+                rec.record(r);
+                early += u32::from(rec.group_len == 1 && before < 8);
+            })
+            .unwrap();
+        assert!(early > 0, "no group closed early");
+    }
+
+    #[test]
+    fn a_corrupted_successor_is_a_template_mismatch_and_recaptures() {
+        let (p, layout) = sample_program();
+        let cfg = RunConfig::default();
+        let key = TraceKey::new("w", &p, &layout, &cfg);
+        let mut bad = CapturedTrace::capture(&p, &layout, &cfg).unwrap();
+        let want = events_of(&bad);
+        // Slot 0 falls through to slot 1; point it at slot 2 instead.
+        assert_eq!(bad.slots.next[0][0], 1);
+        assert_ne!(bad.slots.cols[2].addr, bad.slots.cols[1].addr);
+        bad.slots.next[0][0] = 2;
+        assert!(!bad.fits(&p, &layout), "a wrong successor does not fit");
+
+        // Persisted with a valid checksum, it is refused on load by the
+        // program check, deleted and recorded again.
+        let dir = tempdir("bad-successor");
+        let tier = || Some(DiskTier::new(&dir, u64::MAX).unwrap());
+        tier().unwrap().store(&key, &bad).unwrap();
+        let store = TraceStore::with_capacity_mb(4).with_disk(tier());
+        let (got, report) = vp_trace::scoped(|| store.obtain(key.clone(), &p, &layout, &cfg));
+        assert_eq!(events_of(&got.unwrap()), want);
+        assert_eq!(report.counter("trace_store.disk_hits"), 1);
+        assert_eq!(report.counter("trace_store.template_mismatches"), 1);
+        assert_eq!(report.counter("trace_store.captures"), 1);
+        let fresh = TraceStore::with_capacity_mb(4).with_disk(tier());
+        let loaded = fresh.obtain(key, &p, &layout, &cfg).unwrap();
+        assert_eq!(loaded.slots.next[0][0], 1, "the file was rewritten");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -27,14 +27,21 @@
 //!             every slot record in index order
 //! trailer     the stream's length (LE u64, the payload's last 8 bytes)
 //!
-//! slot record (the slot's in-memory `SlotCol` and block)
+//! slot record (the slot's in-memory `SlotCol`, block and successors)
 //!   exec      the packed exec word (LE u64)
-//!   flags     the static `col` flag bits (u8)
+//!   flags     the slot's `col` flag bits, a conditional branch's as
+//!             retired not taken (u8)
 //!   seen      the observed-lane mask (u8, bit d for lane d)
 //!   addr      fetch address (varint)
 //!   loc       block: function index, block index (varints)
 //!   lanes     the target of each observed lane, lane 0 first (varints)
+//!   next      the successor slot per direction, direction 0 first, as
+//!             slot + 1 (varints; 0 = not observed)
 //! ```
+//!
+//! The stream holds only the dynamic facts: direction-bit groups, memory
+//! deltas and return targets and successors (see the
+//! [`trace_store`](super) module docs).
 //!
 //! Stream first, so a recording can go to disk as it is made: with a disk
 //! tier attached, the trace store records through `DiskTier::recorder`,
@@ -46,14 +53,16 @@
 //! copy either.
 //!
 //! The side table is dense: a capture only gains a slot while recording
-//! a stream record that references it, so every slot is live and there
-//! is nothing to skip. A slot record is stored as the decoder reads it, so
-//! decode only checks that it cannot index out of range: every register
-//! field of the exec word at most [`col::DEF_NONE`], no dynamic bit in
-//! the flags, no lane past the second.
+//! an event that retires at it, so every slot is live and there is
+//! nothing to skip. A slot record is stored as the decoder reads it (its
+//! `seq` bits follow from its successors), so decode only checks that it
+//! cannot index out of range: every register field of the exec word at
+//! most [`col::DEF_NONE`], no lane past the second, no successor past the
+//! table.
 
 use super::{
-    put_varint, CapturedTrace, SlotCol, StreamBytes, TraceKey, TraceRecorder, BOTH_LANES, DYN_MASK,
+    put_varint, CapturedTrace, SlotCol, Slots, StreamBytes, TraceKey, TraceRecorder, BOTH_LANES,
+    NO_SLOT,
 };
 use crate::blob::{Blob, BlobStore, BlobWriter, Frame};
 use crate::event::col;
@@ -85,8 +94,10 @@ static DISK_EVICTIONS: Counter = Counter::new("trace_store.disk_evictions");
 /// after it, closed by the stream's length, so a recorder can write the
 /// stream to disk as it goes; v8 stores each slot as its in-memory
 /// record (exec word, static flags, observed lanes, block) instead of a
-/// template `Retired` and its targets. Only v8 is read.
-pub const FORMAT_VERSION: u32 = 8;
+/// template `Retired` and its targets; v9 moves every static successor
+/// into the side table, so the stream keeps only branch directions,
+/// memory deltas and return targets and successors. Only v9 is read.
+pub const FORMAT_VERSION: u32 = 9;
 
 /// Default disk budget when `VP_TRACE_DISK_MB` is unset.
 pub const DEFAULT_DISK_MB: u64 = 2048;
@@ -116,7 +127,7 @@ fn echo(key: &TraceKey) -> Vec<u8> {
 }
 
 /// Serializes one side-table record.
-fn put_slot(payload: &mut Vec<u8>, sc: &SlotCol, loc: CodeRef) {
+fn put_slot(payload: &mut Vec<u8>, sc: &SlotCol, loc: CodeRef, next: [u32; 2]) {
     payload.extend_from_slice(&sc.exec.to_le_bytes());
     payload.push(sc.flags);
     payload.push(sc.seen);
@@ -128,6 +139,9 @@ fn put_slot(payload: &mut Vec<u8>, sc: &SlotCol, loc: CodeRef) {
             put_varint(payload, t);
         }
     }
+    for to in next {
+        put_varint(payload, u64::from(to.wrapping_add(1)));
+    }
 }
 
 /// Length of the payload's trailer: the stream length as a LE u64.
@@ -135,14 +149,8 @@ const TRAILER: usize = 8;
 
 /// Serializes what follows a capture's `stream_len`-byte stream in its
 /// payload: the side table, then the trailer.
-fn encode_tail(
-    cols: &[SlotCol],
-    locs: &[CodeRef],
-    stats: RunStats,
-    events: u64,
-    stream_len: usize,
-) -> Vec<u8> {
-    let mut tail = Vec::with_capacity(24 * cols.len() + 64);
+fn encode_tail(slots: &Slots, stats: RunStats, events: u64, stream_len: usize) -> Vec<u8> {
+    let mut tail = Vec::with_capacity(28 * slots.len() + 64);
 
     // Stats header.
     put_varint(&mut tail, stats.retired);
@@ -155,9 +163,9 @@ fn encode_tail(
     put_varint(&mut tail, events);
 
     // Static side-table section: the slot count, then every slot.
-    put_varint(&mut tail, cols.len() as u64);
-    for (sc, &loc) in cols.iter().zip(locs) {
-        put_slot(&mut tail, sc, loc);
+    put_varint(&mut tail, slots.len() as u64);
+    for ((sc, &loc), &next) in slots.cols.iter().zip(&slots.locs).zip(&slots.next) {
+        put_slot(&mut tail, sc, loc, next);
     }
     tail.extend_from_slice(&(stream_len as u64).to_le_bytes());
     tail
@@ -175,13 +183,12 @@ fn encode_tail(
 /// Any I/O error of the whole recording; the temp file is removed.
 pub(super) fn publish(
     mut w: BlobWriter,
-    cols: &[SlotCol],
-    locs: &[CodeRef],
+    slots: &Slots,
     stream_len: usize,
     stats: RunStats,
     events: u64,
 ) -> io::Result<Blob> {
-    w.write(&encode_tail(cols, locs, stats, events, stream_len));
+    w.write(&encode_tail(slots, stats, events, stream_len));
     let (payload, published) = w.finish_and_read()?;
     if let Some(bytes) = published {
         DISK_BYTES.add(bytes);
@@ -227,17 +234,18 @@ impl<'a> Rd<'a> {
     }
 }
 
-/// Deserializes one side-table record, refusing one that could index
-/// out of range: a register field past [`col::DEF_NONE`], a dynamic bit
-/// in the static flags, or a lane past the second.
-fn read_slot(rd: &mut Rd) -> Option<(SlotCol, CodeRef)> {
+/// Deserializes one side-table record of an `n_slots`-slot table,
+/// refusing one that could index out of range: a register field past
+/// [`col::DEF_NONE`], a lane past the second, or a successor past the
+/// table.
+fn read_slot(rd: &mut Rd, n_slots: usize) -> Option<(SlotCol, CodeRef, [u32; 2])> {
     let exec = rd.u64_le()?;
     let flags = rd.u8()?;
     let seen = rd.u8()?;
     let regs_in_range = [0, col::USE1_SHIFT, col::USE2_SHIFT, col::DEF_SHIFT]
         .iter()
         .all(|&at| (exec >> at & col::REG_MASK) as usize <= col::DEF_NONE);
-    if !regs_in_range || flags & DYN_MASK != 0 || seen & !BOTH_LANES != 0 {
+    if !regs_in_range || seen & !BOTH_LANES != 0 {
         return None;
     }
     let addr = rd.varint()?;
@@ -249,14 +257,24 @@ fn read_slot(rd: &mut Rd) -> Option<(SlotCol, CodeRef)> {
             *t = rd.varint()?;
         }
     }
+    let mut next = [NO_SLOT; 2];
+    for to in &mut next {
+        let v = rd.varint()?;
+        if v > 0 {
+            *to = u32::try_from(v - 1)
+                .ok()
+                .filter(|&i| (i as usize) < n_slots)?;
+        }
+    }
     let sc = SlotCol {
         exec,
         tgt,
         addr,
         flags,
         seen,
+        seq: 0,
     };
-    Some((sc, CodeRef::new(func, block)))
+    Some((sc, CodeRef::new(func, block), next))
 }
 
 /// Deserializes a payload (stream, side table, trailer). The dynamic
@@ -285,25 +303,32 @@ fn decode(payload: Blob) -> Option<CapturedTrace> {
     let events = rd.varint()?;
 
     let n_slots = usize::try_from(rd.varint()?).ok()?;
-    // A slot costs at least 13 bytes encoded; reject fantastic counts
+    // A slot costs at least 15 bytes encoded; reject fantastic counts
     // before allocating.
     if n_slots > payload.len() {
         return None;
     }
-    let mut slot_cols = Vec::with_capacity(n_slots);
-    let mut slot_locs = Vec::with_capacity(n_slots);
-    for _ in 0..n_slots {
-        let (sc, loc) = read_slot(&mut rd)?;
-        slot_cols.push(sc);
-        slot_locs.push(loc);
+    let mut slots = Slots {
+        cols: Vec::with_capacity(n_slots),
+        locs: Vec::with_capacity(n_slots),
+        next: vec![[NO_SLOT; 2]; n_slots],
+    };
+    for i in 0..n_slots {
+        let (sc, loc, next) = read_slot(&mut rd, n_slots)?;
+        slots.cols.push(sc);
+        slots.locs.push(loc);
+        for (dir, to) in next.into_iter().enumerate() {
+            if to != NO_SLOT {
+                slots.link(i, dir, to);
+            }
+        }
     }
     if rd.pos != body {
         return None;
     }
 
     Some(CapturedTrace {
-        slot_cols,
-        slot_locs,
+        slots,
         stream: StreamBytes::Stored(payload.window(0..stream_len)),
         stats: RunStats {
             retired,
@@ -379,8 +404,7 @@ impl DiskTier {
         let mut w = self.blobs.writer(&name(key, &echo), &echo)?;
         w.write(&trace.stream);
         w.write(&encode_tail(
-            &trace.slot_cols,
-            &trace.slot_locs,
+            &trace.slots,
             trace.stats,
             trace.events,
             trace.stream.len(),
@@ -494,8 +518,7 @@ mod tests {
     fn encode(trace: &CapturedTrace) -> Vec<u8> {
         let mut payload = trace.stream.to_vec();
         payload.extend(encode_tail(
-            &trace.slot_cols,
-            &trace.slot_locs,
+            &trace.slots,
             trace.stats,
             trace.events,
             trace.stream.len(),
@@ -602,16 +625,15 @@ mod tests {
         assert!(decode(Blob::owned(bad_stop)).is_none(), "stop code 7");
 
         // A slot record that could index out of range, in a CRC-valid
-        // file: a register field past `DEF_NONE`, a dynamic flag bit, or
-        // a third lane.
+        // file: a register field past `DEF_NONE`, a third lane, or a
+        // successor past the table.
         rd.pos += 1;
-        for _ in 0..2 {
-            rd.varint().unwrap();
-        }
+        rd.varint().unwrap();
+        let n_slots = rd.varint().unwrap();
         let slot = rd.pos;
         assert_eq!(
             rd.u64_le(),
-            Some(trace.slot_cols[0].exec),
+            Some(trace.slots.cols[0].exec),
             "slot 0's exec word"
         );
         let mut out_of_range = Vec::new();
@@ -620,14 +642,21 @@ mod tests {
             bad[slot + at as usize / 8] = col::DEF_NONE as u8 + 1;
             out_of_range.push((bad, format!("register field at bit {at}")));
         }
-        for bit in [col::MEM, col::ARCH_TAKEN, col::TAKEN] {
-            let mut bad = payload.clone();
-            bad[slot + 8] |= bit;
-            out_of_range.push((bad, format!("dynamic flag {bit:#x}")));
-        }
         let mut bad = payload.clone();
         bad[slot + 9] |= 1 << 2;
         out_of_range.push((bad, "a third lane".to_string()));
+        // Slot 0 is plain: no lanes, so its successors follow its block.
+        rd.pos += 2;
+        for _ in 0..3 {
+            rd.varint().unwrap();
+        }
+        assert_eq!(trace.slots.cols[0].seen, 0, "slot 0 is plain");
+        let next = rd.pos;
+        assert_eq!(rd.varint(), Some(2), "slot 0 falls through to slot 1");
+        let mut bad = payload[..next].to_vec();
+        put_varint(&mut bad, n_slots + 1);
+        bad.extend_from_slice(&payload[rd.pos..]);
+        out_of_range.push((bad, "a successor past the table".to_string()));
         let tier = DiskTier::new(tempdir("range"), 64 * 1024 * 1024).unwrap();
         let echo = echo(&key);
         for (bad, what) in out_of_range {
@@ -670,8 +699,8 @@ mod tests {
     #[test]
     fn a_v6_file_is_refused_and_deleted() {
         // Whole, well-framed files in older layouts under the key's own
-        // name — v6 (side table first, then the stream, no trailer) and
-        // v7 (stream first, as today) — each holding this capture's
+        // name — v6 (side table first, then the stream, no trailer), v7
+        // and v8 (stream first, as today) — each holding this capture's
         // bytes: the version check refuses them before the codec sees
         // them.
         let (p, layout) = sample_program();
@@ -686,7 +715,7 @@ mod tests {
         let tier = DiskTier::new(tempdir("v6"), 64 * 1024 * 1024).unwrap();
         let echo = echo(&key);
         let path = tier.path_for(&key);
-        for (version, payload) in [(6, v6), (7, v7)] {
+        for (version, payload) in [(6, v6), (7, v7.clone()), (8, v7)] {
             let old =
                 BlobStore::new(tier.blobs().root(), u64::MAX, Frame { version, ..FRAME }).unwrap();
             old.put(&name(&key, &echo), &echo, &payload).unwrap();
@@ -696,8 +725,26 @@ mod tests {
             assert!(!path.exists(), "the v{version} file is deleted");
             assert_eq!(report.counter("trace_store.disk_hits"), 0);
         }
-        // The healed slot takes a current write.
-        tier.store(&key, &trace).unwrap();
+        // The healed slot takes a current write: a store over a v8 file
+        // refuses it, deletes it and records the run again.
+        let v8 = BlobStore::new(
+            tier.blobs().root(),
+            u64::MAX,
+            Frame {
+                version: 8,
+                ..FRAME
+            },
+        )
+        .unwrap();
+        v8.put(&name(&key, &echo), &echo, &encode(&trace)).unwrap();
+        let store = TraceStore::with_capacity_mb(0).with_disk(Some(
+            DiskTier::new(tier.blobs().root(), 64 * 1024 * 1024).unwrap(),
+        ));
+        let (recaptured, report) =
+            vp_trace::scoped(|| store.obtain(key.clone(), &p, &layout, &cfg));
+        assert_eq!(events_of(&recaptured.unwrap()), events_of(&trace));
+        assert_eq!(report.counter("trace_store.disk_hits"), 0);
+        assert_eq!(report.counter("trace_store.captures"), 1);
         assert_eq!(events_of(&tier.load(&key).unwrap()), events_of(&trace));
         let _ = fs::remove_dir_all(tier.blobs().root());
     }
@@ -705,7 +752,7 @@ mod tests {
     #[test]
     fn every_slot_of_a_live_capture_is_referenced() {
         // The dense side table relies on this: a recorder only registers
-        // a slot while recording a stream record that references it.
+        // a slot while recording an event that retires at it.
         let cfg = RunConfig::default();
         for w in vp_workloads::suite(1)
             .into_iter()
@@ -713,7 +760,7 @@ mod tests {
         {
             let layout = vp_program::Layout::natural(&w.program);
             let trace = CapturedTrace::capture(&w.program, &layout, &cfg).unwrap();
-            let mut seen = vec![false; trace.slot_cols.len()];
+            let mut seen = vec![false; trace.slots.len()];
             for rec in trace.cursor() {
                 seen[rec.slot] = true;
             }
