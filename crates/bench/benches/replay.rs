@@ -40,7 +40,9 @@
 //!   and exit non-zero if replay throughput, *normalized to re-execution
 //!   measured in the same run* (`replay_speedup_vs_execute`, so host speed
 //!   cancels), regressed more than 25%, or if replay no longer beats
-//!   re-execution at all;
+//!   re-execution at all. `execute` and `replay_batched` are timed in
+//!   interleaved rounds, one call of each per round, and the ratio is the
+//!   median over those paired rounds (`micro::Runner::bench_paired`);
 //! * `VP_HISTORY_DIR=<dir>` — ingest this run into the run-history
 //!   warehouse, and when it already holds enough runs
 //!   (`bench::history::GATE_MIN_SAMPLES`), gate the ratio against the
@@ -100,13 +102,22 @@ fn main() {
 
     let machine = MachineConfig::table2();
     let mut r = bench::micro::runner();
-    r.bench_throughput("retire_stream/execute", events, || {
-        let mut counts = InstCounts::new();
-        Executor::new(&program, &layout)
-            .run(&mut counts, &cfg)
-            .unwrap();
-        counts.total
-    });
+    // The gated ratio's two rows, timed in interleaved rounds so a load
+    // spike cannot land on one of them only.
+    r.bench_paired(
+        ("retire_stream/execute", events, || {
+            let mut counts = InstCounts::new();
+            Executor::new(&program, &layout)
+                .run(&mut counts, &cfg)
+                .unwrap();
+            counts.total
+        }),
+        ("retire_stream/replay_batched", events, || {
+            let mut counts = InstCounts::new();
+            trace.replay(&mut counts);
+            counts.total
+        }),
+    );
     r.bench_throughput("retire_stream/capture", events, || {
         CapturedTrace::capture(&program, &layout, &cfg)
             .unwrap()
@@ -129,11 +140,6 @@ fn main() {
         CapturedTrace::capture(&gzip, &gzip_layout, &cfg)
             .unwrap()
             .events()
-    });
-    r.bench_throughput("retire_stream/replay_batched", events, || {
-        let mut counts = InstCounts::new();
-        trace.replay(&mut counts);
-        counts.total
     });
     r.bench_throughput("retire_stream/replay_sim", events, || {
         let mut tm = TimingModel::new(machine);

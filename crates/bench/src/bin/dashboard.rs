@@ -5,10 +5,11 @@
 //! dashboard manifest-diff OLD.jsonl NEW.jsonl [--max-span-regression PCT] [--history DIR]
 //! ```
 //!
-//! The default mode profiles the (possibly `--only`-filtered) suite,
-//! packs each workload under the strongest configuration (`inf/link`),
-//! and writes a self-contained HTML page — phase timeline and
-//! package-residency Gantt per workload, the Figure 8 coverage heatmap,
+//! The default mode profiles the (possibly `--only`-filtered) suite once,
+//! evaluates its Figure 8 matrix on the cell engine
+//! (`bench::sweep::sweep_cells`, untimed), and writes a self-contained
+//! HTML page — phase timeline and package-residency Gantt per workload
+//! (the inf/link cell's packed run), the Figure 8 coverage heatmap,
 //! a cross-input generalization heatmap for the selected multi-input
 //! families (same/foreign/merged profile columns; see `bench::cross`),
 //! a span-tree flame view of this run's own cost, and the replay
@@ -28,14 +29,13 @@
 
 use bench::cross::{cross_cells, families};
 use bench::dashboard::{
-    collect_timeline, generalization_heatmap, load_bench_trend, load_history_series,
+    collect_timelines, generalization_heatmap, load_bench_trend, load_history_series,
     render_dashboard_html, Dashboard,
 };
 use bench::manifest_diff::{diff_manifests, history_span_bands};
+use bench::sweep::sweep_cells;
 use bench::CONFIG_LABELS;
 use vacuum_packing::core::PackConfig;
-use vacuum_packing::metrics::evaluate;
-use vacuum_packing::opt::OptConfig;
 use vacuum_packing::workloads::suite;
 
 /// Usage/parse errors — anything that prevented producing a verdict.
@@ -161,34 +161,20 @@ fn main() {
             fail("no workloads match the --only filters");
         }
 
-        // inf/link — the paper's strongest configuration — drives the
-        // residency lanes; the heatmap covers the whole matrix.
-        let matrix = PackConfig::evaluation_matrix();
-        let timelines: Vec<_> = workloads
-            .iter()
-            .map(|w| {
-                collect_timeline(w, &matrix[3]).unwrap_or_else(|e| panic!("{}: {e}", w.label()))
-            })
-            .collect();
-
+        // One profile per workload; holding them keeps their captures
+        // alive, so the heatmap's sweep takes every profile from the memo.
         let profiled = bench::profile_workloads(workloads, None);
         let heatmap = {
             let _s = vp_trace::span("dashboard.heatmap");
-            profiled
-                .iter()
-                .map(|pw| {
-                    let row = matrix
-                        .iter()
-                        .map(|cfg| {
-                            evaluate(pw, cfg, &OptConfig::default(), None)
-                                .unwrap_or_else(|e| panic!("{}: {e}", pw.label))
-                                .coverage
-                        })
-                        .collect();
-                    (pw.label.clone(), row)
-                })
+            sweep_cells(None, None, &only)
+                .matrix()
+                .into_iter()
+                .map(|(label, outs)| (label.to_string(), outs.iter().map(|o| o.coverage).collect()))
                 .collect()
         };
+        // inf/link — the paper's strongest configuration — drives the
+        // residency lanes, replaying the packed captures its cells made.
+        let timelines = collect_timelines(&profiled, &PackConfig::evaluation_matrix()[3]);
         let trend = load_bench_trend(std::path::Path::new("."));
         // Cross-run sparklines, when a run-history warehouse is around.
         let history = bench::history::dir_from_env()

@@ -1,7 +1,7 @@
 //! Figure 10: performance speedup from basic rescheduling of packages.
 
-use bench::{evaluate_matrix, profile_suite, CONFIG_LABELS};
-use vacuum_packing::core::PackConfig;
+use bench::sweep::sweep_cells;
+use bench::{profile_suite, CONFIG_LABELS};
 use vacuum_packing::metrics::{bar, TextTable};
 use vacuum_packing::sim::MachineConfig;
 
@@ -9,9 +9,11 @@ fn main() {
     let mut mf = bench::init("fig10");
     mf.set("figure", 10u64.into());
     let machine = MachineConfig::table2();
+    // The profiles give the base cycles; holding them keeps their
+    // captures alive, so the sweep takes every profile from the memo.
     let profiled = profile_suite(Some(&machine));
-    let configs = PackConfig::evaluation_matrix();
-    let matrix = evaluate_matrix(&profiled, &configs, Some(&machine));
+    let sweep = sweep_cells(None, Some(&machine), &[]);
+    let matrix = sweep.matrix();
 
     println!("Figure 10: Speedup from package relayout and rescheduling\n");
     let mut t = TextTable::new(vec![
@@ -24,7 +26,7 @@ fn main() {
         "bar(inf/link)",
     ]);
     let mut sums = [0.0f64; 4];
-    for (pw, outs) in profiled.iter().zip(&matrix) {
+    for (pw, (_, outs)) in profiled.iter().zip(&matrix) {
         let mut row = vec![pw.label.clone()];
         for (i, o) in outs.iter().enumerate() {
             let s = o.speedup.unwrap_or(0.0);

@@ -1,16 +1,19 @@
 //! Figure 8: percent of dynamic instructions executed from within
 //! packages, for the four {inference} x {linking} configurations.
+//!
+//! The cells come from the cell engine untimed: each packed binary is
+//! optimized as in Figure 10 but not simulated, so the coverage printed
+//! here is the report's Figure 8.
 
-use bench::{evaluate_matrix, profile_suite, CONFIG_LABELS};
-use vacuum_packing::core::PackConfig;
+use bench::sweep::sweep_cells;
+use bench::CONFIG_LABELS;
 use vacuum_packing::metrics::{bar, pct, TextTable};
 
 fn main() {
     let mut mf = bench::init("fig8");
     mf.set("figure", 8u64.into());
-    let profiled = profile_suite(None);
-    let configs = PackConfig::evaluation_matrix();
-    let matrix = evaluate_matrix(&profiled, &configs, None);
+    let sweep = sweep_cells(None, None, &[]);
+    let matrix = sweep.matrix();
 
     println!("Figure 8: Percent of dynamic instructions from within packages\n");
     let mut t = TextTable::new(vec![
@@ -24,12 +27,12 @@ fn main() {
         "bar(inf/link)",
     ]);
     let mut sums = [0.0f64; 4];
-    for (pw, outs) in profiled.iter().zip(&matrix) {
+    for (label, outs) in &matrix {
         for (i, o) in outs.iter().enumerate() {
             sums[i] += o.coverage;
         }
         t.row(vec![
-            pw.label.clone(),
+            label.to_string(),
             pct(outs[0].coverage),
             pct(outs[1].coverage),
             pct(outs[2].coverage),
@@ -39,7 +42,7 @@ fn main() {
             bar(outs[3].coverage, 1.0, 25),
         ]);
     }
-    let n = profiled.len() as f64;
+    let n = matrix.len() as f64;
     t.row(vec![
         "average".to_string(),
         pct(sums[0] / n),

@@ -10,8 +10,8 @@ use std::time::Instant;
 
 use bench::cross::{cross_cells, Kind, CROSS_HEADERS};
 use bench::history::RunRecord;
-use bench::{evaluate_matrix, profile_suite, CONFIG_LABELS};
-use vacuum_packing::core::PackConfig;
+use bench::sweep::sweep_cells;
+use bench::{profile_suite, CONFIG_LABELS};
 use vacuum_packing::exec::{DiskTier, RunConfig, TraceKey};
 use vacuum_packing::metrics::{categorize, TextTable, CATEGORIES};
 use vacuum_packing::sim::MachineConfig;
@@ -89,9 +89,12 @@ fn main() {
     }
     mf.set("doc", "EXPERIMENTS.md".into());
     let machine = MachineConfig::table2();
+    // Table 1, Figure 9 and the base cycles read the profiles; holding
+    // them keeps their captures alive, so the sweep takes every profile
+    // from the memo.
     let profiled = profile_suite(Some(&machine));
-    let configs = PackConfig::evaluation_matrix();
-    let matrix = evaluate_matrix(&profiled, &configs, Some(&machine));
+    let sweep = sweep_cells(None, Some(&machine), &[]);
+    let matrix: Vec<_> = sweep.matrix().into_iter().map(|(_, outs)| outs).collect();
 
     println!("# Experiments: paper vs. reproduction");
     println!();
@@ -156,7 +159,7 @@ fn main() {
     );
     println!("|---|---|---|---|---|");
     let mut sums = [0.0f64; 4];
-    for (pw, outs) in profiled.iter().zip(&matrix) {
+    for (pw, &outs) in profiled.iter().zip(&matrix) {
         for (i, o) in outs.iter().enumerate() {
             sums[i] += o.coverage;
         }
@@ -198,7 +201,7 @@ fn main() {
     );
     println!("|---|---|---|---|---|---|");
     let (mut se, mut ss, mut sr) = (0.0, 0.0, 0.0);
-    for (pw, outs) in profiled.iter().zip(&matrix) {
+    for (pw, &outs) in profiled.iter().zip(&matrix) {
         let o = &outs[3];
         let (p_incr, p_sel) = paper_t3(&pw.label);
         se += o.expansion;
@@ -279,7 +282,7 @@ fn main() {
     );
     println!("|---|---|---|---|---|---|");
     let mut ssum = [0.0f64; 4];
-    for (pw, outs) in profiled.iter().zip(&matrix) {
+    for (pw, &outs) in profiled.iter().zip(&matrix) {
         print!("| {} |", pw.label);
         for (i, o) in outs.iter().enumerate() {
             let s = o.speedup.unwrap_or(0.0);
@@ -425,7 +428,7 @@ fn main() {
     );
     println!("|---|---|---|---|---|---|---|---|");
     let mut diverged_cells = 0usize;
-    for (pw, outs) in profiled.iter().zip(&matrix) {
+    for (pw, &outs) in profiled.iter().zip(&matrix) {
         let verdict = |o: &vacuum_packing::metrics::ConfigOutcome| {
             o.diff
                 .as_ref()

@@ -1,15 +1,14 @@
-//! Table 3: code expansion from package construction.
+//! Table 3: code expansion from package construction, read from the
+//! inf/link column of the cell engine's matrix.
 
-use bench::{evaluate_matrix, profile_suite};
-use vacuum_packing::core::PackConfig;
+use bench::sweep::sweep_cells;
 use vacuum_packing::metrics::{pct, TextTable};
 
 fn main() {
     let mut mf = bench::init("table3");
     mf.set("table", 3u64.into());
-    let profiled = profile_suite(None);
-    let configs = [PackConfig::default()];
-    let matrix = evaluate_matrix(&profiled, &configs, None);
+    let sweep = sweep_cells(None, None, &[]);
+    let matrix = sweep.matrix();
 
     println!("Table 3: Code expansion\n");
     let mut t = TextTable::new(vec![
@@ -20,20 +19,20 @@ fn main() {
         "packages",
     ]);
     let (mut se, mut ss, mut sr) = (0.0f64, 0.0f64, 0.0f64);
-    for (pw, outs) in profiled.iter().zip(&matrix) {
-        let o = &outs[0];
+    for (label, outs) in &matrix {
+        let o = &outs[3];
         se += o.expansion;
         ss += o.selected_fraction;
         sr += o.replication;
         t.row(vec![
-            pw.label.clone(),
+            label.to_string(),
             pct(o.expansion),
             pct(o.selected_fraction),
             format!("{:.2}", o.replication),
             o.packages.to_string(),
         ]);
     }
-    let n = profiled.len() as f64;
+    let n = matrix.len() as f64;
     t.row(vec![
         "average".to_string(),
         pct(se / n),

@@ -11,19 +11,21 @@
 //! from a file:// URL with the network cable unplugged.
 //!
 //! All collection goes through the capture/replay layer: the original
-//! run is profiled once through [`TraceStore`], the packed run
-//! is captured under its `TraceKey::packed` key, and the residency lanes
-//! come from replaying that capture into a
+//! run's profile is the memoized one the heatmap's cells use (see
+//! [`crate::profile_workloads`]), the packed run is the optimized binary
+//! the inf/link cell measured, captured under its `TraceKey::packed` key,
+//! and the residency lanes come from replaying that capture into a
 //! [`vacuum_packing::metrics::ResidencySink`].
 
 use vacuum_packing::core::{pack, PackConfig};
 use vacuum_packing::exec::{ExecError, RunConfig, TraceKey, TraceStore};
 use vacuum_packing::hsd::{FilterConfig, HsdConfig};
 use vacuum_packing::metrics::{
-    phase_timeline, profile, PhaseMark, ResidencyInterval, ResidencySink,
+    phase_timeline, PhaseMark, ProfiledWorkload, ResidencyInterval, ResidencySink,
 };
+use vacuum_packing::opt::{optimize_packages, OptConfig};
 use vacuum_packing::program::Layout;
-use vacuum_packing::workloads::Workload;
+use vacuum_packing::sim::MachineConfig;
 
 /// Everything needed to draw one workload's row of the dashboard.
 #[derive(Debug)]
@@ -42,43 +44,59 @@ pub struct WorkloadTimeline {
     pub packages: usize,
 }
 
-/// Profiles `w`, packs it under `cfg`, and replays the packed capture
-/// into residency intervals — the dashboard's per-workload data model.
+/// Places `pw`'s phase detections on its original capture, packs it under
+/// `cfg` and optimizes it as an evaluated cell does (default passes,
+/// Table 2 machine), and replays the packed capture into residency
+/// intervals — the dashboard's per-workload data model. The packed
+/// capture is the one the cell's measurement made, when the trace store
+/// still holds it.
 ///
 /// # Errors
 ///
-/// Propagates [`ExecError`] from the profiling or measurement run.
-pub fn collect_timeline(w: &Workload, cfg: &PackConfig) -> Result<WorkloadTimeline, ExecError> {
+/// Propagates [`ExecError`] from the packed run.
+pub fn collect_timeline(
+    pw: &ProfiledWorkload,
+    cfg: &PackConfig,
+) -> Result<WorkloadTimeline, ExecError> {
     let _s = vp_trace::span("dashboard.collect");
-    let label = w.label();
-    let pw = profile(&label, w.program.clone(), &HsdConfig::table2(), None)?;
     let (phases, branches_total) =
         phase_timeline(&pw.trace, &HsdConfig::table2(), &FilterConfig::default());
 
     let out = pack(&pw.program, &pw.layout, &pw.phases, cfg);
-    let packed_layout = Layout::natural(&out.program);
+    let (program, order) = optimize_packages(&out, &MachineConfig::table2(), &OptConfig::default());
+    let layout = Layout::new(&program, &order);
     let run_cfg = RunConfig::default();
-    let key = TraceKey::packed(
-        &label,
-        &out.program,
-        &packed_layout,
-        &run_cfg,
-        out.fingerprint(),
-    );
+    let key = TraceKey::packed(&pw.label, &program, &layout, &run_cfg, out.fingerprint());
     let mut sink = ResidencySink::new(out.identity_map());
     TraceStore::global()
-        .obtain(key, &out.program, &packed_layout, &run_cfg)?
+        .obtain(key, &program, &layout, &run_cfg)?
         .replay(&mut sink);
     let events_total = sink.events();
     let intervals = sink.finish();
     Ok(WorkloadTimeline {
-        label,
+        label: pw.label.clone(),
         phases,
         branches_total,
         intervals,
         events_total,
         packages: out.packages.len(),
     })
+}
+
+/// [`collect_timeline`] for every profile, in parallel on the sweep
+/// scheduler, preserving input order.
+///
+/// # Panics
+///
+/// Panics after the sweep completes if any timeline failed, listing every
+/// failing label.
+pub fn collect_timelines(profiled: &[ProfiledWorkload], cfg: &PackConfig) -> Vec<WorkloadTimeline> {
+    let jobs: Vec<(String, &ProfiledWorkload)> =
+        profiled.iter().map(|pw| (pw.label.clone(), pw)).collect();
+    let results = crate::parallel_sweep(jobs, |pw| {
+        collect_timeline(pw, cfg).unwrap_or_else(|e| panic!("{e}"))
+    });
+    crate::collect_or_report("dashboard_timelines", results)
 }
 
 /// Escapes `s` for use in XML/HTML text and attribute values.
@@ -110,12 +128,64 @@ const LANE_H: f64 = 18.0;
 const LANE_GAP: f64 = 6.0;
 const PHASE_STRIP_H: f64 = 22.0;
 
+/// Width in pixels of a timeline's plot area: the pixel columns a lane's
+/// residency intervals are drawn into.
+const TIMELINE_PLOT_W: f64 = SVG_W - GUTTER - 10.0;
+
+/// The pixel column of the plot area that retired event `event` of
+/// `total` falls in.
+pub fn pixel_column(event: u64, total: u64) -> u64 {
+    (TIMELINE_PLOT_W * (event as f64 / total.max(1) as f64)).floor() as u64
+}
+
+/// Consecutive residency intervals of one lane drawn as one rect.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PixelRun {
+    /// First event of the first interval.
+    start: u64,
+    /// One past the last event of the last interval.
+    end: u64,
+    /// Events the lane was resident for within `start..end`.
+    resident: u64,
+    /// Intervals merged.
+    intervals: usize,
+}
+
+/// Merges a lane's intervals (in stream order) that start in one pixel
+/// column into one run, so a lane draws at most one rect per column
+/// however often its package is entered.
+fn pixel_runs<'a>(
+    lane: impl Iterator<Item = &'a ResidencyInterval>,
+    events_total: u64,
+) -> Vec<PixelRun> {
+    let mut runs: Vec<PixelRun> = Vec::new();
+    for iv in lane {
+        match runs.last_mut() {
+            Some(run)
+                if pixel_column(run.start, events_total)
+                    == pixel_column(iv.start, events_total) =>
+            {
+                run.end = iv.end;
+                run.resident += iv.len();
+                run.intervals += 1;
+            }
+            _ => runs.push(PixelRun {
+                start: iv.start,
+                end: iv.end,
+                resident: iv.len(),
+                intervals: 1,
+            }),
+        }
+    }
+    runs
+}
+
 /// Renders one workload's phase timeline + package-residency Gantt as a
 /// standalone `<svg>` element. Exactly one `class="pkg-lane"` group is
 /// emitted per package, plus one `class="orig-lane"` group for unpacked
-/// stretches.
+/// stretches; a lane draws at most one rect per pixel column.
 pub fn render_timeline_svg(t: &WorkloadTimeline) -> String {
-    let plot_w = SVG_W - GUTTER - 10.0;
+    let plot_w = TIMELINE_PLOT_W;
     let lanes = t.packages + 1; // lane 0 = original code
     let gantt_top = PHASE_STRIP_H + 18.0;
     let height = gantt_top + lanes as f64 * (LANE_H + LANE_GAP) + 24.0;
@@ -156,14 +226,20 @@ pub fn render_timeline_svg(t: &WorkloadTimeline) -> String {
         let lane = pkg.map_or(0, |p| p as usize + 1);
         let y = lane_y(lane);
         let mut r = String::new();
-        for iv in t.intervals.iter().filter(|iv| iv.package == pkg) {
-            let x0 = ex(iv.start);
-            let w = (ex(iv.end) - x0).max(0.5);
+        let lane_ivs = t.intervals.iter().filter(|iv| iv.package == pkg);
+        for run in pixel_runs(lane_ivs, t.events_total) {
+            let x0 = ex(run.start);
+            let w = (ex(run.end) - x0).max(0.5);
+            let title = if run.intervals == 1 {
+                format!("events {}..{} ({})", run.start, run.end, run.resident)
+            } else {
+                format!(
+                    "events {}..{} ({} resident in {} intervals)",
+                    run.start, run.end, run.resident, run.intervals
+                )
+            };
             r.push_str(&format!(
-                r#"<rect x="{x0:.1}" y="{y:.1}" width="{w:.1}" height="{LANE_H}" fill="{fill}"><title>events {}..{} ({})</title></rect>"#,
-                iv.start,
-                iv.end,
-                iv.len()
+                r#"<rect x="{x0:.1}" y="{y:.1}" width="{w:.1}" height="{LANE_H}" fill="{fill}"><title>{title}</title></rect>"#
             ));
         }
         r
@@ -782,6 +858,36 @@ mod tests {
         assert_eq!(svg.matches(r#"class="pkg-lane""#).count(), t.packages);
         assert_eq!(svg.matches(r#"class="orig-lane""#).count(), 1);
         assert_eq!(svg.matches(r#"class="phase-mark""#).count(), t.phases.len());
+    }
+
+    #[test]
+    fn timeline_svg_merges_intervals_within_a_pixel_column() {
+        // 100k one-event intervals alternating between package 0 and
+        // original code: each lane draws one rect per pixel column.
+        let n = 100_000u64;
+        let t = WorkloadTimeline {
+            intervals: (0..n)
+                .map(|i| ResidencyInterval {
+                    start: i,
+                    end: i + 1,
+                    package: (i % 2 == 0).then_some(0),
+                })
+                .collect(),
+            events_total: n,
+            packages: 1,
+            ..synthetic_timeline()
+        };
+        let svg = render_timeline_svg(&t);
+        let columns = TIMELINE_PLOT_W as usize;
+        assert_eq!(svg.matches("<title>events ").count(), 2 * columns);
+        let runs = pixel_runs(t.intervals.iter().filter(|iv| iv.package.is_some()), n);
+        assert_eq!(runs.len(), columns);
+        assert_eq!(runs.iter().map(|r| r.resident).sum::<u64>(), n / 2);
+        assert_eq!(
+            runs.iter().map(|r| r.intervals).sum::<usize>(),
+            n as usize / 2
+        );
+        assert!(svg.contains("<title>events 0..121 (61 resident in 61 intervals)</title>"));
     }
 
     #[test]

@@ -49,6 +49,7 @@ use std::collections::BTreeMap;
 use std::fs::OpenOptions;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use vacuum_packing::isa::Fnv;
 use vp_trace::Json;
 
 /// Default total size budget for the warehouse, in MiB (`VP_HISTORY_MB`).
@@ -98,12 +99,9 @@ fn budget_from_env() -> u64 {
 
 /// 64-bit FNV-1a over `bytes` — the warehouse's key fingerprint hash.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let mut h = Fnv::new();
+    h.write_raw(bytes);
+    h.finish()
 }
 
 /// A compact histogram summary retained per run.

@@ -6,12 +6,16 @@
 //! glue ([`init`], [`emit_manifest`]) and a dependency-free micro-benchmark
 //! harness ([`micro`]) for the `benches/` targets.
 //!
-//! The `sweep` binary's two matrices — [`sweep::sweep_cells`] (own
+//! Every (workload × configuration) cell is evaluated by one private cell
+//! engine (`cells`), behind two cell lists: [`sweep::sweep_cells`] (own
 //! profile × the four Figure 8/10 configurations) and
-//! [`cross::cross_cells`] (same/foreign/merged profile under inf/link) —
-//! are two cell lists over one private cell engine (`cells`): one suite
-//! build, one result-cache probe, one profiling pass and one claim table
-//! per call.
+//! [`cross::cross_cells`] (same/foreign/merged profile under inf/link).
+//! Each call is one suite build, one result-cache probe, one profiling
+//! pass and one claim table. The `sweep` binary, every figure and table
+//! binary that reads the matrix (`fig8`, `fig10`, `table3`), the `report`
+//! and the dashboard's heatmap all take their cells from it, so `fig8`
+//! prints the same Figure 8 as the report (EXPERIMENTS.md): an untimed
+//! cell differs from a timed one only in not being simulated.
 //!
 //! Environment knobs:
 //!
@@ -48,7 +52,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 use vacuum_packing::exec::{CapturedTrace, RunConfig, TraceKey};
 use vacuum_packing::hsd::{HsdConfig, Phase};
-use vacuum_packing::metrics::{profile, BranchCounts, ClaimTable, ProfiledWorkload, TextTable};
+use vacuum_packing::metrics::{profile, BranchCounts, ProfiledWorkload, TextTable};
 use vacuum_packing::program::Layout;
 use vacuum_packing::sim::MachineConfig;
 use vacuum_packing::workloads::{suite, Workload};
@@ -484,41 +488,10 @@ fn profile_memoized(w: &Workload, machine: Option<&MachineConfig>) -> ProfiledWo
 /// The paper's four-bar configuration labels, in Figure 8/10 order.
 pub const CONFIG_LABELS: [&str; 4] = ["noInf/noLink", "noInf/link", "inf/noLink", "inf/link"];
 
-/// Evaluates every (workload, configuration) cell in parallel; the result
-/// is indexed `[workload][config]`. Cells that build the same packed
-/// binary — in this call or an earlier sweep of the process — share one
-/// measurement through the process-wide [`ClaimTable`].
-///
-/// # Panics
-///
-/// Panics after the sweep completes if any cell failed, listing every
-/// failing (workload, config) pair.
-pub fn evaluate_matrix(
-    profiled: &[ProfiledWorkload],
-    configs: &[vacuum_packing::core::PackConfig],
-    machine: Option<&MachineConfig>,
-) -> Vec<Vec<vacuum_packing::metrics::ConfigOutcome>> {
-    use vacuum_packing::opt::OptConfig;
-
-    let _s = vp_trace::span("bench.evaluate_matrix");
-    let cells: Vec<(String, (usize, usize))> = (0..profiled.len())
-        .flat_map(|w| (0..configs.len()).map(move |c| (w, c)))
-        .map(|(w, c)| (format!("{} [config {c}]", profiled[w].label), (w, c)))
-        .collect();
-    let table = ClaimTable::shared(&OptConfig::default(), machine);
-    let results = parallel_sweep(cells, |&(w, c)| {
-        table
-            .evaluate(&profiled[w], &configs[c])
-            .unwrap_or_else(|e| panic!("{e}"))
-    });
-    let results = settle(results, |ev| table.resolve(ev));
-    let flat = collect_or_report("evaluate_matrix", results);
-    flat.chunks(configs.len()).map(|c| c.to_vec()).collect()
-}
-
 /// Maps every successful job of a finished sweep through `f` — how twin
-/// cells get their outcome from a [`ClaimTable`] after the join. An `f`
-/// error fails that job under its label, like a panic inside it would.
+/// cells get their outcome from a
+/// [`ClaimTable`](vacuum_packing::metrics::ClaimTable) after the join. An
+/// `f` error fails that job under its label, like a panic inside it would.
 fn settle<T, U>(
     labeled: Vec<(String, Result<T, String>)>,
     mut f: impl FnMut(T) -> Result<U, String>,

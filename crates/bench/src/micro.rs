@@ -20,12 +20,16 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 use vp_trace::{Manifest, Value};
 
+/// Fewest rounds [`Runner::bench_paired`] runs, so its median ratio is
+/// never one round's.
+const MIN_PAIRED_ROUNDS: u64 = 5;
+
 /// One benchmark's measurement.
 #[derive(Debug, Clone)]
 pub struct BenchResult {
     /// Benchmark name.
     pub name: String,
-    /// Iterations per sample.
+    /// Iterations per sample (rounds, for a [`Runner::bench_paired`] row).
     pub iters: u64,
     /// Best (minimum) nanoseconds per iteration across samples.
     pub ns_per_iter: f64,
@@ -75,11 +79,59 @@ impl Runner {
         self.run(name, Some(elems), f);
     }
 
+    /// Measures two throughput rows interleaved, for a ratio between them
+    /// that host load cannot skew: each round times one call of `a`, then
+    /// one of `b`, so a load spike lands on both rows of the rounds it
+    /// spans. Row `a` reports its best round; row `b` reports row `a`
+    /// scaled by the median over rounds of `b`'s time over `a`'s, so the
+    /// two rows' ratio is the paired median. Runs when either name passes
+    /// the filter.
+    pub fn bench_paired<A, B>(
+        &mut self,
+        (name_a, elems_a, mut fa): (&str, u64, impl FnMut() -> A),
+        (name_b, elems_b, mut fb): (&str, u64, impl FnMut() -> B),
+    ) {
+        if !self.selects(name_a) && !self.selects(name_b) {
+            return;
+        }
+        let mut round = || {
+            let t = Instant::now();
+            black_box(fa());
+            let ta = t.elapsed().as_nanos().max(1) as f64;
+            let t = Instant::now();
+            black_box(fb());
+            (ta, t.elapsed().as_nanos().max(1) as f64)
+        };
+        let (ta, tb) = round();
+        let per_round = (self.target.as_nanos() as f64 / (ta + tb)).ceil() as u64;
+        let rounds = (u64::from(self.samples) * per_round).max(MIN_PAIRED_ROUNDS);
+        let (mut best_a, mut ratios) = (f64::INFINITY, Vec::new());
+        for _ in 0..rounds {
+            let (ta, tb) = round();
+            best_a = best_a.min(ta);
+            ratios.push(tb / ta);
+        }
+        ratios.sort_by(f64::total_cmp);
+        let ratio = ratios[ratios.len() / 2];
+        self.record(name_a, Some(elems_a), best_a, rounds, "paired rounds");
+        self.record(
+            name_b,
+            Some(elems_b),
+            best_a * ratio,
+            rounds,
+            "paired rounds",
+        );
+    }
+
+    fn selects(&self, name: &str) -> bool {
+        self.filter
+            .as_ref()
+            .is_none_or(|pat| name.contains(pat.as_str()))
+    }
+
     fn run<T>(&mut self, name: &str, elems: Option<u64>, mut f: impl FnMut() -> T) {
-        if let Some(pat) = &self.filter {
-            if !name.contains(pat.as_str()) {
-                return;
-            }
+        if !self.selects(name) {
+            return;
         }
         // Calibrate: double the iteration count until one batch fills a
         // quarter of the target, then size batches to the target.
@@ -105,11 +157,13 @@ impl Runner {
             }
             best = best.min(t.elapsed().as_nanos() as f64 / batch as f64);
         }
+        self.record(name, elems, best, batch, "iters/sample");
+    }
 
-        let mut line = format!(
-            "{name:<42} {:>14}/iter  ({batch} iters/sample)",
-            fmt_ns(best)
-        );
+    /// Prints and stores one row: `ns` per iteration over `iters`
+    /// iterations, counted in `unit`.
+    fn record(&mut self, name: &str, elems: Option<u64>, best: f64, batch: u64, unit: &str) {
+        let mut line = format!("{name:<42} {:>14}/iter  ({batch} {unit})", fmt_ns(best));
         if let Some(e) = elems {
             line.push_str(&format!("  {:.1} Melem/s", e as f64 * 1e3 / best));
         }

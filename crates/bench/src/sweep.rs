@@ -126,6 +126,31 @@ pub struct SweepOutcome {
     pub cache_hits: usize,
     /// Cells evaluated live this run.
     pub cache_misses: usize,
+    /// Each cell's pipeline outcome, in the same cell order as `rows`.
+    pub outcomes: Vec<ConfigOutcome>,
+}
+
+impl SweepOutcome {
+    /// The whole matrix by workload, in suite order: each workload's label
+    /// and its outcomes in [`CONFIG_LABELS`] order. How the figure
+    /// binaries and the report read a sweep.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a shard's outcome, which holds only part of the matrix.
+    pub fn matrix(&self) -> Vec<(&str, &[ConfigOutcome])> {
+        assert_eq!(
+            self.outcomes.len(),
+            self.cells_total,
+            "a shard's sweep holds only part of the matrix"
+        );
+        let n_cfg = CONFIG_LABELS.len();
+        self.rows
+            .chunks(n_cfg)
+            .zip(self.outcomes.chunks(n_cfg))
+            .map(|(rows, outs)| (rows[0][1].as_str(), outs))
+            .collect()
+    }
 }
 
 /// Evaluates this shard's cells of the (workload × config) matrix: the
@@ -178,11 +203,13 @@ pub fn sweep_cells(
 
     let mut rows = Vec::new();
     let mut telemetry = Vec::new();
-    for (&j, done) in mine.iter().zip(&run.cells) {
+    let mut outcomes = Vec::new();
+    for (&j, done) in mine.iter().zip(run.cells) {
         let (w, c) = (j / n_cfg, j % n_cfg);
         let row = cell_row(j, &labels[w], CONFIG_LABELS[c], &done.outcome);
-        telemetry.push(cells::telemetry_row(&row[COL_CELL], done));
+        telemetry.push(cells::telemetry_row(&row[COL_CELL], &done));
         rows.push(row);
+        outcomes.push(done.outcome);
     }
     SweepOutcome {
         rows,
@@ -190,6 +217,7 @@ pub fn sweep_cells(
         cells_total,
         cache_hits: run.cache_hits,
         cache_misses: run.cache_misses,
+        outcomes,
     }
 }
 

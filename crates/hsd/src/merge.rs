@@ -217,22 +217,9 @@ impl ProfileDump {
     /// count, and every phase's branch profiles. Identical runs merge
     /// idempotently because their dumps collide here.
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x100_0000_01b3;
-        let mut h = OFFSET;
-        let mut fold_bytes = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        fold_bytes(self.label.as_bytes());
-        let mut fold = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(PRIME);
-            }
-        };
+        let mut h = vp_isa::Fnv::new();
+        h.write_raw(self.label.as_bytes());
+        let mut fold = |v: u64| h.write_raw(&v.to_le_bytes());
         fold(self.retired);
         fold(self.phases.len() as u64);
         for p in &self.phases {
@@ -246,7 +233,7 @@ impl ProfileDump {
                 fold(b.seen);
             }
         }
-        h
+        h.finish()
     }
 }
 
@@ -730,6 +717,21 @@ mod tests {
             m.resolve(),
             MergedProfile::of(MergeConfig::default(), [a]).resolve()
         );
+    }
+
+    #[test]
+    fn fingerprint_value_is_pinned() {
+        // Merged profiles dedup on this value and result keys fold it in:
+        // it must not move when its hashing is refactored.
+        let a = dump(
+            "130.li A",
+            123_456,
+            vec![
+                phase(0, 5, &[(0x10, 400, 390), (0x2c, 77, 3)]),
+                phase(1, 2, &[(0x40, 9, 9)]),
+            ],
+        );
+        assert_eq!(a.fingerprint(), 0xea11_1e59_1918_d063);
     }
 
     #[test]

@@ -83,6 +83,16 @@ impl Fnv {
     /// sequences).
     pub fn write_bytes(&mut self, bytes: &[u8]) {
         self.write_usize(bytes.len());
+        self.write_raw(bytes);
+    }
+
+    /// Folds each byte of `bytes` as its own word, with no length prefix:
+    /// textbook byte-wise FNV-1a, so `Fnv::new()` plus one `write_raw`
+    /// is the published 64-bit FNV-1a of `bytes`. Fingerprints persisted
+    /// under that definition (the history warehouse's keys, profile-dump
+    /// and package-set fingerprints) fold through here.
+    #[inline]
+    pub fn write_raw(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.write_u64(u64::from(b));
         }

@@ -323,8 +323,10 @@ impl Measured {
     }
 }
 
-/// Packs and (when timed) optimizes `pw` under `cfg`, resolving the
-/// baseline cycles the speedup divides.
+/// Packs and optimizes `pw` under `cfg`, resolving the baseline cycles
+/// the speedup divides. The optimizer schedules for `machine`, or for the
+/// Table 2 machine when the cell is untimed: untimed means not simulated,
+/// so an untimed cell measures the very binary a timed one does.
 fn prepare(
     pw: &ProfiledWorkload,
     cfg: &PackConfig,
@@ -341,10 +343,11 @@ fn prepare(
         out.packages.len() as u64,
         out.launch_points as u64,
     );
-    let opt = machine.map(|m| {
+    let (program, order) = {
         let _s = vp_trace::span("metrics.evaluate.optimize");
-        optimize_packages(&out, m, opt_cfg)
-    });
+        let target = machine.copied().unwrap_or_else(MachineConfig::table2);
+        optimize_packages(&out, &target, opt_cfg)
+    };
     let base_cycles = match (pw.base_cycles, machine) {
         (Some(base), _) => Some(base),
         (None, Some(m)) => {
@@ -368,10 +371,6 @@ fn prepare(
     };
     let identity = out.identity_map();
     let fingerprint = out.fingerprint();
-    let (program, order) = opt.unwrap_or_else(|| {
-        let order = LayoutOrder::natural(&out.program);
-        (out.program, order)
-    });
     Prepared {
         label: pw.label.clone(),
         original: Arc::downgrade(&pw.trace),
@@ -743,6 +742,30 @@ mod tests {
         .unwrap();
         assert_eq!(out.opt_cycles, out_timed.opt_cycles);
         assert_eq!(out.speedup, out_timed.speedup);
+    }
+
+    #[test]
+    fn untimed_cell_measures_the_timed_binary() {
+        // Untimed means not simulated: the cell still optimizes its
+        // packages (for the Table 2 machine), so Figure 8 has one value.
+        // 130.li B's coverage depends on the optimizer's relayout.
+        use vp_workloads::li;
+        let pw = profile(
+            "130.li B",
+            li::build(li::Input::B, 1),
+            &HsdConfig::table2(),
+            None,
+        )
+        .unwrap();
+        let machine = MachineConfig::table2();
+        for cfg in PackConfig::evaluation_matrix() {
+            let untimed = evaluate(&pw, &cfg, &OptConfig::default(), None).unwrap();
+            let timed = evaluate(&pw, &cfg, &OptConfig::default(), Some(&machine)).unwrap();
+            assert_eq!(untimed.coverage, timed.coverage, "{cfg:?}");
+            assert_eq!(untimed.expansion, timed.expansion, "{cfg:?}");
+            assert_eq!(untimed.packages, timed.packages, "{cfg:?}");
+            assert!(untimed.speedup.is_none() && timed.speedup.is_some());
+        }
     }
 
     #[test]

@@ -89,8 +89,9 @@ pub const RESULT_FORMAT_VERSION: u32 = 2;
 /// bump.
 ///
 /// History: v2 keys `trace_fp` on instruction content (v1 entries were
-/// keyed on block shapes and could serve another binary's outcome).
-pub const PIPELINE_VERSION: u32 = 2;
+/// keyed on block shapes and could serve another binary's outcome); v3
+/// optimizes untimed cells too (v2 measured their unoptimized binary).
+pub const PIPELINE_VERSION: u32 = 3;
 
 /// Default byte budget when `VP_RESULT_MB` is unset. Entries are ~200
 /// bytes, so this comfortably holds millions of cells.

@@ -26,7 +26,7 @@ pub use sched::{schedule_block, sequential_cycles};
 pub use weights::{propagate_weights, Weights};
 
 use vp_core::{PackOutput, Region};
-use vp_program::{Cfg, Function, LayoutOrder, Program};
+use vp_program::{Cfg, LayoutOrder, Program};
 use vp_sim::MachineConfig;
 use vp_trace::Counter;
 
@@ -141,15 +141,6 @@ fn package_taken_prob(pi: &vp_core::PackageInfo, region: &Region, b: vp_isa::Blo
         .mark(meta.origin.func)
         .and_then(|m| m.taken_prob(meta.origin.block))
         .unwrap_or(0.5)
-}
-
-/// Reschedules every block of a function in place (utility for ablations
-/// that optimize original code too).
-pub fn reschedule_function(f: &mut Function, machine: &MachineConfig) {
-    for block in &mut f.blocks {
-        let (scheduled, _) = schedule_block(&block.insts, machine);
-        block.insts = scheduled;
-    }
 }
 
 #[cfg(test)]
