@@ -1,37 +1,15 @@
-//! Figure 9: categorization of hot spot branch behavior across benchmarks.
+//! Figure 9: categorization of hot spot branch behavior across
+//! benchmarks — the report's table from [`bench::figures::fig9`].
 
-use bench::profile_suite;
-use vacuum_packing::metrics::{categorize, pct, TextTable, CATEGORIES};
+use bench::{figures, profile_suite};
 
 fn main() {
     let mut mf = bench::init("fig9");
     mf.set("figure", 9u64.into());
-    let profiled = profile_suite(None);
+    let t = figures::fig9(&profile_suite(None));
     println!(
         "Figure 9: Categorization of hot spot branch behavior (% of hot-spot branch executions)\n"
     );
-    let mut headers = vec!["benchmark".to_string()];
-    headers.extend(CATEGORIES.iter().map(|c| c.label().to_string()));
-    headers.push("hot cov %".to_string());
-    let mut t = TextTable::new(headers);
-    let mut sums = [0.0f64; 6];
-    for pw in &profiled {
-        let cat = categorize(&pw.phases, &pw.branch_counts, 0.7);
-        let mut row = vec![pw.label.clone()];
-        for (i, _) in CATEGORIES.iter().enumerate() {
-            sums[i] += cat.fraction[i];
-            row.push(pct(cat.fraction[i]));
-        }
-        row.push(pct(cat.hot_coverage()));
-        t.row(row);
-    }
-    let n = profiled.len() as f64;
-    let mut row = vec!["average".to_string()];
-    for s in sums {
-        row.push(pct(s / n));
-    }
-    row.push(String::new());
-    t.row(row);
     println!("{t}");
     println!("Paper reference: unique branches mostly biased; Multi High+Low are the");
     println!("phase-customization opportunity (e.g. ~3% Multi High for 099.go).");

@@ -1,12 +1,14 @@
 //! Phase timeline: when each hot spot was detected over a workload's run,
 //! and which unique phase every detection belongs to — the view the
 //! Vacuum Packing software side has of the program's temporal behavior.
+//! The capture comes from the trace store (so `VP_TRACE_DIR` serves it)
+//! and the timeline from [`vacuum_packing::metrics::phase_timeline`].
 //!
 //! ```text
 //! cargo run --release -p bench --bin phases -- "124.m88ksim A"
 //! ```
 
-use vacuum_packing::hsd::{assign_phases, FilterConfig, HotSpotDetector, HsdConfig};
+use vacuum_packing::metrics::phase_timeline;
 use vacuum_packing::prelude::*;
 
 fn main() {
@@ -20,26 +22,28 @@ fn main() {
         std::process::exit(1);
     };
     let layout = Layout::natural(&w.program);
-    let mut hsd = HotSpotDetector::new(HsdConfig::table2());
-    let stats = Executor::new(&w.program, &layout)
-        .run(&mut hsd, &RunConfig::default())
+    let cfg = RunConfig::default();
+    let key = TraceKey::new(&label, &w.program, &layout, &cfg);
+    let trace = TraceStore::global()
+        .obtain(key, &w.program, &layout, &cfg)
         .expect("workload runs");
-    let (phases, assignment) = assign_phases(hsd.records(), &FilterConfig::default());
+    let (phases, marks, branches) =
+        phase_timeline(&trace, &HsdConfig::table2(), &FilterConfig::default());
 
     println!(
         "{label}: {} retired instructions, {} raw detections, {} phases\n",
-        stats.retired,
-        hsd.records().len(),
+        trace.events(),
+        marks.len(),
         phases.len()
     );
 
     // Timeline: bucket detections over the branch axis.
     const COLS: usize = 72;
-    let total = hsd.branches_retired().max(1);
+    let total = branches.max(1);
     let mut lanes = vec![vec![b' '; COLS]; phases.len()];
-    for (rec, &phase) in hsd.records().iter().zip(&assignment) {
-        let col = ((rec.at_branch * COLS as u64) / total).min(COLS as u64 - 1) as usize;
-        lanes[phase][col] = b'#';
+    for mark in &marks {
+        let col = ((mark.at_branch * COLS as u64) / total).min(COLS as u64 - 1) as usize;
+        lanes[mark.phase][col] = b'#';
     }
     println!("detections over the run (one row per phase, time left to right):");
     for (i, lane) in lanes.iter().enumerate() {
@@ -75,8 +79,8 @@ fn main() {
     }
 
     mf.set("workload", label.as_str().into());
-    mf.set("retired", stats.retired.into());
-    mf.set("raw_detections", (hsd.records().len() as u64).into());
+    mf.set("retired", trace.events().into());
+    mf.set("raw_detections", (marks.len() as u64).into());
     mf.set("phases", (phases.len() as u64).into());
     bench::emit_manifest(mf);
 }

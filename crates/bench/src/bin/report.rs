@@ -9,75 +9,14 @@
 use std::time::Instant;
 
 use bench::cross::{cross_cells, Kind, CROSS_HEADERS};
+use bench::figures;
 use bench::history::RunRecord;
 use bench::sweep::sweep_cells;
 use bench::{profile_suite, CONFIG_LABELS};
 use vacuum_packing::exec::{DiskTier, RunConfig, TraceKey};
-use vacuum_packing::metrics::{categorize, TextTable, CATEGORIES};
+use vacuum_packing::metrics::TextTable;
 use vacuum_packing::sim::MachineConfig;
 use vacuum_packing::trace::MemorySink;
-
-/// Paper Table 1 "# of Inst" (millions), by suite label.
-const PAPER_TABLE1_M: &[(&str, f64)] = &[
-    ("099.go A", 338.0),
-    ("124.m88ksim A", 89.0),
-    ("130.li A", 122.0),
-    ("130.li B", 32.0),
-    ("130.li C", 362.0),
-    ("132.ijpeg A", 1094.0),
-    ("132.ijpeg B", 57.0),
-    ("132.ijpeg C", 320.0),
-    ("134.perl A", 1512.0),
-    ("134.perl B", 28.0),
-    ("134.perl C", 8.0),
-    ("164.gzip A", 1902.0),
-    ("175.vpr A", 1012.0),
-    ("181.mcf A", 105.0),
-    ("197.parser A", 178.0),
-    ("255.vortex A", 63.0),
-    ("255.vortex B", 315.0),
-    ("300.twolf A", 167.0),
-    ("mpeg2dec A", 99.0),
-];
-
-/// Paper Table 3 (% size increase, % static selected), by suite label.
-const PAPER_TABLE3: &[(&str, f64, f64)] = &[
-    ("099.go A", 37.4, 10.1),
-    ("124.m88ksim A", 3.9, 2.5),
-    ("130.li A", 17.4, 7.2),
-    ("130.li B", 12.2, 7.2),
-    ("130.li C", 17.4, 7.2),
-    ("132.ijpeg A", 7.9, 4.2),
-    ("132.ijpeg B", 7.6, 4.4),
-    ("132.ijpeg C", 9.4, 5.7),
-    ("134.perl A", 3.6, 1.4),
-    ("134.perl B", 3.8, 1.4),
-    ("134.perl C", 3.8, 1.3),
-    ("164.gzip A", 9.2, 5.8),
-    ("175.vpr A", 6.0, 2.7),
-    ("181.mcf A", 23.9, 7.7),
-    ("197.parser A", 19.7, 3.5),
-    ("255.vortex A", 15.0, 3.0),
-    ("255.vortex B", 15.7, 3.2),
-    ("300.twolf A", 7.2, 4.0),
-    ("mpeg2dec A", 5.8, 3.6),
-];
-
-fn paper_t1(label: &str) -> f64 {
-    PAPER_TABLE1_M
-        .iter()
-        .find(|(l, _)| *l == label)
-        .map(|(_, v)| *v)
-        .unwrap_or(0.0)
-}
-
-fn paper_t3(label: &str) -> (f64, f64) {
-    PAPER_TABLE3
-        .iter()
-        .find(|(l, _, _)| *l == label)
-        .map(|(_, a, b)| (*a, *b))
-        .unwrap_or((0.0, 0.0))
-}
 
 fn main() {
     let mut mf = bench::init("report");
@@ -94,7 +33,12 @@ fn main() {
     // from the memo.
     let profiled = profile_suite(Some(&machine));
     let sweep = sweep_cells(None, Some(&machine), &[]);
-    let matrix: Vec<_> = sweep.matrix().into_iter().map(|(_, outs)| outs).collect();
+    let matrix = sweep.matrix();
+    let table1 = figures::table1(&profiled);
+    let fig8 = figures::fig8(&matrix);
+    let table3 = figures::table3(&matrix);
+    let fig9 = figures::fig9(&profiled);
+    let fig10 = figures::fig10(&profiled, &matrix);
 
     println!("# Experiments: paper vs. reproduction");
     println!();
@@ -123,18 +67,7 @@ fn main() {
     println!("instructions); this reproduction builds one synthetic counterpart per");
     println!("row, engineered for the same phase structure at CI scale.");
     println!();
-    println!("| benchmark | paper #inst | measured #inst | measured branches | phases found |");
-    println!("|---|---|---|---|---|");
-    for pw in &profiled {
-        println!(
-            "| {} | {:.0}M | {:.2}M | {:.2}M | {} |",
-            pw.label,
-            paper_t1(&pw.label),
-            pw.dyn_insts as f64 / 1e6,
-            pw.branch_counts.total() as f64 / 1e6,
-            pw.phases.len()
-        );
-    }
+    print!("{}", table1.markdown());
     println!();
 
     // ------------------------------------------------------------ Table 2
@@ -153,33 +86,7 @@ fn main() {
     println!("124.m88ksim, 181.mcf, 197.parser, 300.twolf; inference \"does not greatly");
     println!("effect the average\".");
     println!();
-    println!(
-        "| benchmark | {} | {} | {} | {} |",
-        CONFIG_LABELS[0], CONFIG_LABELS[1], CONFIG_LABELS[2], CONFIG_LABELS[3]
-    );
-    println!("|---|---|---|---|---|");
-    let mut sums = [0.0f64; 4];
-    for (pw, &outs) in profiled.iter().zip(&matrix) {
-        for (i, o) in outs.iter().enumerate() {
-            sums[i] += o.coverage;
-        }
-        println!(
-            "| {} | {:.1} | {:.1} | {:.1} | {:.1} |",
-            pw.label,
-            100.0 * outs[0].coverage,
-            100.0 * outs[1].coverage,
-            100.0 * outs[2].coverage,
-            100.0 * outs[3].coverage
-        );
-    }
-    let n = profiled.len() as f64;
-    println!(
-        "| **average** | **{:.1}** | **{:.1}** | **{:.1}** | **{:.1}** |",
-        100.0 * sums[0] / n,
-        100.0 * sums[1] / n,
-        100.0 * sums[2] / n,
-        100.0 * sums[3] / n
-    );
+    print!("{}", fig8.markdown());
     println!();
     println!("Shape check: linking lifts the average and specifically the shared-root");
     println!("benchmarks (m88ksim's two loaders, twolf's temperature regimes, ijpeg A's");
@@ -196,33 +103,7 @@ fn main() {
     println!("Paper averages: 12% size increase, 4.5% of static instructions selected,");
     println!("replication factor ≈ 2.6.");
     println!();
-    println!(
-        "| benchmark | paper %incr | measured %incr | paper %sel | measured %sel | measured repl |"
-    );
-    println!("|---|---|---|---|---|---|");
-    let (mut se, mut ss, mut sr) = (0.0, 0.0, 0.0);
-    for (pw, &outs) in profiled.iter().zip(&matrix) {
-        let o = &outs[3];
-        let (p_incr, p_sel) = paper_t3(&pw.label);
-        se += o.expansion;
-        ss += o.selected_fraction;
-        sr += o.replication;
-        println!(
-            "| {} | {:.1} | {:.1} | {:.1} | {:.1} | {:.2} |",
-            pw.label,
-            p_incr,
-            100.0 * o.expansion,
-            p_sel,
-            100.0 * o.selected_fraction,
-            o.replication
-        );
-    }
-    println!(
-        "| **average** | **12.0** | **{:.1}** | **4.5** | **{:.1}** | **{:.2}** |",
-        100.0 * se / n,
-        100.0 * ss / n,
-        sr / n
-    );
+    print!("{}", table3.markdown());
     println!();
     println!("Shape check: moderate growth, a small selected fraction, and a");
     println!("replication factor near the paper's 2.6; growth ≈ selected × replication");
@@ -236,31 +117,7 @@ fn main() {
     println!("phase-customization opportunity) are a few percent (e.g. ~3% Multi High");
     println!("for 099.go); Multi Same dominates the multi-phase population.");
     println!();
-    print!("| benchmark |");
-    for c in CATEGORIES {
-        print!(" {} |", c.label());
-    }
-    println!(" hot cov % |");
-    print!("|---|");
-    for _ in CATEGORIES {
-        print!("---|");
-    }
-    println!("---|");
-    let mut csums = [0.0f64; 6];
-    for pw in &profiled {
-        let cat = categorize(&pw.phases, &pw.branch_counts, 0.7);
-        print!("| {} |", pw.label);
-        for (s, &f) in csums.iter_mut().zip(&cat.fraction) {
-            *s += f;
-            print!(" {:.1} |", 100.0 * f);
-        }
-        println!(" {:.1} |", 100.0 * cat.hot_coverage());
-    }
-    print!("| **average** |");
-    for s in csums {
-        print!(" **{:.1}** |", 100.0 * s / n);
-    }
-    println!(" |");
+    print!("{}", fig9.markdown());
     println!();
     println!("Shape check: unique branches are overwhelmingly biased, Multi Same");
     println!("dominates, and Multi High appears exactly on the benchmarks built around");
@@ -276,26 +133,7 @@ fn main() {
     println!("configurations, correlating with coverage; 197.parser gains ~8% more with");
     println!("linking; 255.vortex benefits from both axes.");
     println!();
-    println!(
-        "| benchmark | {} | {} | {} | {} | base Mcycles |",
-        CONFIG_LABELS[0], CONFIG_LABELS[1], CONFIG_LABELS[2], CONFIG_LABELS[3]
-    );
-    println!("|---|---|---|---|---|---|");
-    let mut ssum = [0.0f64; 4];
-    for (pw, &outs) in profiled.iter().zip(&matrix) {
-        print!("| {} |", pw.label);
-        for (i, o) in outs.iter().enumerate() {
-            let s = o.speedup.unwrap_or(0.0);
-            ssum[i] += s;
-            print!(" {s:.3} |");
-        }
-        println!(" {:.2} |", pw.base_cycles.unwrap_or(0) as f64 / 1e6);
-    }
-    print!("| **average** |");
-    for s in ssum {
-        print!(" **{:.3}** |", s / n);
-    }
-    println!(" |");
+    print!("{}", fig10.markdown());
     println!();
     println!("Shape check: low-single-digit average speedup from relayout +");
     println!("rescheduling, with linking adding on the shared-root benchmarks, and");
@@ -324,31 +162,28 @@ fn main() {
     println!("`cargo run --release -p bench --bin sweep -- cross --timing`.");
     println!();
     let cross = cross_cells(Some(&machine), &[], &[], &[]);
-    println!("| family | eval | profile | kind | coverage % | speedup | phases | diff |");
-    println!("|---|---|---|---|---|---|---|---|");
-    let mut cross_diverged = 0usize;
-    for c in &cross.cells {
-        if c.outcome.diff.as_ref().is_some_and(|d| !d.is_clean()) {
-            cross_diverged += 1;
-        }
-        println!(
-            "| {} | {} | {} | {} | {:.1} | {} | {} | {} |",
-            c.family,
-            c.eval,
-            c.profile,
-            c.kind.label(),
-            100.0 * c.outcome.coverage,
-            c.outcome
-                .speedup
-                .map_or_else(|| "-".to_string(), |s| format!("{s:.3}")),
-            c.outcome.phases,
-            c.outcome
-                .diff
-                .as_ref()
-                .map_or_else(|| "-".to_string(), |d| d.verdict.to_string()),
-        );
+    // The report's cross columns: every `CROSS_HEADERS` column but the
+    // cell index and the package count.
+    let mut cells = TextTable::new(vec![
+        "family",
+        "eval",
+        "profile",
+        "kind",
+        "coverage %",
+        "speedup",
+        "phases",
+        "diff",
+    ]);
+    for row in &cross.rows {
+        cells.row([1, 2, 3, 4, 5, 6, 7, 9].map(|i| row[i].clone()).to_vec());
     }
+    print!("{}", cells.markdown());
     println!();
+    let cross_diverged = cross
+        .cells
+        .iter()
+        .filter(|c| c.outcome.diff.as_ref().is_some_and(|d| !d.is_clean()))
+        .count();
     let kind_avg = |k: Kind| {
         let sel: Vec<_> = cross.cells.iter().filter(|c| c.kind == k).collect();
         let n = sel.len().max(1) as f64;
@@ -360,8 +195,6 @@ fn main() {
     let (same_cov, same_spd) = kind_avg(Kind::Same);
     let (foreign_cov, foreign_spd) = kind_avg(Kind::Foreign);
     let (merged_cov, merged_spd) = kind_avg(Kind::Merged);
-    println!("| kind | avg coverage % | retention | avg speedup | retention |");
-    println!("|---|---|---|---|---|");
     let ret = |v: f64, base: f64| {
         if base > 0.0 {
             format!("{:.1}%", 100.0 * v / base)
@@ -369,19 +202,33 @@ fn main() {
             "-".to_string()
         }
     };
-    println!("| same | {:.1} | — | {same_spd:.3} | — |", 100.0 * same_cov);
-    println!(
-        "| foreign | {:.1} | {} | {foreign_spd:.3} | {} |",
-        100.0 * foreign_cov,
-        ret(foreign_cov, same_cov),
-        ret(foreign_spd, same_spd)
-    );
-    println!(
-        "| merged | {:.1} | {} | {merged_spd:.3} | {} |",
-        100.0 * merged_cov,
-        ret(merged_cov, same_cov),
-        ret(merged_spd, same_spd)
-    );
+    let mut kinds = TextTable::new(vec![
+        "kind",
+        "avg coverage %",
+        "retention",
+        "avg speedup",
+        "retention",
+    ]);
+    kinds.row(vec![
+        "same".to_string(),
+        format!("{:.1}", 100.0 * same_cov),
+        "—".to_string(),
+        format!("{same_spd:.3}"),
+        "—".to_string(),
+    ]);
+    for (kind, cov, spd) in [
+        ("foreign", foreign_cov, foreign_spd),
+        ("merged", merged_cov, merged_spd),
+    ] {
+        kinds.row(vec![
+            kind.to_string(),
+            format!("{:.1}", 100.0 * cov),
+            ret(cov, same_cov),
+            format!("{spd:.3}"),
+            ret(spd, same_spd),
+        ]);
+    }
+    print!("{}", kinds.markdown());
     println!();
     println!("Shape check: transfer is bimodal — sibling inputs that exercise the same");
     println!("code regions at the same addresses retain essentially all coverage, while");
@@ -422,20 +269,26 @@ fn main() {
     println!("are dropped; everything else must align visit-for-visit. A `diverged`");
     println!("verdict means the rewritten binary did different architectural work.");
     println!();
-    println!(
-        "| benchmark | {} | {} | {} | {} | aligned visits | exit events | migrations |",
-        CONFIG_LABELS[0], CONFIG_LABELS[1], CONFIG_LABELS[2], CONFIG_LABELS[3]
-    );
-    println!("|---|---|---|---|---|---|---|---|");
+    let mut audit = TextTable::new(vec![
+        "benchmark",
+        CONFIG_LABELS[0],
+        CONFIG_LABELS[1],
+        CONFIG_LABELS[2],
+        CONFIG_LABELS[3],
+        "aligned visits",
+        "exit events",
+        "migrations",
+    ]);
     let mut diverged_cells = 0usize;
-    for (pw, &outs) in profiled.iter().zip(&matrix) {
-        let verdict = |o: &vacuum_packing::metrics::ConfigOutcome| {
-            o.diff
-                .as_ref()
-                .map_or_else(|| "-".to_string(), |d| d.verdict.to_string())
-        };
+    for (label, outs) in &matrix {
+        let mut row = vec![label.to_string()];
         let (mut aligned, mut exits, mut migrations) = (0u64, 0u64, 0u64);
-        for o in outs {
+        for o in outs.iter() {
+            row.push(
+                o.diff
+                    .as_ref()
+                    .map_or_else(|| "-".to_string(), |d| d.verdict.to_string()),
+            );
             if let Some(d) = &o.diff {
                 aligned += d.aligned_visits;
                 exits += d.exit_events;
@@ -445,22 +298,14 @@ fn main() {
                 }
             }
         }
-        println!(
-            "| {} | {} | {} | {} | {} | {} | {} | {} |",
-            pw.label,
-            verdict(&outs[0]),
-            verdict(&outs[1]),
-            verdict(&outs[2]),
-            verdict(&outs[3]),
-            aligned,
-            exits,
-            migrations
-        );
+        row.extend([aligned, exits, migrations].map(|v| v.to_string()));
+        audit.row(row);
     }
+    print!("{}", audit.markdown());
     println!();
     println!(
         "{diverged_cells} of {} cells diverged. The `diff.*` counters and the",
-        profiled.len() * 4
+        sweep.outcomes.len()
     );
     println!("`diff.package_residency` / `diff.migration_gap` / `diff.alignment_run`");
     println!("histograms in this run's manifest carry the full distributions.");
@@ -480,14 +325,14 @@ fn main() {
     println!("differentially replayed against the original (section above). Counters");
     println!("from this run:");
     println!();
-    println!("| counter | value |");
-    println!("|---|---|");
+    let mut counters = TextTable::new(vec!["counter", "value"]);
     for (name, v) in vp_trace::counters_snapshot()
         .iter()
         .filter(|(n, _)| n.starts_with("trace_store."))
     {
-        println!("| `{name}` | {v} |");
+        counters.row(vec![format!("`{name}`"), v.to_string()]);
     }
+    print!("{}", counters.markdown());
     println!();
     if let Some(pw) = profiled.iter().find(|p| p.label.starts_with("300.twolf")) {
         let cfg = RunConfig::default();
@@ -567,13 +412,13 @@ fn main() {
             pw.label
         );
         println!();
-        println!("| row | events/sec |");
-        println!("|---|---|");
+        let mut rows = TextTable::new(vec!["row", "events/sec"]);
         for (name, v) in &baseline.metrics {
             if let Some(row) = name.strip_prefix("eps.") {
-                println!("| `{row}` | {:.1}M |", v / 1e6);
+                rows.row(vec![format!("`{row}`"), format!("{:.1}M", v / 1e6)]);
             }
         }
+        print!("{}", rows.markdown());
         println!();
         println!("`cargo bench -p bench --bench replay` measures the full matrix (execute,");
         println!("both capture shapes, replay into counters, the timing model and the");
@@ -666,15 +511,28 @@ fn main() {
     println!("cargo run --release -p bench --bin dashboard  # offline HTML dashboard; `dashboard manifest-diff OLD NEW` gates regressions");
     println!("```");
 
-    // Summary numbers for the manifest: the four-figure averages.
-    let mut cov = TextTable::new(vec!["config", "avg coverage %", "avg speedup"]);
-    for i in 0..4 {
-        cov.row(vec![
-            CONFIG_LABELS[i].to_string(),
-            format!("{:.1}", 100.0 * sums[i] / n),
-            format!("{:.3}", ssum[i] / n),
+    // Summary numbers for the manifest: the Figure 8 and Figure 10
+    // average rows, one row per configuration.
+    let average = |t: &TextTable| t.rows().last().expect("an average row").clone();
+    let (cov_avg, spd_avg) = (average(&fig8), average(&fig10));
+    let mut averages = TextTable::new(vec!["config", "avg coverage %", "avg speedup"]);
+    for (i, label) in CONFIG_LABELS.iter().enumerate() {
+        averages.row(vec![
+            label.to_string(),
+            cov_avg[i + 1].clone(),
+            spd_avg[i + 1].clone(),
         ]);
     }
-    bench::add_table(&mut mf, "averages", &cov);
+    bench::add_table(&mut mf, "averages", &averages);
+    // The figure tables under the figure binaries' table names.
+    for (name, t) in [
+        ("table1", &table1),
+        ("fig8_coverage", &fig8),
+        ("table3", &table3),
+        ("fig9_categorization", &fig9),
+        ("fig10_speedup", &fig10),
+    ] {
+        bench::add_table(&mut mf, name, t);
+    }
     bench::emit_manifest(mf);
 }

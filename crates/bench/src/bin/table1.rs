@@ -1,33 +1,13 @@
-//! Table 1: benchmarks, inputs, and dynamic instruction counts.
+//! Table 1: benchmarks, inputs, and dynamic instruction counts — the
+//! report's table from [`bench::figures::table1`].
 
-use bench::profile_suite;
-use vacuum_packing::metrics::TextTable;
+use bench::{figures, profile_suite};
 
 fn main() {
     let mut mf = bench::init("table1");
     mf.set("table", 1u64.into());
-    let profiled = profile_suite(None);
+    let t = figures::table1(&profile_suite(None));
     println!("Table 1: Benchmarks and inputs\n");
-    let mut t = TextTable::new(vec![
-        "benchmark",
-        "input",
-        "# of inst",
-        "dyn branches",
-        "static inst",
-        "phases",
-        "raw detections",
-    ]);
-    for pw in &profiled {
-        t.row(vec![
-            pw.label.clone(),
-            pw.label.split(' ').nth(1).unwrap_or("?").to_string(),
-            format!("{:.1}M", pw.dyn_insts as f64 / 1e6),
-            format!("{:.2}M", pw.branch_counts.total() as f64 / 1e6),
-            pw.program.static_insts().to_string(),
-            pw.phases.len().to_string(),
-            pw.raw_detections.to_string(),
-        ]);
-    }
     println!("{t}");
     println!("(Workloads are scaled-down synthetic counterparts; the paper's runs");
     println!(" span 8M-1902M instructions on real SPEC/MediaBench binaries.)");

@@ -59,7 +59,7 @@ pub fn collect_timeline(
     cfg: &PackConfig,
 ) -> Result<WorkloadTimeline, ExecError> {
     let _s = vp_trace::span("dashboard.collect");
-    let (phases, branches_total) =
+    let (_, phases, branches_total) =
         phase_timeline(&pw.trace, &HsdConfig::table2(), &FilterConfig::default());
 
     let out = pack(&pw.program, &pw.layout, &pw.phases, cfg);
@@ -406,38 +406,13 @@ pub fn render_flame_svg(nodes: &[vp_trace::SpanNode]) -> String {
 
 /// Loads the replay-throughput trend from committed `BENCH_*.json`
 /// baselines in `dir`, ordered by PR number: `(file stem, batched replay
-/// events/sec)`. Files that fail to parse are skipped.
+/// events/sec)`. Reads [`crate::history::bench_baseline_records`], so files
+/// that fail to parse or carry no batched replay row are skipped.
 pub fn load_bench_trend(dir: &std::path::Path) -> Vec<(String, f64)> {
-    let mut found: Vec<(u64, String, f64)> = Vec::new();
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return Vec::new();
-    };
-    for entry in entries.flatten() {
-        let name = entry.file_name().to_string_lossy().into_owned();
-        let Some(num) = name
-            .strip_prefix("BENCH_")
-            .and_then(|r| r.strip_suffix(".json"))
-            .and_then(|n| n.parse::<u64>().ok())
-        else {
-            continue;
-        };
-        let Ok(text) = std::fs::read_to_string(entry.path()) else {
-            continue;
-        };
-        let Ok(j) = vp_trace::Json::parse(&text) else {
-            continue;
-        };
-        let Some(eps) = j
-            .get("events_per_sec")
-            .and_then(|e| e.get("replay_batched"))
-            .and_then(vp_trace::Json::as_f64)
-        else {
-            continue;
-        };
-        found.push((num, format!("BENCH_{num}"), eps));
-    }
-    found.sort_by_key(|(num, _, _)| *num);
-    found.into_iter().map(|(_, l, v)| (l, v)).collect()
+    crate::history::bench_baseline_records(dir)
+        .into_iter()
+        .filter_map(|r| Some((r.label, *r.metrics.get("eps.replay_batched")?)))
+        .collect()
 }
 
 /// Renders the throughput trend (batched replay events/sec per committed

@@ -13,9 +13,14 @@
 //! Each call is one suite build, one result-cache probe, one profiling
 //! pass and one claim table. The `sweep` binary, every figure and table
 //! binary that reads the matrix (`fig8`, `fig10`, `table3`), the `report`
-//! and the dashboard's heatmap all take their cells from it, so `fig8`
-//! prints the same Figure 8 as the report (EXPERIMENTS.md): an untimed
+//! and the dashboard's heatmap all take their cells from it: an untimed
 //! cell differs from a timed one only in not being simulated.
+//!
+//! Each paper table is built by one function in [`figures`]; the figure
+//! binaries (`table1`, `fig8`, `table3`, `fig9`, `fig10`) print the
+//! report's tables (EXPERIMENTS.md) from it, with the same columns and
+//! averages, and attach them to their manifests under the names the
+//! report's manifest uses.
 //!
 //! Environment knobs:
 //!
@@ -42,6 +47,7 @@ mod cache;
 mod cells;
 pub mod cross;
 pub mod dashboard;
+pub mod figures;
 pub mod history;
 pub mod manifest_diff;
 pub mod micro;

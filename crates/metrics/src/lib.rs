@@ -11,8 +11,8 @@
 //! * [`BranchCounts`] — ground-truth per-branch dynamic counts;
 //! * [`categorize()`] — the Figure 9 branch taxonomy (Unique/Multi ×
 //!   bias/swing);
-//! * [`TextTable`] / [`bar`] — plain-text rendering used by the `bench`
-//!   crate's table/figure binaries.
+//! * [`TextTable`] — plain-text and markdown table rendering used by the
+//!   `bench` crate's table/figure binaries and the report.
 //!
 //! ```no_run
 //! use vp_metrics::{profile, evaluate};
@@ -87,6 +87,6 @@ pub use harness::{
     evaluate, evaluate_with_diff, profile, ClaimTable, ConfigOutcome, Evaluation, ProfiledWorkload,
     Twin,
 };
-pub use render::{bar, pct, TextTable};
+pub use render::{pct, TextTable};
 pub use result_cache::{ResultCache, ResultKey, DEFAULT_RESULT_MB, PIPELINE_VERSION};
 pub use timeline::{phase_timeline, PhaseMark, ResidencyInterval, ResidencySink};

@@ -1,4 +1,4 @@
-//! Plain-text rendering of tables and bar charts for the experiment
+//! Plain-text and markdown rendering of tables for the experiment
 //! binaries.
 
 /// A simple aligned text table.
@@ -75,24 +75,38 @@ impl TextTable {
         }
         out
     }
+
+    /// Renders as a GitHub markdown table: the header, a `|---|` rule and
+    /// the rows, one line each. In a row whose first cell is `average`
+    /// every non-empty cell is bold; an empty cell renders as ` |`.
+    pub fn markdown(&self) -> String {
+        let line = |cells: &[String], bold: bool| -> String {
+            let mut s = String::from("|");
+            for c in cells {
+                match (c.is_empty(), bold) {
+                    (true, _) => s.push_str(" |"),
+                    (false, true) => s.push_str(&format!(" **{c}** |")),
+                    (false, false) => s.push_str(&format!(" {c} |")),
+                }
+            }
+            s.push('\n');
+            s
+        };
+        let mut out = line(&self.headers, false);
+        out.push('|');
+        out.push_str(&"---|".repeat(self.headers.len()));
+        out.push('\n');
+        for row in &self.rows {
+            out.push_str(&line(row, row.first().is_some_and(|c| c == "average")));
+        }
+        out
+    }
 }
 
 impl std::fmt::Display for TextTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(&self.render())
     }
-}
-
-/// A horizontal ASCII bar: `value` out of `max`, `width` characters.
-pub fn bar(value: f64, max: f64, width: usize) -> String {
-    let filled = if max <= 0.0 {
-        0
-    } else {
-        ((value / max) * width as f64)
-            .round()
-            .clamp(0.0, width as f64) as usize
-    };
-    format!("{}{}", "#".repeat(filled), " ".repeat(width - filled))
 }
 
 /// Formats a fraction as a percent with one decimal.
@@ -123,11 +137,32 @@ mod tests {
     }
 
     #[test]
-    fn bars_scale() {
-        assert_eq!(bar(1.0, 1.0, 10), "##########");
-        assert_eq!(bar(0.0, 1.0, 4), "    ");
-        assert_eq!(bar(0.5, 1.0, 4), "##  ");
-        assert_eq!(bar(2.0, 1.0, 4), "####", "clamped at full");
+    fn markdown_has_a_header_rule() {
+        let mut t = TextTable::new(vec!["benchmark", "a", "b"]);
+        t.row(vec!["x", "1.0", "2.0"]);
+        assert_eq!(
+            t.markdown(),
+            "| benchmark | a | b |\n|---|---|---|\n| x | 1.0 | 2.0 |\n"
+        );
+    }
+
+    #[test]
+    fn markdown_bolds_only_the_average_row() {
+        let mut t = TextTable::new(vec!["benchmark", "a", "b"]);
+        t.row(vec!["x", "1.0", ""]);
+        t.row(vec!["average", "1.5", ""]);
+        t.row(vec!["averages", "2.0", "3.0"]);
+        let md = t.markdown();
+        let lines: Vec<&str> = md.lines().collect();
+        assert_eq!(lines[2], "| x | 1.0 | |", "an empty cell is \" |\"");
+        assert_eq!(lines[3], "| **average** | **1.5** | |");
+        assert_eq!(lines[4], "| averages | 2.0 | 3.0 |");
+        let bold_lines: Vec<&str> = lines.iter().copied().filter(|l| l.contains("**")).collect();
+        assert_eq!(
+            bold_lines,
+            vec![lines[3]],
+            "no bold outside the average row"
+        );
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! rendering a timeline never re-executes a workload.
 
 use vp_exec::{CapturedTrace, ColEvent, IdentityMap, Sink};
-use vp_hsd::{assign_phases, FilterConfig, HotSpotDetector, HsdConfig};
+use vp_hsd::{assign_phases, FilterConfig, HotSpotDetector, HsdConfig, Phase};
 
 /// One maximal run of consecutive retired events with the same package
 /// identity.
@@ -118,16 +118,16 @@ pub struct PhaseMark {
 
 /// Re-detects hot spots over a captured original run and assigns every
 /// raw detection to its filtered phase, producing the workload's phase
-/// timeline (marks in detection order) plus the total branches retired
-/// (the axis length).
+/// timeline: the filtered phases, the marks in detection order, and the
+/// total branches retired (the axis length).
 pub fn phase_timeline(
     trace: &CapturedTrace,
     hsd_cfg: &HsdConfig,
     filter_cfg: &FilterConfig,
-) -> (Vec<PhaseMark>, u64) {
+) -> (Vec<Phase>, Vec<PhaseMark>, u64) {
     let mut hsd = HotSpotDetector::new(*hsd_cfg);
     trace.replay(&mut hsd);
-    let (_, assignment) = assign_phases(hsd.records(), filter_cfg);
+    let (phases, assignment) = assign_phases(hsd.records(), filter_cfg);
     let marks = hsd
         .records()
         .iter()
@@ -137,7 +137,7 @@ pub fn phase_timeline(
             phase,
         })
         .collect();
-    (marks, hsd.branches_retired())
+    (phases, marks, hsd.branches_retired())
 }
 
 #[cfg(test)]
